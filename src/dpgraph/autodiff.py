@@ -1,15 +1,22 @@
-"""Reverse-mode differentiation: graphs that compute explicit Jacobian matrices.
+"""Reverse-mode differentiation as graph-to-graph transforms.
 
-`jacobian` transforms a graph into a new graph whose single output is the
-flattened Jacobian of all outputs with respect to the chosen Input/Parameter
-nodes. The transform is purely structural, so the result is itself a graph:
-it can be optimized, compiled, interval-propagated, and differentiated again
-(`higher_order`).
+Both transforms share one reverse sweep (`_ReverseSweep`): a forward copy of
+the source graph, then backward passes over that copy, each seeded with a
+cotangent handle for one output. Derivative rules are registered per node
+kind in `VJP_RULES`, so a new operation only needs a table entry.
 
-Each scalar output element gets one backward pass over a shared forward copy;
-the duplicated forward work is undone by common-subexpression elimination
-when the result is optimized. Derivative rules are registered per node kind
-in `VJP_RULES`, so a new operation only needs a table entry.
+* `jacobian` runs one pass per scalar output element, seeded with a one-hot
+  constant, and assembles the flattened Jacobian of all outputs with respect
+  to the chosen Input/Parameter nodes as one matrix output. The duplicated
+  forward work is undone by common-subexpression elimination when the result
+  is optimized.
+* `vjp` runs a single pass seeded with a new Parameter leaf that holds the
+  output's cotangent at run time, so its size grows with the source graph
+  alone.
+
+The results are graphs themselves: they can be optimized, compiled, and
+differentiated again (`higher_order`); a Jacobian graph keeps the source's
+bounds, so it can be interval-propagated as well.
 """
 
 from __future__ import annotations
@@ -205,6 +212,76 @@ def _descendants(graph: Graph, roots: set[int]) -> set[int]:
     return out
 
 
+class _ReverseSweep:
+    """A forward copy of `graph` in a new builder, and reverse sweeps over it.
+
+    The copy keeps every leaf of the source (same names, roles, and bounds)
+    and every node an output reaches; `mapping` takes source handles to
+    copied ones. Each `backward` call appends one reverse pass to `nb`.
+    """
+
+    def __init__(self, graph: Graph, wrt):
+        graph.require_valid()
+        self.wrt = tuple(int(h) for h in wrt)
+        if not self.wrt:
+            raise NonDifferentiable("empty differentiation target list")
+        for h in self.wrt:
+            node = graph.node(h)
+            if node.kind not in (OpKind.INPUT, OpKind.PARAMETER):
+                raise NonDifferentiable(
+                    f"'{node.name}' is not an Input or Parameter node")
+        for node in graph.nodes:
+            if node.kind not in VJP_RULES and node.kind not in (
+                    OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT):
+                raise NonDifferentiable(f"no derivative rule for {node.kind.value}")
+
+        self.graph = graph
+        self.nb = nb = GraphBuilder()
+        self.mapping: dict[int, int] = {}
+        self.reachable = graph.ancestors(graph.outputs)
+        for node in graph.nodes:
+            if node.kind is OpKind.INPUT:
+                b = graph.bounds.get(node.id)
+                self.mapping[node.id] = nb.input(node.name, node.shape,
+                                                 (b.lo, b.hi) if b else None)
+            elif node.kind is OpKind.PARAMETER:
+                b = graph.bounds.get(node.id)
+                self.mapping[node.id] = nb.parameter(node.name, node.shape,
+                                                     (b.lo, b.hi) if b else None)
+            elif node.id in self.reachable:
+                if node.kind is OpKind.CONSTANT:
+                    self.mapping[node.id] = nb.constant(node.attrs["value"])
+                else:
+                    self.mapping[node.id] = nb.build(
+                        node.kind, [self.mapping[i] for i in node.inputs],
+                        node.attrs)
+        self.active = _descendants(graph, set(self.wrt))
+
+    def backward(self, out_h: int, seed: int) -> dict[int, int]:
+        """Seed output `out_h` with cotangent handle `seed` (same shape) and
+        return the adjoint handle of every source node the pass reached."""
+        nb = self.nb
+        adjoint: dict[int, int] = {out_h: seed}
+        for node in reversed(self.graph.nodes):
+            if node.id not in self.reachable or not (
+                    node.id in self.active or node.id == out_h):
+                continue
+            adj = adjoint.get(node.id)
+            if adj is None or node.kind in (
+                    OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT):
+                continue
+            new_ins = tuple(self.mapping[i] for i in node.inputs)
+            cots = VJP_RULES[node.kind](nb, node, new_ins, adj)
+            for src, cot in zip(node.inputs, cots):
+                if cot is None or src not in self.active:
+                    continue
+                if src in adjoint:
+                    adjoint[src] = nb.add(adjoint[src], cot)
+                else:
+                    adjoint[src] = cot
+        return adjoint
+
+
 def jacobian(graph: Graph, wrt) -> JacobianGraph:
     """Build the graph computing the full Jacobian of outputs w.r.t. `wrt`.
 
@@ -212,41 +289,8 @@ def jacobian(graph: Graph, wrt) -> JacobianGraph:
     returned graph keeps every leaf of the source (same names, roles, and
     bounds) and has a single (output_size, wrt_size) matrix output.
     """
-    graph.require_valid()
-    wrt = tuple(int(h) for h in wrt)
-    if not wrt:
-        raise NonDifferentiable("empty differentiation target list")
-    for h in wrt:
-        node = graph.node(h)
-        if node.kind not in (OpKind.INPUT, OpKind.PARAMETER):
-            raise NonDifferentiable(
-                f"'{node.name}' is not an Input or Parameter node")
-    for node in graph.nodes:
-        if node.kind not in VJP_RULES and node.kind not in (
-                OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT):
-            raise NonDifferentiable(f"no derivative rule for {node.kind.value}")
-
-    nb = GraphBuilder()
-    mapping: dict[int, int] = {}
-    reachable = graph.ancestors(graph.outputs)
-    for node in graph.nodes:
-        if node.kind is OpKind.INPUT:
-            b = graph.bounds.get(node.id)
-            mapping[node.id] = nb.input(node.name, node.shape,
-                                        (b.lo, b.hi) if b else None)
-        elif node.kind is OpKind.PARAMETER:
-            b = graph.bounds.get(node.id)
-            mapping[node.id] = nb.parameter(node.name, node.shape,
-                                            (b.lo, b.hi) if b else None)
-        elif node.id in reachable:
-            if node.kind is OpKind.CONSTANT:
-                mapping[node.id] = nb.constant(node.attrs["value"])
-            else:
-                mapping[node.id] = nb.build(
-                    node.kind, [mapping[i] for i in node.inputs], node.attrs)
-
-    wrt_set = set(wrt)
-    active = _descendants(graph, wrt_set)
+    sweep = _ReverseSweep(graph, wrt)
+    nb, wrt = sweep.nb, sweep.wrt
 
     out_sizes = [graph.nodes[h].shape.num_elements for h in graph.outputs]
     n_rows = sum(out_sizes)
@@ -261,28 +305,9 @@ def jacobian(graph: Graph, wrt) -> JacobianGraph:
     row = 0
     for out_h in graph.outputs:
         out_node = graph.nodes[out_h]
-        backward_order = [n for n in reversed(graph.nodes)
-                          if n.id in reachable and
-                          (n.id in active or n.id == out_h)]
         for element in range(out_node.shape.num_elements):
-            adjoint: dict[int, int] = {
-                out_h: nb.constant(_one_hot(out_node.shape, element))
-            }
-            for node in backward_order:
-                adj = adjoint.get(node.id)
-                if adj is None or node.kind in (
-                        OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT):
-                    continue
-                new_ins = tuple(mapping[i] for i in node.inputs)
-                cots = VJP_RULES[node.kind](nb, node, new_ins, adj)
-                for src, cot in zip(node.inputs, cots):
-                    if cot is None or src not in active:
-                        continue
-                    if src in adjoint:
-                        adjoint[src] = nb.add(adjoint[src], cot)
-                    else:
-                        adjoint[src] = cot
-
+            adjoint = sweep.backward(
+                out_h, nb.constant(_one_hot(out_node.shape, element)))
             for h in wrt:
                 grad = adjoint.get(h)
                 if grad is None:
@@ -316,6 +341,34 @@ def jacobian(graph: Graph, wrt) -> JacobianGraph:
         output_size=n_rows,
         wrt_size=n_cols,
     )
+
+
+def vjp(graph: Graph, wrt) -> tuple[Graph, str]:
+    """Build the vector-Jacobian product of a single-output graph.
+
+    The returned graph keeps every leaf of `graph` and adds one unbounded
+    Parameter, shaped like the output, that holds its cotangent c. Its name
+    is one that no node of `graph` uses, and it is returned with the graph.
+    There is one output per `wrt` handle, in order: the gradient of
+    <c, output> with respect to that leaf, shaped like the leaf.
+    """
+    if len(graph.outputs) != 1:
+        raise NonDifferentiable(
+            f"vjp needs a single-output graph, got {len(graph.outputs)} outputs")
+    sweep = _ReverseSweep(graph, wrt)
+    nb = sweep.nb
+    taken = {node.name for node in graph.nodes}
+    name = "cotangent"
+    while name in taken:
+        name += "_"
+    (out_h,) = graph.outputs
+    adjoint = sweep.backward(out_h, nb.parameter(name, graph.nodes[out_h].shape))
+    for h in sweep.wrt:
+        grad = adjoint.get(h)
+        if grad is None:
+            grad = nb.constant(np.zeros(graph.nodes[h].shape.dims))
+        nb.output(grad)
+    return optimize(nb.graph()), name
 
 
 def higher_order(graph: Graph, wrt, order: int) -> JacobianGraph:

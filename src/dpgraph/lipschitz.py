@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
-from .autodiff import jacobian
+from .autodiff import jacobian, vjp
 from .errors import (
     DimensionTooLarge,
     InvalidParams,
@@ -110,7 +110,6 @@ class OptimizerConfig:
     certificate_rtol: float = 1e-4
     grid_resolution: int = 201
     grid_dim_cap: int = 4
-    use_graph_gradient: bool = True
     include_corners: bool = True
     max_corner_samples: int = 64
     freeze: Mapping | None = None  # tensor name -> fixed value, removed from the box
@@ -344,7 +343,7 @@ class _JacobianObjective:
         self.lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0)
         self.hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0)
         self._grad_program = None
-        self._grad_failed = not config.use_graph_gradient
+        self._cotangent = ""
 
     @property
     def dim(self) -> int:
@@ -370,29 +369,29 @@ class _JacobianObjective:
             return -np.inf
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
-        """d sigma_max / dv via the derivative of the Jacobian graph."""
-        if self._grad_program is None and not self._grad_failed:
-            try:
-                g = self.jg.graph
-                handles = [g.find(name) for name, _ in self.free]
-                second = jacobian(g, handles)
-                if second.output_size * second.wrt_size > 200_000:
-                    raise MemoryError("second-order graph too large")
-                self._grad_program = runtime.compile(second.graph)
-            except Exception:
-                self._grad_failed = True
-        if self._grad_failed:
-            return _fd_gradient(self, v, self.lo, self.hi)
+        """d sigma_max / dv by one reverse pass over the Jacobian graph.
+
+        For a top singular triple (sigma, u, w) of J(v), the gradient of
+        sigma is the gradient of <u w^T, J(v)> with u and w held fixed, so
+        the vector-Jacobian product of the Jacobian graph seeded with the
+        cotangent u w^T gives it. The identity holds where sigma_max is
+        simple; where it is repeated, the result is the derivative along
+        the singular pair that the decomposition returned.
+        """
+        if self._grad_program is None:
+            g = self.jg.graph
+            grad_graph, self._cotangent = vjp(
+                g, [g.find(name) for name, _ in self.free])
+            self._grad_program = runtime.compile(grad_graph)
         try:
             inputs = self.unpack(v)
             (j,) = runtime.execute(self.program, inputs)
             _, u, w = spectral_norm_with_vectors(j)
-            (t,) = runtime.execute(self._grad_program, inputs)
+            inputs[self._cotangent] = np.outer(u, w).reshape(j.shape)
+            grads = runtime.execute(self._grad_program, inputs)
         except (NumericalError, NonFinite):
             return _fd_gradient(self, v, self.lo, self.hi)
-        rows, cols = j.shape if j.ndim == 2 else (1, j.size)
-        tensor = t.reshape(rows, cols, self.dim)
-        return np.einsum("r,c,rcv->v", u, w, tensor)
+        return np.concatenate([grad.ravel() for grad in grads])
 
 
 def _grid_points(lo, hi, resolution):

@@ -41,16 +41,15 @@ def content_hash(graph: Graph) -> str:
     Interior node names never enter the hash; Input/Parameter names, shapes,
     and bounds do, because they are the binding surface of the program.
     """
-    memo: dict[int, str] = {}
-
-    def visit(h: int) -> str:
-        if h in memo:
-            return memo[h]
-        node = graph.nodes[h]
+    digests: dict[int, str] = {}
+    wanted = graph.ancestors(graph.outputs).union(graph.leaves())
+    for node in graph.nodes:  # inputs precede their users
+        if node.id not in wanted:
+            continue
         parts: list[str] = [node.kind.value]
         if node.kind in (OpKind.INPUT, OpKind.PARAMETER):
             parts += [node.name, str(node.shape)]
-            b = graph.bounds.get(h)
+            b = graph.bounds.get(node.id)
             if b is not None:
                 parts += [b.lo.tobytes().hex(), b.hi.tobytes().hex()]
         elif node.kind is OpKind.CONSTANT:
@@ -58,13 +57,11 @@ def content_hash(graph: Graph) -> str:
             parts += [str(node.shape), v.tobytes().hex()]
         else:
             parts.append(repr(attr_key(node.attrs)))
-            parts += [visit(i) for i in node.inputs]
-        digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
-        memo[h] = digest
-        return digest
+            parts += [digests[i] for i in node.inputs]
+        digests[node.id] = hashlib.sha256("|".join(parts).encode()).hexdigest()
 
-    out_digests = [visit(h) for h in graph.outputs]
-    leaf_digests = sorted(visit(h) for h in graph.leaves())
+    out_digests = [digests[h] for h in graph.outputs]
+    leaf_digests = sorted(digests[h] for h in graph.leaves())
     top = "graph|" + "|".join(out_digests) + "#" + "|".join(leaf_digests)
     return hashlib.sha256(top.encode()).hexdigest()
 

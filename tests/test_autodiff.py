@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpgraph import GraphBuilder, NonDifferentiable, OpKind
-from dpgraph.autodiff import VJP_RULES, higher_order, jacobian
+from dpgraph.autodiff import VJP_RULES, higher_order, jacobian, vjp
 from dpgraph.graph import ARITY, LEAF_KINDS
 from dpgraph import runtime
 
@@ -114,11 +114,21 @@ def test_clip_derivative_inside_outside_boundary():
 
 def test_finite_difference_agreement(rng):
     kinds = [k for k in OpKind if k not in LEAF_KINDS]
+    # vjp's preferred cotangent leaf name is taken twice over here
+    clash = GraphBuilder()
+    c0 = clash.input("cotangent", (2, 1), bounds=(-1, 1))
+    c1 = clash.parameter("cotangent_", (2, 1), bounds=(-1, 1))
+    clash.output(clash.sigmoid(clash.mul(c0, c1)))
+    cot_rng = np.random.default_rng(3)
     seen = set()
     worst = 0.0
-    for i in range(50):
-        force = (kinds[i % len(kinds)],)
-        g = random_graph(rng, force_kinds=force)
+    worst_vjp = 0.0
+    for i in range(51):
+        if i < 50:
+            force = (kinds[i % len(kinds)],)
+            g = random_graph(rng, force_kinds=force)
+        else:
+            g = clash.graph()
         seen.update(n.kind for n in g.nodes)
         wrt = list(g.leaves())
         jg = jacobian(g, wrt)
@@ -127,7 +137,19 @@ def test_finite_difference_agreement(rng):
         fd = finite_difference(g, point, jg.wrt_names)
         scale = max(1.0, np.max(np.abs(j)))
         worst = max(worst, np.max(np.abs(j - fd)) / scale)
+
+        # vjp with cotangent c is c^T J, split per leaf
+        vg, cot_name = vjp(g, wrt)
+        assert cot_name not in {n.name for n in g.nodes}
+        c = cot_rng.standard_normal(g.nodes[g.outputs[0]].shape.dims)
+        grads = runtime.execute(runtime.compile(vg), {**point, cot_name: c})
+        assert [x.shape for x in grads] == [g.nodes[h].shape.dims for h in wrt]
+        want = c.reshape(-1) @ j
+        got = np.concatenate([x.reshape(-1) for x in grads])
+        worst_vjp = max(worst_vjp, np.max(np.abs(got - want)) /
+                        max(1.0, np.max(np.abs(want))))
     assert worst < 1e-5
+    assert worst_vjp < 1e-12
     assert {k for k in OpKind if k not in (OpKind.INPUT,)} <= seen | {OpKind.PARAMETER}
 
 

@@ -10,12 +10,14 @@ from dpgraph import (
 )
 from dpgraph.lipschitz import (
     OptimizerConfig,
+    _JacobianObjective,
     estimate_sensitivity,
     global_maximize,
     spectral_norm,
     spectral_norm_with_vectors,
 )
 from dpgraph import runtime
+from dpgraph.models import mean_query, mlp_classifier
 
 from conftest import random_graph
 
@@ -301,3 +303,44 @@ def test_ibp_dominates_global_opt(rng):
         upper = estimate_sensitivity(g, wrt=wrt, method="ibp").bound
         lower = estimate_sensitivity(g, wrt=wrt, method="global_opt").bound
         assert upper >= lower - 1e-9
+
+
+# -- gradient of the objective ------------------------------------------------
+
+def _sum_sigmoid(n):
+    b = GraphBuilder()
+    x = b.input("x", (n, 1), bounds=(-1.0, 1.0))
+    b.output(b.reduce_sum(b.sigmoid(x), axis=None))
+    return b.graph()
+
+
+@pytest.mark.parametrize("graph", [mlp_classifier(2), _sum_sigmoid(64)],
+                         ids=["mlp2", "sumsig64"])
+def test_gradient_matches_central_differences(graph):
+    obj = _JacobianObjective(graph, [graph.find("x")], OptimizerConfig())
+    rng = np.random.default_rng(5)
+    step = 1e-6
+    for _ in range(3):
+        v = rng.uniform(obj.lo, obj.hi)
+        g = obj.gradient(v)
+        fd = np.empty_like(v)
+        for i in range(v.size):
+            e = np.zeros_like(v)
+            e[i] = step
+            fd[i] = (obj(v + e) - obj(v - e)) / (2 * step)
+        np.testing.assert_allclose(g, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("graph", [_sum_sigmoid(64), mean_query(1000),
+                                   mlp_classifier(8)],
+                         ids=["sumsig64", "mean1000", "mlp8"])
+def test_gradient_makes_no_objective_evaluations(graph, monkeypatch):
+    obj = _JacobianObjective(graph, [graph.find("x")], OptimizerConfig())
+    calls = []
+    objective = _JacobianObjective.__call__
+    monkeypatch.setattr(_JacobianObjective, "__call__",
+                        lambda self, v: calls.append(1) or objective(self, v))
+    v = np.random.default_rng(6).uniform(obj.lo, obj.hi)
+    g = obj.gradient(v)
+    assert calls == []
+    assert g.shape == v.shape and np.all(np.isfinite(g))

@@ -11,6 +11,7 @@ from dpgraph import (
     ShapeMismatch,
     ValidationFailed,
 )
+from dpgraph.autodiff import jacobian
 from dpgraph.models import mlp_classifier
 from dpgraph import runtime
 
@@ -69,6 +70,33 @@ def test_fingerprint_tracks_bounds():
 
     assert runtime.compile(build(1.0)).fingerprint != \
         runtime.compile(build(2.0)).fingerprint
+
+
+def test_content_hash_is_stable():
+    # saved analyses are matched by fingerprint, so the digest format is fixed
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=([[-1.0], [0.0]], [[1.0], [2.0]]))
+    w = b.parameter("w", (2, 2))
+    b.exp(x)  # dead node: not part of the digest
+    h = b.matmul(w, b.clip(x, -0.5, 0.5), transpose_a=True)
+    b.output(b.reduce_mean(
+        b.sigmoid(b.add(h, b.constant([[0.25], [-0.75]]))), axis=0))
+    assert runtime.content_hash(b.graph()) == (
+        "efcee6944158f494bf2d19176504efe713e443d9d823416ec08a3c6c7cf182f5")
+
+
+def test_deep_jacobian_graph_compiles():
+    # the Jacobian's Add chain is about n levels deep
+    n = 600
+    b = GraphBuilder()
+    x = b.input("x", (n, 1), bounds=(-1.0, 1.0))
+    b.output(b.reduce_sum(b.sigmoid(x), axis=None))
+    g = b.graph()
+    program = runtime.compile(jacobian(g, [g.find("x")]).graph)
+    xv = np.linspace(-1.0, 1.0, n).reshape(n, 1)
+    (j,) = runtime.execute(program, {"x": xv})
+    s = 1.0 / (1.0 + np.exp(-xv))
+    np.testing.assert_allclose(j, (s * (1.0 - s)).T, rtol=1e-12)
 
 
 def test_cached_and_cold_compiles_agree(rng):
