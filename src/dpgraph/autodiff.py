@@ -6,10 +6,16 @@ cotangent handle for one output. Derivative rules are registered per node
 kind in `VJP_RULES`, so a new operation only needs a table entry.
 
 * `jacobian` runs one pass per scalar output element, seeded with a one-hot
-  constant, and assembles the flattened Jacobian of all outputs with respect
-  to the chosen Input/Parameter nodes as one matrix output. The duplicated
-  forward work is undone by common-subexpression elimination when the result
-  is optimized.
+  constant; each pass yields one row of the Jacobian of the flattened
+  outputs with respect to the chosen Input/Parameter nodes. A row is the
+  `Concat` along axis 1 of every `wrt` leaf's gradient flattened by
+  `Reshape` to (1, size), with a zero constant for a leaf the output does
+  not depend on, and the rows are stacked by one `Concat` along axis 0 into
+  the single matrix output (a lone leaf or a lone row needs no `Concat`).
+  Row by row accumulation keeps the graph at one reverse pass per output
+  element, however many columns there are (Griewank & Walther, *Evaluating
+  Derivatives*, ch. 3-5). The duplicated forward work is undone by
+  common-subexpression elimination when the result is optimized.
 * `vjp` runs a single pass seeded with a new Parameter leaf that holds the
   output's cotangent at run time, so its size grows with the source graph
   alone.
@@ -185,6 +191,37 @@ def _vjp_bce(nb, node, ins, adj):
     return [_reduce_like(nb, dp, p_shape), _reduce_like(nb, dt, t_shape)]
 
 
+def _vjp_reshape(nb, node, ins, adj):
+    (x,) = ins
+    return [nb.reshape(adj, _shape(nb, x).dims)]
+
+
+def _vjp_concat(nb, node, ins, adj):
+    axis = node.attrs["axis"]
+    cots, start = [], 0
+    for x in ins:
+        stop = start + _shape(nb, x).dims[axis]
+        cots.append(nb.slice(adj, axis, start, stop))
+        start = stop
+    return cots
+
+
+def _vjp_slice(nb, node, ins, adj):
+    (x,) = ins
+    axis, start, stop = (node.attrs[k] for k in ("axis", "start", "stop"))
+    dims = _shape(nb, x).dims
+
+    def zeros(extent):
+        return nb.constant(np.zeros(dims[:axis] + (extent,) + dims[axis + 1:]))
+
+    parts = [adj]
+    if start > 0:
+        parts.insert(0, zeros(start))
+    if stop < dims[axis]:
+        parts.append(zeros(dims[axis] - stop))
+    return [nb.concat(parts, axis)]
+
+
 VJP_RULES = {
     OpKind.ADD: _vjp_add,
     OpKind.SUB: _vjp_sub,
@@ -201,6 +238,9 @@ VJP_RULES = {
     OpKind.CLIP: _vjp_clip,
     OpKind.IN_INTERVAL: _vjp_in_interval,
     OpKind.BCE: _vjp_bce,
+    OpKind.RESHAPE: _vjp_reshape,
+    OpKind.CONCAT: _vjp_concat,
+    OpKind.SLICE: _vjp_slice,
 }
 
 
@@ -291,46 +331,21 @@ def jacobian(graph: Graph, wrt) -> JacobianGraph:
     """
     sweep = _ReverseSweep(graph, wrt)
     nb, wrt = sweep.nb, sweep.wrt
+    sizes = [graph.nodes[h].shape.num_elements for h in wrt]
 
-    out_sizes = [graph.nodes[h].shape.num_elements for h in graph.outputs]
-    n_rows = sum(out_sizes)
-    col_offsets = {}
-    col = 0
-    for h in wrt:
-        col_offsets[h] = col
-        col += graph.nodes[h].shape.num_elements
-    n_cols = col
-
-    contributions: list[int] = []
-    row = 0
+    rows: list[int] = []
     for out_h in graph.outputs:
         out_node = graph.nodes[out_h]
         for element in range(out_node.shape.num_elements):
             adjoint = sweep.backward(
                 out_h, nb.constant(_one_hot(out_node.shape, element)))
-            for h in wrt:
+            parts = []
+            for h, size in zip(wrt, sizes):
                 grad = adjoint.get(h)
-                if grad is None:
-                    continue
-                w_shape = graph.nodes[h].shape
-                for flat in range(w_shape.num_elements):
-                    if w_shape.rank == 0:
-                        entry = grad
-                    else:
-                        mask = nb.constant(_one_hot(w_shape, flat))
-                        entry = nb.reduce_sum(nb.mul(grad, mask), axis=None)
-                    basis = np.zeros((n_rows, n_cols))
-                    basis[row, col_offsets[h] + flat] = 1.0
-                    contributions.append(nb.mul(entry, nb.constant(basis)))
-            row += 1
-
-    if contributions:
-        total = contributions[0]
-        for c in contributions[1:]:
-            total = nb.add(total, c)
-    else:
-        total = nb.constant(np.zeros((n_rows, n_cols)))
-    nb.output(total)
+                parts.append(nb.constant(np.zeros((1, size))) if grad is None
+                             else nb.reshape(grad, (1, size)))
+            rows.append(parts[0] if len(parts) == 1 else nb.concat(parts, axis=1))
+    nb.output(rows[0] if len(rows) == 1 else nb.concat(rows, axis=0))
 
     result = optimize(nb.graph())
     return JacobianGraph(
@@ -338,8 +353,8 @@ def jacobian(graph: Graph, wrt) -> JacobianGraph:
         wrt=wrt,
         wrt_names=tuple(graph.nodes[h].name for h in wrt),
         source=graph,
-        output_size=n_rows,
-        wrt_size=n_cols,
+        output_size=len(rows),
+        wrt_size=sum(sizes),
     )
 
 

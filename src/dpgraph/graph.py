@@ -49,11 +49,17 @@ class OpKind(str, Enum):
     # almost-everywhere derivative of Clip (and of the cross-entropy clamp) is
     # expressible as a graph; never required in hand-written models.
     IN_INTERVAL = "InInterval"
+    # Layout ops: a Jacobian row is the concatenation of flattened leaf
+    # gradients, and the derivative of Concat is a Slice of its cotangent.
+    RESHAPE = "Reshape"
+    CONCAT = "Concat"
+    SLICE = "Slice"
 
 
 LEAF_KINDS = frozenset({OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT})
 
-ARITY: dict[OpKind, int] = {
+# None marks a variadic kind, which takes one or more inputs.
+ARITY: dict[OpKind, int | None] = {
     OpKind.INPUT: 0,
     OpKind.PARAMETER: 0,
     OpKind.CONSTANT: 0,
@@ -72,6 +78,9 @@ ARITY: dict[OpKind, int] = {
     OpKind.CLIP: 1,
     OpKind.BCE: 2,
     OpKind.IN_INTERVAL: 1,
+    OpKind.RESHAPE: 1,
+    OpKind.CONCAT: None,
+    OpKind.SLICE: 1,
 }
 
 
@@ -242,6 +251,48 @@ def _reduce_shape(a: TensorShape, attrs: Mapping, kind: OpKind) -> TensorShape:
     return TensorShape(tuple(dims))
 
 
+def _check_axis(a: TensorShape, axis: int, kind: OpKind) -> None:
+    if not 0 <= axis < a.rank:
+        raise ShapeMismatch(f"{kind.value} axis {axis} out of range for shape {a}")
+
+
+def _reshape_shape(a: TensorShape, attrs: Mapping) -> TensorShape:
+    out = TensorShape(attrs["shape"])
+    if out.num_elements != a.num_elements:
+        raise ShapeMismatch(f"Reshape cannot turn {a} into {out}")
+    return out
+
+
+def _concat_shape(shapes: Sequence[TensorShape], attrs: Mapping) -> TensorShape:
+    axis = attrs["axis"]
+    first = shapes[0]
+    _check_axis(first, axis, OpKind.CONCAT)
+
+    def off_axis(s: TensorShape) -> tuple[int, ...]:
+        return s.dims[:axis] + s.dims[axis + 1:]
+
+    total = 0
+    for s in shapes:
+        if s.rank != first.rank or off_axis(s) != off_axis(first):
+            raise ShapeMismatch(
+                f"Concat operands must agree off axis {axis}, got {first} and {s}")
+        total += s.dims[axis]
+    dims = list(first.dims)
+    dims[axis] = total
+    return TensorShape(tuple(dims))
+
+
+def _slice_shape(a: TensorShape, attrs: Mapping) -> TensorShape:
+    axis, start, stop = attrs["axis"], attrs["start"], attrs["stop"]
+    _check_axis(a, axis, OpKind.SLICE)
+    if not 0 <= start < stop <= a.dims[axis]:
+        raise ShapeMismatch(
+            f"Slice [{start}:{stop}] out of range for extent {a.dims[axis]} of {a}")
+    dims = list(a.dims)
+    dims[axis] = stop - start
+    return TensorShape(tuple(dims))
+
+
 def infer_shape(kind: OpKind, input_shapes: Sequence[TensorShape], attrs: Mapping) -> TensorShape:
     if kind in (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV):
         return _elementwise_pair(input_shapes[0], input_shapes[1], kind)
@@ -255,6 +306,12 @@ def infer_shape(kind: OpKind, input_shapes: Sequence[TensorShape], attrs: Mappin
         return _matmul_shape(input_shapes[0], input_shapes[1], attrs)
     if kind in (OpKind.SUM, OpKind.MEAN):
         return _reduce_shape(input_shapes[0], attrs, kind)
+    if kind is OpKind.RESHAPE:
+        return _reshape_shape(input_shapes[0], attrs)
+    if kind is OpKind.CONCAT:
+        return _concat_shape(input_shapes, attrs)
+    if kind is OpKind.SLICE:
+        return _slice_shape(input_shapes[0], attrs)
     raise ArityError(f"cannot infer shape for leaf kind {kind.value}")
 
 
@@ -269,6 +326,9 @@ _ATTR_KEYS: dict[OpKind, tuple[str, ...]] = {
     OpKind.MEAN: ("axis",),
     OpKind.CLIP: ("lo", "hi"),
     OpKind.IN_INTERVAL: ("lo", "hi"),
+    OpKind.RESHAPE: ("shape",),
+    OpKind.CONCAT: ("axis",),
+    OpKind.SLICE: ("axis", "start", "stop"),
 }
 
 
@@ -304,6 +364,13 @@ def normalize_attrs(kind: OpKind, attrs: Mapping | None) -> dict[str, Any]:
         if lo > hi:
             raise ValueError(f"{kind.value} interval requires lo <= hi")
         return {"lo": lo, "hi": hi}
+    missing = [k for k in allowed if k not in attrs]
+    if missing:
+        raise ArityError(f"{kind.value} requires {missing} attrs")
+    if kind is OpKind.RESHAPE:
+        return {"shape": TensorShape.coerce(attrs["shape"]).dims}
+    if kind in (OpKind.CONCAT, OpKind.SLICE):
+        return {k: int(attrs[k]) for k in allowed}
     return {}
 
 
@@ -346,6 +413,12 @@ def _k_bce(attrs, p, t):
     return np.asarray(np.mean(-(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))))
 
 
+def _k_slice(attrs, a):
+    index = [slice(None)] * a.ndim
+    index[attrs["axis"]] = slice(attrs["start"], attrs["stop"])
+    return a[tuple(index)]
+
+
 KERNELS = {
     OpKind.ADD: lambda attrs, a, b: np.asarray(a + b),
     OpKind.SUB: lambda attrs, a, b: np.asarray(a - b),
@@ -364,6 +437,9 @@ KERNELS = {
     OpKind.IN_INTERVAL: lambda attrs, a: np.asarray(
         ((a >= attrs["lo"]) & (a <= attrs["hi"])), dtype=np.float64
     ),
+    OpKind.RESHAPE: lambda attrs, a: np.reshape(a, attrs["shape"]),
+    OpKind.CONCAT: lambda attrs, *parts: np.concatenate(parts, axis=attrs["axis"]),
+    OpKind.SLICE: _k_slice,
 }
 
 
@@ -503,9 +579,12 @@ class GraphBuilder:
                 raise ArityError("Constant takes no inputs")
             return self.constant((attrs or {}).get("value"), name)
         handles = tuple(int(h) for h in inputs)
-        if len(handles) != ARITY[kind]:
+        arity = ARITY[kind]
+        if arity is None and not handles:
+            raise ArityError(f"{kind.value} expects at least one input")
+        if arity is not None and len(handles) != arity:
             raise ArityError(
-                f"{kind.value} expects {ARITY[kind]} inputs, got {len(handles)}")
+                f"{kind.value} expects {arity} inputs, got {len(handles)}")
         for h in handles:
             if not 0 <= h < len(self._nodes):
                 raise UnknownNode(f"no node with handle {h}")
@@ -578,6 +657,15 @@ class GraphBuilder:
     def binary_cross_entropy(self, p, t) -> int:
         return self.build(OpKind.BCE, [self._coerce(p), self._coerce(t)])
 
+    def reshape(self, a, shape) -> int:
+        return self.build(OpKind.RESHAPE, [a], {"shape": shape})
+
+    def concat(self, parts: Sequence[int], axis: int) -> int:
+        return self.build(OpKind.CONCAT, parts, {"axis": axis})
+
+    def slice(self, a, axis: int, start: int, stop: int) -> int:
+        return self.build(OpKind.SLICE, [a], {"axis": axis, "start": start, "stop": stop})
+
     # -- finishing
 
     def set_bounds(self, handle: int, lo, hi) -> None:
@@ -622,7 +710,9 @@ def _is_const(nodes: list[Node], h: int, value=None) -> bool:
 
 def _identity_rewrite(nodes: list[Node], kind: OpKind, inputs: tuple[int, ...],
                       shape: TensorShape) -> int | None:
-    """x+0, 0+x, x-0, x*1, 1*x, x/1, -(-x); only when the result shape is kept."""
+    """x+0, 0+x, x-0, x*1, 1*x, x/1, -(-x), and a Reshape, Concat or Slice
+    that returns its only operand unchanged; only when the result shape is
+    kept."""
     a = inputs[0]
     b = inputs[1] if len(inputs) > 1 else None
     if kind is OpKind.ADD:
@@ -645,6 +735,9 @@ def _identity_rewrite(nodes: list[Node], kind: OpKind, inputs: tuple[int, ...],
         inner = nodes[a]
         if inner.kind is OpKind.NEG:
             return inner.inputs[0]
+    elif kind in (OpKind.RESHAPE, OpKind.CONCAT, OpKind.SLICE):
+        if len(inputs) == 1 and nodes[a].shape == shape:
+            return a
     return None
 
 

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .autodiff import jacobian
 from .errors import DomainError, ValidationFailed
-from .graph import BCE_CLAMP, BoundsSpec, Diagnostic, Graph, OpKind
+from .graph import BCE_CLAMP, KERNELS, BoundsSpec, Diagnostic, Graph, OpKind
 from .report import SensitivityReport
 
 
@@ -145,6 +145,40 @@ def _bce(p: IntervalTensor, t: IntervalTensor) -> IntervalTensor:
     return _iv(np.mean(term.lo), np.mean(term.hi))
 
 
+def _layout(node, ins) -> IntervalTensor:
+    """Reshape, Concat and Slice move elements without computing, so their
+    kernel applied to each endpoint is the exact enclosure."""
+    kernel = KERNELS[node.kind]
+    return _iv(kernel(node.attrs, *(a.lo for a in ins)),
+               kernel(node.attrs, *(a.hi for a in ins)))
+
+
+# One rule per non-leaf kind plus Constant; each receives the node and the
+# enclosures of its inputs and returns the node's enclosure.
+INTERVAL_RULES = {
+    OpKind.CONSTANT: lambda node, ins: _scalar(node.attrs["value"]),
+    OpKind.ADD: lambda node, ins: _add(*ins),
+    OpKind.SUB: lambda node, ins: _sub(*ins),
+    OpKind.MUL: lambda node, ins: _mul(*ins),
+    OpKind.DIV: lambda node, ins: _div(ins[0], ins[1], node.name),
+    OpKind.NEG: lambda node, ins: _neg(ins[0]),
+    OpKind.MATMUL: lambda node, ins: _matmul(ins[0], ins[1], node.attrs),
+    OpKind.POW: lambda node, ins: _pow(ins[0], node.attrs["exponent"], node.name),
+    OpKind.EXP: lambda node, ins: _iv(np.exp(ins[0].lo), np.exp(ins[0].hi)),
+    OpKind.LOG: lambda node, ins: _log(ins[0], node.name),
+    OpKind.SIGMOID: lambda node, ins: _iv(expit(ins[0].lo), expit(ins[0].hi)),
+    OpKind.SUM: lambda node, ins: _reduce(ins[0], node.attrs, mean=False),
+    OpKind.MEAN: lambda node, ins: _reduce(ins[0], node.attrs, mean=True),
+    OpKind.CLIP: lambda node, ins: _clip_iv(ins[0], node.attrs["lo"], node.attrs["hi"]),
+    OpKind.IN_INTERVAL: lambda node, ins: _in_interval(
+        ins[0], node.attrs["lo"], node.attrs["hi"]),
+    OpKind.BCE: lambda node, ins: _bce(ins[0], ins[1]),
+    OpKind.RESHAPE: _layout,
+    OpKind.CONCAT: _layout,
+    OpKind.SLICE: _layout,
+}
+
+
 def propagate(graph: Graph, bounds: BoundsSpec | None = None) -> dict[int, IntervalTensor]:
     """Sound enclosures for every node reachable from the outputs.
 
@@ -170,41 +204,7 @@ def propagate(graph: Graph, bounds: BoundsSpec | None = None) -> dict[int, Inter
         if missing:
             continue
         ins = [result[i] for i in node.inputs]
-        if k is OpKind.CONSTANT:
-            out = _scalar(node.attrs["value"])
-        elif k is OpKind.ADD:
-            out = _add(*ins)
-        elif k is OpKind.SUB:
-            out = _sub(*ins)
-        elif k is OpKind.MUL:
-            out = _mul(*ins)
-        elif k is OpKind.DIV:
-            out = _div(ins[0], ins[1], node.name)
-        elif k is OpKind.NEG:
-            out = _neg(ins[0])
-        elif k is OpKind.MATMUL:
-            out = _matmul(ins[0], ins[1], node.attrs)
-        elif k is OpKind.POW:
-            out = _pow(ins[0], node.attrs["exponent"], node.name)
-        elif k is OpKind.EXP:
-            out = _iv(np.exp(ins[0].lo), np.exp(ins[0].hi))
-        elif k is OpKind.LOG:
-            out = _log(ins[0], node.name)
-        elif k is OpKind.SIGMOID:
-            out = _iv(expit(ins[0].lo), expit(ins[0].hi))
-        elif k is OpKind.SUM:
-            out = _reduce(ins[0], node.attrs, mean=False)
-        elif k is OpKind.MEAN:
-            out = _reduce(ins[0], node.attrs, mean=True)
-        elif k is OpKind.CLIP:
-            out = _clip_iv(ins[0], node.attrs["lo"], node.attrs["hi"])
-        elif k is OpKind.IN_INTERVAL:
-            out = _in_interval(ins[0], node.attrs["lo"], node.attrs["hi"])
-        elif k is OpKind.BCE:
-            out = _bce(ins[0], ins[1])
-        else:  # pragma: no cover
-            raise DomainError(f"no interval rule for {k.value}")
-        result[node.id] = out
+        result[node.id] = INTERVAL_RULES[k](node, ins)
     if missing:
         raise ValidationFailed([
             Diagnostic("missing-bounds",

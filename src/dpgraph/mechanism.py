@@ -25,6 +25,11 @@ MODES = ("fixed_epsilon_delta", "max_sensitivity_cap")
 
 _BISECT_REL_TOL = 1e-9
 
+# Smallest delta that calibration accepts. Near delta = 1e-300 the Phi terms
+# of the condition reach float64's subnormal range and the calibrated sigma
+# misses its target; 1e-200 keeps a wide margin from there.
+MIN_DELTA = 1e-200
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
@@ -40,6 +45,10 @@ class PrivacyParams:
             raise InvalidParams(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
+        if self.delta < MIN_DELTA:
+            raise InvalidParams(
+                f"delta={self.delta} is below {MIN_DELTA}, where float64 "
+                f"cannot evaluate the calibration condition reliably")
         if self.mode not in MODES:
             raise InvalidParams(f"unknown mode {self.mode!r}")
         if (self.mode == "max_sensitivity_cap") != (self.sensitivity_cap is not None):
@@ -70,7 +79,9 @@ class MechanismOutput:
 
 
 def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    # erfc keeps full relative precision in the lower tail, where the
+    # textbook 0.5 * (1 + erf(x / sqrt(2))) cancels to a few digits or to 0.
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def gaussian_condition(delta2: float, epsilon: float, sigma: float) -> float:

@@ -69,6 +69,14 @@ def ref_eval_all(graph: Graph, inputs: dict) -> dict[int, np.ndarray]:
         elif k is OpKind.IN_INTERVAL:
             x = ev(node.inputs[0])
             v = np.where((x >= node.attrs["lo"]) & (x <= node.attrs["hi"]), 1.0, 0.0)
+        elif k is OpKind.RESHAPE:
+            v = ev(node.inputs[0]).reshape(node.attrs["shape"])
+        elif k is OpKind.CONCAT:
+            v = np.concatenate([ev(i) for i in node.inputs], axis=node.attrs["axis"])
+        elif k is OpKind.SLICE:
+            x = ev(node.inputs[0])
+            v = np.take(x, range(node.attrs["start"], node.attrs["stop"]),
+                        axis=node.attrs["axis"])
         else:  # pragma: no cover
             raise AssertionError(f"reference interpreter misses kind {k}")
         values[h] = np.asarray(v, dtype=np.float64)
@@ -143,6 +151,13 @@ def random_graph(rng: np.random.Generator, *, scalars_only: bool = False,
         matches = [h for h in pool if b._nodes[h].shape.dims == dims]
         return matches[int(rng.integers(0, len(matches)))] if matches else None
 
+    def pick_tensor() -> int:
+        # a node of rank 2, or a scalar one reshaped to (1, 1)
+        tensors = [h for h in pool if b._nodes[h].shape.rank]
+        if tensors:
+            return tensors[int(rng.integers(0, len(tensors)))]
+        return b.reshape(pick(), (1, 1))
+
     def emit(kind: OpKind) -> int | None:
         if kind in (OpKind.ADD, OpKind.SUB, OpKind.MUL):
             a = pick()
@@ -187,6 +202,28 @@ def random_graph(rng: np.random.Generator, *, scalars_only: bool = False,
             t_src = pick_shape(b._nodes[p].shape.dims)
             t = b.sigmoid(t_src) if t_src is not None else b.constant(0.6)
             return b.binary_cross_entropy(p, t)
+        if kind is OpKind.RESHAPE:
+            a = pick()
+            size = b._nodes[a].shape.num_elements
+            targets = [(size, 1), (1, size)] + ([()] if size == 1 else [])
+            return b.reshape(a, targets[int(rng.integers(0, len(targets)))])
+        if kind is OpKind.CONCAT:
+            a = pick_tensor()
+            dims = b._nodes[a].shape.dims
+            axis = int(rng.integers(0, 2))
+            other = pick_shape(dims)
+            extra = list(dims)
+            extra[axis] = int(rng.integers(1, 3))
+            parts = [a, other if other is not None else a,
+                     b.constant(rng.uniform(-1, 1, extra))]
+            return b.concat([parts[i] for i in rng.permutation(3)], axis)
+        if kind is OpKind.SLICE:
+            a = pick_tensor()
+            dims = b._nodes[a].shape.dims
+            axis = int(rng.integers(0, 2))
+            start = int(rng.integers(0, dims[axis]))
+            stop = int(rng.integers(start + 1, dims[axis] + 1))
+            return b.slice(a, axis, start, stop)
         return None
 
     wanted = list(force_kinds)

@@ -204,3 +204,82 @@ def test_chain_rule_composition(rng):
     j1 = _eval_jacobian(jacobian(g1, [g1.find("x")]), point)
     j2 = _eval_jacobian(jacobian(g2, [g2.find("u")]), {"u": inner})
     np.testing.assert_allclose(j_full, j2 @ j1, atol=1e-10)
+
+
+def _layout_graph(kind):
+    """A small graph whose output is one Reshape, Concat or Slice of
+    nonlinear terms in two leaves."""
+    b = GraphBuilder()
+    x = b.input("x", (2, 3), bounds=(-1.0, 1.0))
+    y = b.parameter("y", (2, 1), bounds=(-1.0, 1.0))
+    if kind is OpKind.RESHAPE:
+        out = b.reshape(b.sigmoid(b.mul(x, x)), (3, 2))
+    elif kind is OpKind.CONCAT:
+        out = b.concat([b.sigmoid(x), b.mul(y, y), x], axis=1)
+    else:
+        out = b.slice(b.mul(b.sigmoid(x), x), axis=1, start=1, stop=3)
+    b.output(b.mul(out, b.sigmoid(b.reduce_sum(y, axis=None))))
+    return b.graph()
+
+
+LAYOUT_KINDS = (OpKind.RESHAPE, OpKind.CONCAT, OpKind.SLICE)
+
+
+@pytest.mark.parametrize("kind", LAYOUT_KINDS, ids=lambda k: k.value)
+def test_layout_op_kernel_and_jacobian(kind, rng):
+    g = _layout_graph(kind)
+    point = {"x": rng.uniform(-1, 1, (2, 3)), "y": rng.uniform(-1, 1, (2, 1))}
+    (got,) = runtime.execute(runtime.compile(g), point)
+    (want,) = ref_eval(g, point)
+    assert np.array_equal(got, want)
+    jg = jacobian(g, [g.find("x"), g.find("y")])
+    j = _eval_jacobian(jg, point)
+    fd = finite_difference(g, point, jg.wrt_names)
+    assert j.shape == (want.size, 8)
+    np.testing.assert_allclose(j, fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", LAYOUT_KINDS, ids=lambda k: k.value)
+def test_layout_op_vjp_second_order(kind, rng):
+    # the Jacobian of the Jacobian differentiates through Concat's Slice
+    # cotangents and Slice's zero-padded Concat
+    g = _layout_graph(kind)
+    point = {"x": rng.uniform(-1, 1, (2, 3)), "y": rng.uniform(-1, 1, (2, 1))}
+    wrt = [g.find("x"), g.find("y")]
+    jg = jacobian(g, wrt)
+    h = _eval_jacobian(higher_order(g, wrt, order=2), point)
+    fd = finite_difference(jg.graph, point, jg.wrt_names)
+    np.testing.assert_allclose(h, fd, atol=1e-7)
+
+
+def test_jacobian_rows_for_several_leaves_and_outputs():
+    b = GraphBuilder()
+    s = b.input("s", (), bounds=(-1.0, 1.0))
+    m = b.parameter("m", (2, 2), bounds=(-1.0, 1.0))
+    unused = b.parameter("unused", (3, 1), bounds=(-1.0, 1.0))
+    b.output(b.mul(s, m))                                  # 4 rows
+    b.output(b.mul(s, s))                                  # 1 row, no m term
+    g = b.graph()
+    jg = jacobian(g, [g.find("m"), g.find("unused"), g.find("s")])
+    assert (jg.output_size, jg.wrt_size) == (5, 8)
+    sv, mv = 0.3, np.array([[1.0, -2.0], [0.5, 4.0]])
+    j = _eval_jacobian(jg, {"s": sv, "m": mv, "unused": np.zeros((3, 1))})
+    want = np.zeros((5, 8))
+    want[:4, :4] = sv * np.eye(4)        # d(s m)/dm, flattened row-major
+    want[:4, 7] = mv.reshape(-1)         # d(s m)/ds
+    want[4, 7] = 2 * sv                  # d(s^2)/ds
+    np.testing.assert_allclose(j, want, atol=1e-15)
+
+
+def test_jacobian_graph_size_does_not_grow_with_columns():
+    def sum_sigmoid(n):
+        b = GraphBuilder()
+        x = b.input("x", (n, 1), bounds=(-1.0, 1.0))
+        b.output(b.reduce_sum(b.sigmoid(x), axis=None))
+        return b.graph()
+
+    sizes = []
+    for n in (100, 10_000):
+        g = sum_sigmoid(n)
+        sizes.append(len(jacobian(g, [g.find("x")]).graph.nodes))
+    assert sizes[0] == sizes[1]

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from dpgraph import GraphBuilder, runtime
 from dpgraph.cli import main
-from dpgraph import runtime
+from dpgraph.model_io import save_model
 
 
 @pytest.fixture(autouse=True)
@@ -104,6 +105,21 @@ def test_analyze_mlp_gap(tmp_path):
     assert methods["ibp"]["bound"] >= 100 * methods["global_opt"]["bound"]
 
 
+def test_analyze_sum_sigmoid_at_ten_thousand(tmp_path):
+    n = 10_000
+    b = GraphBuilder()
+    x = b.input("x", (n, 1), bounds=(-1.0, 1.0))
+    b.output(b.reduce_sum(b.sigmoid(x), axis=None))
+    model = tmp_path / "sumsig.json"
+    save_model(b.graph(), model)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--model", str(model), "--methods", "ibp,global_opt",
+                 "--out", str(out)]) == 0
+    bounds = {r["method"]: r["bound"] for r in json.loads(out.read_text())["reports"]}
+    assert bounds["global_opt"] == pytest.approx(0.25 * np.sqrt(n), rel=1e-12)
+    assert bounds["ibp"] >= bounds["global_opt"]
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code = main(["analyze", "--model", str(missing)])
@@ -175,6 +191,20 @@ def test_run_rejects_bad_delta(tmp_path, rng):
     code = main(["run", "--model", str(model), "--data", f"x={csv}",
                  "--epsilon", "1.0", "--delta", "1.5", "--seed", "0"])
     assert code == 4
+
+
+def test_run_rejects_delta_below_float64_reach(tmp_path, rng):
+    model = _write(tmp_path, "mean.json", MEAN_MODEL)
+    csv = _write_csv(tmp_path, "x.csv", rng.uniform(0, 1, (10, 1)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", "run", "--model", str(model),
+         "--data", f"x={csv}", "--epsilon", "1.0", "--delta", "1e-250",
+         "--seed", "0", "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_run_rejects_exceeded_cap(tmp_path, rng):

@@ -54,6 +54,39 @@ def test_arity_error():
         b.build(OpKind.NEG, [a, a])
 
 
+def test_layout_shape_rules_and_errors():
+    b = GraphBuilder()
+    a = b.input("a", (2, 3), bounds=(0, 1))
+    c = b.input("c", (2, 1), bounds=(0, 1))
+    assert b._nodes[b.reshape(a, (3, 2))].shape == TensorShape((3, 2))
+    assert b._nodes[b.reshape(b.reduce_sum(a), (1, 1))].shape == TensorShape((1, 1))
+    assert b._nodes[b.concat([c, a, c], axis=1)].shape == TensorShape((2, 5))
+    assert b._nodes[b.slice(a, axis=1, start=1, stop=3)].shape == TensorShape((2, 2))
+    with pytest.raises(ShapeMismatch):
+        b.reshape(a, (4, 2))
+    with pytest.raises(ShapeMismatch):
+        b.concat([a, c], axis=0)
+    with pytest.raises(ShapeMismatch):
+        b.concat([a, a], axis=2)
+    with pytest.raises(ShapeMismatch):
+        b.slice(a, axis=1, start=2, stop=2)
+    with pytest.raises(ShapeMismatch):
+        b.slice(a, axis=0, start=0, stop=3)
+    with pytest.raises(ArityError):
+        b.concat([], axis=0)
+    with pytest.raises(ArityError):
+        b.build(OpKind.SLICE, [a], {"axis": 0, "start": 0})
+
+
+def test_optimize_drops_identity_layouts():
+    b = GraphBuilder()
+    a = b.input("a", (2, 3), bounds=(0, 1))
+    same = b.slice(b.concat([b.reshape(a, (2, 3))], axis=0), axis=1, start=0, stop=3)
+    b.output(b.sigmoid(same))
+    g = optimize(b.graph())
+    assert [n.kind for n in g.nodes] == [OpKind.INPUT, OpKind.SIGMOID]
+
+
 def test_unknown_handle():
     b = GraphBuilder()
     with pytest.raises(UnknownNode):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dpgraph import DomainError, GraphBuilder
-from dpgraph.interval import IntervalTensor, ibp_sensitivity, propagate
+from dpgraph.graph import LEAF_KINDS, OpKind
+from dpgraph.interval import INTERVAL_RULES, IntervalTensor, ibp_sensitivity, propagate
 from dpgraph.models import mlp_classifier
 
 from conftest import random_graph, ref_eval_all, sample_inputs
@@ -116,3 +117,38 @@ def test_ibp_mlp_is_much_looser_than_truth():
     # the true supremum for this network is below 2; interval dependency
     # inflates the baseline far beyond it
     assert report.bound > 2.0
+
+
+def test_every_kind_has_an_interval_rule():
+    assert {k for k in OpKind if k not in LEAF_KINDS} | {OpKind.CONSTANT} == set(INTERVAL_RULES)
+
+
+LAYOUTS = {
+    "Reshape": (lambda b, x, y: b.reshape(x, (3, 2)),
+                lambda x, y: x.reshape(3, 2)),
+    "Concat": (lambda b, x, y: b.concat([y, x, y], axis=1),
+               lambda x, y: np.concatenate([y, x, y], axis=1)),
+    "Slice": (lambda b, x, y: b.slice(x, axis=1, start=1, stop=3),
+              lambda x, y: x[:, 1:3]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_layout_enclosure_is_exact(kind, rng):
+    # per-element bounds, so a misplaced element shows in the enclosure
+    build, layout = LAYOUTS[kind]
+    x_lo, y_lo = rng.uniform(-2, 0, (2, 3)), rng.uniform(-2, 0, (2, 1))
+    x_hi, y_hi = x_lo + rng.uniform(0, 1, (2, 3)), y_lo + rng.uniform(0, 1, (2, 1))
+    b = GraphBuilder()
+    x = b.input("x", (2, 3), bounds=(x_lo, x_hi))
+    y = b.input("y", (2, 1), bounds=(y_lo, y_hi))
+    out = build(b, x, y)
+    b.output(b.sigmoid(out))
+    g = b.graph()
+    iv = propagate(g)[out]
+    np.testing.assert_array_equal(iv.lo, layout(x_lo, y_lo))
+    np.testing.assert_array_equal(iv.hi, layout(x_hi, y_hi))
+    for _ in range(200):
+        point = sample_inputs(g, rng)
+        v = ref_eval_all(g, point)[out]
+        assert np.all(iv.lo <= v) and np.all(v <= iv.hi)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dpgraph import (
     DimensionTooLarge,
@@ -344,3 +345,16 @@ def test_gradient_makes_no_objective_evaluations(graph, monkeypatch):
     g = obj.gradient(v)
     assert calls == []
     assert g.shape == v.shape and np.all(np.isfinite(g))
+
+
+@pytest.mark.parametrize("graph,sup,ibp_bound", [
+    (mean_query(10_000), 1.0 / np.sqrt(10_000), 1.0 / np.sqrt(10_000)),
+    # sigmoid' peaks at 1/4 at 0; its interval over [-1, 1] reaches
+    # sigmoid(1)^2 because s and 1 - s are bounded independently
+    (_sum_sigmoid(10_000), 0.25 * np.sqrt(10_000), expit(1.0) ** 2 * np.sqrt(10_000)),
+], ids=["mean1e4", "sumsig1e4"])
+def test_elementwise_queries_at_ten_thousand(graph, sup, ibp_bound):
+    go = estimate_sensitivity(graph, method="global_opt")
+    assert go.bound == pytest.approx(sup, rel=1e-12)
+    ibp = estimate_sensitivity(graph, method="ibp")
+    assert ibp.bound == pytest.approx(ibp_bound, rel=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 from dpgraph import (
     FingerprintMismatch,
@@ -74,6 +75,37 @@ def test_invalid_privacy_params():
         PrivacyParams(epsilon=1.0, delta=1e-5, sensitivity_cap=2.0)
     with pytest.raises(InvalidParams):
         calibrate_sigma(0.0, PrivacyParams(epsilon=1.0, delta=1e-5))
+
+
+def _log_delta(epsilon, sigma):
+    """log of the delta that unit-sensitivity noise sigma achieves, from
+    log Phi values, so no step subtracts two numbers close to 1."""
+    a, b = 1.0 / (2.0 * sigma), epsilon * sigma
+    log_first = float(log_ndtr(a - b))
+    ratio = epsilon + float(log_ndtr(-a - b)) - log_first  # log(second / first)
+    if ratio > -math.log(2.0):
+        return log_first + math.log(-math.expm1(ratio))
+    return log_first + math.log1p(-math.exp(ratio))
+
+
+def test_calibration_meets_delta_in_the_tails():
+    # 1e-10 relative slack on delta; minimal means 1e-6 less noise misses it
+    misses = []
+    for epsilon in np.geomspace(0.01, 50.0, 25):
+        for delta in np.geomspace(1e-200, 0.999, 30):
+            sigma = calibrate_sigma(1.0, PrivacyParams(float(epsilon), float(delta)))
+            meets = _log_delta(epsilon, sigma) <= math.log(delta) + 1e-10
+            minimal = _log_delta(epsilon, sigma * (1.0 - 1e-6)) > math.log(delta)
+            if not (meets and minimal):
+                misses.append((epsilon, delta, meets, minimal))
+    assert misses == []
+
+
+def test_delta_below_float64_reach_is_refused():
+    PrivacyParams(epsilon=1.0, delta=1e-200)
+    for delta in (1e-201, 1e-250, 1e-320):
+        with pytest.raises(InvalidParams):
+            PrivacyParams(epsilon=1.0, delta=delta)
 
 
 # -- clipping -----------------------------------------------------------------

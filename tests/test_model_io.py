@@ -45,6 +45,29 @@ def test_roundtrip_of_jacobian_graph(tmp_path):
     assert runtime.graph_fingerprint(g2) == runtime.graph_fingerprint(jg.graph)
 
 
+def test_layout_ops_roundtrip(tmp_path, rng):
+    b = GraphBuilder()
+    x = b.input("x", (2, 3), bounds=(-1, 1))
+    y = b.parameter("y", (2, 1), bounds=(-1, 1))
+    parts = b.concat([y, b.sigmoid(x), y], axis=1)
+    flat = b.reshape(b.slice(parts, axis=1, start=1, stop=4), (6,))
+    b.output(b.reduce_sum(b.mul(flat, flat)))
+    g = b.graph()
+    path = tmp_path / "layout.json"
+    save_model(g, path)
+    doc = json.loads(path.read_text())
+    attrs = {op["kind"]: op["attrs"] for op in doc["ops"]}
+    assert attrs["Reshape"] == {"shape": [6]}
+    assert attrs["Concat"] == {"axis": 1}
+    assert attrs["Slice"] == {"axis": 1, "start": 1, "stop": 4}
+    g2 = load_model(path)
+    assert runtime.graph_fingerprint(g2) == runtime.graph_fingerprint(g)
+    point = {"x": rng.uniform(-1, 1, (2, 3)), "y": rng.uniform(-1, 1, (2, 1))}
+    (want,) = runtime.execute(runtime.compile(g), point)
+    (got,) = runtime.execute(runtime.compile(g2), point)
+    assert np.array_equal(got, want)
+
+
 def test_unknown_top_level_key():
     doc = dict(AFFINE, extra=1)
     with pytest.raises(ModelFormatError, match="extra"):

@@ -86,7 +86,7 @@ def test_content_hash_is_stable():
 
 
 def test_deep_jacobian_graph_compiles():
-    # the Jacobian's Add chain is about n levels deep
+    # one Jacobian row of n entries, the flattened gradient s (1 - s)
     n = 600
     b = GraphBuilder()
     x = b.input("x", (n, 1), bounds=(-1.0, 1.0))
