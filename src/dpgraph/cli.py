@@ -46,6 +46,8 @@ def _load_data_tensor(path: Path, shape) -> np.ndarray:
         raise DpGraphError(f"cannot read data file {path}: {err}") from err
     except ValueError as err:
         raise DpGraphError(f"cannot parse CSV {path}: {err}") from err
+    if np.isnan(raw).any():
+        raise DpGraphError(f"{path}: data contains NaN")
     dims = shape.dims
     if len(dims) == 2:
         if raw.shape != dims:

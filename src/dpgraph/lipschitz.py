@@ -342,8 +342,17 @@ class _JacobianObjective:
             hi_parts.append(hi.ravel())
         self.lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0)
         self.hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0)
+        self._slices: list[tuple[str, tuple[int, ...], int, int]] = []
+        pos = 0
+        for name, dims in self.free:
+            size = int(np.prod(dims)) if dims else 1
+            self._slices.append((name, dims, pos, pos + size))
+            pos += size
         self._grad_program = None
         self._cotangent = ""
+        # the last point evaluated (as bytes) with its J and top singular triple
+        self._last_key: bytes | None = None
+        self._last: tuple[np.ndarray, float, np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -351,20 +360,26 @@ class _JacobianObjective:
 
     def unpack(self, v: np.ndarray) -> dict[str, np.ndarray]:
         inputs = dict(self.frozen)
-        pos = 0
-        for name, dims in self.free:
-            size = int(np.prod(dims)) if dims else 1
-            inputs[name] = np.asarray(v[pos:pos + size]).reshape(dims)
-            pos += size
+        for name, dims, start, stop in self._slices:
+            inputs[name] = np.asarray(v[start:stop]).reshape(dims)
         return inputs
 
     def jacobian_at(self, v: np.ndarray) -> np.ndarray:
         (j,) = runtime.execute(self.program, self.unpack(v))
         return j
 
+    def _evaluate(self, v: np.ndarray):
+        """(J, sigma, u, w) at v; the last point's values are reused."""
+        key = np.asarray(v, dtype=np.float64).tobytes()
+        if key != self._last_key:
+            j = self.jacobian_at(v)
+            self._last = (j, *spectral_norm_with_vectors(j))
+            self._last_key = key
+        return self._last
+
     def __call__(self, v: np.ndarray) -> float:
         try:
-            return spectral_norm(self.jacobian_at(v))
+            return self._evaluate(v)[1]
         except (NumericalError, NonFinite):
             return -np.inf
 
@@ -376,7 +391,9 @@ class _JacobianObjective:
         the vector-Jacobian product of the Jacobian graph seeded with the
         cotangent u w^T gives it. The identity holds where sigma_max is
         simple; where it is repeated, the result is the derivative along
-        the singular pair that the decomposition returned.
+        the singular pair that the decomposition returned. At the point the
+        objective evaluated last, J and the triple are reused, so only the
+        vector-Jacobian product program runs.
         """
         if self._grad_program is None:
             g = self.jg.graph
@@ -384,9 +401,8 @@ class _JacobianObjective:
                 g, [g.find(name) for name, _ in self.free])
             self._grad_program = runtime.compile(grad_graph)
         try:
+            j, _, u, w = self._evaluate(v)
             inputs = self.unpack(v)
-            (j,) = runtime.execute(self.program, inputs)
-            _, u, w = spectral_norm_with_vectors(j)
             inputs[self._cotangent] = np.outer(u, w).reshape(j.shape)
             grads = runtime.execute(self._grad_program, inputs)
         except (NumericalError, NonFinite):
@@ -450,7 +466,8 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
             method="grid_oracle", bound=float(best_val),
             interval_low=float(best_val), certified=False,
             argmax=objective.unpack(best_pt),
-            wall_time=time.perf_counter() - t0, fingerprint=fingerprint)
+            wall_time=time.perf_counter() - t0, fingerprint=fingerprint,
+            n_evaluations=config.grid_resolution ** objective.dim)
 
     result = global_maximize(objective, (objective.lo, objective.hi), config,
                              gradient=objective.gradient)
@@ -459,7 +476,7 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
         interval_low=float(result.value), certified=result.certificate,
         argmax=objective.unpack(result.argmax),
         wall_time=time.perf_counter() - t0, fingerprint=fingerprint,
-        warning=result.warning)
+        warning=result.warning, n_evaluations=result.n_evaluations)
 
 
 def _freeze_bounds(graph: Graph, freeze: Mapping) -> Graph:

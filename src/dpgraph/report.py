@@ -17,7 +17,8 @@ class SensitivityReport:
     and equals `bound` for point methods. `argmax` maps tensor names to the
     in-bounds point attaining the bound (absent for the interval method).
     `fingerprint` identifies the analyzed graph so privatized execution can
-    refuse stale reports.
+    refuse stale reports. `n_evaluations` counts the objective evaluations of
+    the point methods (None for the interval method).
     """
 
     method: str
@@ -28,6 +29,7 @@ class SensitivityReport:
     wall_time: float
     fingerprint: str
     warning: str | None = None
+    n_evaluations: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -41,11 +43,13 @@ class SensitivityReport:
             "wall_time": self.wall_time,
             "fingerprint": self.fingerprint,
             "warning": self.warning,
+            "n_evaluations": self.n_evaluations,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SensitivityReport":
         argmax = data.get("argmax")
+        n_evaluations = data.get("n_evaluations")
         return cls(
             method=data["method"],
             bound=float(data["bound"]),
@@ -57,4 +61,5 @@ class SensitivityReport:
             wall_time=float(data["wall_time"]),
             fingerprint=data["fingerprint"],
             warning=data.get("warning"),
+            n_evaluations=None if n_evaluations is None else int(n_evaluations),
         )

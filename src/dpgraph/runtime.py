@@ -1,9 +1,18 @@
 """Compilation of graphs to linear register programs, execution, benchmarks.
 
-Compilation runs the optimizer, linearizes the surviving nodes, and assigns
-tensor slots with last-use reuse. Programs are cached under two content keys:
-the canonical hash of the graph as given and the hash of its optimized form
-(the program fingerprint), so recompiling an identical graph is a lookup.
+Compilation runs the optimizer, linearizes the surviving nodes, resolves each
+instruction's kernel, and assigns tensor slots with last-use reuse. Programs
+are cached under two content keys: the canonical hash of the graph as given
+and the hash of its optimized form (the program fingerprint), so recompiling
+an identical graph is a lookup.
+
+Finiteness invariant: execution raises `NumericalError` whenever a value the
+outputs depend on is NaN or Inf, without scanning intermediate results. Every
+bound input is checked once when it is bound, and every constant once when
+the program is linearized. Once all operands are finite, a kernel can only
+produce NaN or Inf by raising an IEEE divide-by-zero, overflow or invalid
+flag, and the kernels run with those flags trapped; underflow to zero is
+allowed.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import statistics
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -73,6 +82,7 @@ class Instruction:
     in_slots: tuple[int, ...]
     out_slot: int
     label: str
+    kernel: Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +97,7 @@ class CompiledProgram:
     input_slots: Mapping[str, tuple[int | None, TensorShape]]
     output_slots: tuple[int, ...]
     output_names: tuple[str, ...]
+    nonfinite_constant: str | None
 
     @property
     def param_count(self) -> int:
@@ -116,6 +127,7 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
 
     slot_of: dict[int, int] = {}
     const_loads: list[tuple[int, np.ndarray]] = []
+    nonfinite_constant: str | None = None
     input_slots: dict[str, tuple[int | None, TensorShape]] = {}
 
     for h in opt.leaves():
@@ -128,7 +140,10 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
         if node.kind is OpKind.CONSTANT and node.id in reachable:
             slot = new_slot()
             slot_of[node.id] = slot
-            const_loads.append((slot, node.attrs["value"]))
+            value = node.attrs["value"]
+            const_loads.append((slot, value))
+            if nonfinite_constant is None and not np.isfinite(value).all():
+                nonfinite_constant = node.name
 
     interior = [n for n in opt.nodes if n.kind not in
                 (OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT)
@@ -150,7 +165,8 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
                 free.append(slot_of[i])
         out_slot = free.pop() if free else new_slot()
         slot_of[node.id] = out_slot
-        plan.append(Instruction(node.kind, node.attrs, in_slots, out_slot, node.name))
+        plan.append(Instruction(node.kind, node.attrs, in_slots, out_slot,
+                                node.name, KERNELS[node.kind]))
 
     output_slots = tuple(slot_of[h] for h in opt.outputs)
     output_names = tuple(opt.nodes[h].name for h in opt.outputs)
@@ -165,6 +181,7 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
         input_slots=input_slots,
         output_slots=output_slots,
         output_names=output_names,
+        nonfinite_constant=nonfinite_constant,
     )
 
 
@@ -205,6 +222,12 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any]) -> list[np.ndar
 
     Inputs are bound by tensor name and are never mutated. Every declared
     Input/Parameter must be supplied, even ones the outputs do not depend on.
+
+    Raises `NumericalError` when a bound input or a constant of the program
+    holds NaN or Inf (each checked once, before any kernel runs), or when a
+    kernel raises a divide-by-zero, overflow or invalid floating-point flag;
+    with finite operands those flags are the only way to a non-finite value,
+    so no intermediate result is scanned.
     """
     unknown = set(inputs) - set(program.input_slots)
     if unknown:
@@ -220,18 +243,24 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any]) -> list[np.ndar
         if arr.shape != shape.dims:
             raise ShapeMismatch(
                 f"input '{name}' expects shape {shape}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"non-finite value bound to input '{name}'")
         if slot is not None:
             regs[slot] = arr
+    if program.nonfinite_constant is not None:
+        raise NumericalError(
+            f"non-finite value in constant '{program.nonfinite_constant}'")
 
-    with np.errstate(all="ignore"):
-        for instr in program.plan:
-            operands = [regs[s] for s in instr.in_slots]
-            out = KERNELS[instr.kind](instr.attrs, *operands)
-            if not np.all(np.isfinite(out)):
-                raise NumericalError(
-                    f"non-finite value produced at node '{instr.label}' "
-                    f"({instr.kind.value})")
-            regs[instr.out_slot] = out
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise",
+                         under="ignore"):
+            for instr in program.plan:
+                regs[instr.out_slot] = instr.kernel(
+                    instr.attrs, *[regs[s] for s in instr.in_slots])
+    except FloatingPointError as err:
+        raise NumericalError(
+            f"non-finite value produced at node '{instr.label}' "
+            f"({instr.kind.value})") from err
 
     return [np.array(regs[s]) for s in program.output_slots]
 

@@ -115,12 +115,14 @@ _EW_KINDS = (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.NEG, OpKind.SIGMOID)
 def random_graph(rng: np.random.Generator, *, scalars_only: bool = False,
                  n_leaves: int | None = None, depth: int = 6,
                  force_kinds: tuple[OpKind, ...] = (), smooth_only: bool = False,
-                 unit_leaves: bool = False) -> Graph:
+                 unit_leaves: bool = False, wild: bool = False) -> Graph:
     """Random well-posed graph: poles are kept away from reachable values.
 
     Division and Log only ever see operands of the form sigmoid(u) + 0.5,
     which stay in [0.5, 1.5] for any real input, so every generated graph is
-    finite on its whole bounded box.
+    finite on its whole bounded box. With `wild=True` they see raw operands
+    instead, and Pow also draws the exponents -1 and 0.5, so some inputs
+    leave the domains of Log, Div and Pow.
     """
     b = GraphBuilder()
     n_leaves = n_leaves if n_leaves is not None else int(rng.integers(1, 4))
@@ -139,6 +141,8 @@ def random_graph(rng: np.random.Generator, *, scalars_only: bool = False,
 
     def tame(h: int) -> int:
         # sigmoid(u) + 0.5 lies in [0.5, 1.5]: safe divisor / log argument
+        if wild:
+            return h
         return b.add(b.sigmoid(h), b.constant(0.5))
 
     def squash(h: int) -> int:
@@ -180,7 +184,7 @@ def random_graph(rng: np.random.Generator, *, scalars_only: bool = False,
         if kind is OpKind.SIGMOID:
             return b.sigmoid(pick())
         if kind is OpKind.POW:
-            exponent = float(rng.choice([2.0, 3.0]))
+            exponent = float(rng.choice([-1.0, 0.5, 2.0, 3.0] if wild else [2.0, 3.0]))
             return b.power(pick(), exponent)
         if kind is OpKind.CLIP:
             return b.clip(pick(), -0.75, 0.75)

@@ -92,6 +92,8 @@ def test_analyze_affine_both_methods(tmp_path, capsys):
     assert methods["ibp"]["bound"] == pytest.approx(3.0, abs=1e-9)
     assert methods["global_opt"]["bound"] == pytest.approx(3.0, abs=1e-9)
     assert methods["ibp"]["interval_low"] == 0.0
+    assert methods["ibp"]["n_evaluations"] is None
+    assert methods["global_opt"]["n_evaluations"] > 0
 
 
 def test_analyze_mlp_gap(tmp_path):
@@ -259,6 +261,32 @@ def test_run_rejects_stale_analysis(tmp_path, rng):
                  "--epsilon", "1.0", "--delta", "1e-5", "--seed", "7",
                  "--analysis", str(report_path)])
     assert code == 3
+
+
+def test_run_refuses_nan_data_before_analysis(tmp_path, rng):
+    model = _write(tmp_path, "mean.json", MEAN_MODEL)
+    data = rng.uniform(0, 1, (10, 1))
+    data[3, 0] = np.nan
+    csv = _write_csv(tmp_path, "x.csv", data)
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", "run", "--model", str(model),
+         "--data", f"x={csv}", "--epsilon", "1.0", "--delta", "1e-5",
+         "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert str(csv) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_run_clips_infinite_data_to_bounds(tmp_path, rng):
+    data = rng.uniform(0, 1, (10, 1))
+    data[3, 0] = np.inf
+    code, out = _run_mean(tmp_path, data)
+    assert code == 0
+    assert json.loads(out.read_text())["clipped_fraction"] == pytest.approx(0.1)
 
 
 def test_run_shape_mismatched_csv(tmp_path, rng):

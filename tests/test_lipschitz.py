@@ -19,6 +19,7 @@ from dpgraph.lipschitz import (
 )
 from dpgraph import runtime
 from dpgraph.models import mean_query, mlp_classifier
+from dpgraph.report import SensitivityReport
 
 from conftest import random_graph
 
@@ -126,6 +127,23 @@ def test_square_grid_oracle():
     report = estimate_sensitivity(_square(), method="grid_oracle")
     assert report.bound == pytest.approx(2.0, abs=1e-9)
     assert not report.certified
+
+
+def test_report_counts_objective_evaluations(monkeypatch):
+    calls = []
+    objective = _JacobianObjective.__call__
+    monkeypatch.setattr(_JacobianObjective, "__call__",
+                        lambda self, v: calls.append(1) or objective(self, v))
+    report = estimate_sensitivity(_square(), method="global_opt")
+    assert report.n_evaluations == len(calls) > 0
+    grid = estimate_sensitivity(_square(), method="grid_oracle")
+    assert grid.n_evaluations == OptimizerConfig().grid_resolution
+    assert estimate_sensitivity(_square(), method="ibp").n_evaluations is None
+
+    doc = report.to_json_dict()
+    assert SensitivityReport.from_json_dict(doc).n_evaluations == report.n_evaluations
+    del doc["n_evaluations"]  # analysis files written before the field
+    assert SensitivityReport.from_json_dict(doc).n_evaluations is None
 
 
 def test_argmax_reproduces_bound():
@@ -315,21 +333,52 @@ def _sum_sigmoid(n):
     return b.graph()
 
 
+def _assert_matches_central_differences(obj, v, g, step=1e-6):
+    fd = np.empty_like(v)
+    for i in range(v.size):
+        e = np.zeros_like(v)
+        e[i] = step
+        fd[i] = (obj(v + e) - obj(v - e)) / (2 * step)
+    np.testing.assert_allclose(g, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+
+
 @pytest.mark.parametrize("graph", [mlp_classifier(2), _sum_sigmoid(64)],
                          ids=["mlp2", "sumsig64"])
 def test_gradient_matches_central_differences(graph):
     obj = _JacobianObjective(graph, [graph.find("x")], OptimizerConfig())
     rng = np.random.default_rng(5)
-    step = 1e-6
     for _ in range(3):
         v = rng.uniform(obj.lo, obj.hi)
-        g = obj.gradient(v)
-        fd = np.empty_like(v)
-        for i in range(v.size):
-            e = np.zeros_like(v)
-            e[i] = step
-            fd[i] = (obj(v + e) - obj(v - e)) / (2 * step)
-        np.testing.assert_allclose(g, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+        _assert_matches_central_differences(obj, v, obj.gradient(v))
+
+
+def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
+    g = mlp_classifier(2)
+    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    obj.gradient(np.zeros(obj.dim))  # builds the vjp program
+    programs = []
+    execute = runtime.execute
+    monkeypatch.setattr(runtime, "execute",
+                        lambda p, inputs: programs.append(p) or execute(p, inputs))
+    rng = np.random.default_rng(8)
+    v = rng.uniform(obj.lo, obj.hi)
+    obj(v)
+    assert programs == [obj.program]
+    at_v = obj.gradient(v)
+    assert programs == [obj.program, obj._grad_program]
+
+    # a point other than the last one evaluated runs J again
+    w = rng.uniform(obj.lo, obj.hi)
+    del programs[:]
+    at_w = obj.gradient(w)
+    assert programs == [obj.program, obj._grad_program]
+    _assert_matches_central_differences(obj, w, at_w)
+    _assert_matches_central_differences(obj, v, at_v)
+
+    # the cache is keyed by value, not by the array the caller passed
+    obj(w)
+    w[:] = rng.uniform(obj.lo, obj.hi)
+    _assert_matches_central_differences(obj, w, obj.gradient(w))
 
 
 @pytest.mark.parametrize("graph", [_sum_sigmoid(64), mean_query(1000),

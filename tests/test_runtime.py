@@ -15,7 +15,7 @@ from dpgraph.autodiff import jacobian
 from dpgraph.models import mlp_classifier
 from dpgraph import runtime
 
-from conftest import random_graph, ref_eval, sample_inputs
+from conftest import random_graph, ref_eval, ref_eval_all, sample_inputs
 
 
 def _affine():
@@ -223,3 +223,109 @@ def test_benchmark_records_and_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "width,param_count,compile_s,compile_cached_s,exec_us"
     assert len(lines) == 4
+
+
+# -- finiteness invariant: inputs and constants checked once, FP traps after --
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_input_names_the_input(bad):
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=(-1.0, 1.0))
+    w = b.parameter("w", (2, 1))
+    b.output(b.sigmoid(b.add(x, w)))
+    program = runtime.compile(b.graph())
+    value = np.array([[0.5], [bad]])
+    with pytest.raises(NumericalError, match="'w'"):
+        runtime.execute(program, {"x": np.zeros((2, 1)), "w": value})
+
+
+def _overflow_matmul():
+    b = GraphBuilder()
+    a = b.parameter("a", (1, 2))
+    x = b.parameter("x", (2, 1))
+    b.output(b.build("MatMul", [a, x], name="mm"))
+    return b.graph(), {"a": np.full((1, 2), 1e200), "x": np.full((2, 1), 1e200)}
+
+
+def _overflow_exp():
+    b = GraphBuilder()
+    x = b.parameter("x", ())
+    b.output(b.build("Exp", [x], name="hot"))
+    return b.graph(), {"x": 800.0}
+
+
+def _overflow_sum():
+    b = GraphBuilder()
+    x = b.parameter("x", (3, 1))
+    b.output(b.build("Sum", [x], {"axis": None}, name="total"))
+    return b.graph(), {"x": np.full((3, 1), 1e308)}
+
+
+@pytest.mark.parametrize("case,label", [
+    (_overflow_matmul, "mm"), (_overflow_exp, "hot"), (_overflow_sum, "total"),
+], ids=["MatMul", "Exp", "Sum"])
+def test_overflow_names_the_node(case, label):
+    g, inputs = case()
+    program = runtime.compile(g)
+    with pytest.raises(NumericalError, match=f"'{label}'"):
+        runtime.execute(program, inputs)
+
+
+def test_nonfinite_constant_is_caught():
+    # inf + finite raises no floating-point flag, so the trap alone would
+    # let this through; the constant is checked when the program is built
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=(0.0, 1.0))
+    c = b.constant([[np.inf], [0.0]], name="hot")
+    b.output(b.clip(b.add(x, c), 0.0, 1.0))
+    program = runtime.compile(b.graph())
+    with pytest.raises(NumericalError, match="'hot'"):
+        runtime.execute(program, {"x": np.zeros((2, 1))})
+
+
+def test_exp_underflow_is_not_an_error():
+    b = GraphBuilder()
+    x = b.parameter("x", ())
+    b.output(b.exp(x))
+    (out,) = runtime.execute(runtime.compile(b.graph()), {"x": -800.0})
+    assert out == 0.0
+
+
+def _wild_inputs(graph, rng):
+    # mostly moderate values, with exact zeros (poles of Log, Div and
+    # Pow(-1)), negatives (outside Log and Pow(0.5)) and huge entries
+    # (overflow under Pow, Mul and MatMul)
+    out = {}
+    for h in graph.leaves():
+        node = graph.nodes[h]
+        value = rng.uniform(-2.0, 2.0, node.shape.dims)
+        flat = value.reshape(-1)
+        roll = rng.random(flat.size)
+        flat[roll < 0.1] = 0.0
+        flat[roll > 0.9] = 1e155 * rng.choice([-1.0, 1.0])
+        out[node.name] = value
+    return out
+
+
+def test_raises_exactly_where_the_reference_is_nonfinite(rng):
+    raised = finite = 0
+    for _ in range(50):
+        g = random_graph(rng, wild=True)
+        program = runtime.compile(g)
+        for _ in range(4):
+            x = _wild_inputs(g, rng)
+            with np.errstate(all="ignore"):
+                values = ref_eval_all(program.optimized_graph, x)
+            nonfinite = any(not np.all(np.isfinite(v)) for v in values.values())
+            if nonfinite:
+                raised += 1
+                with pytest.raises(NumericalError):
+                    runtime.execute(program, x)
+                continue
+            finite += 1
+            got = runtime.execute(program, x)
+            with np.errstate(all="ignore"):
+                want = ref_eval(g, x)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    assert raised >= 20 and finite >= 20
