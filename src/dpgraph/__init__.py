@@ -3,7 +3,10 @@
 Typical flow: build or load a Graph, bound every Input/Parameter, compile it,
 bound its sensitivity with `estimate_sensitivity`, then release results
 through `privatize`. The `dpgraph` console script wraps the same steps.
+The library logs through `logging.getLogger("dpgraph")`.
 """
+
+import logging
 
 from .errors import (
     ArityError,
@@ -56,6 +59,7 @@ from .runtime import (
     BenchRecord,
     CompiledProgram,
     benchmark,
+    cache_info,
     clear_cache,
     execute,
     graph_fingerprint,
@@ -63,6 +67,8 @@ from .runtime import (
 from .runtime import compile as compile_graph
 
 __version__ = "0.1.0"
+
+logging.getLogger("dpgraph").addHandler(logging.NullHandler())
 
 __all__ = [
     "ArityError", "BCE_CLAMP", "BenchRecord", "Bounds", "BoundsSpec",
@@ -73,7 +79,7 @@ __all__ = [
     "NonFinite", "NumericalError", "OpKind", "OptimizerConfig",
     "OptimizerFailure", "PrivacyParams", "SensitivityReport", "ShapeMismatch",
     "TensorShape", "UnknownNode", "ValidationFailed", "benchmark",
-    "calibrate_sigma", "clear_cache", "clip", "compile_graph", "dumps_model",
+    "cache_info", "calibrate_sigma", "clear_cache", "clip", "compile_graph", "dumps_model",
     "estimate_sensitivity", "execute", "gaussian_condition",
     "global_maximize", "graph_fingerprint", "higher_order", "ibp_sensitivity",
     "jacobian", "load_model", "loads_model", "optimize", "privatize",

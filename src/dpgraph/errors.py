@@ -61,7 +61,15 @@ class MissingInput(DpGraphError):
 
 
 class NumericalError(DpGraphError):
-    """Execution produced NaN or Inf."""
+    """Execution produced NaN or Inf.
+
+    `point` is the flat batch index of the point whose evaluation trapped in
+    a batched execute, and None when no single point is named.
+    """
+
+    def __init__(self, message: str, point: int | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 class ModelFormatError(DpGraphError):

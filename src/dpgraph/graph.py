@@ -387,43 +387,94 @@ def attr_key(attrs: Mapping[str, Any]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# numeric kernels (shared by execution and constant folding)
+# numeric kernels (shared by execution, constant folding and interval layout)
+#
+# Every kernel is batch-polymorphic. An operand holds either its declared
+# shape or a batch shape followed by it, and `attrs["ranks"]` holds the
+# declared rank of each operand, so a kernel counts its axes from the end and
+# leaves the leading batch axes alone. Operands that carry batch axes all
+# carry the same ones. The unbatched call is the batch-shape () case; the
+# compiled plan resolves "ranks" once, and `apply_kind` reads it off the
+# operands.
+
+
+def _lift(a, b, ra, rb):
+    """Give a declared scalar (rank 0) the other operand's rank, so that its
+    batch axes, if it has any, stay in front when the two broadcast."""
+    if ra < rb and a.ndim:
+        a = a.reshape(a.shape + (1,) * rb)
+    elif rb < ra and b.ndim:
+        b = b.reshape(b.shape + (1,) * ra)
+    return a, b
+
+
+def _trailing(x, rank):
+    """The last `rank` axes of x; None (every axis) when x is unbatched."""
+    return None if x.ndim == rank else tuple(range(-rank, 0))
+
+
+def _k_pair(op):
+    def kernel(attrs, a, b):
+        ra, rb = attrs["ranks"]
+        if ra != rb:
+            a, b = _lift(a, b, ra, rb)
+        return np.asarray(op(a, b))
+
+    return kernel
 
 
 def _k_matmul(attrs, a, b):
     if attrs["transpose_a"]:
-        a = a.T
+        a = a.swapaxes(-1, -2)
     if attrs["transpose_b"]:
-        b = b.T
+        b = b.swapaxes(-1, -2)
     return a @ b
 
 
 def _k_reduce(fn):
     def kernel(attrs, x):
+        (rank,) = attrs["ranks"]
         axis = attrs["axis"]
         if axis is None:
-            return np.asarray(fn(x))
-        return fn(x, axis=axis, keepdims=True)
+            return np.asarray(fn(x, axis=_trailing(x, rank)))
+        return fn(x, axis=axis - rank, keepdims=True)
 
     return kernel
 
 
 def _k_bce(attrs, p, t):
+    rp, rt = attrs["ranks"]
+    if rp != rt:
+        p, t = _lift(p, t, rp, rt)
     pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return np.asarray(np.mean(-(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))))
+    loss = -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
+    return np.asarray(np.mean(loss, axis=_trailing(loss, max(rp, rt))))
+
+
+def _k_reshape(attrs, a):
+    (rank,) = attrs["ranks"]
+    return a.reshape(a.shape[:a.ndim - rank] + attrs["shape"])
+
+
+def _k_concat(attrs, *parts):
+    rank = attrs["ranks"][0]
+    batch = max((p.shape[:p.ndim - rank] for p in parts), key=len)
+    if batch:  # an unbatched operand, such as a zero constant, is shared
+        parts = [np.broadcast_to(p, batch + p.shape[p.ndim - rank:]) for p in parts]
+    return np.concatenate(parts, axis=attrs["axis"] - rank)
 
 
 def _k_slice(attrs, a):
-    index = [slice(None)] * a.ndim
-    index[attrs["axis"]] = slice(attrs["start"], attrs["stop"])
-    return a[tuple(index)]
+    (rank,) = attrs["ranks"]
+    return a[(Ellipsis, slice(attrs["start"], attrs["stop"]))
+             + (slice(None),) * (rank - 1 - attrs["axis"])]
 
 
 KERNELS = {
-    OpKind.ADD: lambda attrs, a, b: np.asarray(a + b),
-    OpKind.SUB: lambda attrs, a, b: np.asarray(a - b),
-    OpKind.MUL: lambda attrs, a, b: np.asarray(a * b),
-    OpKind.DIV: lambda attrs, a, b: np.asarray(a / b),
+    OpKind.ADD: _k_pair(np.add),
+    OpKind.SUB: _k_pair(np.subtract),
+    OpKind.MUL: _k_pair(np.multiply),
+    OpKind.DIV: _k_pair(np.divide),
     OpKind.NEG: lambda attrs, a: np.asarray(-a),
     OpKind.MATMUL: _k_matmul,
     OpKind.POW: lambda attrs, a: np.asarray(np.power(a, attrs["exponent"])),
@@ -437,13 +488,16 @@ KERNELS = {
     OpKind.IN_INTERVAL: lambda attrs, a: np.asarray(
         ((a >= attrs["lo"]) & (a <= attrs["hi"])), dtype=np.float64
     ),
-    OpKind.RESHAPE: lambda attrs, a: np.reshape(a, attrs["shape"]),
-    OpKind.CONCAT: lambda attrs, *parts: np.concatenate(parts, axis=attrs["axis"]),
+    OpKind.RESHAPE: _k_reshape,
+    OpKind.CONCAT: _k_concat,
     OpKind.SLICE: _k_slice,
 }
 
 
 def apply_kind(kind: OpKind, attrs: Mapping, *operands: np.ndarray) -> np.ndarray:
+    """Run one kernel on unbatched operands, with FP flags ignored."""
+    operands = tuple(np.asarray(x) for x in operands)
+    attrs = {**attrs, "ranks": tuple(x.ndim for x in operands)}
     with np.errstate(all="ignore"):
         return KERNELS[kind](attrs, *operands)
 

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .autodiff import jacobian
 from .errors import DomainError, ValidationFailed
-from .graph import BCE_CLAMP, KERNELS, BoundsSpec, Diagnostic, Graph, OpKind
+from .graph import BCE_CLAMP, BoundsSpec, Diagnostic, Graph, OpKind, apply_kind
 from .report import SensitivityReport
 
 
@@ -148,9 +148,8 @@ def _bce(p: IntervalTensor, t: IntervalTensor) -> IntervalTensor:
 def _layout(node, ins) -> IntervalTensor:
     """Reshape, Concat and Slice move elements without computing, so their
     kernel applied to each endpoint is the exact enclosure."""
-    kernel = KERNELS[node.kind]
-    return _iv(kernel(node.attrs, *(a.lo for a in ins)),
-               kernel(node.attrs, *(a.hi for a in ins)))
+    return _iv(apply_kind(node.kind, node.attrs, *(a.lo for a in ins)),
+               apply_kind(node.kind, node.attrs, *(a.hi for a in ins)))
 
 
 # One rule per non-leaf kind plus Constant; each receives the node and the

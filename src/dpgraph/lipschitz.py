@@ -6,12 +6,19 @@ stars, then projected gradient ascent from each star. The convergence
 certificate is heuristic: the stationary-value set must be stable when the
 sample count is doubled. When it is not, the result is still a valid lower
 bound (it is the max over every point evaluated) but is flagged with a
-warning instead of a certificate.
+warning instead of a certificate. The doubled set extends the first one's
+Sobol sequence, and no point is evaluated twice.
+
+The objective is evaluated on stacks of points: each sampling phase, and
+each chunk of the grid oracle, is one batched `runtime.execute` followed by
+one stacked SVD, while the ascent evaluates single points.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import logging
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -36,6 +43,8 @@ from .report import SensitivityReport
 from . import runtime
 
 METHODS = ("ibp", "global_opt", "grid_oracle")
+
+_log = logging.getLogger("dpgraph")
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +71,21 @@ def spectral_norm_with_vectors(matrix) -> tuple[float, np.ndarray, np.ndarray]:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         return float(s[0]), u[:, 0], vt[0]
     return _power_iteration(m)
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix of a (k, R, C) stack, equal bit
+    for bit to `spectral_norm` of each; -inf for a matrix holding NaN or Inf."""
+    ms = np.asarray(stack, dtype=np.float64)
+    sigmas = np.full(len(ms), -np.inf)
+    finite = np.isfinite(ms).all(axis=(1, 2))
+    if min(ms.shape[1:]) <= _SVD_MAX_SIDE:
+        if finite.any():
+            sigmas[finite] = np.linalg.svd(ms[finite], full_matrices=False)[1][:, 0]
+    else:
+        for i in np.flatnonzero(finite):
+            sigmas[i] = _power_iteration(ms[i])[0]
+    return sigmas
 
 
 def _power_iteration(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -127,30 +151,65 @@ class MaximizeResult(NamedTuple):
 # global maximization
 
 
-class _Recorder:
-    """Wraps the objective: tracks the best feasible evaluation ever seen."""
+def _point_key(x: np.ndarray) -> bytes:
+    # a digest of the bytes, so that keys stay small at 10^4 dimensions
+    return hashlib.blake2b(x.tobytes(), digest_size=16).digest()
 
-    def __init__(self, fn: Callable[[np.ndarray], float]):
+
+class _Recorder:
+    """Wraps a stacked objective and its gradient: evaluates each distinct
+    point once, by the bytes of the point, and tracks the best feasible
+    value in the order the points were first evaluated."""
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], gradient=None):
         self.fn = fn
+        self.grad_fn = gradient
+        self.values: dict[bytes, float] = {}
+        self.grads: dict[bytes, np.ndarray] = {}
         self.best_value = -np.inf
         self.best_point: np.ndarray | None = None
-        self.count = 0
 
-    def __call__(self, x: np.ndarray) -> float:
-        self.count += 1
+    @property
+    def count(self) -> int:
+        return len(self.values)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Values at the rows of a (k, d) stack; only unseen rows reach fn."""
+        keys = [_point_key(p) for p in points]
+        fresh: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
+            if key not in self.values and key not in fresh:
+                fresh[key] = i
+        if fresh:
+            rows = list(fresh.values())
+            for key, i, value in zip(fresh, rows, self._evaluate(points[rows])):
+                self.values[key] = value
+                if value > self.best_value:
+                    self.best_value = value
+                    self.best_point = np.array(points[i])
+        return np.array([self.values[key] for key in keys])
+
+    def at(self, x: np.ndarray) -> float:
+        return float(self(x[None, :])[0])
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        key = _point_key(x)
+        if key not in self.grads:
+            self.grads[key] = self.grad_fn(x)
+        return self.grads[key]
+
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
         try:
-            value = float(self.fn(x))
+            values = np.asarray(self.fn(points), dtype=np.float64).reshape(len(points))
         except FloatingPointError:
-            value = -np.inf
-        if np.isnan(value):
-            value = -np.inf
-        if value > self.best_value:
-            self.best_value = value
-            self.best_point = np.array(x)
-        return value
+            if len(points) == 1:
+                return np.array([-np.inf])
+            values = np.concatenate([self._evaluate(p[None, :]) for p in points])
+        return np.where(np.isnan(values), -np.inf, values)
 
 
 def _fd_gradient(f, x, lo, hi, rel_step=1e-6):
+    """Central differences of a stacked objective, one point per call."""
     g = np.zeros_like(x)
     span = np.maximum(hi - lo, 1.0)
     for i in range(x.size):
@@ -161,21 +220,21 @@ def _fd_gradient(f, x, lo, hi, rel_step=1e-6):
         dx = xp[i] - xm[i]
         if dx == 0.0:
             continue
-        fp, fm = f(xp), f(xm)
+        fp, fm = f(xp[None, :])[0], f(xm[None, :])[0]
         if np.isfinite(fp) and np.isfinite(fm):
             g[i] = (fp - fm) / dx
     return g
 
 
-def _ascend(f: _Recorder, grad, x0, lo, hi, config: OptimizerConfig):
+def _ascend(f: _Recorder, x0, lo, hi, config: OptimizerConfig):
     x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
-    fx = f(x)
+    fx = f.at(x)
     if not np.isfinite(fx):
         return x, fx
     step = 0.25 * float(np.max(hi - lo)) or 1.0
     flat_streak = 0
     for _ in range(config.max_refine_iters):
-        g = grad(x)
+        g = f.gradient(x)
         norm_g = np.linalg.norm(g)
         if norm_g == 0.0 or not np.isfinite(norm_g):
             break
@@ -187,7 +246,7 @@ def _ascend(f: _Recorder, grad, x0, lo, hi, config: OptimizerConfig):
             if np.array_equal(cand, x):
                 s *= 0.5
                 continue
-            fc = f(cand)
+            fc = f.at(cand)
             if fc > fx:
                 gain = fc - fx
                 x, fx = cand, fc
@@ -204,14 +263,15 @@ def _ascend(f: _Recorder, grad, x0, lo, hi, config: OptimizerConfig):
     return x, fx
 
 
-def _sample_points(lo, hi, n, config: OptimizerConfig) -> np.ndarray:
+def _sample_points(lo, hi, n, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Phase A's and phase B's point sets from one scrambled Sobol draw of 2n
+    points: A takes the first n, B all 2n, and both the midpoint and the
+    corners, which are drawn once."""
     d = lo.size
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sobol = qmc.Sobol(d, scramble=True, seed=config.seed)
-        unit = sobol.random(n)
-    pts = [lo + unit * (hi - lo)]
-    pts.append((lo + hi)[None, :] / 2.0)
+        unit = qmc.Sobol(d, scramble=True, seed=config.seed).random(2 * n)
+    extra = [(lo + hi)[None, :] / 2.0]
     if config.include_corners:
         if 2 ** d <= config.max_corner_samples:
             corners = np.array(list(itertools.product(*zip(lo, hi))))
@@ -219,8 +279,12 @@ def _sample_points(lo, hi, n, config: OptimizerConfig) -> np.ndarray:
             rng = np.random.default_rng(config.seed + 1)
             picks = rng.integers(0, 2, size=(config.max_corner_samples, d))
             corners = np.where(picks == 0, lo, hi)
-        pts.append(corners)
-    return np.unique(np.concatenate(pts, axis=0), axis=0)
+        extra.append(corners)
+
+    def point_set(u):
+        return np.unique(np.concatenate([lo + u * (hi - lo)] + extra, axis=0), axis=0)
+
+    return point_set(unit[:n]), point_set(unit)
 
 
 def _value_groups(values, rtol) -> int:
@@ -238,9 +302,17 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
                     gradient=None) -> MaximizeResult:
     """Maximize a pure objective over an axis-aligned box.
 
+    `objective` maps a (k, d) stack of points to their k values; a single
+    point arrives as a stack of one. Each distinct point is evaluated once:
+    values and gradients are remembered by the bytes of the point, so the
+    second sampling phase, which contains the first, and the ascents it
+    repeats cost nothing again. `gradient`, if given, maps one point of
+    shape (d,) to its gradient; otherwise central differences are taken.
+
     Returns the best point evaluated anywhere in the procedure, a heuristic
-    stability certificate, and the evaluation count. Points where the
-    objective is NaN or raises FloatingPointError are treated as infeasible.
+    stability certificate, and the number of distinct points evaluated.
+    Points where the objective is NaN or raises FloatingPointError are
+    treated as infeasible.
     """
     config = config or OptimizerConfig()
     lo = np.asarray(box[0], dtype=np.float64).ravel()
@@ -248,19 +320,18 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     if lo.shape != hi.shape or np.any(lo > hi) or not (
             np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise InvalidParams("box must be finite with lo <= hi")
-    f = _Recorder(objective)
+    f = _Recorder(objective, gradient)
     if lo.size == 0:
-        value = f(np.zeros(0))
+        value = f.at(np.zeros(0))
         if not np.isfinite(value):
             raise OptimizerFailure("objective is infeasible")
         return MaximizeResult(np.zeros(0), value, True, None, f.count)
-
-    grad = gradient or (lambda x: _fd_gradient(f, x, lo, hi))
+    if gradient is None:
+        f.grad_fn = lambda x: _fd_gradient(f, x, lo, hi)
     span = np.maximum(hi - lo, 1e-30)
 
-    def run_phase(n_samples: int):
-        pts = _sample_points(lo, hi, n_samples, config)
-        vals = np.array([f(p) for p in pts])
+    def run_phase(pts: np.ndarray):
+        vals = f(pts)
         feasible = np.isfinite(vals)
         if not np.any(feasible):
             return -np.inf, 0
@@ -268,17 +339,14 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
         if k >= 1 and len(pts) > 1:
             tree = cKDTree(pts / span)
             _, nbr = tree.query(pts / span, k=k + 1)
-            is_star_max = np.array([
-                feasible[i] and vals[i] >= np.max(vals[nbr[i, 1:]])
-                for i in range(len(pts))
-            ])
+            is_star_max = feasible & (vals >= vals[nbr[:, 1:]].max(axis=1))
             candidates = np.flatnonzero(is_star_max)
         else:
             candidates = np.flatnonzero(feasible)
         order = candidates[np.argsort(-vals[candidates])][:config.max_starts]
         refined_vals = []
         for idx in order:
-            _, fv = _ascend(f, grad, pts[idx], lo, hi, config)
+            _, fv = _ascend(f, pts[idx], lo, hi, config)
             if np.isfinite(fv):
                 refined_vals.append(fv)
         if not refined_vals:
@@ -287,8 +355,9 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
         return max(refined_vals), _value_groups(refined_vals,
                                                 config.certificate_rtol)
 
-    best_a, groups_a = run_phase(config.n_samples)
-    best_b, groups_b = run_phase(2 * config.n_samples)
+    pts_a, pts_b = _sample_points(lo, hi, config.n_samples, config)
+    best_a, groups_a = run_phase(pts_a)
+    best_b, groups_b = run_phase(pts_b)
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
 
@@ -359,9 +428,13 @@ class _JacobianObjective:
         return self.lo.size
 
     def unpack(self, v: np.ndarray) -> dict[str, np.ndarray]:
+        """Input values for one point v of shape (d,), or for each row of a
+        (k, d) stack with a leading batch axis; frozen tensors are shared."""
+        v = np.asarray(v)
+        batch = v.shape[:-1]
         inputs = dict(self.frozen)
         for name, dims, start, stop in self._slices:
-            inputs[name] = np.asarray(v[start:stop]).reshape(dims)
+            inputs[name] = v[..., start:stop].reshape(batch + dims)
         return inputs
 
     def jacobian_at(self, v: np.ndarray) -> np.ndarray:
@@ -377,11 +450,52 @@ class _JacobianObjective:
             self._last_key = key
         return self._last
 
-    def __call__(self, v: np.ndarray) -> float:
+    def __call__(self, v: np.ndarray):
+        """sigma_max(J) at each row of a (k, d) stack, or at one point v of
+        shape (d,); -inf where J cannot be evaluated.
+
+        One point, or a stack of one, takes the unbatched path, which keeps
+        J and its singular triple for `gradient`. A larger stack is evaluated
+        by batched executes in chunks of `runtime.chunk_points`.
+        """
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim == 1:
+            return self._value(v)
+        if len(v) == 1:
+            return np.array([self._value(v[0])])
+        step = runtime.chunk_points(self.program)
+        return np.concatenate([self._values(v[i:i + step])
+                               for i in range(0, len(v), step)])
+
+    def _value(self, v: np.ndarray) -> float:
         try:
             return self._evaluate(v)[1]
         except (NumericalError, NonFinite):
             return -np.inf
+
+    def _values(self, stack: np.ndarray) -> np.ndarray:
+        """Batched executes and a stacked sigma. A point that traps is -inf;
+        the points before it are evaluated without it, and evaluation
+        resumes after it."""
+        values = np.full(len(stack), -np.inf)
+        start = 0
+        while start < len(stack):
+            stop = len(stack)
+            try:
+                values[start:stop] = spectral_norms(self._jacobians(stack[start:stop]))
+            except NumericalError as err:
+                if err.point is None:  # no single point to blame: all fail
+                    break
+                stop = start + err.point  # the first point that traps
+                if stop > start:
+                    values[start:stop] = spectral_norms(self._jacobians(stack[start:stop]))
+            start = stop + 1
+        return values
+
+    def _jacobians(self, stack: np.ndarray) -> np.ndarray:
+        (js,) = runtime.execute(self.program, self.unpack(stack),
+                                batch_shape=(len(stack),))
+        return js
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """d sigma_max / dv by one reverse pass over the Jacobian graph.
@@ -405,14 +519,19 @@ class _JacobianObjective:
             inputs = self.unpack(v)
             inputs[self._cotangent] = np.outer(u, w).reshape(j.shape)
             grads = runtime.execute(self._grad_program, inputs)
-        except (NumericalError, NonFinite):
+        except (NumericalError, NonFinite) as err:
+            _log.warning("sigma_max gradient falls back to finite differences "
+                         "at a point of the box: %s", err)
             return _fd_gradient(self, v, self.lo, self.hi)
         return np.concatenate([grad.ravel() for grad in grads])
 
 
-def _grid_points(lo, hi, resolution):
+def _grid_chunks(lo, hi, resolution, size):
+    """The grid's points in row-major order, as (<= size, d) stacks."""
     axes = [np.linspace(lo[i], hi[i], resolution) for i in range(lo.size)]
-    return itertools.product(*axes)
+    points = itertools.product(*axes)
+    while chunk := list(itertools.islice(points, size)):
+        yield np.array(chunk).reshape(len(chunk), lo.size)
 
 
 def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
@@ -455,11 +574,12 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
                 f"grid oracle supports at most {config.grid_dim_cap} free "
                 f"scalar variables, domain has {objective.dim}")
         best_val, best_pt = -np.inf, None
-        for point in _grid_points(objective.lo, objective.hi, config.grid_resolution):
-            v = np.asarray(point)
-            val = objective(v)
-            if val > best_val:
-                best_val, best_pt = val, v
+        for chunk in _grid_chunks(objective.lo, objective.hi, config.grid_resolution,
+                                  runtime.chunk_points(objective.program)):
+            vals = objective(chunk)
+            i = int(np.argmax(vals))  # the first of equal values, as in row order
+            if vals[i] > best_val:
+                best_val, best_pt = vals[i], chunk[i]
         if best_pt is None or not np.isfinite(best_val):
             raise OptimizerFailure("grid oracle found no feasible point")
         return SensitivityReport(

@@ -13,6 +13,18 @@ the program is linearized. Once all operands are finite, a kernel can only
 produce NaN or Inf by raising an IEEE divide-by-zero, overflow or invalid
 flag, and the kernels run with those flags trapped; underflow to zero is
 allowed.
+
+Batch rule: `execute(program, inputs, batch_shape=B)` evaluates the program at
+many points through the same plan. Each input is bound either with its
+declared shape, shared by every point, or with shape B followed by its
+declared shape, one value per point; every output has shape B followed by its
+declared shape, broadcast when it depends on no per-point input. The kernels
+index their axes from the end, so the batch axes ride through them (see
+`graph.KERNELS`), and the default B = () is the unbatched call, which
+accepts declared shapes only. The finiteness invariant holds point by point:
+when a batch traps, it is bisected down to one point whose error names the
+node and carries the point's index. Batches run in chunks of at most
+`BATCH_BYTES` of values.
 """
 
 from __future__ import annotations
@@ -22,8 +34,9 @@ import hashlib
 import statistics
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -97,7 +110,9 @@ class CompiledProgram:
     input_slots: Mapping[str, tuple[int | None, TensorShape]]
     output_slots: tuple[int, ...]
     output_names: tuple[str, ...]
+    output_dims: tuple[tuple[int, ...], ...]
     nonfinite_constant: str | None
+    point_bytes: int  # bytes of the inputs and values one point computes
 
     @property
     def param_count(self) -> int:
@@ -105,13 +120,48 @@ class CompiledProgram:
         return sum(g.nodes[h].shape.num_elements for h in g.parameters)
 
 
-_CACHE: dict[str, CompiledProgram] = {}
+# Each compile files its program under two keys (see the module docstring);
+# past CACHE_SIZE keys the least recently used one is dropped.
+CACHE_SIZE = 256
+_CACHE: OrderedDict[str, CompiledProgram] = OrderedDict()
 _CACHE_LOCK = threading.Lock()
+_CACHE_STATS = {"hits": 0, "misses": 0}
+
+
+class CacheInfo(NamedTuple):
+    hits: int    # compiles answered from the cache
+    misses: int  # compiles that linearized a new program
+    size: int    # keys held, at most CACHE_SIZE
+
+
+def cache_info() -> CacheInfo:
+    """Hits, misses and size of the compile cache since it was last cleared."""
+    with _CACHE_LOCK:
+        return CacheInfo(_CACHE_STATS["hits"], _CACHE_STATS["misses"], len(_CACHE))
 
 
 def clear_cache() -> None:
     with _CACHE_LOCK:
         _CACHE.clear()
+        _CACHE_STATS.update(hits=0, misses=0)
+
+
+def _cache_get(key: str) -> CompiledProgram | None:
+    with _CACHE_LOCK:
+        program = _CACHE.get(key)
+        if program is not None:
+            _CACHE.move_to_end(key)
+            _CACHE_STATS["hits"] += 1
+        return program
+
+
+def _cache_put(program: CompiledProgram, *keys: str) -> None:
+    with _CACHE_LOCK:
+        for key in keys:
+            _CACHE[key] = program
+            _CACHE.move_to_end(key)
+        while len(_CACHE) > CACHE_SIZE:
+            _CACHE.popitem(last=False)
 
 
 def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> CompiledProgram:
@@ -155,7 +205,10 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
 
     free: list[int] = []
     plan: list[Instruction] = []
+    point_elements = sum(opt.nodes[h].shape.num_elements
+                         for h in opt.leaves() if h in reachable)
     for pos, node in enumerate(interior):
+        point_elements += node.shape.num_elements
         in_slots = tuple(slot_of[i] for i in node.inputs)
         for i in set(node.inputs):
             n_i = opt.nodes[i]
@@ -165,11 +218,13 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
                 free.append(slot_of[i])
         out_slot = free.pop() if free else new_slot()
         slot_of[node.id] = out_slot
-        plan.append(Instruction(node.kind, node.attrs, in_slots, out_slot,
-                                node.name, KERNELS[node.kind]))
+        ranks = tuple(opt.nodes[i].shape.rank for i in node.inputs)
+        plan.append(Instruction(node.kind, {**node.attrs, "ranks": ranks},
+                                in_slots, out_slot, node.name, KERNELS[node.kind]))
 
     output_slots = tuple(slot_of[h] for h in opt.outputs)
     output_names = tuple(opt.nodes[h].name for h in opt.outputs)
+    output_dims = tuple(opt.nodes[h].shape.dims for h in opt.outputs)
     return CompiledProgram(
         plan=tuple(plan),
         fingerprint=fingerprint,
@@ -181,7 +236,9 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
         input_slots=input_slots,
         output_slots=output_slots,
         output_names=output_names,
+        output_dims=output_dims,
         nonfinite_constant=nonfinite_constant,
+        point_bytes=8 * max(point_elements, 1),
     )
 
 
@@ -190,8 +247,7 @@ def compile(graph: Graph, use_cache: bool = True) -> CompiledProgram:
     t0 = time.perf_counter()
     raw_key = content_hash(graph)
     if use_cache:
-        with _CACHE_LOCK:
-            hit = _CACHE.get(raw_key)
+        hit = _cache_get(raw_key)
         if hit is not None:
             return hit
     diags = graph.validate()
@@ -199,16 +255,14 @@ def compile(graph: Graph, use_cache: bool = True) -> CompiledProgram:
         raise ValidationFailed(diags)
     opt = optimize(graph)
     fingerprint = content_hash(opt)
-    program = None
-    if use_cache:
-        with _CACHE_LOCK:
-            program = _CACHE.get(fingerprint)
+    program = _cache_get(fingerprint) if use_cache else None
     if program is None:
         program = _linearize(graph, opt, fingerprint, t0)
+        if use_cache:
+            with _CACHE_LOCK:
+                _CACHE_STATS["misses"] += 1
     if use_cache:
-        with _CACHE_LOCK:
-            _CACHE[raw_key] = program
-            _CACHE[fingerprint] = program
+        _cache_put(program, raw_key, fingerprint)
     return program
 
 
@@ -217,32 +271,53 @@ def graph_fingerprint(graph: Graph) -> str:
     return compile(graph).fingerprint
 
 
-def execute(program: CompiledProgram, inputs: Mapping[str, Any]) -> list[np.ndarray]:
+# Values one chunk of a batched execute may compute, summed over the plan.
+BATCH_BYTES = 1 << 24
+
+
+def chunk_points(program: CompiledProgram) -> int:
+    """Points per chunk of a batched execute of `program`."""
+    return max(1, BATCH_BYTES // program.point_bytes)
+
+
+def execute(program: CompiledProgram, inputs: Mapping[str, Any],
+            batch_shape: tuple[int, ...] = ()) -> list[np.ndarray]:
     """Run a compiled program; returns one array per declared output.
 
     Inputs are bound by tensor name and are never mutated. Every declared
     Input/Parameter must be supplied, even ones the outputs do not depend on.
+    With the default `batch_shape` every input must have exactly its declared
+    shape. With a batch shape B, each input has either its declared shape or
+    B followed by it, and each output has shape B followed by its declared
+    shape (the batch rule of the module docstring).
 
     Raises `NumericalError` when a bound input or a constant of the program
     holds NaN or Inf (each checked once, before any kernel runs), or when a
     kernel raises a divide-by-zero, overflow or invalid floating-point flag;
     with finite operands those flags are the only way to a non-finite value,
-    so no intermediate result is scanned.
+    so no intermediate result is scanned. In a batched call the error names
+    the first point that traps, by its flat index in B, as its `point`.
     """
     unknown = set(inputs) - set(program.input_slots)
     if unknown:
         raise UnknownNode(f"no declared input named {sorted(unknown)[0]!r}")
 
+    batch = tuple(map(int, batch_shape)) if batch_shape else ()
     regs: list[Any] = [None] * program.n_slots
     for slot, value in program.const_loads:
         regs[slot] = value
+    per_point: dict[int, np.ndarray] = {}
     for name, (slot, shape) in program.input_slots.items():
         if name not in inputs:
             raise MissingInput(f"missing value for input '{name}'")
         arr = np.asarray(inputs[name], dtype=np.float64)
         if arr.shape != shape.dims:
-            raise ShapeMismatch(
-                f"input '{name}' expects shape {shape}, got {arr.shape}")
+            if not batch or arr.shape != batch + shape.dims:
+                expected = f"{shape} or {batch + shape.dims}" if batch else f"{shape}"
+                raise ShapeMismatch(
+                    f"input '{name}' expects shape {expected}, got {arr.shape}")
+            if slot is not None:
+                per_point[slot] = arr.reshape((-1,) + shape.dims)
         if not np.isfinite(arr).all():
             raise NumericalError(f"non-finite value bound to input '{name}'")
         if slot is not None:
@@ -251,6 +326,22 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any]) -> list[np.ndar
         raise NumericalError(
             f"non-finite value in constant '{program.nonfinite_constant}'")
 
+    if not batch:
+        _run(program, regs)
+        return [np.array(regs[s]) for s in program.output_slots]
+
+    n = int(np.prod(batch))
+    outs = [np.empty((n,) + dims) for dims in program.output_dims]
+    step = chunk_points(program)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        for out, value in zip(outs, _run_points(program, regs, per_point, start, stop)):
+            out[start:stop] = value
+    return [out.reshape(batch + dims) for out, dims in zip(outs, program.output_dims)]
+
+
+def _run(program: CompiledProgram, regs: list) -> None:
+    """The plan's kernels on bound registers, with FP flags trapped."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise",
                          under="ignore"):
@@ -262,7 +353,24 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any]) -> list[np.ndar
             f"non-finite value produced at node '{instr.label}' "
             f"({instr.kind.value})") from err
 
-    return [np.array(regs[s]) for s in program.output_slots]
+
+def _run_points(program: CompiledProgram, regs: list,
+                per_point: Mapping[int, np.ndarray], start: int, stop: int) -> list:
+    """Points [start, stop) of a flattened batch; a trap is bisected to the
+    first point that raises it."""
+    chunk = list(regs)
+    for slot, arr in per_point.items():
+        chunk[slot] = arr[start:stop]
+    try:
+        _run(program, chunk)
+        return [chunk[s] for s in program.output_slots]
+    except NumericalError as err:
+        if stop - start == 1:
+            raise NumericalError(f"{err} at batch point {start}", point=start) from err
+        mid = (start + stop) // 2
+        _run_points(program, regs, per_point, start, mid)
+        _run_points(program, regs, per_point, mid, stop)
+        raise  # no half traps alone; cannot happen for point-wise kernels
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,28 @@ def test_run_shape_mismatched_csv(tmp_path, rng):
     assert code == 2
 
 
+@pytest.mark.parametrize("declared,stacked", [([10], (3, 10)), ([], (3, 1))],
+                         ids=["vector", "scalar"])
+def test_run_refuses_data_with_an_extra_leading_axis(tmp_path, rng, declared, stacked):
+    model = _write(tmp_path, "mean.json", {
+        "tensors": [{"name": "x", "shape": declared, "role": "private_input",
+                     "bounds": [0.0, 1.0]}],
+        "ops": [{"name": "m", "kind": "Mean", "inputs": ["x"], "attrs": {"axis": None}}],
+        "outputs": ["m"],
+    })
+    csv = _write_csv(tmp_path, "x.csv", rng.uniform(0, 1, stacked))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", "run", "--model", str(model),
+         "--data", f"x={csv}", "--epsilon", "1.0", "--delta", "1e-5",
+         "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_run_missing_tensor_data(tmp_path):
     model = _write(tmp_path, "mean.json", MEAN_MODEL)
     code = main(["run", "--model", str(model), "--epsilon", "1.0",

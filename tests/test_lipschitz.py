@@ -1,21 +1,28 @@
+import itertools
+import logging
+
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import qmc
 
 from dpgraph import (
     DimensionTooLarge,
     GraphBuilder,
     InvalidParams,
     NonFinite,
+    NumericalError,
     OptimizerFailure,
 )
 from dpgraph.lipschitz import (
     OptimizerConfig,
     _JacobianObjective,
+    _sample_points,
     estimate_sensitivity,
     global_maximize,
     spectral_norm,
     spectral_norm_with_vectors,
+    spectral_norms,
 )
 from dpgraph import runtime
 from dpgraph.models import mean_query, mlp_classifier
@@ -60,14 +67,14 @@ def test_power_iteration_path_matches_svd(rng):
 # -- global maximization -----------------------------------------------------
 
 def test_maximize_norm_on_unit_box():
-    res = global_maximize(lambda v: np.linalg.norm(v),
+    res = global_maximize(lambda v: np.linalg.norm(v, axis=1),
                           (np.zeros(2), np.ones(2)))
     assert res.value == pytest.approx(np.sqrt(2), abs=1e-8)
     np.testing.assert_allclose(res.argmax, [1.0, 1.0], atol=1e-8)
 
 
 def test_maximize_negated_norm_finds_origin():
-    res = global_maximize(lambda v: -np.linalg.norm(v),
+    res = global_maximize(lambda v: -np.linalg.norm(v, axis=1),
                           (-np.ones(2), np.ones(2)))
     assert res.value == pytest.approx(0.0, abs=1e-6)
     np.testing.assert_allclose(res.argmax, [0.0, 0.0], atol=1e-6)
@@ -75,17 +82,18 @@ def test_maximize_negated_norm_finds_origin():
 
 def test_maximize_infeasible_objective():
     with pytest.raises(OptimizerFailure):
-        global_maximize(lambda v: np.nan, (np.zeros(2), np.ones(2)))
+        global_maximize(lambda v: np.full(len(v), np.nan),
+                        (np.zeros(2), np.ones(2)))
 
 
 def test_maximize_bad_box():
     with pytest.raises(InvalidParams):
-        global_maximize(lambda v: 0.0, (np.ones(2), np.zeros(2)))
+        global_maximize(lambda v: np.zeros(len(v)), (np.ones(2), np.zeros(2)))
 
 
 def test_maximize_is_deterministic():
     cfg = OptimizerConfig(seed=7)
-    f = lambda v: float(np.sin(3 * v[0]) + v[1] ** 2)
+    f = lambda v: np.sin(3 * v[:, 0]) + v[:, 1] ** 2
     box = (np.array([-2.0, -1.0]), np.array([2.0, 1.0]))
     a = global_maximize(f, box, cfg)
     b = global_maximize(f, box, cfg)
@@ -130,10 +138,11 @@ def test_square_grid_oracle():
 
 
 def test_report_counts_objective_evaluations(monkeypatch):
-    calls = []
+    calls = []  # one entry per point evaluated, whether stacked or single
     objective = _JacobianObjective.__call__
     monkeypatch.setattr(_JacobianObjective, "__call__",
-                        lambda self, v: calls.append(1) or objective(self, v))
+                        lambda self, v: calls.extend(np.atleast_2d(v))
+                        or objective(self, v))
     report = estimate_sensitivity(_square(), method="global_opt")
     assert report.n_evaluations == len(calls) > 0
     grid = estimate_sensitivity(_square(), method="grid_oracle")
@@ -210,6 +219,17 @@ def test_optimizer_failure_when_every_point_is_infeasible():
         estimate_sensitivity(b.graph(), method="global_opt")
 
 
+def test_grid_oracle_failure_when_every_point_is_infeasible():
+    # every point of a 2-D grid traps, and each batch keeps going after it
+    b = GraphBuilder()
+    x = b.input("x", (), bounds=(500.0, 600.0))
+    y = b.input("y", (), bounds=(0.0, 1.0))
+    b.output(b.mul(b.exp(b.exp(x)), y))
+    with pytest.raises(OptimizerFailure, match="grid oracle"):
+        estimate_sensitivity(b.graph(), method="grid_oracle",
+                             config=OptimizerConfig(grid_resolution=41))
+
+
 def test_oracle_consistency_on_random_small_graphs(rng):
     agreements = 0
     for i in range(8):
@@ -271,9 +291,9 @@ def test_bound_covers_every_evaluated_point():
     seen = []
 
     def f(v):
-        value = float(np.sin(3 * v[0]) * np.cos(2 * v[1]) + 0.1 * v[0])
-        seen.append(value)
-        return value
+        values = np.sin(3 * v[:, 0]) * np.cos(2 * v[:, 1]) + 0.1 * v[:, 0]
+        seen.extend(values)
+        return values
 
     res = global_maximize(f, (np.array([-2.0, -2.0]), np.array([2.0, 2.0])))
     assert res.value == pytest.approx(max(seen))
@@ -407,3 +427,106 @@ def test_elementwise_queries_at_ten_thousand(graph, sup, ibp_bound):
     assert go.bound == pytest.approx(sup, rel=1e-12)
     ibp = estimate_sensitivity(graph, method="ibp")
     assert ibp.bound == pytest.approx(ibp_bound, rel=1e-12)
+
+
+# -- stacked evaluation ---------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(1, 5), (3, 4), (6, 1), (90, 80)],
+                         ids=["row", "matrix", "column", "power-iteration"])
+def test_stacked_sigma_equals_spectral_norm(shape, rng):
+    stack = rng.standard_normal((7,) + shape)
+    stack[3, 0, 0] = np.nan
+    sigmas = spectral_norms(stack)
+    assert sigmas.shape == (7,) and sigmas[3] == -np.inf
+    for i in (0, 1, 2, 4, 5, 6):
+        assert sigmas[i] == pytest.approx(spectral_norm(stack[i]), rel=1e-12, abs=0)
+
+
+def _x_log_x():
+    # d/dx x log x = log x + 1 runs Log, which traps for x <= 0
+    b = GraphBuilder()
+    x = b.input("x", (), bounds=(-1.0, 2.0))
+    b.output(b.mul(x, b.log(x)))
+    return b.graph()
+
+
+def test_out_of_domain_point_is_infeasible_alone():
+    g = _x_log_x()
+    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    stack = np.array([[0.5], [1.5], [-0.5], [2.0], [0.0], [1.0]])
+    values = obj(stack)
+    assert values[2] == values[4] == -np.inf
+    np.testing.assert_array_equal(values, [obj(v) for v in stack])
+    inside = [0, 1, 3, 5]
+    np.testing.assert_allclose(values[inside], np.abs(np.log(stack[inside, 0]) + 1),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [None, 5], ids=["one-chunk", "chunks-of-5"])
+@pytest.mark.parametrize("graph", ["affine", "random"])
+def test_grid_oracle_matches_a_per_point_loop(graph, budget, monkeypatch):
+    if graph == "affine":  # every value ties, so the first grid point wins
+        g = _affine()
+    else:
+        g = random_graph(np.random.default_rng(17), scalars_only=True, n_leaves=2,
+                         depth=4, smooth_only=True)
+    wrt = list(g.leaves())
+    cfg = OptimizerConfig(grid_resolution=31)
+    obj = _JacobianObjective(g, wrt, cfg)
+    if budget is not None:
+        monkeypatch.setattr(runtime, "BATCH_BYTES", budget * obj.program.point_bytes)
+    report = estimate_sensitivity(g, wrt=wrt, method="grid_oracle", config=cfg)
+    best, best_point = -np.inf, None
+    axes = [np.linspace(lo, hi, 31) for lo, hi in zip(obj.lo, obj.hi)]
+    for point in itertools.product(*axes):
+        v = np.asarray(point)
+        value = obj(v)
+        if value > best:
+            best, best_point = value, v
+    assert report.bound == best
+    for name, value in obj.unpack(best_point).items():
+        assert np.array_equal(report.argmax[name], value)
+
+
+def test_no_point_is_evaluated_twice(monkeypatch):
+    g = mlp_classifier(2)
+    seen = []
+    objective = _JacobianObjective.__call__
+    monkeypatch.setattr(_JacobianObjective, "__call__",
+                        lambda self, v: seen.extend(p.tobytes() for p in np.atleast_2d(v))
+                        or objective(self, v))
+    report = estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert len(seen) == len(set(seen)) == report.n_evaluations
+
+
+def test_phases_share_one_sobol_draw():
+    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 2.5])
+    cfg = OptimizerConfig(n_samples=16, max_corner_samples=4)  # corners drawn at random
+    phase_a, phase_b = _sample_points(lo, hi, cfg.n_samples, cfg)
+
+    def rows(points):
+        return {p.tobytes() for p in points}
+
+    sobol = qmc.Sobol(3, scramble=True, seed=cfg.seed).random(cfg.n_samples)
+    assert rows(lo + sobol * (hi - lo)) <= rows(phase_a) < rows(phase_b)
+    assert len(phase_b) - len(phase_a) == cfg.n_samples
+
+
+def test_gradient_fallback_is_logged(monkeypatch, caplog):
+    g = mlp_classifier(2)
+    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    v = np.full(obj.dim, 0.5)
+    want = obj.gradient(v)
+    execute = runtime.execute
+
+    def failing_vjp(program, inputs, **kwargs):
+        if program is obj._grad_program:
+            raise NumericalError("overflow in the test")
+        return execute(program, inputs, **kwargs)
+
+    monkeypatch.setattr(runtime, "execute", failing_vjp)
+    with caplog.at_level(logging.WARNING, logger="dpgraph"):
+        got = obj.gradient(v)
+    assert "finite differences" in caplog.text
+    assert "overflow in the test" in caplog.text
+    np.testing.assert_allclose(got, want, rtol=1e-5)

@@ -204,6 +204,15 @@ def test_privatize_fingerprint_mismatch(mean_setup):
         privatize(other, {"x": np.zeros((11, 1))}, params, report, seed=0)
 
 
+def test_privatize_refuses_stacked_data(mean_setup, rng):
+    # three records' worth of data would release three answers under a
+    # sigma sized for one
+    _, program, report = mean_setup
+    params = PrivacyParams(epsilon=1.0, delta=1e-5)
+    with pytest.raises(ShapeMismatch):
+        privatize(program, {"x": rng.uniform(0, 1, (3, 10, 1))}, params, report, seed=0)
+
+
 def test_privatize_cap_mode(mean_setup):
     _, program, report = mean_setup
     ok = PrivacyParams(epsilon=1.0, delta=1e-5, mode="max_sensitivity_cap",

@@ -12,6 +12,7 @@ from dpgraph import (
     ValidationFailed,
 )
 from dpgraph.autodiff import jacobian
+from dpgraph.graph import LEAF_KINDS, OpKind
 from dpgraph.models import mlp_classifier
 from dpgraph import runtime
 
@@ -329,3 +330,184 @@ def test_raises_exactly_where_the_reference_is_nonfinite(rng):
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
     assert raised >= 20 and finite >= 20
+
+
+# -- batched execution ---------------------------------------------------------
+
+def test_default_batch_shape_rejects_a_stacked_input():
+    # a leading axis of one would release one point's answer under the same
+    # shape rule that guards a release, so only an explicit batch_shape allows it
+    program = runtime.compile(mlp_classifier(2))
+    inputs = {}
+    for h in program.optimized_graph.leaves():
+        node = program.optimized_graph.nodes[h]
+        inputs[node.name] = np.zeros(node.shape.dims)
+    inputs["x"] = inputs["x"][None]
+    with pytest.raises(ShapeMismatch, match="'x'"):
+        runtime.execute(program, inputs)
+    runtime.execute(program, inputs, batch_shape=(1,))
+    with pytest.raises(ShapeMismatch, match="'x'"):
+        runtime.execute(program, inputs, batch_shape=(2,))
+
+
+def _stacked(graph, rng, n_points, wild):
+    """n_points values of each leaf, stacked, or at random one shared value."""
+    draw = _wild_inputs if wild else sample_inputs
+    points = [draw(graph, rng) for _ in range(n_points)]
+    inputs, stacked = {}, set()
+    for name in points[0]:
+        if rng.random() < 0.7:
+            inputs[name] = np.stack([p[name] for p in points])
+            stacked.add(name)
+        else:
+            inputs[name] = points[0][name]
+    return inputs, stacked
+
+
+def test_batched_execute_equals_per_point_execute(rng):
+    kinds = [k for k in OpKind if k not in LEAF_KINDS]
+    assert len(kinds) == 18
+    n_points = 6
+    compared = trapped = last_bit = 0
+    worst = 0.0
+    for i in range(4 * len(kinds)):
+        wild = i % 2 == 1
+        g = random_graph(rng, force_kinds=(kinds[i % len(kinds)],), wild=wild)
+        program = runtime.compile(g)
+        batch = (2, 3) if i % 4 == 0 else (n_points,)
+        flat, stacked = _stacked(g, rng, n_points, wild)
+        inputs = {name: v.reshape(batch + v.shape[1:]) if name in stacked else v
+                  for name, v in flat.items()}
+        per_point, failed = [], []
+        for j in range(n_points):
+            point = {name: v[j] if name in stacked else v for name, v in flat.items()}
+            try:
+                per_point.append(runtime.execute(program, point))
+            except NumericalError as err:
+                failed.append((j, str(err)))
+        if failed:
+            trapped += 1
+            with pytest.raises(NumericalError) as err:
+                runtime.execute(program, inputs, batch_shape=batch)
+            first, message = failed[0]
+            assert err.value.point == first
+            assert str(err.value).startswith(message)
+            continue
+        compared += 1
+        outs = runtime.execute(program, inputs, batch_shape=batch)
+        for out, dims in zip(outs, program.output_dims):
+            assert out.shape == batch + dims
+        for j, want in enumerate(per_point):
+            for out, w in zip(outs, want):
+                got = out.reshape((n_points,) + w.shape)[j]
+                if not np.array_equal(got, w):
+                    last_bit += 1
+                    scale = np.maximum(np.abs(w), np.finfo(float).tiny)
+                    worst = max(worst, float(np.max(np.abs(got - w) / scale)))
+    print(f"{compared} graphs compared, {trapped} trapped; {last_bit} point outputs "
+          f"differ from per-point execution, worst relative {worst:.1e}")
+    assert worst <= 1e-12
+    assert compared >= 30 and trapped >= 5
+
+
+def test_batched_scalars_lift_over_tensor_operands(rng):
+    # a declared scalar meets a (2, 2) tensor in Mul, Div and the cross-entropy;
+    # its Jacobian adds Concat with a shared zero block for the unused leaf
+    b = GraphBuilder()
+    s = b.input("s", (), bounds=(0.5, 1.0))
+    m = b.parameter("m", (2, 2), bounds=(0.0, 1.0))
+    b.parameter("unused", (3, 1), bounds=(-1.0, 1.0))
+    h = b.sigmoid(b.div(b.mul(s, m), s))
+    b.output(b.binary_cross_entropy(h, s))
+    b.output(b.sub(s, m))
+    g = b.graph()
+    jg = jacobian(g, [g.find("s"), g.find("m"), g.find("unused")])
+    for graph in (g, jg.graph):
+        program = runtime.compile(graph)
+        for shared in ([], ["s"], ["m"], ["unused"]):
+            stack = {"s": rng.uniform(0.5, 1.0, 5), "m": rng.uniform(0, 1, (5, 2, 2)),
+                     "unused": rng.uniform(-1, 1, (5, 3, 1))}
+            inputs = {k: v[0] if k in shared else v for k, v in stack.items()}
+            outs = runtime.execute(program, inputs, batch_shape=(5,))
+            for j in range(5):
+                point = {k: v if k in shared else v[j] for k, v in inputs.items()}
+                for out, want in zip(outs, runtime.execute(program, point)):
+                    np.testing.assert_array_equal(out[j], want)
+
+
+def test_batched_trap_names_the_node_and_the_point():
+    b = GraphBuilder()
+    x = b.input("x", (), bounds=(-10.0, 10.0))
+    b.output(b.build("Log", [x], name="badlog"))
+    program = runtime.compile(b.graph())
+    with pytest.raises(NumericalError, match="'badlog'.*point 5") as err:
+        runtime.execute(program, {"x": [1.0, 2.0, 3.0, 4.0, 5.0, -1.0, 7.0]},
+                        batch_shape=(7,))
+    assert err.value.point == 5
+    (out,) = runtime.execute(program, {"x": [1.0, 2.0]}, batch_shape=(2,))
+    np.testing.assert_array_equal(out, np.log([1.0, 2.0]))
+
+
+def test_batched_constant_output_is_broadcast():
+    # the Jacobian of a mean is a constant row, shared by every point
+    b = GraphBuilder()
+    x = b.input("x", (4, 1), bounds=(0.0, 1.0))
+    b.output(b.reduce_mean(x, axis=None))
+    g = b.graph()
+    program = runtime.compile(jacobian(g, [g.find("x")]).graph)
+    (j,) = runtime.execute(program, {"x": np.zeros((3, 2, 4, 1))}, batch_shape=(3, 2))
+    assert j.shape == (3, 2, 1, 4)
+    np.testing.assert_array_equal(j, np.full((3, 2, 1, 4), 0.25))
+
+
+def test_batches_run_in_chunks_under_the_byte_budget(monkeypatch):
+    program = runtime.compile(mlp_classifier(2))
+    rng = np.random.default_rng(3)
+    inputs = {}
+    for h in program.optimized_graph.leaves():
+        node = program.optimized_graph.nodes[h]
+        inputs[node.name] = rng.uniform(0.0, 1.0, (50,) + node.shape.dims)
+    (whole,) = runtime.execute(program, inputs, batch_shape=(50,))
+    monkeypatch.setattr(runtime, "BATCH_BYTES", 3 * program.point_bytes)
+    assert runtime.chunk_points(program) == 3
+    (chunked,) = runtime.execute(program, inputs, batch_shape=(50,))
+    np.testing.assert_array_equal(chunked, whole)
+
+
+# -- compile cache -------------------------------------------------------------
+
+def _scaled(alpha):
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=(0.0, 1.0))
+    b.output(b.sigmoid(b.mul(b.constant(alpha), x)))
+    return b.graph()
+
+
+def test_cache_info_counts_hits_misses_and_size(monkeypatch):
+    runtime.clear_cache()
+    assert runtime.cache_info() == (0, 0, 0)
+    g = _scaled(2.0)
+    runtime.compile(g)
+    assert runtime.cache_info() == (0, 1, 1)  # optimize leaves it as it is
+    runtime.compile(g)
+    assert runtime.cache_info() == (1, 1, 1)
+    # a graph that optimizes to g's program: a miss on its own key, then a
+    # hit on the program's fingerprint, and both keys held
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=(0.0, 1.0))
+    b.output(b.sigmoid(b.mul(b.mul(b.constant(2.0), x), b.constant(1.0))))
+    assert runtime.compile(b.graph()) is runtime.compile(g)
+    assert runtime.cache_info() == (3, 1, 2)
+
+    monkeypatch.setattr(runtime, "CACHE_SIZE", 3)
+    same_as_g = b.graph()
+    runtime.compile(_scaled(3.0))
+    runtime.compile(_scaled(4.0))  # drops same_as_g's key, the oldest
+    assert runtime.cache_info() == (3, 3, 3)
+    runtime.compile(g)
+    runtime.compile(same_as_g)  # its key again, found by fingerprint; drops 3.0
+    assert runtime.cache_info() == (5, 3, 3)
+    runtime.compile(_scaled(3.0))
+    assert runtime.cache_info() == (5, 4, 3)
+    runtime.clear_cache()
+    assert runtime.cache_info() == (0, 0, 0)
