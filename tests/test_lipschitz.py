@@ -17,14 +17,17 @@ from dpgraph import (
 from dpgraph.lipschitz import (
     OptimizerConfig,
     _JacobianObjective,
+    _Recorder,
+    _ascend,
+    _fd_gradient,
     _sample_points,
     estimate_sensitivity,
     global_maximize,
     spectral_norm,
     spectral_norm_with_vectors,
-    spectral_norms,
+    spectral_norms_with_vectors,
 )
-from dpgraph import runtime
+from dpgraph import lipschitz, runtime
 from dpgraph.models import mean_query, mlp_classifier
 from dpgraph.report import SensitivityReport
 
@@ -378,27 +381,33 @@ def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
     obj.gradient(np.zeros(obj.dim))  # builds the vjp program
     programs = []
     execute = runtime.execute
-    monkeypatch.setattr(runtime, "execute",
-                        lambda p, inputs: programs.append(p) or execute(p, inputs))
+    monkeypatch.setattr(runtime, "execute", lambda p, inputs, **kwargs:
+                        programs.append(p) or execute(p, inputs, **kwargs))
     rng = np.random.default_rng(8)
-    v = rng.uniform(obj.lo, obj.hi)
-    obj(v)
+    stack = rng.uniform(obj.lo, obj.hi, (5, obj.dim))
+    obj(stack)
     assert programs == [obj.program]
-    at_v = obj.gradient(v)
+    at_stack = obj.gradient(stack[[3, 1]])
     assert programs == [obj.program, obj._grad_program]
 
-    # a point other than the last one evaluated runs J again
-    w = rng.uniform(obj.lo, obj.hi)
+    # points outside the last stack get J in one batched execute for all of them
+    other = rng.uniform(obj.lo, obj.hi, (2, obj.dim))
+    mixed = np.stack([other[0], stack[0], other[1]])
     del programs[:]
-    at_w = obj.gradient(w)
+    at_mixed = obj.gradient(mixed)
     assert programs == [obj.program, obj._grad_program]
-    _assert_matches_central_differences(obj, w, at_w)
-    _assert_matches_central_differences(obj, v, at_v)
 
-    # the cache is keyed by value, not by the array the caller passed
-    obj(w)
-    w[:] = rng.uniform(obj.lo, obj.hi)
-    _assert_matches_central_differences(obj, w, obj.gradient(w))
+    # reusing the singular vectors changes no bit of the gradient
+    fresh = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    np.testing.assert_array_equal(at_stack, fresh.gradient(stack[[3, 1]]))
+    np.testing.assert_array_equal(at_mixed, fresh.gradient(mixed))
+    for v, grad in zip(mixed, at_mixed):
+        _assert_matches_central_differences(obj, v, grad)
+
+    # the vectors are keyed by value, not by the array the caller passed
+    obj(other)
+    other[:] = rng.uniform(obj.lo, obj.hi, other.shape)
+    _assert_matches_central_differences(obj, other[0], obj.gradient(other[0]))
 
 
 @pytest.mark.parametrize("graph", [_sum_sigmoid(64), mean_query(1000),
@@ -436,10 +445,15 @@ def test_elementwise_queries_at_ten_thousand(graph, sup, ibp_bound):
 def test_stacked_sigma_equals_spectral_norm(shape, rng):
     stack = rng.standard_normal((7,) + shape)
     stack[3, 0, 0] = np.nan
-    sigmas = spectral_norms(stack)
+    sigmas, us, ws = spectral_norms_with_vectors(stack)
     assert sigmas.shape == (7,) and sigmas[3] == -np.inf
+    assert us.shape == (7, shape[0]) and ws.shape == (7, shape[1])
+    assert not us[3].any() and not ws[3].any()
     for i in (0, 1, 2, 4, 5, 6):
-        assert sigmas[i] == pytest.approx(spectral_norm(stack[i]), rel=1e-12, abs=0)
+        sigma, u, w = spectral_norm_with_vectors(stack[i])
+        assert sigmas[i] == sigma
+        np.testing.assert_array_equal(us[i], u)
+        np.testing.assert_array_equal(ws[i], w)
 
 
 def _x_log_x():
@@ -530,3 +544,183 @@ def test_gradient_fallback_is_logged(monkeypatch, caplog):
     assert "finite differences" in caplog.text
     assert "overflow in the test" in caplog.text
     np.testing.assert_allclose(got, want, rtol=1e-5)
+
+
+def test_a_point_whose_gradient_traps_falls_back_alone(monkeypatch, caplog):
+    g = _x_log_x()
+    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    stack = np.array([[0.5], [-0.5], [1.5], [2.0]])  # J traps at -0.5
+    alone = np.array([obj.gradient(p) for p in stack[[0, 3]]])
+    execute = runtime.execute
+
+    def vjp_traps_at_one_and_a_half(program, inputs, **kwargs):
+        at = np.flatnonzero(np.ravel(inputs["x"]) == 1.5)
+        if program is obj._grad_program and at.size:
+            raise NumericalError("overflow in the test", point=int(at[0]))
+        return execute(program, inputs, **kwargs)
+
+    monkeypatch.setattr(runtime, "execute", vjp_traps_at_one_and_a_half)
+    with caplog.at_level(logging.WARNING, logger="dpgraph"):
+        grads = obj.gradient(stack)
+    assert grads[[0, 3]].tobytes() == alone.tobytes()
+    assert grads[1, 0] == 0.0  # both neighbours of -0.5 are infeasible too
+    assert grads[2, 0] == pytest.approx(1 / 1.5, rel=1e-5)  # |log x + 1|' by differences
+    assert len(caplog.records) == 2
+    assert "cannot be evaluated" in caplog.text and "overflow in the test" in caplog.text
+
+
+# -- lockstep ascent ------------------------------------------------------------
+
+def _recorder(objective, gradient, lo, hi):
+    """A recorder as global_maximize builds one."""
+    f = _Recorder(objective, gradient)
+    if gradient is None:
+        f.grad_fn = lambda xs: _fd_gradient(f, xs, lo, hi)
+    return f
+
+
+def _ascend_one_point(f, x0, lo, hi, config):
+    """Projected gradient ascent from one start, one point per evaluation:
+    the reference each start of the lockstep ascent must follow."""
+    x = np.clip(x0, lo, hi)
+    fx = f(x[None, :])[0]
+    if not np.isfinite(fx):
+        return x, fx
+    step = 0.25 * float(np.max(hi - lo)) or 1.0
+    flat_streak = 0
+    for _ in range(config.max_refine_iters):
+        g = f.gradients(x[None, :])[0]
+        norm_g = np.linalg.norm(g)
+        if norm_g == 0.0 or not np.isfinite(norm_g):
+            break
+        direction = g / norm_g
+        improved = False
+        s = step
+        for _ in range(30):
+            cand = np.clip(x + s * direction, lo, hi)
+            if np.array_equal(cand, x):
+                s *= 0.5
+                continue
+            fc = f(cand[None, :])[0]
+            if fc > fx:
+                gain = fc - fx
+                x, fx = cand, fc
+                step = min(s * 2.0, float(np.max(hi - lo)))
+                improved = True
+                flat_streak = flat_streak + 1 if gain <= config.value_tol * (1.0 + abs(fx)) else 0
+                break
+            s *= 0.5
+        if not improved or flat_streak >= 2:
+            break
+    return x, fx
+
+
+def _assert_lockstep_equals_one_start_at_a_time(objective, gradient, starts, lo, hi):
+    cfg = OptimizerConfig()
+    together = _recorder(objective, gradient, lo, hi)
+    x, fx = _ascend(together, starts, lo, hi, cfg)
+    visited = set()
+    for i, start in enumerate(starts):
+        alone = _recorder(objective, gradient, lo, hi)
+        xi, fxi = _ascend(alone, start[None, :], lo, hi, cfg)
+        assert xi[0].tobytes() == x[i].tobytes()
+        assert fxi[0].tobytes() == fx[i].tobytes()
+        visited |= set(alone.values)
+        reference = _recorder(objective, gradient, lo, hi)
+        xr, fxr = _ascend_one_point(reference, start, lo, hi, cfg)
+        assert xr.tobytes() == x[i].tobytes() and fxr == fx[i]
+        assert set(reference.values) == set(alone.values)
+    assert set(together.values) == visited
+    return x, fx
+
+
+def test_lockstep_ascent_follows_each_start_on_mlp3(monkeypatch):
+    g = mlp_classifier(3)
+    starts = []
+    ascend = lipschitz._ascend
+    monkeypatch.setattr(lipschitz, "_ascend", lambda f, s, *args:
+                        starts.append(np.array(s)) or ascend(f, s, *args))
+    estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    monkeypatch.undo()
+    assert len(starts) == 2 and len(starts[0]) > 1  # one stack per phase
+    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    _assert_lockstep_equals_one_start_at_a_time(obj, obj.gradient, starts[0],
+                                                obj.lo, obj.hi)
+
+
+def _terrain(v):
+    # infeasible for x < -0.8, flat for y < -0.7, rising to the corner (1, 1)
+    x, y = v[:, 0], v[:, 1]
+    hills = x + y + 0.5 * np.sin(3 * x) * np.cos(2 * y)
+    return np.where(x < -0.8, np.nan, np.where(y < -0.7, 0.0, hills))
+
+
+def test_lockstep_ascent_follows_each_start_with_finite_differences():
+    lo, hi = -np.ones(2), np.ones(2)
+    starts = np.array([
+        [0.1, 0.2], [-0.5, 0.5], [0.3, -0.3], [0.1, 0.2],  # a start twice
+        [-0.9, 0.0],   # infeasible
+        [0.0, -0.9],   # on the plateau: zero gradient
+        [1.0, 1.0],    # a corner whose gradient points out of the box
+        [0.6, -0.6],
+    ])
+    x, fx = _assert_lockstep_equals_one_start_at_a_time(_terrain, None, starts, lo, hi)
+    assert fx[4] == -np.inf and np.array_equal(x[4], starts[4])
+    assert np.array_equal(x[5], starts[5]) and np.array_equal(x[6], starts[6])
+    assert fx[0] > _terrain(starts[:1])[0]
+
+
+def test_global_opt_takes_one_gradient_call_per_iteration(monkeypatch):
+    g = mlp_classifier(3)
+    calls = []
+    gradient = _JacobianObjective.gradient
+    monkeypatch.setattr(_JacobianObjective, "gradient",
+                        lambda self, v: calls.append(len(v)) or gradient(self, v))
+    cfg = OptimizerConfig()
+    estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt", config=cfg)
+    assert 0 < len(calls) <= 2 * cfg.max_refine_iters
+    assert max(calls) > 1
+
+
+def _fd_one_point_at_a_time(f, x, lo, hi, rel_step=1e-6):
+    """Central differences at one point, one objective call per row."""
+    g = np.zeros_like(x)
+    span = np.maximum(hi - lo, 1.0)
+    for i in range(x.size):
+        h = rel_step * span[i]
+        xp, xm = x.copy(), x.copy()
+        xp[i] = min(x[i] + h, hi[i])
+        xm[i] = max(x[i] - h, lo[i])
+        dx = xp[i] - xm[i]
+        if dx == 0.0:
+            continue
+        fp, fm = f(xp[None, :])[0], f(xm[None, :])[0]
+        if np.isfinite(fp) and np.isfinite(fm):
+            g[i] = (fp - fm) / dx
+    return g
+
+
+@pytest.mark.parametrize("pairs_per_call", [None, 5], ids=["one-call", "chunks-of-5"])
+def test_stacked_finite_differences_equal_a_per_point_loop(pairs_per_call, monkeypatch):
+    if pairs_per_call is not None:  # 16 bytes per coordinate of a +- pair
+        monkeypatch.setattr(runtime, "BATCH_BYTES", pairs_per_call * 16 * 4)
+
+    def objective(v):
+        calls.append(len(v))
+        return _terrain(v[:, :2]) + v[:, 2] ** 3
+
+    lo, hi = np.array([-1.0, -1.0, 0.5, 2.0]), np.array([1.0, 1.0, 3.0, 2.0])
+    points = np.array([[0.1, 0.2, 1.0, 2.0],
+                       [1.0, -0.2, 0.5, 2.0],    # on two faces
+                       [-0.8, 0.3, 2.0, 2.0],    # one side infeasible
+                       [0.4, -0.7, 3.0, 2.0]])   # the plateau's edge
+    calls = []
+    stacked = _Recorder(objective)
+    got = _fd_gradient(stacked, points, lo, hi)
+    assert len(calls) == (1 if pairs_per_call is None else 3)  # 12 pairs
+    per_point = _Recorder(objective)
+    want = np.array([_fd_one_point_at_a_time(per_point, p, lo, hi) for p in points])
+    assert got.tobytes() == want.tobytes()
+    assert list(stacked.values) == list(per_point.values)
+    assert got[2, 0] == 0.0 and got[0, 0] != 0.0
+    assert not got[:, 3].any()  # the zero-width coordinate is skipped
