@@ -34,6 +34,19 @@ _ANALYSIS_ERRORS = (OptimizerFailure, NumericalError, DimensionTooLarge,
                     FingerprintMismatch, NonFinite)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its usage errors
+    return parse
+
+
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -239,8 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="ibp,global_opt",
                    help="comma list from ibp,global_opt,grid_oracle")
     p.add_argument("--out", default=None, help="report JSON path")
-    p.add_argument("--seed", type=int, default=0, help="optimizer sampling seed")
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="optimizer sampling seed")
+    p.add_argument("--samples", type=_int_at_least(1), default=128)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("run", help="execute a model with privatized output")
@@ -249,12 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=CSV", help="repeatable; bare path if one tensor")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None, help="noise seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="noise seed")
     p.add_argument("--cap", type=float, default=None,
                    help="refuse when the sensitivity bound exceeds this cap")
     p.add_argument("--analysis", default=None,
                    help="reuse a fingerprint-matched analysis report")
-    p.add_argument("--optimizer-seed", type=int, default=0)
+    p.add_argument("--optimizer-seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None, help="output JSON path")
     p.set_defaults(fn=cmd_run)
 

@@ -15,6 +15,11 @@ sampling phase, and each chunk of the grid oracle, is one batched
 lockstep: each iteration takes one stacked gradient of the starts still
 climbing, and each halving of the line search evaluates one stack of the
 starts still searching, so every start visits the points it would visit alone.
+The Jacobian objective keeps one point memo: the top singular vectors of J at
+every feasible point it evaluates, keyed by the bytes of the point. A gradient
+at a point the objective has evaluated runs only the vector-Jacobian product;
+J runs again only at points never evaluated. The grid oracle, which takes no
+gradients, bypasses the memo.
 """
 
 from __future__ import annotations
@@ -65,21 +70,18 @@ def spectral_norm(matrix) -> float:
 
 def spectral_norm_with_vectors(matrix) -> tuple[float, np.ndarray, np.ndarray]:
     """(sigma, u, v) with sigma = u^T M v the largest singular triple."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim < 2:
-        m = np.atleast_2d(m)
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix contains NaN or Inf")
-    if min(m.shape) <= _SVD_MAX_SIDE:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        return float(s[0]), u[:, 0], vt[0]
-    return _power_iteration(m)
+    sigmas, us, ws = spectral_norms_with_vectors(m[None])
+    return float(sigmas[0]), us[0], ws[0]
 
 
 def spectral_norms_with_vectors(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma, u, w) of each matrix of a (k, R, C) stack, each equal bit for
-    bit to `spectral_norm_with_vectors` of it; sigma is -inf, with zero
-    vectors, for a matrix holding NaN or Inf."""
+    """(sigma, u, w) of each matrix of a (k, R, C) stack, by SVD when a side
+    is at most `_SVD_MAX_SIDE` and by power iteration otherwise; sigma is
+    -inf, with zero vectors, for a matrix holding NaN or Inf. A matrix gets
+    the same bits in any stack."""
     ms = np.asarray(stack, dtype=np.float64)
     k, rows, cols = ms.shape
     sigmas, us, ws = np.full(k, -np.inf), np.zeros((k, rows)), np.zeros((k, cols))
@@ -127,22 +129,29 @@ def _power_iteration(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # optimizer configuration
 
+# The search policy, fixed for every call.
+MAX_STARTS = 16            # ascent starts per sampling phase
+MAX_REFINE_ITERS = 100     # ascent iterations per phase
+VALUE_TOL = 1e-9           # relative gain below which an ascent step is flat
+CERTIFICATE_RTOL = 1e-4    # relative gap at which two stationary values differ
+MAX_CORNER_SAMPLES = 64    # box corners sampled; all of them up to 2^6
+GRID_DIM_CAP = 4           # free scalars the grid oracle accepts
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the global maximizer and the grid oracle."""
+    """What a caller chooses for the global maximizer and the grid oracle."""
 
-    n_samples: int = 128          # initial low-discrepancy samples
-    max_starts: int = 16          # refinement starts per phase
-    max_refine_iters: int = 100
+    n_samples: int = 128          # low-discrepancy samples of the first phase
     seed: int = 0
-    value_tol: float = 1e-9
-    certificate_rtol: float = 1e-4
     grid_resolution: int = 201
-    grid_dim_cap: int = 4
-    include_corners: bool = True
-    max_corner_samples: int = 64
     freeze: Mapping | None = None  # tensor name -> fixed value, removed from the box
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
+        if self.n_samples < 1:
+            raise InvalidParams(f"n_samples must be at least 1, got {self.n_samples}")
 
 
 class MaximizeResult(NamedTuple):
@@ -247,7 +256,7 @@ def _fd_gradient(f, xs, lo, hi, rel_step=1e-6):
     return g
 
 
-def _ascend(f: _Recorder, starts, lo, hi, config: OptimizerConfig):
+def _ascend(f: _Recorder, starts, lo, hi):
     """Projected gradient ascent from each row of a (k, d) stack of starts,
     in lockstep. Each start keeps its own point, value, step and streak of
     flat gains, so it follows the path it would follow alone; each iteration
@@ -260,7 +269,7 @@ def _ascend(f: _Recorder, starts, lo, hi, config: OptimizerConfig):
     step = np.full(len(x), 0.25 * width or 1.0)
     flat_streak = np.zeros(len(x), dtype=int)
     climbing = np.flatnonzero(np.isfinite(fx))
-    for _ in range(config.max_refine_iters):
+    for _ in range(MAX_REFINE_ITERS):
         if climbing.size == 0:
             break
         g = f.gradients(x[climbing])
@@ -286,7 +295,7 @@ def _ascend(f: _Recorder, starts, lo, hi, config: OptimizerConfig):
             gain = fc[better] - fx[won]
             x[won], fx[won] = cand[better], fc[better]
             step[won] = np.minimum(s[rows[better]] * 2.0, width)
-            flat = gain <= config.value_tol * (1.0 + np.abs(fx[won]))
+            flat = gain <= VALUE_TOL * (1.0 + np.abs(fx[won]))
             flat_streak[won] = np.where(flat, flat_streak[won] + 1, 0)
             searching[rows[better]] = False
             s[rows[~better]] *= 0.5
@@ -294,23 +303,20 @@ def _ascend(f: _Recorder, starts, lo, hi, config: OptimizerConfig):
     return x, fx
 
 
-def _sample_points(lo, hi, n, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Phase A's and phase B's point sets from one scrambled Sobol draw of 2n
-    points: A takes the first n, B all 2n, and both the midpoint and the
-    corners, which are drawn once."""
-    d = lo.size
+def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Phase A's and phase B's point sets from one scrambled Sobol draw of
+    2n points, n = config.n_samples: A takes the first n, B all 2n, and both
+    the midpoint and the corners, which are drawn once."""
+    d, n = lo.size, config.n_samples
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         unit = qmc.Sobol(d, scramble=True, seed=config.seed).random(2 * n)
-    extra = [(lo + hi)[None, :] / 2.0]
-    if config.include_corners:
-        if 2 ** d <= config.max_corner_samples:
-            corners = np.array(list(itertools.product(*zip(lo, hi))))
-        else:
-            rng = np.random.default_rng(config.seed + 1)
-            picks = rng.integers(0, 2, size=(config.max_corner_samples, d))
-            corners = np.where(picks == 0, lo, hi)
-        extra.append(corners)
+    if 2 ** d <= MAX_CORNER_SAMPLES:
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+    else:
+        rng = np.random.default_rng(config.seed + 1)
+        corners = np.where(rng.integers(0, 2, size=(MAX_CORNER_SAMPLES, d)) == 0, lo, hi)
+    extra = [(lo + hi)[None, :] / 2.0, corners]
 
     def point_set(u):
         return np.unique(np.concatenate([lo + u * (hi - lo)] + extra, axis=0), axis=0)
@@ -377,16 +383,15 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
             candidates = np.flatnonzero(is_star_max)
         else:
             candidates = np.flatnonzero(feasible)
-        order = candidates[np.argsort(-vals[candidates])][:config.max_starts]
-        _, refined = _ascend(f, pts[order], lo, hi, config)
+        order = candidates[np.argsort(-vals[candidates])][:MAX_STARTS]
+        _, refined = _ascend(f, pts[order], lo, hi)
         refined_vals = [float(v) for v in refined if np.isfinite(v)]
         if not refined_vals:
             best = float(np.max(vals[feasible]))
             return best, 1
-        return max(refined_vals), _value_groups(refined_vals,
-                                                config.certificate_rtol)
+        return max(refined_vals), _value_groups(refined_vals, CERTIFICATE_RTOL)
 
-    pts_a, pts_b = _sample_points(lo, hi, config.n_samples, config)
+    pts_a, pts_b = _sample_points(lo, hi, config)
     best_a, groups_a = run_phase(pts_a)
     best_b, groups_b = run_phase(pts_b)
     if f.best_point is None:
@@ -395,7 +400,7 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     stable = bool(
         groups_a == groups_b
         and np.isfinite(best_a) and np.isfinite(best_b)
-        and abs(best_a - best_b) <= config.certificate_rtol * max(1.0, abs(best_b))
+        and abs(best_a - best_b) <= CERTIFICATE_RTOL * max(1.0, abs(best_b))
     )
     warning = None
     if not stable:
@@ -450,14 +455,9 @@ class _JacobianObjective:
             pos += size
         self._grad_program = None
         self._cotangent = ""
-        # the feasible points of the last stack evaluated, the top singular
-        # vectors of J at them, and a map from the hash of each point's bytes
-        # to its row, built by the first gradient that needs it: stacks that
-        # no gradient follows (the grid oracle's) are never hashed
-        rows, cols = self.program.output_dims[0]
-        self._last = np.zeros((0, self.dim))
-        self._u, self._w = np.zeros((0, rows)), np.zeros((0, cols))
-        self._rows: dict[int, int] | None = None
+        # the bytes of each feasible point evaluated -> the top singular
+        # vectors (u, w) of J there
+        self._vectors: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def dim(self) -> int:
@@ -479,28 +479,15 @@ class _JacobianObjective:
 
         The stack is evaluated by batched executes in chunks of
         `runtime.chunk_points` and one stacked SVD per chunk; the top
-        singular vectors of J at its points are kept for `gradient`.
+        singular vectors of J at its feasible points are kept for `gradient`.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
             return float(self(v[None, :])[0])
         values, u, w = self._triples(v)
-        # a boolean index copies: the caller may write to v before a gradient
-        feasible = np.isfinite(values)
-        self._last, self._u, self._w = v[feasible], u[feasible], w[feasible]
-        self._rows = None
+        for i in np.flatnonzero(np.isfinite(values)):
+            self._vectors[v[i].tobytes()] = u[i], w[i]
         return values
-
-    def _row_of(self, p: np.ndarray) -> int:
-        """The row of the last stack evaluated that holds p bit for bit, or
-        -1. Python's hash of the bytes, checked against the row on lookup,
-        keys a 10^3-dimensional stack in a fifth of the time of the blake2b
-        digests of `_point_key`."""
-        if self._rows is None:
-            self._rows = {hash(q.tobytes()): i for i, q in enumerate(self._last)}
-        key = p.tobytes()
-        row = self._rows.get(hash(key), -1)
-        return row if row >= 0 and self._last[row].tobytes() == key else -1
 
     def _triples(self, stack: np.ndarray):
         """(sigma, u, w) of J at each point of a stack. A point that traps is
@@ -532,12 +519,11 @@ class _JacobianObjective:
         simple; where it is repeated, the result is the derivative along
         the singular pair that the decomposition returned.
 
-        At the points of the stack the objective evaluated last, the
-        singular vectors are reused, so only the vector-Jacobian product
-        program runs, once per chunk of `runtime.chunk_points`; the other
-        points get J in one batched evaluation first. A point where the
-        graph gradient cannot be evaluated falls back to finite differences
-        alone.
+        At points the objective has evaluated, the singular vectors are
+        reused, so only the vector-Jacobian product program runs, once per
+        chunk of `runtime.chunk_points`; the other points get J in one
+        batched evaluation first. A point where the graph gradient cannot be
+        evaluated falls back to finite differences alone.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
@@ -548,12 +534,17 @@ class _JacobianObjective:
                 g, [g.find(name) for name, _ in self.free])
             self._grad_program = runtime.compile(grad_graph)
         k = len(v)
-        at_row = np.array([self._row_of(p) for p in v], dtype=int)
-        known, missing = at_row >= 0, np.flatnonzero(at_row < 0)
-        u, w = np.empty((k, self._u.shape[1])), np.empty((k, self._w.shape[1]))
-        u[known], w[known] = self._u[at_row[known]], self._w[at_row[known]]
+        rows, cols = self.program.output_dims[0]
+        u, w = np.empty((k, rows)), np.empty((k, cols))
+        missing = []
+        for i, p in enumerate(v):
+            vectors = self._vectors.get(p.tobytes())
+            if vectors is None:
+                missing.append(i)
+            else:
+                u[i], w[i] = vectors
         failed: dict[int, object] = {}  # point -> why its graph gradient failed
-        if missing.size:
+        if missing:
             sigmas, u[missing], w[missing] = self._triples(v[missing])
             failed = {i: "the Jacobian cannot be evaluated there"
                       for i, sigma in zip(missing, sigmas) if not np.isfinite(sigma)}
@@ -627,6 +618,9 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
         wrt = list(graph.private_inputs) or list(graph.leaves())
     else:
         wrt = list(wrt)
+    for name in config.freeze or ():
+        if graph.nodes[graph.find(name)].kind not in (OpKind.INPUT, OpKind.PARAMETER):
+            raise InvalidParams(f"cannot freeze non-leaf node '{name}'")
 
     t0 = time.perf_counter()
     fingerprint = runtime.graph_fingerprint(graph)
@@ -642,14 +636,14 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
     objective = _JacobianObjective(graph, wrt, config)
 
     if method == "grid_oracle":
-        if objective.dim > config.grid_dim_cap:
+        if objective.dim > GRID_DIM_CAP:
             raise DimensionTooLarge(
-                f"grid oracle supports at most {config.grid_dim_cap} free "
+                f"grid oracle supports at most {GRID_DIM_CAP} free "
                 f"scalar variables, domain has {objective.dim}")
         best_val, best_pt = -np.inf, None
         for chunk in _grid_chunks(objective.lo, objective.hi, config.grid_resolution,
                                   runtime.chunk_points(objective.program)):
-            vals = objective(chunk)
+            vals = objective._triples(chunk)[0]
             i = int(np.argmax(vals))  # the first of equal values, as in row order
             if vals[i] > best_val:
                 best_val, best_pt = vals[i], chunk[i]
@@ -675,8 +669,5 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
 def _freeze_bounds(graph: Graph, freeze: Mapping) -> Graph:
     bounds = graph.bounds.copy()
     for name, value in freeze.items():
-        h = graph.find(name)
-        if graph.nodes[h].kind not in (OpKind.INPUT, OpKind.PARAMETER):
-            raise InvalidParams(f"cannot freeze non-leaf node '{name}'")
-        bounds.set(h, value, value)
+        bounds.set(graph.find(name), value, value)
     return replace(graph, bounds=bounds)

@@ -164,6 +164,8 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
 
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) % (2 ** 63)
+    elif seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
 
     graph = program.optimized_graph
     clipped_inputs: dict[str, np.ndarray] = {}

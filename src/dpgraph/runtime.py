@@ -242,27 +242,24 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
     )
 
 
-def compile(graph: Graph, use_cache: bool = True) -> CompiledProgram:
+def compile(graph: Graph) -> CompiledProgram:
     """Compile a graph to an executable program; identical graphs hit the cache."""
     t0 = time.perf_counter()
     raw_key = content_hash(graph)
-    if use_cache:
-        hit = _cache_get(raw_key)
-        if hit is not None:
-            return hit
+    hit = _cache_get(raw_key)
+    if hit is not None:
+        return hit
     diags = graph.validate()
     if diags:
         raise ValidationFailed(diags)
     opt = optimize(graph)
     fingerprint = content_hash(opt)
-    program = _cache_get(fingerprint) if use_cache else None
+    program = _cache_get(fingerprint)
     if program is None:
         program = _linearize(graph, opt, fingerprint, t0)
-        if use_cache:
-            with _CACHE_LOCK:
-                _CACHE_STATS["misses"] += 1
-    if use_cache:
-        _cache_put(program, raw_key, fingerprint)
+        with _CACHE_LOCK:
+            _CACHE_STATS["misses"] += 1
+    _cache_put(program, raw_key, fingerprint)
     return program
 
 

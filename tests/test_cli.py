@@ -150,6 +150,32 @@ def test_analyze_validation_failure(tmp_path, capsys):
     assert "bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seed", "-1"],
+    ["analyze", "--samples", "-4"],
+    ["analyze", "--samples", "0"],
+    ["run", "--seed", "-3"],
+    ["run", "--optimizer-seed", "-3"],
+], ids=["analyze-seed", "analyze-negative-samples", "analyze-no-samples",
+        "run-seed", "run-optimizer-seed"])
+def test_negative_seeds_and_sample_counts_are_usage_errors(tmp_path, argv):
+    model = _write(tmp_path, "mean.json", MEAN_MODEL)
+    csv = _write_csv(tmp_path, "x.csv", np.full((10, 1), 0.5))
+    out = tmp_path / "out.json"
+    command, *options = argv
+    if command == "run":
+        options += ["--data", f"x={csv}", "--epsilon", "1.0", "--delta", "1e-5"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", command, "--model", str(model),
+         "--out", str(out), *options],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ")
+    assert f"argument {options[0]}: must be at least" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # -- run ----------------------------------------------------------------------
 
 def _run_mean(tmp_path, data, seed="42", extra=()):

@@ -13,6 +13,7 @@ from dpgraph import (
     NonFinite,
     NumericalError,
     OptimizerFailure,
+    UnknownNode,
 )
 from dpgraph.lipschitz import (
     OptimizerConfig,
@@ -199,6 +200,32 @@ def test_freeze_removes_coordinates():
     report = estimate_sensitivity(g, method="global_opt", config=cfg)
     assert report.bound == pytest.approx(2.5, abs=1e-9)
     assert report.argmax["w"] == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("method", lipschitz.METHODS)
+def test_freeze_names_are_checked_for_every_method(method):
+    b = GraphBuilder()
+    x = b.input("x", (), bounds=(0.0, 1.0))
+    w = b.parameter("w", (), bounds=(1.0, 3.0))
+    b.output(b.mul(w, b.mul(b.constant(1.0, name="one"), x)))
+    g = b.graph()
+
+    def bound(freeze):
+        config = OptimizerConfig(freeze=freeze, grid_resolution=21)
+        return estimate_sensitivity(g, method=method, config=config).bound
+
+    with pytest.raises(UnknownNode):
+        bound({"W": 2.0})
+    with pytest.raises(InvalidParams, match="non-leaf"):
+        bound({"one": 2.0})
+    assert bound({"w": 2.0}) == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("fields", [{"seed": -1}, {"n_samples": 0}, {"n_samples": -4}],
+                         ids=["seed", "no-samples", "negative-samples"])
+def test_config_rejects_negative_seeds_and_sample_counts(fields):
+    with pytest.raises(InvalidParams):
+        OptimizerConfig(**fields)
 
 
 def test_polynomial_derivative_bound_matches_dense_grid():
@@ -502,6 +529,30 @@ def test_grid_oracle_matches_a_per_point_loop(graph, budget, monkeypatch):
         assert np.array_equal(report.argmax[name], value)
 
 
+def test_no_gradient_runs_the_jacobian_during_global_opt(monkeypatch):
+    # every ascent point, a phase-B start found in phase A too, was evaluated
+    # before its gradient, so each gradient runs only the vector-Jacobian product
+    g = mlp_classifier(2)
+    jacobian_programs, in_gradient, run_in_gradient = [], [False], []
+    gradient, execute = _JacobianObjective.gradient, runtime.execute
+
+    def marked(self, v):
+        jacobian_programs.append(self.program)
+        in_gradient[0] = True
+        try:
+            return gradient(self, v)
+        finally:
+            in_gradient[0] = False
+
+    monkeypatch.setattr(_JacobianObjective, "gradient", marked)
+    monkeypatch.setattr(runtime, "execute", lambda p, inputs, **kwargs:
+                        (in_gradient[0] and run_in_gradient.append(p))
+                        or execute(p, inputs, **kwargs))
+    estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert jacobian_programs and run_in_gradient
+    assert all(p is not jacobian_programs[0] for p in run_in_gradient)
+
+
 def test_no_point_is_evaluated_twice(monkeypatch):
     g = mlp_classifier(2)
     seen = []
@@ -514,14 +565,16 @@ def test_no_point_is_evaluated_twice(monkeypatch):
 
 
 def test_phases_share_one_sobol_draw():
-    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 2.5])
-    cfg = OptimizerConfig(n_samples=16, max_corner_samples=4)  # corners drawn at random
-    phase_a, phase_b = _sample_points(lo, hi, cfg.n_samples, cfg)
+    lo = np.array([-1.0, 0.0, 2.0, -3.0, 0.5, 1.0, -2.0])
+    hi = np.array([1.0, 3.0, 2.5, -1.0, 0.75, 4.0, 2.0])
+    assert 2 ** lo.size > lipschitz.MAX_CORNER_SAMPLES  # corners drawn at random
+    cfg = OptimizerConfig(n_samples=16)
+    phase_a, phase_b = _sample_points(lo, hi, cfg)
 
     def rows(points):
         return {p.tobytes() for p in points}
 
-    sobol = qmc.Sobol(3, scramble=True, seed=cfg.seed).random(cfg.n_samples)
+    sobol = qmc.Sobol(lo.size, scramble=True, seed=cfg.seed).random(cfg.n_samples)
     assert rows(lo + sobol * (hi - lo)) <= rows(phase_a) < rows(phase_b)
     assert len(phase_b) - len(phase_a) == cfg.n_samples
 
@@ -579,7 +632,7 @@ def _recorder(objective, gradient, lo, hi):
     return f
 
 
-def _ascend_one_point(f, x0, lo, hi, config):
+def _ascend_one_point(f, x0, lo, hi):
     """Projected gradient ascent from one start, one point per evaluation:
     the reference each start of the lockstep ascent must follow."""
     x = np.clip(x0, lo, hi)
@@ -588,7 +641,7 @@ def _ascend_one_point(f, x0, lo, hi, config):
         return x, fx
     step = 0.25 * float(np.max(hi - lo)) or 1.0
     flat_streak = 0
-    for _ in range(config.max_refine_iters):
+    for _ in range(lipschitz.MAX_REFINE_ITERS):
         g = f.gradients(x[None, :])[0]
         norm_g = np.linalg.norm(g)
         if norm_g == 0.0 or not np.isfinite(norm_g):
@@ -607,7 +660,8 @@ def _ascend_one_point(f, x0, lo, hi, config):
                 x, fx = cand, fc
                 step = min(s * 2.0, float(np.max(hi - lo)))
                 improved = True
-                flat_streak = flat_streak + 1 if gain <= config.value_tol * (1.0 + abs(fx)) else 0
+                flat_streak = (flat_streak + 1
+                               if gain <= lipschitz.VALUE_TOL * (1.0 + abs(fx)) else 0)
                 break
             s *= 0.5
         if not improved or flat_streak >= 2:
@@ -616,18 +670,17 @@ def _ascend_one_point(f, x0, lo, hi, config):
 
 
 def _assert_lockstep_equals_one_start_at_a_time(objective, gradient, starts, lo, hi):
-    cfg = OptimizerConfig()
     together = _recorder(objective, gradient, lo, hi)
-    x, fx = _ascend(together, starts, lo, hi, cfg)
+    x, fx = _ascend(together, starts, lo, hi)
     visited = set()
     for i, start in enumerate(starts):
         alone = _recorder(objective, gradient, lo, hi)
-        xi, fxi = _ascend(alone, start[None, :], lo, hi, cfg)
+        xi, fxi = _ascend(alone, start[None, :], lo, hi)
         assert xi[0].tobytes() == x[i].tobytes()
         assert fxi[0].tobytes() == fx[i].tobytes()
         visited |= set(alone.values)
         reference = _recorder(objective, gradient, lo, hi)
-        xr, fxr = _ascend_one_point(reference, start, lo, hi, cfg)
+        xr, fxr = _ascend_one_point(reference, start, lo, hi)
         assert xr.tobytes() == x[i].tobytes() and fxr == fx[i]
         assert set(reference.values) == set(alone.values)
     assert set(together.values) == visited
@@ -676,9 +729,8 @@ def test_global_opt_takes_one_gradient_call_per_iteration(monkeypatch):
     gradient = _JacobianObjective.gradient
     monkeypatch.setattr(_JacobianObjective, "gradient",
                         lambda self, v: calls.append(len(v)) or gradient(self, v))
-    cfg = OptimizerConfig()
-    estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt", config=cfg)
-    assert 0 < len(calls) <= 2 * cfg.max_refine_iters
+    estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert 0 < len(calls) <= 2 * lipschitz.MAX_REFINE_ITERS
     assert max(calls) > 1
 
 

@@ -204,6 +204,13 @@ def test_privatize_fingerprint_mismatch(mean_setup):
         privatize(other, {"x": np.zeros((11, 1))}, params, report, seed=0)
 
 
+def test_privatize_refuses_a_negative_seed(mean_setup):
+    _, program, report = mean_setup
+    params = PrivacyParams(epsilon=1.0, delta=1e-5)
+    with pytest.raises(InvalidParams, match="seed"):
+        privatize(program, {"x": np.zeros((10, 1))}, params, report, seed=-3)
+
+
 def test_privatize_refuses_stacked_data(mean_setup, rng):
     # three records' worth of data would release three answers under a
     # sigma sized for one

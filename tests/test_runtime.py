@@ -105,7 +105,8 @@ def test_cached_and_cold_compiles_agree(rng):
     runtime.clear_cache()
     cached = runtime.compile(g)
     cached_again = runtime.compile(g)
-    cold = runtime.compile(g, use_cache=False)
+    runtime.clear_cache()
+    cold = runtime.compile(g)
     assert cached_again is cached
     assert cold is not cached
     assert cold.fingerprint == cached.fingerprint
