@@ -1,9 +1,10 @@
 """Reverse-mode differentiation as graph-to-graph transforms.
 
-Both transforms share one reverse sweep (`_ReverseSweep`): a forward copy of
-the source graph, then backward passes over that copy, each seeded with a
-cotangent handle for one output. Derivative rules are registered per node
-kind in `VJP_RULES`, so a new operation only needs a table entry.
+Both transforms share one reverse sweep (`_ReverseSweep`), which extends the
+source graph: its builder starts with the source's nodes, roles and bounds,
+and each backward pass appended to it is seeded with a cotangent handle for
+one output. Derivative rules are registered per node kind in `VJP_RULES`, so
+a new operation only needs a table entry.
 
 * `jacobian` runs one pass per scalar output element, seeded with a one-hot
   constant; each pass yields one row of the Jacobian of the flattened
@@ -71,10 +72,9 @@ def _shape(nb: GraphBuilder, h: int) -> TensorShape:
     return nb._nodes[h].shape
 
 
-# Each rule receives the builder for the new graph, the original node, its
-# already-copied input handles, and the adjoint handle (same shape as the
-# node). It returns one cotangent handle per input; None means identically
-# zero.
+# Each rule receives the builder that extends the source graph, the source
+# node, its input handles, and the adjoint handle (same shape as the node).
+# It returns one cotangent handle per input; None means identically zero.
 
 
 def _vjp_add(nb, node, ins, adj):
@@ -253,11 +253,12 @@ def _descendants(graph: Graph, roots: set[int]) -> set[int]:
 
 
 class _ReverseSweep:
-    """A forward copy of `graph` in a new builder, and reverse sweeps over it.
+    """Reverse passes appended to the source graph.
 
-    The copy keeps every leaf of the source (same names, roles, and bounds)
-    and every node an output reaches; `mapping` takes source handles to
-    copied ones. Each `backward` call appends one reverse pass to `nb`.
+    `nb` starts with every node, name, role and bound of `graph` but none of
+    its outputs, so a source handle is also a handle of the result. Each
+    `backward` call appends one reverse pass to `nb`; `optimize` later drops
+    the source nodes that no output of the result reaches.
     """
 
     def __init__(self, graph: Graph, wrt):
@@ -276,25 +277,7 @@ class _ReverseSweep:
                 raise NonDifferentiable(f"no derivative rule for {node.kind.value}")
 
         self.graph = graph
-        self.nb = nb = GraphBuilder()
-        self.mapping: dict[int, int] = {}
-        self.reachable = graph.ancestors(graph.outputs)
-        for node in graph.nodes:
-            if node.kind is OpKind.INPUT:
-                b = graph.bounds.get(node.id)
-                self.mapping[node.id] = nb.input(node.name, node.shape,
-                                                 (b.lo, b.hi) if b else None)
-            elif node.kind is OpKind.PARAMETER:
-                b = graph.bounds.get(node.id)
-                self.mapping[node.id] = nb.parameter(node.name, node.shape,
-                                                     (b.lo, b.hi) if b else None)
-            elif node.id in self.reachable:
-                if node.kind is OpKind.CONSTANT:
-                    self.mapping[node.id] = nb.constant(node.attrs["value"])
-                else:
-                    self.mapping[node.id] = nb.build(
-                        node.kind, [self.mapping[i] for i in node.inputs],
-                        node.attrs)
+        self.nb = GraphBuilder.extending(graph)
         self.active = _descendants(graph, set(self.wrt))
 
     def backward(self, out_h: int, seed: int) -> dict[int, int]:
@@ -303,15 +286,13 @@ class _ReverseSweep:
         nb = self.nb
         adjoint: dict[int, int] = {out_h: seed}
         for node in reversed(self.graph.nodes):
-            if node.id not in self.reachable or not (
-                    node.id in self.active or node.id == out_h):
+            if not (node.id in self.active or node.id == out_h):
                 continue
             adj = adjoint.get(node.id)
             if adj is None or node.kind in (
                     OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT):
                 continue
-            new_ins = tuple(self.mapping[i] for i in node.inputs)
-            cots = VJP_RULES[node.kind](nb, node, new_ins, adj)
+            cots = VJP_RULES[node.kind](nb, node, node.inputs, adj)
             for src, cot in zip(node.inputs, cots):
                 if cot is None or src not in self.active:
                     continue
@@ -372,9 +353,8 @@ def vjp(graph: Graph, wrt) -> tuple[Graph, str]:
             f"vjp needs a single-output graph, got {len(graph.outputs)} outputs")
     sweep = _ReverseSweep(graph, wrt)
     nb = sweep.nb
-    taken = {node.name for node in graph.nodes}
     name = "cotangent"
-    while name in taken:
+    while name in graph._names:
         name += "_"
     (out_h,) = graph.outputs
     adjoint = sweep.backward(out_h, nb.parameter(name, graph.nodes[out_h].shape))

@@ -4,11 +4,14 @@ Graphs are append-only while being built and immutable afterwards, so they can
 be shared freely between threads. Node handles are plain integers; a node only
 ever references earlier handles, which makes every graph acyclic by
 construction and makes the node table a valid topological order.
+
+`optimize` is one rewrite pass (folding, identities and CSE, each reading the
+rewritten operands), then a drop of the nodes that no output reaches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -595,6 +598,18 @@ class GraphBuilder:
         self._outputs: list[int] = []
         self._bounds = BoundsSpec()
 
+    @classmethod
+    def extending(cls, graph: Graph) -> "GraphBuilder":
+        """A builder that starts with `graph`'s nodes, names, roles and bounds,
+        but none of its outputs; the graph's handles stay valid in it."""
+        nb = cls()
+        nb._nodes = list(graph.nodes)
+        nb._names = dict(graph._names)
+        nb._private = list(graph.private_inputs)
+        nb._params = list(graph.parameters)
+        nb._bounds = graph.bounds.copy()
+        return nb
+
     # -- leaves
 
     def input(self, name: str, shape, bounds=None) -> int:
@@ -795,7 +810,7 @@ def _identity_rewrite(nodes: list[Node], kind: OpKind, inputs: tuple[int, ...],
     return None
 
 
-def _rewrite_once(graph: Graph) -> Graph:
+def _rewrite(graph: Graph) -> Graph:
     reachable = graph.ancestors(graph.outputs)
     nb = GraphBuilder()
     mapping: dict[int, int] = {}
@@ -813,15 +828,10 @@ def _rewrite_once(graph: Graph) -> Graph:
         keep_leaf = node.kind in (OpKind.INPUT, OpKind.PARAMETER)
         if node.id not in reachable and not keep_leaf:
             continue
-        if node.kind is OpKind.INPUT:
+        if keep_leaf:
             b = graph.bounds.get(node.id)
-            mapping[node.id] = nb.input(
-                node.name, node.shape, (b.lo, b.hi) if b else None)
-            continue
-        if node.kind is OpKind.PARAMETER:
-            b = graph.bounds.get(node.id)
-            mapping[node.id] = nb.parameter(
-                node.name, node.shape, (b.lo, b.hi) if b else None)
+            leaf = nb.input if node.kind is OpKind.INPUT else nb.parameter
+            mapping[node.id] = leaf(node.name, node.shape, (b.lo, b.hi) if b else None)
             continue
         if node.kind is OpKind.CONSTANT:
             mapping[node.id] = intern_constant(node.attrs["value"], node.name)
@@ -855,25 +865,35 @@ def _rewrite_once(graph: Graph) -> Graph:
     return nb.graph()
 
 
-def _structure_key(graph: Graph) -> tuple:
-    return (
-        tuple((n.kind, n.inputs, attr_key(n.attrs)) for n in graph.nodes),
-        graph.outputs,
+def _drop_unreached(graph: Graph) -> Graph:
+    """Keep the nodes an output reaches and every Input and Parameter,
+    renumbered in order, with roles, bounds and outputs remapped."""
+    keep = graph.ancestors(graph.outputs).union(graph.leaves())
+    if len(keep) == len(graph.nodes):
+        return graph
+    new_id: dict[int, int] = {}
+    nodes: list[Node] = []
+    for node in graph.nodes:
+        if node.id in keep:
+            new_id[node.id] = len(nodes)
+            nodes.append(replace(node, id=len(nodes),
+                                 inputs=tuple(new_id[i] for i in node.inputs)))
+    return Graph(
+        nodes=tuple(nodes),
+        private_inputs=tuple(new_id[h] for h in graph.private_inputs),
+        parameters=tuple(new_id[h] for h in graph.parameters),
+        outputs=tuple(new_id[h] for h in graph.outputs),
+        bounds=BoundsSpec({new_id[h]: b for h, b in graph.bounds.items()}),
+        _names={n.name: n.id for n in nodes},
     )
 
 
 def optimize(graph: Graph) -> Graph:
     """Constant folding, algebraic identity removal, CSE, dead-code removal.
 
+    One rewrite pass, then the nodes that no output reaches are dropped; the
+    rewrites read the rewritten operands, so the result is a fixed point.
     Returns a semantics-equivalent graph; Input and Parameter nodes are always
     retained so the optimized graph binds the same runtime inputs.
     """
-    current = graph
-    key = None
-    for _ in range(16):
-        rewritten = _rewrite_once(current)
-        new_key = _structure_key(rewritten)
-        if new_key == key:
-            return rewritten
-        current, key = rewritten, new_key
-    return current
+    return _drop_unreached(_rewrite(graph))

@@ -16,7 +16,8 @@ lockstep: each iteration takes one stacked gradient of the starts still
 climbing, and each halving of the line search evaluates one stack of the
 starts still searching, so every start visits the points it would visit alone.
 The Jacobian objective keeps one point memo: the top singular vectors of J at
-every feasible point it evaluates, keyed by the bytes of the point. A gradient
+every feasible point it evaluates, keyed by the point's digest (`_point_key`,
+the key of every point memo in this module). A gradient
 at a point the objective has evaluated runs only the vector-Jacobian product;
 J runs again only at points never evaluated. The grid oracle, which takes no
 gradients, bypasses the memo.
@@ -152,6 +153,9 @@ class OptimizerConfig:
             raise InvalidParams(f"seed must be non-negative, got {self.seed}")
         if self.n_samples < 1:
             raise InvalidParams(f"n_samples must be at least 1, got {self.n_samples}")
+        if self.grid_resolution < 2:  # a grid axis needs both of its ends
+            raise InvalidParams(
+                f"grid_resolution must be at least 2, got {self.grid_resolution}")
 
 
 class MaximizeResult(NamedTuple):
@@ -455,7 +459,7 @@ class _JacobianObjective:
             pos += size
         self._grad_program = None
         self._cotangent = ""
-        # the bytes of each feasible point evaluated -> the top singular
+        # the key of each feasible point evaluated -> the top singular
         # vectors (u, w) of J there
         self._vectors: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -486,7 +490,7 @@ class _JacobianObjective:
             return float(self(v[None, :])[0])
         values, u, w = self._triples(v)
         for i in np.flatnonzero(np.isfinite(values)):
-            self._vectors[v[i].tobytes()] = u[i], w[i]
+            self._vectors[_point_key(v[i])] = u[i], w[i]
         return values
 
     def _triples(self, stack: np.ndarray):
@@ -538,7 +542,7 @@ class _JacobianObjective:
         u, w = np.empty((k, rows)), np.empty((k, cols))
         missing = []
         for i, p in enumerate(v):
-            vectors = self._vectors.get(p.tobytes())
+            vectors = self._vectors.get(_point_key(p))
             if vectors is None:
                 missing.append(i)
             else:

@@ -102,9 +102,7 @@ class Instruction:
 class CompiledProgram:
     plan: tuple[Instruction, ...]
     fingerprint: str
-    source_graph: Graph
     optimized_graph: Graph
-    compile_time: float
     n_slots: int
     const_loads: tuple[tuple[int, np.ndarray], ...]
     input_slots: Mapping[str, tuple[int | None, TensorShape]]
@@ -164,7 +162,7 @@ def _cache_put(program: CompiledProgram, *keys: str) -> None:
             _CACHE.popitem(last=False)
 
 
-def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> CompiledProgram:
+def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
     reachable = opt.ancestors(opt.outputs)
     outputs = set(opt.outputs)
 
@@ -228,9 +226,7 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
     return CompiledProgram(
         plan=tuple(plan),
         fingerprint=fingerprint,
-        source_graph=source,
         optimized_graph=opt,
-        compile_time=time.perf_counter() - t0,
         n_slots=n_slots,
         const_loads=tuple(const_loads),
         input_slots=input_slots,
@@ -244,7 +240,6 @@ def _linearize(source: Graph, opt: Graph, fingerprint: str, t0: float) -> Compil
 
 def compile(graph: Graph) -> CompiledProgram:
     """Compile a graph to an executable program; identical graphs hit the cache."""
-    t0 = time.perf_counter()
     raw_key = content_hash(graph)
     hit = _cache_get(raw_key)
     if hit is not None:
@@ -256,7 +251,7 @@ def compile(graph: Graph) -> CompiledProgram:
     fingerprint = content_hash(opt)
     program = _cache_get(fingerprint)
     if program is None:
-        program = _linearize(graph, opt, fingerprint, t0)
+        program = _linearize(opt, fingerprint)
         with _CACHE_LOCK:
             _CACHE_STATS["misses"] += 1
     _cache_put(program, raw_key, fingerprint)

@@ -4,6 +4,7 @@ import pytest
 from dpgraph import GraphBuilder, NonDifferentiable, OpKind
 from dpgraph.autodiff import VJP_RULES, higher_order, jacobian, vjp
 from dpgraph.graph import ARITY, LEAF_KINDS
+from dpgraph.models import mlp_classifier
 from dpgraph import runtime
 
 from conftest import finite_difference, kink_free_point, random_graph, ref_eval
@@ -283,3 +284,40 @@ def test_jacobian_graph_size_does_not_grow_with_columns():
         g = sum_sigmoid(n)
         sizes.append(len(jacobian(g, [g.find("x")]).graph.nodes))
     assert sizes[0] == sizes[1]
+
+
+def test_derivative_graphs_drop_unreached_source_nodes():
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=(0.0, 1.0))
+    b.exp(x)  # reached by no output
+    b.output(b.reduce_sum(b.sigmoid(x), axis=None))
+    g = b.graph()
+    for result in (jacobian(g, [x]).graph, vjp(g, [x])[0]):
+        assert OpKind.EXP not in {n.kind for n in result.nodes}
+        assert result.find("x") == x
+
+
+def _sum_sigmoid(n):
+    b = GraphBuilder()
+    x = b.input("x", (n, 1), bounds=(-1.0, 1.0))
+    b.output(b.reduce_sum(b.sigmoid(x), axis=None))
+    return b.graph()
+
+
+@pytest.mark.parametrize("make,fingerprints", [
+    (lambda: mlp_classifier(2),
+     ("960788348575db7749a6ff0b885b00f5f6149b84dfda5cc95557f5b4dddb1779",
+      "de3b929b80a9f9ae497acc594b589d23a40c12c47f183f1c0c0457ab3f916605")),
+    (lambda: _sum_sigmoid(64),
+     ("e8544bbcadbff368238d461c84e5d959eac7ee359434a9cdad3a3adf6509dae3",
+      "38d80d782bee69a5afc4604facaeccb555477c11f4dc16ed5903b9c1f0c14d19")),
+], ids=["mlp2", "sum_sigmoid64"])
+def test_derivative_program_fingerprints_are_pinned(make, fingerprints):
+    # the fingerprint hashes the whole optimized graph but for interior
+    # names, so a change to the sweep or to optimize that alters the
+    # derivative programs of these queries shows here
+    g = make()
+    wrt = [g.find("x")]
+    got = (runtime.compile(jacobian(g, wrt).graph).fingerprint,
+           runtime.compile(vjp(g, wrt)[0]).fingerprint)
+    assert got == fingerprints

@@ -10,6 +10,8 @@ from dpgraph import (
     UnknownNode,
     optimize,
 )
+from dpgraph.autodiff import jacobian, vjp
+from dpgraph.graph import LEAF_KINDS, attr_key
 from dpgraph.models import mlp_classifier
 
 from conftest import random_graph, ref_eval, sample_inputs
@@ -163,12 +165,21 @@ def test_algebraic_identities():
     assert og.outputs[0] == og.find("x")
 
 
+def _table(g):
+    """Nodes with their names, roles, bounds and outputs."""
+    return ([(n.id, n.kind, n.inputs, attr_key(n.attrs), n.shape, n.name) for n in g.nodes],
+            g.private_inputs, g.parameters, g.outputs,
+            [(h, b.lo.tobytes(), b.hi.tobytes()) for h, b in g.bounds.items()])
+
+
 def test_optimize_idempotent(rng):
-    for _ in range(20):
-        g = random_graph(rng)
-        o1 = optimize(g)
-        o2 = optimize(o1)
-        assert len(o2.nodes) == len(o1.nodes)
+    kinds = [k for k in OpKind if k not in LEAF_KINDS]
+    for i in range(40):
+        g = random_graph(rng, wild=i % 2 == 1, force_kinds=(kinds[i % len(kinds)],))
+        wrt = list(g.leaves())
+        for graph in (g, jacobian(g, wrt).graph, vjp(g, wrt)[0]):
+            once = optimize(graph)
+            assert _table(optimize(once)) == _table(once)
 
 
 def test_optimize_never_grows(rng):

@@ -228,6 +228,22 @@ def test_config_rejects_negative_seeds_and_sample_counts(fields):
         OptimizerConfig(**fields)
 
 
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_config_rejects_a_grid_without_both_ends(resolution):
+    with pytest.raises(InvalidParams, match="grid_resolution"):
+        OptimizerConfig(grid_resolution=resolution)
+
+
+def test_grid_of_two_points_per_axis_takes_both_ends():
+    b = GraphBuilder()
+    x = b.input("x", (), bounds=(0.0, 1.0))
+    b.output(b.mul(x, x))
+    report = estimate_sensitivity(b.graph(), method="grid_oracle",
+                                  config=OptimizerConfig(grid_resolution=2))
+    assert report.n_evaluations == 2
+    assert report.bound == 2.0 and float(report.argmax["x"]) == 1.0
+
+
 def test_polynomial_derivative_bound_matches_dense_grid():
     # d/dx (x^3 - x) = 3x^2 - 1, sup |3x^2 - 1| on [-2, 2] is 11 at the edges
     b = GraphBuilder()
