@@ -35,6 +35,7 @@ import numpy as np
 from .errors import NonDifferentiable
 from .graph import (
     BCE_CLAMP,
+    LEAF_KINDS,
     Graph,
     GraphBuilder,
     OpKind,
@@ -50,7 +51,6 @@ class JacobianGraph:
     graph: Graph
     wrt: tuple[int, ...]
     wrt_names: tuple[str, ...]
-    source: Graph
     output_size: int
     wrt_size: int
 
@@ -272,8 +272,7 @@ class _ReverseSweep:
                 raise NonDifferentiable(
                     f"'{node.name}' is not an Input or Parameter node")
         for node in graph.nodes:
-            if node.kind not in VJP_RULES and node.kind not in (
-                    OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT):
+            if node.kind not in VJP_RULES and node.kind not in LEAF_KINDS:
                 raise NonDifferentiable(f"no derivative rule for {node.kind.value}")
 
         self.graph = graph
@@ -289,8 +288,7 @@ class _ReverseSweep:
             if not (node.id in self.active or node.id == out_h):
                 continue
             adj = adjoint.get(node.id)
-            if adj is None or node.kind in (
-                    OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT):
+            if adj is None or node.kind in LEAF_KINDS:
                 continue
             cots = VJP_RULES[node.kind](nb, node, node.inputs, adj)
             for src, cot in zip(node.inputs, cots):
@@ -333,7 +331,6 @@ def jacobian(graph: Graph, wrt) -> JacobianGraph:
         graph=result,
         wrt=wrt,
         wrt_names=tuple(graph.nodes[h].name for h in wrt),
-        source=graph,
         output_size=len(rows),
         wrt_size=sum(sizes),
     )
@@ -378,7 +375,6 @@ def higher_order(graph: Graph, wrt, order: int) -> JacobianGraph:
             graph=nxt.graph,
             wrt=jg.wrt,
             wrt_names=jg.wrt_names,
-            source=graph,
             output_size=nxt.output_size,
             wrt_size=nxt.wrt_size,
         )

@@ -5,15 +5,25 @@ be shared freely between threads. Node handles are plain integers; a node only
 ever references earlier handles, which makes every graph acyclic by
 construction and makes the node table a valid topological order.
 
+Each op kind has one entry in `OPS`: its arity, its attributes with their
+converters and defaults, its shape rule and its kernel. `GraphBuilder.build`,
+`normalize_attrs`, `apply_kind` and the compiled plan read that entry alone,
+so an attribute is checked where it is defined. A new kind needs an `OpKind`
+member and one entry here, plus its derivative rule in `autodiff.VJP_RULES`
+and its interval rule in `interval.INTERVAL_RULES`.
+
 `optimize` is one rewrite pass (folding, identities and CSE, each reading the
 rewritten operands), then a drop of the nodes that no output reaches.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -59,34 +69,6 @@ class OpKind(str, Enum):
     SLICE = "Slice"
 
 
-LEAF_KINDS = frozenset({OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT})
-
-# None marks a variadic kind, which takes one or more inputs.
-ARITY: dict[OpKind, int | None] = {
-    OpKind.INPUT: 0,
-    OpKind.PARAMETER: 0,
-    OpKind.CONSTANT: 0,
-    OpKind.ADD: 2,
-    OpKind.SUB: 2,
-    OpKind.MUL: 2,
-    OpKind.DIV: 2,
-    OpKind.NEG: 1,
-    OpKind.MATMUL: 2,
-    OpKind.POW: 1,
-    OpKind.EXP: 1,
-    OpKind.LOG: 1,
-    OpKind.SIGMOID: 1,
-    OpKind.SUM: 1,
-    OpKind.MEAN: 1,
-    OpKind.CLIP: 1,
-    OpKind.BCE: 2,
-    OpKind.IN_INTERVAL: 1,
-    OpKind.RESHAPE: 1,
-    OpKind.CONCAT: None,
-    OpKind.SLICE: 1,
-}
-
-
 @dataclass(frozen=True)
 class TensorShape:
     """Ordered tuple of positive extents; () is the scalar shape."""
@@ -102,9 +84,9 @@ class TensorShape:
     def coerce(cls, value) -> "TensorShape":
         if isinstance(value, TensorShape):
             return value
-        if isinstance(value, int):
-            return cls((value,))
-        return cls(tuple(int(d) for d in value))
+        if isinstance(value, (int, np.integer)):
+            value = (value,)
+        return cls(tuple(_index(d) for d in value))
 
     @property
     def rank(self) -> int:
@@ -209,67 +191,131 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
-# shape inference
+# the op table: attribute converters, shape rules and kernels, then `OPS`
+
+REQUIRED = object()  # the default of an attribute that has to be given
+
+# Attribute converters return the canonical value of an attribute and raise
+# ValueError for a value that the conversion would change.
 
 
-def _elementwise_pair(a: TensorShape, b: TensorShape, kind: OpKind) -> TensorShape:
-    if a == b:
+def _number(v) -> float:
+    """A number other than NaN; a bool, a string or an array is refused."""
+    if (isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)
+            or math.isnan(v)):
+        raise ValueError(f"must be a number other than NaN, got {v!r}")
+    return float(v)
+
+
+def _finite(v) -> float:
+    if not math.isfinite(x := _number(v)):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
+def _flag(v) -> bool:
+    if not isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"must be true or false, got {v!r}")
+    return bool(v)
+
+
+def _index(v) -> int:
+    """An integer; a bool is refused, and so is a float, which int() truncates."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"must be an integer, got {v!r}")
+
+
+def _array(v) -> np.ndarray:
+    """A read-only float64 copy of an array of integers or floats."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"must hold numbers, got an array of {a.dtype}")
+    a = a.astype(np.float64)
+    a.setflags(write=False)
+    return a
+
+
+# Shape rules map the operand shapes and the normalized attrs to the result
+# shape; `GraphBuilder.build` puts the kind's name in front of their errors.
+
+
+def _first(shapes, attrs) -> TensorShape:
+    return shapes[0]
+
+
+def _pair(shapes, attrs) -> TensorShape:
+    a, b = shapes
+    if a == b or b.rank == 0:
         return a
     if a.rank == 0:
         return b
-    if b.rank == 0:
-        return a
     raise ShapeMismatch(
-        f"{kind.value} operands must have equal shapes or a scalar operand, "
-        f"got {a} and {b}"
-    )
+        f"operands must have equal shapes or a scalar operand, got {a} and {b}")
 
 
-def _matmul_shape(a: TensorShape, b: TensorShape, attrs: Mapping) -> TensorShape:
+def _loss(shapes, attrs) -> TensorShape:
+    _pair(shapes, attrs)
+    return SCALAR
+
+
+def _interval(shapes, attrs) -> TensorShape:
+    """An infinite end leaves the interval open on its side."""
+    lo, hi = attrs["lo"], attrs["hi"]
+    if not (lo <= hi and lo < math.inf and hi > -math.inf):
+        raise ValueError(
+            f"interval [{lo}, {hi}] needs lo <= hi, lo < inf and hi > -inf")
+    return shapes[0]
+
+
+def _matmul_shape(shapes, attrs) -> TensorShape:
+    a, b = shapes
     if a.rank != 2 or b.rank != 2:
-        raise ShapeMismatch(f"MatMul requires 2-D operands, got {a} and {b}")
+        raise ShapeMismatch(f"2-D operands required, got {a} and {b}")
     am, ak = a.dims
     bk, bn = b.dims
-    if attrs.get("transpose_a", False):
+    if attrs["transpose_a"]:
         am, ak = ak, am
-    if attrs.get("transpose_b", False):
+    if attrs["transpose_b"]:
         bk, bn = bn, bk
     if ak != bk:
-        raise ShapeMismatch(f"MatMul inner dimensions differ: {ak} vs {bk}")
+        raise ShapeMismatch(f"inner dimensions differ: {ak} vs {bk}")
     return TensorShape((am, bn))
 
 
-def _reduce_shape(a: TensorShape, attrs: Mapping, kind: OpKind) -> TensorShape:
-    axis = attrs.get("axis")
+def _check_axis(a: TensorShape, axis: int) -> None:
+    if not 0 <= axis < a.rank:
+        raise ShapeMismatch(f"axis {axis} out of range for shape {a}")
+
+
+def _reduce_shape(shapes, attrs) -> TensorShape:
+    (a,) = shapes
+    axis = attrs["axis"]
     if axis is None:
         return SCALAR
     if a.rank != 2:
-        raise ShapeMismatch(
-            f"{kind.value} with an integer axis requires a 2-D operand, got {a}"
-        )
-    if axis not in (0, 1):
-        raise ShapeMismatch(f"axis {axis} out of range for shape {a}")
+        raise ShapeMismatch(f"an integer axis requires a 2-D operand, got {a}")
+    _check_axis(a, axis)
     dims = list(a.dims)
     dims[axis] = 1
     return TensorShape(tuple(dims))
 
 
-def _check_axis(a: TensorShape, axis: int, kind: OpKind) -> None:
-    if not 0 <= axis < a.rank:
-        raise ShapeMismatch(f"{kind.value} axis {axis} out of range for shape {a}")
-
-
-def _reshape_shape(a: TensorShape, attrs: Mapping) -> TensorShape:
+def _reshape_shape(shapes, attrs) -> TensorShape:
+    (a,) = shapes
     out = TensorShape(attrs["shape"])
     if out.num_elements != a.num_elements:
-        raise ShapeMismatch(f"Reshape cannot turn {a} into {out}")
+        raise ShapeMismatch(f"cannot turn {a} into {out}")
     return out
 
 
-def _concat_shape(shapes: Sequence[TensorShape], attrs: Mapping) -> TensorShape:
+def _concat_shape(shapes, attrs) -> TensorShape:
     axis = attrs["axis"]
     first = shapes[0]
-    _check_axis(first, axis, OpKind.CONCAT)
+    _check_axis(first, axis)
 
     def off_axis(s: TensorShape) -> tuple[int, ...]:
         return s.dims[:axis] + s.dims[axis + 1:]
@@ -278,127 +324,32 @@ def _concat_shape(shapes: Sequence[TensorShape], attrs: Mapping) -> TensorShape:
     for s in shapes:
         if s.rank != first.rank or off_axis(s) != off_axis(first):
             raise ShapeMismatch(
-                f"Concat operands must agree off axis {axis}, got {first} and {s}")
+                f"operands must agree off axis {axis}, got {first} and {s}")
         total += s.dims[axis]
     dims = list(first.dims)
     dims[axis] = total
     return TensorShape(tuple(dims))
 
 
-def _slice_shape(a: TensorShape, attrs: Mapping) -> TensorShape:
+def _slice_shape(shapes, attrs) -> TensorShape:
+    (a,) = shapes
     axis, start, stop = attrs["axis"], attrs["start"], attrs["stop"]
-    _check_axis(a, axis, OpKind.SLICE)
+    _check_axis(a, axis)
     if not 0 <= start < stop <= a.dims[axis]:
         raise ShapeMismatch(
-            f"Slice [{start}:{stop}] out of range for extent {a.dims[axis]} of {a}")
+            f"[{start}:{stop}] out of range for extent {a.dims[axis]} of {a}")
     dims = list(a.dims)
     dims[axis] = stop - start
     return TensorShape(tuple(dims))
 
 
-def infer_shape(kind: OpKind, input_shapes: Sequence[TensorShape], attrs: Mapping) -> TensorShape:
-    if kind in (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV):
-        return _elementwise_pair(input_shapes[0], input_shapes[1], kind)
-    if kind is OpKind.BCE:
-        _elementwise_pair(input_shapes[0], input_shapes[1], kind)
-        return SCALAR
-    if kind in (OpKind.NEG, OpKind.EXP, OpKind.LOG, OpKind.SIGMOID,
-                OpKind.CLIP, OpKind.POW, OpKind.IN_INTERVAL):
-        return input_shapes[0]
-    if kind is OpKind.MATMUL:
-        return _matmul_shape(input_shapes[0], input_shapes[1], attrs)
-    if kind in (OpKind.SUM, OpKind.MEAN):
-        return _reduce_shape(input_shapes[0], attrs, kind)
-    if kind is OpKind.RESHAPE:
-        return _reshape_shape(input_shapes[0], attrs)
-    if kind is OpKind.CONCAT:
-        return _concat_shape(input_shapes, attrs)
-    if kind is OpKind.SLICE:
-        return _slice_shape(input_shapes[0], attrs)
-    raise ArityError(f"cannot infer shape for leaf kind {kind.value}")
-
-
-# ---------------------------------------------------------------------------
-# attribute normalization
-
-_ATTR_KEYS: dict[OpKind, tuple[str, ...]] = {
-    OpKind.CONSTANT: ("value",),
-    OpKind.MATMUL: ("transpose_a", "transpose_b"),
-    OpKind.POW: ("exponent",),
-    OpKind.SUM: ("axis",),
-    OpKind.MEAN: ("axis",),
-    OpKind.CLIP: ("lo", "hi"),
-    OpKind.IN_INTERVAL: ("lo", "hi"),
-    OpKind.RESHAPE: ("shape",),
-    OpKind.CONCAT: ("axis",),
-    OpKind.SLICE: ("axis", "start", "stop"),
-}
-
-
-def normalize_attrs(kind: OpKind, attrs: Mapping | None) -> dict[str, Any]:
-    attrs = dict(attrs or {})
-    allowed = _ATTR_KEYS.get(kind, ())
-    unknown = set(attrs) - set(allowed)
-    if unknown:
-        raise ArityError(f"{kind.value} does not accept attrs {sorted(unknown)}")
-    if kind is OpKind.CONSTANT:
-        if "value" not in attrs:
-            raise ArityError("Constant requires a 'value' attr")
-        value = np.array(attrs["value"], dtype=np.float64)
-        value.setflags(write=False)
-        return {"value": value}
-    if kind is OpKind.MATMUL:
-        return {
-            "transpose_a": bool(attrs.get("transpose_a", False)),
-            "transpose_b": bool(attrs.get("transpose_b", False)),
-        }
-    if kind is OpKind.POW:
-        if "exponent" not in attrs:
-            raise ArityError("Pow requires an 'exponent' attr")
-        return {"exponent": float(attrs["exponent"])}
-    if kind in (OpKind.SUM, OpKind.MEAN):
-        axis = attrs.get("axis")
-        return {"axis": None if axis is None else int(axis)}
-    if kind in (OpKind.CLIP, OpKind.IN_INTERVAL):
-        if "lo" not in attrs or "hi" not in attrs:
-            raise ArityError(f"{kind.value} requires 'lo' and 'hi' attrs")
-        lo = float(attrs["lo"])
-        hi = float(attrs["hi"])
-        if lo > hi:
-            raise ValueError(f"{kind.value} interval requires lo <= hi")
-        return {"lo": lo, "hi": hi}
-    missing = [k for k in allowed if k not in attrs]
-    if missing:
-        raise ArityError(f"{kind.value} requires {missing} attrs")
-    if kind is OpKind.RESHAPE:
-        return {"shape": TensorShape.coerce(attrs["shape"]).dims}
-    if kind in (OpKind.CONCAT, OpKind.SLICE):
-        return {k: int(attrs[k]) for k in allowed}
-    return {}
-
-
-def attr_key(attrs: Mapping[str, Any]) -> tuple:
-    """Hashable canonical encoding of a normalized attr dict."""
-    parts = []
-    for k in sorted(attrs):
-        v = attrs[k]
-        if isinstance(v, np.ndarray):
-            parts.append((k, v.shape, v.tobytes()))
-        else:
-            parts.append((k, v))
-    return tuple(parts)
-
-
-# ---------------------------------------------------------------------------
-# numeric kernels (shared by execution, constant folding and interval layout)
-#
-# Every kernel is batch-polymorphic. An operand holds either its declared
-# shape or a batch shape followed by it, and `attrs["ranks"]` holds the
-# declared rank of each operand, so a kernel counts its axes from the end and
-# leaves the leading batch axes alone. Operands that carry batch axes all
-# carry the same ones. The unbatched call is the batch-shape () case; the
-# compiled plan resolves "ranks" once, and `apply_kind` reads it off the
-# operands.
+# Kernels map the attrs and the operand values to the result value. Every
+# kernel is batch-polymorphic. An operand holds either its declared shape or
+# a batch shape followed by it, and `attrs["ranks"]` holds the declared rank
+# of each operand, so a kernel counts its axes from the end and leaves the
+# leading batch axes alone. Operands that carry batch axes all carry the same
+# ones. The unbatched call is the batch-shape () case; the compiled plan
+# resolves "ranks" once, and `apply_kind` reads it off the operands.
 
 
 def _lift(a, b, ra, rb):
@@ -473,28 +424,85 @@ def _k_slice(attrs, a):
              + (slice(None),) * (rank - 1 - attrs["axis"])]
 
 
-KERNELS = {
-    OpKind.ADD: _k_pair(np.add),
-    OpKind.SUB: _k_pair(np.subtract),
-    OpKind.MUL: _k_pair(np.multiply),
-    OpKind.DIV: _k_pair(np.divide),
-    OpKind.NEG: lambda attrs, a: np.asarray(-a),
-    OpKind.MATMUL: _k_matmul,
-    OpKind.POW: lambda attrs, a: np.asarray(np.power(a, attrs["exponent"])),
-    OpKind.EXP: lambda attrs, a: np.exp(a),
-    OpKind.LOG: lambda attrs, a: np.log(a),
-    OpKind.SIGMOID: lambda attrs, a: np.asarray(expit(a)),
-    OpKind.SUM: _k_reduce(np.sum),
-    OpKind.MEAN: _k_reduce(np.mean),
-    OpKind.CLIP: lambda attrs, a: np.clip(a, attrs["lo"], attrs["hi"]),
-    OpKind.BCE: _k_bce,
-    OpKind.IN_INTERVAL: lambda attrs, a: np.asarray(
-        ((a >= attrs["lo"]) & (a <= attrs["hi"])), dtype=np.float64
-    ),
-    OpKind.RESHAPE: _k_reshape,
-    OpKind.CONCAT: _k_concat,
-    OpKind.SLICE: _k_slice,
+class OpSpec(NamedTuple):
+    arity: int | None  # inputs taken; None for one or more (Concat)
+    attrs: Mapping[str, tuple[Callable, Any]]  # name -> (converter, default or REQUIRED)
+    shape: Callable | None  # (shapes, attrs) -> shape; None for Input and Parameter
+    kernel: Callable | None  # (attrs, *operands) -> value; None for the leaf kinds
+
+
+_LEAF = OpSpec(0, {}, None, None)
+_AXIS = {"axis": (lambda v: None if v is None else _index(v), None)}
+_BOUNDS = {"lo": (_number, REQUIRED), "hi": (_number, REQUIRED)}
+_INDEX = (_index, REQUIRED)
+_FLAG = (_flag, False)
+
+OPS: dict[OpKind, OpSpec] = {
+    OpKind.INPUT: _LEAF,
+    OpKind.PARAMETER: _LEAF,
+    OpKind.CONSTANT: OpSpec(0, {"value": (_array, REQUIRED)},
+                            lambda _, attrs: TensorShape(attrs["value"].shape), None),
+    OpKind.ADD: OpSpec(2, {}, _pair, _k_pair(np.add)),
+    OpKind.SUB: OpSpec(2, {}, _pair, _k_pair(np.subtract)),
+    OpKind.MUL: OpSpec(2, {}, _pair, _k_pair(np.multiply)),
+    OpKind.DIV: OpSpec(2, {}, _pair, _k_pair(np.divide)),
+    OpKind.NEG: OpSpec(1, {}, _first, lambda attrs, a: np.asarray(-a)),
+    OpKind.MATMUL: OpSpec(2, {"transpose_a": _FLAG, "transpose_b": _FLAG},
+                          _matmul_shape, _k_matmul),
+    OpKind.POW: OpSpec(1, {"exponent": (_finite, REQUIRED)}, _first,
+                       lambda attrs, a: np.asarray(np.power(a, attrs["exponent"]))),
+    OpKind.EXP: OpSpec(1, {}, _first, lambda attrs, a: np.exp(a)),
+    OpKind.LOG: OpSpec(1, {}, _first, lambda attrs, a: np.log(a)),
+    OpKind.SIGMOID: OpSpec(1, {}, _first, lambda attrs, a: np.asarray(expit(a))),
+    OpKind.SUM: OpSpec(1, _AXIS, _reduce_shape, _k_reduce(np.sum)),
+    OpKind.MEAN: OpSpec(1, _AXIS, _reduce_shape, _k_reduce(np.mean)),
+    OpKind.CLIP: OpSpec(1, _BOUNDS, _interval,
+                        lambda attrs, a: np.clip(a, attrs["lo"], attrs["hi"])),
+    OpKind.BCE: OpSpec(2, {}, _loss, _k_bce),
+    OpKind.IN_INTERVAL: OpSpec(1, _BOUNDS, _interval, lambda attrs, a: np.asarray(
+        (a >= attrs["lo"]) & (a <= attrs["hi"]), dtype=np.float64)),
+    OpKind.RESHAPE: OpSpec(
+        1, {"shape": (lambda v: TensorShape.coerce(v).dims, REQUIRED)},
+        _reshape_shape, _k_reshape),
+    OpKind.CONCAT: OpSpec(None, {"axis": _INDEX}, _concat_shape, _k_concat),
+    OpKind.SLICE: OpSpec(1, {"axis": _INDEX, "start": _INDEX, "stop": _INDEX},
+                         _slice_shape, _k_slice),
 }
+
+LEAF_KINDS = frozenset(kind for kind, spec in OPS.items() if spec.kernel is None)
+
+
+def normalize_attrs(kind: OpKind, attrs: Mapping | None) -> dict[str, Any]:
+    """Every attr of the kind's `OPS` entry, converted, or its default when it
+    is not given. A missing required attr or an unknown one raises
+    ArityError; a value that the conversion would change raises ValueError."""
+    spec = OPS[kind].attrs
+    attrs = attrs or {}
+    unknown = set(attrs) - set(spec)
+    if unknown:
+        raise ArityError(f"{kind.value} does not accept attrs {sorted(unknown)}")
+    out = {}
+    for key, (convert, default) in spec.items():
+        value = attrs.get(key, default)
+        if value is REQUIRED:
+            raise ArityError(f"{kind.value} requires a {key!r} attr")
+        try:
+            out[key] = convert(value)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{kind.value} attr {key!r} {err}") from None
+    return out
+
+
+def attr_key(attrs: Mapping[str, Any]) -> tuple:
+    """Hashable canonical encoding of a normalized attr dict."""
+    parts = []
+    for k in sorted(attrs):
+        v = attrs[k]
+        if isinstance(v, np.ndarray):
+            parts.append((k, v.shape, v.tobytes()))
+        else:
+            parts.append((k, v))
+    return tuple(parts)
 
 
 def apply_kind(kind: OpKind, attrs: Mapping, *operands: np.ndarray) -> np.ndarray:
@@ -502,7 +510,7 @@ def apply_kind(kind: OpKind, attrs: Mapping, *operands: np.ndarray) -> np.ndarra
     operands = tuple(np.asarray(x) for x in operands)
     attrs = {**attrs, "ranks": tuple(x.ndim for x in operands)}
     with np.errstate(all="ignore"):
-        return KERNELS[kind](attrs, *operands)
+        return OPS[kind].kernel(attrs, *operands)
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +635,7 @@ class GraphBuilder:
         return h
 
     def constant(self, value, name: str | None = None) -> int:
-        attrs = normalize_attrs(OpKind.CONSTANT, {"value": value})
-        shape = TensorShape(attrs["value"].shape)
-        return self._append(OpKind.CONSTANT, (), shape, attrs, name)
+        return self.build(OpKind.CONSTANT, (), {"value": value}, name)
 
     def _leaf(self, kind: OpKind, name: str, shape) -> int:
         if not name:
@@ -641,24 +647,23 @@ class GraphBuilder:
     def build(self, kind: OpKind | str, inputs: Sequence[int], attrs=None,
               name: str | None = None) -> int:
         kind = OpKind(kind)
-        if kind in LEAF_KINDS and kind is not OpKind.CONSTANT:
+        spec = OPS[kind]
+        if spec.shape is None:
             raise ArityError(f"{kind.value} nodes are created via input()/parameter()")
-        if kind is OpKind.CONSTANT:
-            if inputs:
-                raise ArityError("Constant takes no inputs")
-            return self.constant((attrs or {}).get("value"), name)
         handles = tuple(int(h) for h in inputs)
-        arity = ARITY[kind]
-        if arity is None and not handles:
+        if spec.arity is None and not handles:
             raise ArityError(f"{kind.value} expects at least one input")
-        if arity is not None and len(handles) != arity:
+        if spec.arity is not None and len(handles) != spec.arity:
             raise ArityError(
-                f"{kind.value} expects {arity} inputs, got {len(handles)}")
+                f"{kind.value} expects {spec.arity} inputs, got {len(handles)}")
         for h in handles:
             if not 0 <= h < len(self._nodes):
                 raise UnknownNode(f"no node with handle {h}")
         norm = normalize_attrs(kind, attrs)
-        shape = infer_shape(kind, [self._nodes[h].shape for h in handles], norm)
+        try:
+            shape = spec.shape([self._nodes[h].shape for h in handles], norm)
+        except (ShapeMismatch, ValueError) as err:
+            raise type(err)(f"{kind.value}: {err}") from None
         return self._append(kind, handles, shape, norm, name)
 
     def _append(self, kind, inputs, shape, attrs, name) -> int:

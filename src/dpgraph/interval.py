@@ -1,9 +1,12 @@
 """Interval arithmetic over graphs and the interval-propagation sensitivity baseline.
 
-Propagation applies the textbook interval rules node by node. Occurrences of
-the same variable are treated independently on purpose (x - x over [-1, 1]
-yields [-2, 2]); this dependency looseness is the known weakness of the
-baseline and it is preserved, not patched.
+Propagation applies the textbook interval rules node by node, one entry of
+`INTERVAL_RULES` per kind. A kind that does not decrease in any operand (the
+layout kinds, Add, Exp, Sigmoid, Sum, Mean and Clip) shares one rule: its
+kernel from `graph.OPS` applied to the lower endpoints and to the upper
+endpoints. Occurrences of the same variable are treated independently on
+purpose (x - x over [-1, 1] yields [-2, 2]); this dependency looseness is the
+known weakness of the baseline and it is preserved, not patched.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .autodiff import jacobian
 from .errors import DomainError, ValidationFailed
@@ -117,19 +119,6 @@ def _div(a: IntervalTensor, b: IntervalTensor, node_name: str) -> IntervalTensor
     return _mul(a, recip)
 
 
-def _reduce(a: IntervalTensor, attrs, mean: bool) -> IntervalTensor:
-    axis = attrs["axis"]
-    fn = np.mean if mean else np.sum
-    if axis is None:
-        return _iv(fn(a.lo), fn(a.hi))
-    return _iv(fn(a.lo, axis=axis, keepdims=True),
-               fn(a.hi, axis=axis, keepdims=True))
-
-
-def _clip_iv(a: IntervalTensor, lo: float, hi: float) -> IntervalTensor:
-    return _iv(np.clip(a.lo, lo, hi), np.clip(a.hi, lo, hi))
-
-
 def _in_interval(a: IntervalTensor, lo: float, hi: float) -> IntervalTensor:
     inside = (a.lo >= lo) & (a.hi <= hi)
     outside = (a.hi < lo) | (a.lo > hi)
@@ -137,7 +126,8 @@ def _in_interval(a: IntervalTensor, lo: float, hi: float) -> IntervalTensor:
 
 
 def _bce(p: IntervalTensor, t: IntervalTensor) -> IntervalTensor:
-    pc = _clip_iv(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    pc = _iv(np.clip(p.lo, BCE_CLAMP, 1.0 - BCE_CLAMP),
+             np.clip(p.hi, BCE_CLAMP, 1.0 - BCE_CLAMP))
     log_p = _iv(np.log(pc.lo), np.log(pc.hi))
     one_minus = _sub(_scalar(1.0), pc)
     log_q = _iv(np.log(one_minus.lo), np.log(one_minus.hi))
@@ -145,9 +135,10 @@ def _bce(p: IntervalTensor, t: IntervalTensor) -> IntervalTensor:
     return _iv(np.mean(term.lo), np.mean(term.hi))
 
 
-def _layout(node, ins) -> IntervalTensor:
-    """Reshape, Concat and Slice move elements without computing, so their
-    kernel applied to each endpoint is the exact enclosure."""
+def _monotone(node, ins) -> IntervalTensor:
+    """A kind that does not decrease in any operand takes its least value at
+    the lower endpoints and its greatest at the upper ones; for the layout
+    kinds, which move elements without computing, the enclosure is exact."""
     return _iv(apply_kind(node.kind, node.attrs, *(a.lo for a in ins)),
                apply_kind(node.kind, node.attrs, *(a.hi for a in ins)))
 
@@ -156,25 +147,25 @@ def _layout(node, ins) -> IntervalTensor:
 # enclosures of its inputs and returns the node's enclosure.
 INTERVAL_RULES = {
     OpKind.CONSTANT: lambda node, ins: _scalar(node.attrs["value"]),
-    OpKind.ADD: lambda node, ins: _add(*ins),
+    OpKind.ADD: _monotone,
     OpKind.SUB: lambda node, ins: _sub(*ins),
     OpKind.MUL: lambda node, ins: _mul(*ins),
     OpKind.DIV: lambda node, ins: _div(ins[0], ins[1], node.name),
     OpKind.NEG: lambda node, ins: _neg(ins[0]),
     OpKind.MATMUL: lambda node, ins: _matmul(ins[0], ins[1], node.attrs),
     OpKind.POW: lambda node, ins: _pow(ins[0], node.attrs["exponent"], node.name),
-    OpKind.EXP: lambda node, ins: _iv(np.exp(ins[0].lo), np.exp(ins[0].hi)),
+    OpKind.EXP: _monotone,
     OpKind.LOG: lambda node, ins: _log(ins[0], node.name),
-    OpKind.SIGMOID: lambda node, ins: _iv(expit(ins[0].lo), expit(ins[0].hi)),
-    OpKind.SUM: lambda node, ins: _reduce(ins[0], node.attrs, mean=False),
-    OpKind.MEAN: lambda node, ins: _reduce(ins[0], node.attrs, mean=True),
-    OpKind.CLIP: lambda node, ins: _clip_iv(ins[0], node.attrs["lo"], node.attrs["hi"]),
+    OpKind.SIGMOID: _monotone,
+    OpKind.SUM: _monotone,
+    OpKind.MEAN: _monotone,
+    OpKind.CLIP: _monotone,
     OpKind.IN_INTERVAL: lambda node, ins: _in_interval(
         ins[0], node.attrs["lo"], node.attrs["hi"]),
     OpKind.BCE: lambda node, ins: _bce(ins[0], ins[1]),
-    OpKind.RESHAPE: _layout,
-    OpKind.CONCAT: _layout,
-    OpKind.SLICE: _layout,
+    OpKind.RESHAPE: _monotone,
+    OpKind.CONCAT: _monotone,
+    OpKind.SLICE: _monotone,
 }
 
 

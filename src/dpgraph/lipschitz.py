@@ -425,20 +425,15 @@ class _JacobianObjective:
         self.config = config
         self.jg = jacobian(graph, wrt)
         self.program = runtime.compile(self.jg.graph)
-        frozen_spec = dict(config.freeze or {})
+        freeze = config.freeze or {}  # shapes checked by estimate_sensitivity
         self.frozen: dict[str, np.ndarray] = {}
         self.free: list[tuple[str, tuple[int, ...]]] = []
         lo_parts, hi_parts = [], []
         g = self.jg.graph
         for h in g.leaves():
             node = g.nodes[h]
-            if node.name in frozen_spec:
-                value = np.asarray(frozen_spec[node.name], dtype=np.float64)
-                if value.shape != node.shape.dims:
-                    raise InvalidParams(
-                        f"frozen value for '{node.name}' expects shape "
-                        f"{node.shape}, got {value.shape}")
-                self.frozen[node.name] = value
+            if node.name in freeze:
+                self.frozen[node.name] = np.asarray(freeze[node.name], dtype=np.float64)
                 continue
             b = g.bounds.get(h)
             if b is None:
@@ -622,9 +617,13 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
         wrt = list(graph.private_inputs) or list(graph.leaves())
     else:
         wrt = list(wrt)
-    for name in config.freeze or ():
-        if graph.nodes[graph.find(name)].kind not in (OpKind.INPUT, OpKind.PARAMETER):
+    for name, value in (config.freeze or {}).items():
+        node = graph.nodes[graph.find(name)]
+        if node.kind not in (OpKind.INPUT, OpKind.PARAMETER):
             raise InvalidParams(f"cannot freeze non-leaf node '{name}'")
+        if np.shape(value) != node.shape.dims:
+            raise InvalidParams(f"frozen value for '{name}' expects shape "
+                                f"{node.shape}, got {np.shape(value)}")
 
     t0 = time.perf_counter()
     fingerprint = runtime.graph_fingerprint(graph)

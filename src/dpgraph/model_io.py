@@ -61,7 +61,7 @@ def loads_model(text: str, origin: str = "<string>") -> Graph:
             where = f"tensor {entry.get('name', '?')!r}"
             _reject_unknown(entry, _TENSOR_KEYS, where)
             name = _require(entry, "name", where)
-            shape = tuple(int(d) for d in _require(entry, "shape", where))
+            shape = _require(entry, "shape", where)
             role = _require(entry, "role", where)
             if role not in _ROLES:
                 raise ModelFormatError(f"{where}: role must be one of {_ROLES}")
@@ -87,11 +87,7 @@ def loads_model(text: str, origin: str = "<string>") -> Graph:
                 raise ModelFormatError(f"{where}: unknown kind {kind_name!r}")
             inputs = [b._names[i] if i in b._names else _bad_ref(where, i)
                       for i in _require(entry, "inputs", where)]
-            attrs = entry.get("attrs") or {}
-            if kind is OpKind.CONSTANT:
-                b.constant(attrs.get("value"), name)
-            else:
-                b.build(kind, inputs, attrs, name)
+            b.build(kind, inputs, entry.get("attrs"), name)
 
         if not isinstance(outputs, list):
             raise ModelFormatError("outputs must be a list of op names")

@@ -19,8 +19,8 @@ many points through the same plan. Each input is bound either with its
 declared shape, shared by every point, or with shape B followed by its
 declared shape, one value per point; every output has shape B followed by its
 declared shape, broadcast when it depends on no per-point input. The kernels
-index their axes from the end, so the batch axes ride through them (see
-`graph.KERNELS`), and the default B = () is the unbatched call, which
+index their axes from the end, so the batch axes ride through them (see the
+kernels of `graph.OPS`), and the default B = () is the unbatched call, which
 accepts declared shapes only. The finiteness invariant holds point by point:
 when a batch traps, it is bisected down to one point whose error names the
 node and carries the point's index. Batches run in chunks of at most
@@ -48,7 +48,8 @@ from .errors import (
     ValidationFailed,
 )
 from .graph import (
-    KERNELS,
+    LEAF_KINDS,
+    OPS,
     Graph,
     OpKind,
     TensorShape,
@@ -193,9 +194,7 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
             if nonfinite_constant is None and not np.isfinite(value).all():
                 nonfinite_constant = node.name
 
-    interior = [n for n in opt.nodes if n.kind not in
-                (OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT)
-                and n.id in reachable]
+    interior = [n for n in opt.nodes if n.kind not in LEAF_KINDS and n.id in reachable]
     last_use: dict[int, int] = {}
     for pos, node in enumerate(interior):
         for i in node.inputs:
@@ -210,7 +209,7 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         in_slots = tuple(slot_of[i] for i in node.inputs)
         for i in set(node.inputs):
             n_i = opt.nodes[i]
-            reusable = (n_i.kind not in (OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT)
+            reusable = (n_i.kind not in LEAF_KINDS
                         and i not in outputs and last_use.get(i) == pos)
             if reusable:
                 free.append(slot_of[i])
@@ -218,7 +217,7 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         slot_of[node.id] = out_slot
         ranks = tuple(opt.nodes[i].shape.rank for i in node.inputs)
         plan.append(Instruction(node.kind, {**node.attrs, "ranks": ranks},
-                                in_slots, out_slot, node.name, KERNELS[node.kind]))
+                                in_slots, out_slot, node.name, OPS[node.kind].kernel))
 
     output_slots = tuple(slot_of[h] for h in opt.outputs)
     output_names = tuple(opt.nodes[h].name for h in opt.outputs)

@@ -3,7 +3,7 @@ import pytest
 
 from dpgraph import GraphBuilder, NonDifferentiable, OpKind
 from dpgraph.autodiff import VJP_RULES, higher_order, jacobian, vjp
-from dpgraph.graph import ARITY, LEAF_KINDS
+from dpgraph.graph import LEAF_KINDS, OPS
 from dpgraph.models import mlp_classifier
 from dpgraph import runtime
 
@@ -99,7 +99,7 @@ def test_wrt_must_be_leaf():
 def test_every_kind_has_a_rule():
     missing = [k for k in OpKind if k not in LEAF_KINDS and k not in VJP_RULES]
     assert missing == []
-    assert set(ARITY) == set(OpKind)
+    assert set(OPS) == set(OpKind)
 
 
 def test_clip_derivative_inside_outside_boundary():

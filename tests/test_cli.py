@@ -150,6 +150,22 @@ def test_analyze_validation_failure(tmp_path, capsys):
     assert "bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", [
+    {"name": "p", "kind": "Pow", "inputs": ["x"], "attrs": {"exponent": float("nan")}},
+    {"name": "p", "kind": "Pow", "inputs": ["x"], "attrs": {"exponent": float("inf")}},
+    {"name": "p", "kind": "Clip", "inputs": ["x"],
+     "attrs": {"lo": float("nan"), "hi": 1.0}},
+], ids=["pow-nan", "pow-inf", "clip-nan"])
+def test_analyze_refuses_non_finite_attrs(tmp_path, capsys, op):
+    # a NaN exponent once ended in a ValueError traceback from the interval
+    # layer, and a NaN Clip bound in certified bounds for a NaN query
+    doc = json.loads(json.dumps(MEAN_MODEL))
+    doc["ops"] = [op, {"name": "m", "kind": "Sum", "inputs": ["p"]}]
+    model = _write(tmp_path, "nonfinite.json", doc)
+    assert main(["analyze", "--model", str(model)]) == 2
+    assert f"'{next(iter(op['attrs']))}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--seed", "-1"],
     ["analyze", "--samples", "-4"],

@@ -221,6 +221,24 @@ def test_freeze_names_are_checked_for_every_method(method):
     assert bound({"w": 2.0}) == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("value", [2.0, np.ones(4), np.ones((2, 2, 1))],
+                         ids=["scalar", "flat", "extra-axis"])
+@pytest.mark.parametrize("method", lipschitz.METHODS)
+def test_freeze_values_need_the_exact_shape_for_every_method(method, value):
+    # ibp once broadcast a scalar over w (2x2), and refused a value of another
+    # shape with ValidationFailed, while the sampling methods raised InvalidParams
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=(0.0, 1.0))
+    w = b.parameter("w", (2, 2), bounds=(-1.0, 1.0))
+    b.output(b.reduce_sum(b.matmul(w, x)))
+    config = OptimizerConfig(freeze={"w": value}, grid_resolution=5)
+    with pytest.raises(InvalidParams, match="'w' expects shape"):
+        estimate_sensitivity(b.graph(), method=method, config=config)
+    config = OptimizerConfig(freeze={"w": np.eye(2)}, grid_resolution=5)
+    assert estimate_sensitivity(b.graph(), method=method, config=config).bound \
+        == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+
 @pytest.mark.parametrize("fields", [{"seed": -1}, {"n_samples": 0}, {"n_samples": -4}],
                          ids=["seed", "no-samples", "negative-samples"])
 def test_config_rejects_negative_seeds_and_sample_counts(fields):

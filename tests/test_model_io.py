@@ -148,3 +148,55 @@ def test_matmul_attrs_roundtrip():
     g = b.graph()
     g2 = loads_model(dumps_model(g))
     assert runtime.graph_fingerprint(g2) == runtime.graph_fingerprint(g)
+
+
+def _one_op(kind, inputs, attrs):
+    return {
+        "tensors": [{"name": n, "shape": [2, 3], "role": "private_input",
+                     "bounds": [0.0, 1.0]} for n in ("x", "y")],
+        "ops": [{"name": "op", "kind": kind, "inputs": inputs, "attrs": attrs}],
+        "outputs": ["op"],
+    }
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kind,inputs,attrs,match", [
+    ("MatMul", ["x", "y"], {"transpose_a": "false"}, "transpose_a"),
+    ("MatMul", ["x", "y"], {"transpose_a": 1}, "transpose_a"),
+    ("Sum", ["x"], {"axis": 0.9}, "axis"),
+    ("Concat", ["x", "y"], {"axis": 1.7}, "axis"),
+    ("Slice", ["x"], {"axis": 1, "start": 0.5, "stop": 2}, "start"),
+    ("Reshape", ["x"], {"shape": [6.5]}, "shape"),
+    ("Pow", ["x"], {"exponent": NAN}, "exponent"),
+    ("Pow", ["x"], {"exponent": INF}, "exponent"),
+    ("Pow", ["x"], {"exponent": "2"}, "exponent"),
+    ("Clip", ["x"], {"lo": NAN, "hi": 1.0}, "lo"),
+    ("Clip", ["x"], {"lo": INF, "hi": INF}, "lo"),
+    ("Clip", ["x"], {"lo": -INF, "hi": -INF}, "hi"),
+    ("InInterval", ["x"], {"lo": 0.0, "hi": NAN}, "hi"),
+    ("Constant", [], {}, "value"),
+    ("Constant", [], {"value": "1.5"}, "value"),
+    ("Constant", ["x"], {"value": 1.0}, "inputs"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+def test_attr_values_are_checked_not_coerced(kind, inputs, attrs, match):
+    # each of these loaded at one time, with the value coerced: a string
+    # "false" read as true, an axis or a bound truncated, a NaN kept
+    with pytest.raises(ModelFormatError, match=match):
+        loads_model(json.dumps(_one_op(kind, inputs, attrs)))
+
+
+def test_infinite_interval_ends_open_the_interval():
+    doc = _one_op("Clip", ["x"], {"lo": -INF, "hi": 0.5})
+    g = loads_model(json.dumps(doc))
+    point = {"x": np.ones((2, 3)), "y": np.ones((2, 3))}
+    (out,) = runtime.execute(runtime.compile(g), point)
+    np.testing.assert_array_equal(out, np.full((2, 3), 0.5))
+
+
+def test_tensor_shapes_are_integers():
+    doc = _one_op("Neg", ["x"], {})
+    doc["tensors"][0]["shape"] = [2.7, 3]
+    with pytest.raises(ModelFormatError, match="2.7"):
+        loads_model(json.dumps(doc))
