@@ -38,7 +38,7 @@ from .graph import (
     optimize,
 )
 from .autodiff import JacobianGraph, higher_order, jacobian
-from .interval import IntervalTensor, ibp_sensitivity, propagate
+from .interval import IntervalTensor, propagate
 from .report import SensitivityReport
 from .lipschitz import (
     OptimizerConfig,
@@ -81,7 +81,7 @@ __all__ = [
     "TensorShape", "UnknownNode", "ValidationFailed", "benchmark",
     "cache_info", "calibrate_sigma", "clear_cache", "clip", "compile_graph", "dumps_model",
     "estimate_sensitivity", "execute", "gaussian_condition",
-    "global_maximize", "graph_fingerprint", "higher_order", "ibp_sensitivity",
+    "global_maximize", "graph_fingerprint", "higher_order",
     "jacobian", "load_model", "loads_model", "optimize", "privatize",
     "propagate", "save_model", "spectral_norm",
 ]

@@ -15,15 +15,18 @@ a new operation only needs a table entry.
   the single matrix output (a lone leaf or a lone row needs no `Concat`).
   Row by row accumulation keeps the graph at one reverse pass per output
   element, however many columns there are (Griewank & Walther, *Evaluating
-  Derivatives*, ch. 3-5). The duplicated forward work is undone by
-  common-subexpression elimination when the result is optimized.
+  Derivatives*, ch. 3-5). The forward work that the rules repeat is undone
+  by common-subexpression elimination when the result is compiled.
 * `vjp` runs a single pass seeded with a new Parameter leaf that holds the
   output's cotangent at run time, so its size grows with the source graph
   alone.
 
-The results are graphs themselves: they can be optimized, compiled, and
-differentiated again (`higher_order`); a Jacobian graph keeps the source's
-bounds, so it can be interval-propagated as well.
+The results are graphs themselves, returned as the sweep built them: the
+source nodes no output reaches are still there, and nothing is folded.
+`runtime.compile` optimizes them, so each derivative graph is optimized once;
+`higher_order` optimizes each order before it differentiates it again. A
+Jacobian graph keeps the source's bounds, so it can be interval-propagated
+as it stands.
 """
 
 from __future__ import annotations
@@ -257,8 +260,8 @@ class _ReverseSweep:
 
     `nb` starts with every node, name, role and bound of `graph` but none of
     its outputs, so a source handle is also a handle of the result. Each
-    `backward` call appends one reverse pass to `nb`; `optimize` later drops
-    the source nodes that no output of the result reaches.
+    `backward` call appends one reverse pass to `nb`; optimizing the result
+    drops the source nodes that no output of it reaches.
     """
 
     def __init__(self, graph: Graph, wrt):
@@ -305,8 +308,9 @@ def jacobian(graph: Graph, wrt) -> JacobianGraph:
     """Build the graph computing the full Jacobian of outputs w.r.t. `wrt`.
 
     `wrt` is an ordered list of Input/Parameter handles of `graph`. The
-    returned graph keeps every leaf of the source (same names, roles, and
-    bounds) and has a single (output_size, wrt_size) matrix output.
+    returned graph extends the source, so it keeps every node of it (same
+    handles, names, roles, and bounds), and has a single (output_size,
+    wrt_size) matrix output. It is not optimized.
     """
     sweep = _ReverseSweep(graph, wrt)
     nb, wrt = sweep.nb, sweep.wrt
@@ -326,9 +330,8 @@ def jacobian(graph: Graph, wrt) -> JacobianGraph:
             rows.append(parts[0] if len(parts) == 1 else nb.concat(parts, axis=1))
     nb.output(rows[0] if len(rows) == 1 else nb.concat(rows, axis=0))
 
-    result = optimize(nb.graph())
     return JacobianGraph(
-        graph=result,
+        graph=nb.graph(),
         wrt=wrt,
         wrt_names=tuple(graph.nodes[h].name for h in wrt),
         output_size=len(rows),
@@ -343,7 +346,8 @@ def vjp(graph: Graph, wrt) -> tuple[Graph, str]:
     Parameter, shaped like the output, that holds its cotangent c. Its name
     is one that no node of `graph` uses, and it is returned with the graph.
     There is one output per `wrt` handle, in order: the gradient of
-    <c, output> with respect to that leaf, shaped like the leaf.
+    <c, output> with respect to that leaf, shaped like the leaf. The graph is
+    not optimized.
     """
     if len(graph.outputs) != 1:
         raise NonDifferentiable(
@@ -360,17 +364,22 @@ def vjp(graph: Graph, wrt) -> tuple[Graph, str]:
         if grad is None:
             grad = nb.constant(np.zeros(graph.nodes[h].shape.dims))
         nb.output(grad)
-    return optimize(nb.graph()), name
+    return nb.graph(), name
 
 
 def higher_order(graph: Graph, wrt, order: int) -> JacobianGraph:
-    """Iterate `jacobian` `order` times; order 1 is exactly `jacobian`."""
+    """Iterate `jacobian` `order` times; order 1 is exactly `jacobian`.
+
+    Each order is optimized before it is differentiated again, so the next
+    sweep runs over the folded graph and not over every node the previous
+    sweeps appended; the last order is returned unoptimized.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     jg = jacobian(graph, wrt)
     for _ in range(order - 1):
-        handles = [jg.graph.find(name) for name in jg.wrt_names]
-        nxt = jacobian(jg.graph, handles)
+        g = optimize(jg.graph)
+        nxt = jacobian(g, [g.find(name) for name in jg.wrt_names])
         jg = JacobianGraph(
             graph=nxt.graph,
             wrt=jg.wrt,

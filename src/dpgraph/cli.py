@@ -176,12 +176,8 @@ def cmd_run(args) -> int:
         return _fail(2, str(err))
 
     try:
-        if args.cap is not None:
-            params = PrivacyParams(epsilon=args.epsilon, delta=args.delta,
-                                   mode="max_sensitivity_cap",
-                                   sensitivity_cap=args.cap)
-        else:
-            params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
+        params = PrivacyParams(epsilon=args.epsilon, delta=args.delta,
+                               sensitivity_cap=args.cap)
     except InvalidParams as err:
         return _fail(4, str(err))
 

@@ -1,4 +1,4 @@
-"""Interval arithmetic over graphs and the interval-propagation sensitivity baseline.
+"""Interval arithmetic over graphs and the interval-propagation sensitivity bound.
 
 Propagation applies the textbook interval rules node by node, one entry of
 `INTERVAL_RULES` per kind. A kind that does not decrease in any operand (the
@@ -7,19 +7,21 @@ kernel from `graph.OPS` applied to the lower endpoints and to the upper
 endpoints. Occurrences of the same variable are treated independently on
 purpose (x - x over [-1, 1] yields [-2, 2]); this dependency looseness is the
 known weakness of the baseline and it is preserved, not patched.
+
+`ibp_bound` propagates the boxes through the Jacobian graph as `jacobian`
+returns it, unoptimized; `lipschitz.estimate_sensitivity` wraps it in the
+`ibp` report.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import jacobian
 from .errors import DomainError, ValidationFailed
 from .graph import BCE_CLAMP, BoundsSpec, Diagnostic, Graph, OpKind, apply_kind
-from .report import SensitivityReport
 
 
 @dataclass(frozen=True)
@@ -203,32 +205,15 @@ def propagate(graph: Graph, bounds: BoundsSpec | None = None) -> dict[int, Inter
     return result
 
 
-def ibp_sensitivity(graph: Graph, wrt=None, bounds: BoundsSpec | None = None) -> SensitivityReport:
+def ibp_bound(graph: Graph, wrt) -> float:
     """Frobenius-dominated spectral bound from intervals on the Jacobian graph.
 
-    The report interval is [0, U] with U = sqrt(sum of max(|lo|, |hi|)^2) over
-    the Jacobian entries; U is a sound (certified) upper bound of the true
-    supremum, and usually a loose one.
+    U = sqrt(sum of max(|lo|, |hi|)^2) over the enclosures of the Jacobian
+    entries with respect to the `wrt` handles is a sound upper bound of the
+    supremum of the Jacobian's spectral norm over the box, and usually a
+    loose one.
     """
-    from .runtime import graph_fingerprint
-
-    t0 = time.perf_counter()
-    if bounds is not None:
-        graph = replace(graph, bounds=bounds)
-    fingerprint = graph_fingerprint(graph)
-    if wrt is None:
-        wrt = list(graph.private_inputs) or list(graph.leaves())
     jg = jacobian(graph, wrt)
-    enclosures = propagate(jg.graph)
-    out = enclosures[jg.graph.outputs[0]]
+    out = propagate(jg.graph)[jg.graph.outputs[0]]
     magnitude = np.maximum(np.abs(out.lo), np.abs(out.hi))
-    bound = float(np.sqrt(np.sum(magnitude ** 2)))
-    return SensitivityReport(
-        method="ibp",
-        bound=bound,
-        interval_low=0.0,
-        certified=True,
-        argmax=None,
-        wall_time=time.perf_counter() - t0,
-        fingerprint=fingerprint,
-    )
+    return float(np.sqrt(np.sum(magnitude ** 2)))

@@ -47,7 +47,7 @@ from .errors import (
     ValidationFailed,
 )
 from .graph import Diagnostic, Graph, OpKind
-from .interval import ibp_sensitivity
+from .interval import ibp_bound
 from .report import SensitivityReport
 from . import runtime
 
@@ -421,15 +421,12 @@ class _JacobianObjective:
     """Spectral norm of the Jacobian as a function of the boxed free tensors."""
 
     def __init__(self, graph: Graph, wrt, config: OptimizerConfig):
-        graph.require_valid()
-        self.config = config
-        self.jg = jacobian(graph, wrt)
-        self.program = runtime.compile(self.jg.graph)
+        self.program = runtime.compile(jacobian(graph, wrt).graph)
         freeze = config.freeze or {}  # shapes checked by estimate_sensitivity
         self.frozen: dict[str, np.ndarray] = {}
         self.free: list[tuple[str, tuple[int, ...]]] = []
         lo_parts, hi_parts = [], []
-        g = self.jg.graph
+        g = self.program.optimized_graph
         for h in g.leaves():
             node = g.nodes[h]
             if node.name in freeze:
@@ -509,7 +506,8 @@ class _JacobianObjective:
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """d sigma_max / dv at each row of a (k, d) stack, by one reverse pass
-        over the Jacobian graph; a point of shape (d,) is a stack of one.
+        over the optimized Jacobian graph; a point of shape (d,) is a stack
+        of one.
 
         For a top singular triple (sigma, u, w) of J(v), the gradient of
         sigma is the gradient of <u w^T, J(v)> with u and w held fixed, so
@@ -528,7 +526,7 @@ class _JacobianObjective:
         if v.ndim == 1:
             return self.gradient(v[None, :])[0]
         if self._grad_program is None:
-            g = self.jg.graph
+            g = self.program.optimized_graph
             grad_graph, self._cotangent = vjp(
                 g, [g.find(name) for name, _ in self.free])
             self._grad_program = runtime.compile(grad_graph)
@@ -627,46 +625,44 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
 
     t0 = time.perf_counter()
     fingerprint = runtime.graph_fingerprint(graph)
-
     if method == "ibp":
-        target = graph
-        if config.freeze:
-            target = _freeze_bounds(graph, config.freeze)
-        report = ibp_sensitivity(target, wrt=wrt)
-        return replace(report, fingerprint=fingerprint,
-                       wall_time=time.perf_counter() - t0)
+        target = _freeze_bounds(graph, config.freeze) if config.freeze else graph
+        found = dict(bound=ibp_bound(target, wrt), interval_low=0.0,
+                     certified=True, argmax=None)
+    else:
+        objective = _JacobianObjective(graph, wrt, config)
+        if method == "grid_oracle":
+            result = _grid_maximize(objective, config)
+        else:
+            result = global_maximize(objective, (objective.lo, objective.hi), config,
+                                     gradient=objective.gradient)
+        found = dict(bound=float(result.value), interval_low=float(result.value),
+                     certified=result.certificate,
+                     argmax=objective.unpack(result.argmax),
+                     warning=result.warning, n_evaluations=result.n_evaluations)
+    return SensitivityReport(method=method, wall_time=time.perf_counter() - t0,
+                             fingerprint=fingerprint, **found)
 
-    objective = _JacobianObjective(graph, wrt, config)
 
-    if method == "grid_oracle":
-        if objective.dim > GRID_DIM_CAP:
-            raise DimensionTooLarge(
-                f"grid oracle supports at most {GRID_DIM_CAP} free "
-                f"scalar variables, domain has {objective.dim}")
-        best_val, best_pt = -np.inf, None
-        for chunk in _grid_chunks(objective.lo, objective.hi, config.grid_resolution,
-                                  runtime.chunk_points(objective.program)):
-            vals = objective._triples(chunk)[0]
-            i = int(np.argmax(vals))  # the first of equal values, as in row order
-            if vals[i] > best_val:
-                best_val, best_pt = vals[i], chunk[i]
-        if best_pt is None or not np.isfinite(best_val):
-            raise OptimizerFailure("grid oracle found no feasible point")
-        return SensitivityReport(
-            method="grid_oracle", bound=float(best_val),
-            interval_low=float(best_val), certified=False,
-            argmax=objective.unpack(best_pt),
-            wall_time=time.perf_counter() - t0, fingerprint=fingerprint,
-            n_evaluations=config.grid_resolution ** objective.dim)
-
-    result = global_maximize(objective, (objective.lo, objective.hi), config,
-                             gradient=objective.gradient)
-    return SensitivityReport(
-        method="global_opt", bound=float(result.value),
-        interval_low=float(result.value), certified=result.certificate,
-        argmax=objective.unpack(result.argmax),
-        wall_time=time.perf_counter() - t0, fingerprint=fingerprint,
-        warning=result.warning, n_evaluations=result.n_evaluations)
+def _grid_maximize(objective: _JacobianObjective,
+                   config: OptimizerConfig) -> MaximizeResult:
+    """The best point of the grid, the first in row order among equal values;
+    never certified."""
+    if objective.dim > GRID_DIM_CAP:
+        raise DimensionTooLarge(
+            f"grid oracle supports at most {GRID_DIM_CAP} free "
+            f"scalar variables, domain has {objective.dim}")
+    best_val, best_pt = -np.inf, None
+    for chunk in _grid_chunks(objective.lo, objective.hi, config.grid_resolution,
+                              runtime.chunk_points(objective.program)):
+        vals = objective._triples(chunk)[0]
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_pt = vals[i], chunk[i]
+    if best_pt is None or not np.isfinite(best_val):
+        raise OptimizerFailure("grid oracle found no feasible point")
+    return MaximizeResult(best_pt, float(best_val), False, None,
+                          config.grid_resolution ** objective.dim)
 
 
 def _freeze_bounds(graph: Graph, freeze: Mapping) -> Graph:

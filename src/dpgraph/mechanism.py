@@ -21,8 +21,6 @@ from .graph import Bounds
 from .report import SensitivityReport
 from .runtime import CompiledProgram, execute
 
-MODES = ("fixed_epsilon_delta", "max_sensitivity_cap")
-
 _BISECT_REL_TOL = 1e-9
 
 # Smallest delta that calibration accepts. Near delta = 1e-300 the Phi terms
@@ -33,11 +31,11 @@ MIN_DELTA = 1e-200
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Target guarantee: (epsilon, delta), optionally gated by a sensitivity cap."""
+    """Target guarantee: (epsilon, delta), optionally gated by a sensitivity
+    cap: with a cap, `privatize` refuses a report whose bound exceeds it."""
 
     epsilon: float
     delta: float
-    mode: str = "fixed_epsilon_delta"
     sensitivity_cap: float | None = None
 
     def __post_init__(self):
@@ -49,11 +47,6 @@ class PrivacyParams:
             raise InvalidParams(
                 f"delta={self.delta} is below {MIN_DELTA}, where float64 "
                 f"cannot evaluate the calibration condition reliably")
-        if self.mode not in MODES:
-            raise InvalidParams(f"unknown mode {self.mode!r}")
-        if (self.mode == "max_sensitivity_cap") != (self.sensitivity_cap is not None):
-            raise InvalidParams(
-                "sensitivity_cap is required exactly when mode=max_sensitivity_cap")
         if self.sensitivity_cap is not None and not self.sensitivity_cap > 0:
             raise InvalidParams("sensitivity_cap must be positive")
 
@@ -158,7 +151,7 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
     if not (math.isfinite(report.bound) and report.bound > 0):
         raise InvalidParams(f"sensitivity bound must be finite and positive, "
                             f"got {report.bound}")
-    if params.mode == "max_sensitivity_cap" and report.bound > params.sensitivity_cap:
+    if params.sensitivity_cap is not None and report.bound > params.sensitivity_cap:
         raise InvalidParams(
             f"sensitivity exceeds cap: {report.bound} > {params.sensitivity_cap}")
 

@@ -9,9 +9,10 @@ Schema (all field names exact, unknown keys rejected):
       "outputs": ["opname", ...]
     }
 
-`bounds` halves are scalars or nested arrays matching the shape; the key may
-be omitted for parameters. Constants are ops of kind "Constant" with a
-"value" attr. Ops must be listed after every name they reference.
+`bounds` halves are numbers or nested arrays of numbers matching the shape
+(a string or a bool is refused); the key may be omitted for parameters.
+Constants are ops of kind "Constant" with a "value" attr. Ops must be listed
+after every name they reference.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DpGraphError, ModelFormatError
-from .graph import Graph, GraphBuilder, OpKind
+from .graph import Graph, GraphBuilder, OpKind, _array
 
 _TOP_KEYS = {"tensors", "ops", "outputs"}
 _TENSOR_KEYS = {"name", "shape", "role", "bounds"}
@@ -69,8 +70,10 @@ def loads_model(text: str, origin: str = "<string>") -> Graph:
             if bounds is not None:
                 if not isinstance(bounds, list) or len(bounds) != 2:
                     raise ModelFormatError(f"{where}: bounds must be [lo, hi]")
-                bounds = (np.asarray(bounds[0], dtype=np.float64),
-                          np.asarray(bounds[1], dtype=np.float64))
+                try:
+                    bounds = (_array(bounds[0]), _array(bounds[1]))
+                except ValueError as err:
+                    raise ModelFormatError(f"{where}: bounds {err}") from err
             if role == "private_input":
                 b.input(name, shape, bounds)
             else:

@@ -1,7 +1,10 @@
 """Compilation of graphs to linear register programs, execution, benchmarks.
 
 Compilation runs the optimizer, linearizes the surviving nodes, resolves each
-instruction's kernel, and assigns tensor slots with last-use reuse. Programs
+instruction's kernel, and assigns tensor slots with last-use reuse. It is
+where the derivative graphs of `autodiff`, which come unoptimized, are
+optimized, so a compiled program's `optimized_graph` is the one to
+differentiate or inspect further. Programs
 are cached under two content keys: the canonical hash of the graph as given
 and the hash of its optimized form (the program fingerprint), so recompiling
 an identical graph is a lookup.

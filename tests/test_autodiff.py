@@ -27,7 +27,8 @@ def test_scaled_identity_has_constant_jacobian():
     g, _ = _scalar_query(lambda b, x: b.mul(b.constant(3.0), x))
     jg = jacobian(g, [g.find("x")])
     # after folding, the Jacobian is literally a constant matrix
-    out = jg.graph.nodes[jg.graph.outputs[0]]
+    opt = runtime.compile(jg.graph).optimized_graph
+    out = opt.nodes[opt.outputs[0]]
     assert out.kind is OpKind.CONSTANT
     np.testing.assert_allclose(out.attrs["value"], [[3.0]])
 
@@ -292,7 +293,8 @@ def test_derivative_graphs_drop_unreached_source_nodes():
     b.exp(x)  # reached by no output
     b.output(b.reduce_sum(b.sigmoid(x), axis=None))
     g = b.graph()
-    for result in (jacobian(g, [x]).graph, vjp(g, [x])[0]):
+    for derivative in (jacobian(g, [x]).graph, vjp(g, [x])[0]):
+        result = runtime.compile(derivative).optimized_graph
         assert OpKind.EXP not in {n.kind for n in result.nodes}
         assert result.find("x") == x
 
@@ -304,14 +306,23 @@ def _sum_sigmoid(n):
     return b.graph()
 
 
+# Each query pins the compiled fingerprints of its jacobian and vjp programs,
+# then those of higher_order at orders 2, 3, ... as far as the tuple goes.
 @pytest.mark.parametrize("make,fingerprints", [
     (lambda: mlp_classifier(2),
      ("960788348575db7749a6ff0b885b00f5f6149b84dfda5cc95557f5b4dddb1779",
-      "de3b929b80a9f9ae497acc594b589d23a40c12c47f183f1c0c0457ab3f916605")),
+      "de3b929b80a9f9ae497acc594b589d23a40c12c47f183f1c0c0457ab3f916605",
+      "0fe33439a065955c50ac29d439a4e9912e3f551eab2be6c549a9ac3ef951e4ec",
+      "7e4137480ee09290b18c8b5a19ac5e653318fd527171806ac1276fa320903a0e")),
+    (lambda: mlp_classifier(4),
+     ("b6abd0f5ab49e021eba45c43c7d104256282f6cc871edad554a665b097929c7d",
+      "f1f13125e1d6330b1493711a5e51eb8d2e560b92c547c809f940946ec96cffc4",
+      "f2887a051981e3a4f7d09b1db4c93511a8fbecc3fe742668b90c0abf9a5bd0fc",
+      "5957d0be3c6424f18785ce99283296ec891fba7d2376ff01a8f8f676d6be88de")),
     (lambda: _sum_sigmoid(64),
      ("e8544bbcadbff368238d461c84e5d959eac7ee359434a9cdad3a3adf6509dae3",
       "38d80d782bee69a5afc4604facaeccb555477c11f4dc16ed5903b9c1f0c14d19")),
-], ids=["mlp2", "sum_sigmoid64"])
+], ids=["mlp2", "mlp4", "sum_sigmoid64"])
 def test_derivative_program_fingerprints_are_pinned(make, fingerprints):
     # the fingerprint hashes the whole optimized graph but for interior
     # names, so a change to the sweep or to optimize that alters the
@@ -320,4 +331,6 @@ def test_derivative_program_fingerprints_are_pinned(make, fingerprints):
     wrt = [g.find("x")]
     got = (runtime.compile(jacobian(g, wrt).graph).fingerprint,
            runtime.compile(vjp(g, wrt)[0]).fingerprint)
+    got += tuple(runtime.compile(higher_order(g, wrt, order).graph).fingerprint
+                 for order in range(2, len(fingerprints)))
     assert got == fingerprints

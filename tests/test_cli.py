@@ -150,6 +150,15 @@ def test_analyze_validation_failure(tmp_path, capsys):
     assert "bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", [["0", True], [False, 1], [0, "1e0"]], ids=str)
+def test_analyze_refuses_bounds_that_are_not_numbers(tmp_path, capsys, bounds):
+    doc = json.loads(json.dumps(AFFINE_MODEL))
+    doc["tensors"][0]["bounds"] = bounds
+    model = _write(tmp_path, "bounds.json", doc)
+    assert main(["analyze", "--model", str(model)]) == 2
+    assert "bounds must hold numbers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("op", [
     {"name": "p", "kind": "Pow", "inputs": ["x"], "attrs": {"exponent": float("nan")}},
     {"name": "p", "kind": "Pow", "inputs": ["x"], "attrs": {"exponent": float("inf")}},

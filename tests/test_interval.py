@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from dpgraph import DomainError, GraphBuilder
-from dpgraph.graph import LEAF_KINDS, OpKind
-from dpgraph.interval import INTERVAL_RULES, IntervalTensor, ibp_sensitivity, propagate
+from dpgraph.autodiff import jacobian
+from dpgraph.graph import LEAF_KINDS, OpKind, optimize
+from dpgraph.interval import INTERVAL_RULES, IntervalTensor, propagate
+from dpgraph.lipschitz import estimate_sensitivity
 from dpgraph.models import mlp_classifier
 
 from conftest import random_graph, ref_eval_all, sample_inputs
@@ -84,7 +86,7 @@ def test_ibp_affine_is_exact():
     b = GraphBuilder()
     x = b.input("x", (), bounds=(0.0, 1.0))
     b.output(b.mul(b.constant(3.0), x))
-    report = ibp_sensitivity(b.graph())
+    report = estimate_sensitivity(b.graph(), method="ibp")
     assert report.bound == pytest.approx(3.0, abs=1e-12)
     assert report.interval_low == 0.0
     assert report.certified
@@ -95,7 +97,7 @@ def test_ibp_square_bound():
     b = GraphBuilder()
     x = b.input("x", (), bounds=(0.0, 1.0))
     b.output(b.mul(x, x))
-    report = ibp_sensitivity(b.graph())
+    report = estimate_sensitivity(b.graph(), method="ibp")
     assert report.bound == pytest.approx(2.0, abs=1e-12)
 
 
@@ -107,16 +109,37 @@ def test_ibp_linear_graph_matches_frobenius(rng):
     h = b.matmul(b.constant(w1), x)
     h = b.add(h, b.constant(rng.uniform(-1, 1, (3, 1))))
     b.output(b.matmul(b.constant(w2), h))
-    report = ibp_sensitivity(b.graph())
+    report = estimate_sensitivity(b.graph(), method="ibp")
     assert report.bound == pytest.approx(np.linalg.norm(w2 @ w1, "fro"), rel=1e-12)
 
 
 def test_ibp_mlp_is_much_looser_than_truth():
     g = mlp_classifier(2, in_features=1)
-    report = ibp_sensitivity(g, wrt=g.private_inputs)
+    report = estimate_sensitivity(g, wrt=g.private_inputs, method="ibp")
     # the true supremum for this network is below 2; interval dependency
     # inflates the baseline far beyond it
     assert report.bound > 2.0
+
+
+def _output_enclosure(graph):
+    try:
+        out = propagate(graph)[graph.outputs[0]]
+    except DomainError as err:
+        return str(err)
+    return out.lo.tobytes(), out.hi.tobytes()
+
+
+def test_jacobian_enclosures_do_not_depend_on_optimize(rng):
+    # ibp_bound propagates the Jacobian graph as jacobian returns it; the
+    # enclosure of its output is the one of the optimized graph, bit for bit
+    cases = [(g, [g.find("x")]) for g in map(mlp_classifier, (2, 3, 4))]
+    kinds = [k for k in OpKind if k not in LEAF_KINDS]
+    for i in range(40):  # the draws of test_optimize_idempotent
+        g = random_graph(rng, wild=i % 2 == 1, force_kinds=(kinds[i % len(kinds)],))
+        cases.append((g, list(g.leaves())))
+    for g, wrt in cases:
+        jg = jacobian(g, wrt).graph
+        assert _output_enclosure(jg) == _output_enclosure(optimize(jg))
 
 
 def test_every_kind_has_an_interval_rule():

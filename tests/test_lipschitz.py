@@ -28,7 +28,8 @@ from dpgraph.lipschitz import (
     spectral_norm_with_vectors,
     spectral_norms_with_vectors,
 )
-from dpgraph import lipschitz, runtime
+from dpgraph import autodiff, lipschitz, runtime
+from dpgraph.graph import optimize
 from dpgraph.models import mean_query, mlp_classifier
 from dpgraph.report import SensitivityReport
 
@@ -237,6 +238,34 @@ def test_freeze_values_need_the_exact_shape_for_every_method(method, value):
     config = OptimizerConfig(freeze={"w": np.eye(2)}, grid_resolution=5)
     assert estimate_sensitivity(b.graph(), method=method, config=config).bound \
         == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("method,calls", [("global_opt", 3), ("ibp", 1)])
+def test_each_graph_is_optimized_once(monkeypatch, method, calls):
+    # the source graph when it is fingerprinted, and for global_opt the
+    # Jacobian and vjp graphs when they are compiled; jacobian and vjp
+    # return their graphs unoptimized, and ibp propagates its Jacobian as is
+    optimized = []
+
+    def counting(graph):
+        optimized.append(graph)
+        return optimize(graph)
+
+    for module in (runtime, autodiff):
+        monkeypatch.setattr(module, "optimize", counting)
+    runtime.clear_cache()
+    g = mlp_classifier(2)
+    estimate_sensitivity(g, wrt=[g.find("x")], method=method)
+    assert len(optimized) == calls
+
+
+def test_frozen_ibp_compiles_only_the_source_graph():
+    runtime.clear_cache()
+    g = mlp_classifier(2)
+    w1 = np.full(g.nodes[g.find("w1")].shape.dims, 0.5)
+    estimate_sensitivity(g, wrt=[g.find("x")], method="ibp",
+                         config=OptimizerConfig(freeze={"w1": w1}))
+    assert runtime.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("fields", [{"seed": -1}, {"n_samples": 0}, {"n_samples": -4}],

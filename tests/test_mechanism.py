@@ -70,9 +70,7 @@ def test_invalid_privacy_params():
     with pytest.raises(InvalidParams):
         PrivacyParams(epsilon=1.0, delta=1.5)
     with pytest.raises(InvalidParams):
-        PrivacyParams(epsilon=1.0, delta=1e-5, mode="max_sensitivity_cap")
-    with pytest.raises(InvalidParams):
-        PrivacyParams(epsilon=1.0, delta=1e-5, sensitivity_cap=2.0)
+        PrivacyParams(epsilon=1.0, delta=1e-5, sensitivity_cap=0.0)
     with pytest.raises(InvalidParams):
         calibrate_sigma(0.0, PrivacyParams(epsilon=1.0, delta=1e-5))
 
@@ -222,12 +220,10 @@ def test_privatize_refuses_stacked_data(mean_setup, rng):
 
 def test_privatize_cap_mode(mean_setup):
     _, program, report = mean_setup
-    ok = PrivacyParams(epsilon=1.0, delta=1e-5, mode="max_sensitivity_cap",
-                       sensitivity_cap=1.0)
+    ok = PrivacyParams(epsilon=1.0, delta=1e-5, sensitivity_cap=1.0)
     out = privatize(program, {"x": np.zeros((10, 1))}, ok, report, seed=1)
     assert out.sigma > 0
-    tight = PrivacyParams(epsilon=1.0, delta=1e-5, mode="max_sensitivity_cap",
-                          sensitivity_cap=report.bound / 2)
+    tight = PrivacyParams(epsilon=1.0, delta=1e-5, sensitivity_cap=report.bound / 2)
     with pytest.raises(InvalidParams, match="exceeds cap"):
         privatize(program, {"x": np.zeros((10, 1))}, tight, report, seed=1)
 

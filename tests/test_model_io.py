@@ -127,6 +127,16 @@ def test_bad_bounds_order():
         loads_model(json.dumps(doc))
 
 
+# a float64 conversion reads the strings as numbers and true and false as
+# 1 and 0, so these would load as the box [0, 1]
+@pytest.mark.parametrize("bounds", [["0", True], [False, 1], [0, "1e0"]], ids=str)
+def test_bounds_halves_must_be_numbers(bounds):
+    doc = json.loads(json.dumps(AFFINE))
+    doc["tensors"][0]["bounds"] = bounds
+    with pytest.raises(ModelFormatError, match="tensor 'x': bounds must hold numbers"):
+        loads_model(json.dumps(doc))
+
+
 def test_nested_array_bounds():
     doc = {
         "tensors": [{"name": "x", "shape": [2, 1], "role": "private_input",
