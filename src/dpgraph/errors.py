@@ -41,7 +41,8 @@ class NonFinite(DpGraphError):
 
 
 class DimensionTooLarge(DpGraphError):
-    """The brute-force grid oracle refuses domains above its dimension cap."""
+    """A domain has more free scalars than a method supports: the grid
+    oracle's cap, or the Sobol sampler's of the global maximizer."""
 
 
 class OptimizerFailure(DpGraphError):
@@ -61,15 +62,8 @@ class MissingInput(DpGraphError):
 
 
 class NumericalError(DpGraphError):
-    """Execution produced NaN or Inf.
-
-    `point` is the flat batch index of the point whose evaluation trapped in
-    a batched execute, and None when no single point is named.
-    """
-
-    def __init__(self, message: str, point: int | None = None):
-        super().__init__(message)
-        self.point = point
+    """Execution produced NaN or Inf; a batched execute raises it when any
+    of its points traps, naming a node where one does."""
 
 
 class ModelFormatError(DpGraphError):

@@ -229,11 +229,21 @@ def _index(v) -> int:
     raise ValueError(f"must be an integer, got {v!r}")
 
 
+def _holds_bool(v) -> bool:
+    if isinstance(v, (list, tuple)):
+        return any(_holds_bool(e) for e in v)
+    return isinstance(v, (bool, np.bool_))
+
+
 def _array(v) -> np.ndarray:
-    """A read-only float64 copy of an array of integers or floats."""
+    """A read-only float64 copy of an array of integers or floats. A bool is
+    refused anywhere in a nested list, where NumPy would promote it to an
+    integer among numbers; an ndarray is checked by its dtype alone."""
     a = np.asarray(v)
     if a.dtype.kind not in "iuf":
         raise ValueError(f"must hold numbers, got an array of {a.dtype}")
+    if not isinstance(v, np.ndarray) and _holds_bool(v):
+        raise ValueError("must hold numbers, got a bool among them")
     a = a.astype(np.float64)
     a.setflags(write=False)
     return a

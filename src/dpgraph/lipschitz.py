@@ -11,10 +11,15 @@ Sobol sequence, and no point is evaluated twice.
 
 The objective and its gradient are evaluated on stacks of points: each
 sampling phase, and each chunk of the grid oracle, is one batched
-`runtime.execute` followed by one stacked SVD. The starts of a phase ascend in
-lockstep: each iteration takes one stacked gradient of the starts still
-climbing, and each halving of the line search evaluates one stack of the
-starts still searching, so every start visits the points it would visit alone.
+`runtime.execute` followed by one stacked SVD. A stack on which an
+evaluation traps (Log or Div at a pole, Pow overflow) is halved down to the
+points that trap, which are infeasible, while the points around them keep
+their values; `_halving` is the one place that does this, for J, for the
+sigma_max gradient and for a caller's own objective. The starts of a phase
+ascend in lockstep: each iteration takes one stacked gradient of the starts
+still climbing, and each halving of the line search evaluates one stack of
+the starts still searching, so every start visits the points it would visit
+alone.
 The Jacobian objective keeps one point memo: the top singular vectors of J at
 every feasible point it evaluates, keyed by the point's digest (`_point_key`,
 the key of every point memo in this module). A gradient
@@ -226,13 +231,32 @@ class _Recorder:
         return np.array([self.grads[key] for key in keys])
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
-        try:
-            values = np.asarray(self.fn(points), dtype=np.float64).reshape(len(points))
-        except FloatingPointError:
-            if len(points) == 1:
-                return np.array([-np.inf])
-            values = np.concatenate([self._evaluate(p[None, :]) for p in points])
+        values = np.full(len(points), -np.inf)  # a point that traps stays -inf
+
+        def run(start, stop):
+            values[start:stop] = np.asarray(
+                self.fn(points[start:stop]), dtype=np.float64).reshape(stop - start)
+
+        _halving(run, 0, len(points))
         return np.where(np.isnan(values), -np.inf, values)
+
+
+def _halving(run, start: int, stop: int) -> dict[int, Exception]:
+    """Calls run(start, stop) on the points [start, stop) of a stack; when
+    that raises NumericalError or FloatingPointError, halves the range down
+    to the single points that trap. Returns those points with their errors.
+    Each level of halving evaluates at most the k points of the range, so
+    the cost is at most k(1 + ceil(log2 k)) point evaluations."""
+    if start == stop:
+        return {}
+    try:
+        run(start, stop)
+        return {}
+    except (NumericalError, FloatingPointError) as err:
+        if stop - start == 1:
+            return {start: err}
+    mid = (start + stop) // 2
+    return {**_halving(run, start, mid), **_halving(run, mid, stop)}
 
 
 def _fd_gradient(f, xs, lo, hi, rel_step=1e-6):
@@ -355,8 +379,12 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
 
     Returns the best point evaluated anywhere in the procedure, a heuristic
     stability certificate, and the number of distinct points evaluated.
-    Points where the objective is NaN or raises FloatingPointError are
-    treated as infeasible.
+    Points where the objective is NaN are infeasible. A stack on which it
+    raises FloatingPointError or NumericalError is halved down to the points
+    that raise (`_halving`), and those are infeasible too.
+
+    Raises `DimensionTooLarge` before any sampling when the box has more
+    free scalars than scipy's Sobol sampler supports (`qmc.Sobol.MAXDIM`).
     """
     config = config or OptimizerConfig()
     lo = np.asarray(box[0], dtype=np.float64).ravel()
@@ -364,6 +392,10 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     if lo.shape != hi.shape or np.any(lo > hi) or not (
             np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise InvalidParams("box must be finite with lo <= hi")
+    if lo.size > qmc.Sobol.MAXDIM:
+        raise DimensionTooLarge(
+            f"global_opt samples at most {qmc.Sobol.MAXDIM} free scalar "
+            f"variables, domain has {lo.size}")
     f = _Recorder(objective, gradient)
     if lo.size == 0:
         value = float(f(np.zeros((1, 0)))[0])
@@ -473,9 +505,9 @@ class _JacobianObjective:
         """sigma_max(J) at each row of a (k, d) stack; -inf where J cannot be
         evaluated. A point of shape (d,) is a stack of one and gets a float.
 
-        The stack is evaluated by batched executes in chunks of
-        `runtime.chunk_points` and one stacked SVD per chunk; the top
-        singular vectors of J at its feasible points are kept for `gradient`.
+        The stack is evaluated by one batched execute and one stacked SVD;
+        the top singular vectors of J at its feasible points are kept for
+        `gradient`.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
@@ -487,8 +519,8 @@ class _JacobianObjective:
 
     def _triples(self, stack: np.ndarray):
         """(sigma, u, w) of J at each point of a stack. A point that traps is
-        -inf with zero vectors; the points around it are evaluated without
-        it."""
+        -inf with zero vectors; `_halving` evaluates the points around it
+        without it."""
         k = len(stack)
         rows, cols = self.program.output_dims[0]
         sigmas, us, ws = np.full(k, -np.inf), np.zeros((k, rows)), np.zeros((k, cols))
@@ -499,9 +531,7 @@ class _JacobianObjective:
             sigmas[start:stop], us[start:stop], ws[start:stop] = (
                 spectral_norms_with_vectors(js))
 
-        step = runtime.chunk_points(self.program)
-        for start in range(0, k, step):
-            _around_traps(run, start, min(k, start + step))
+        _halving(run, 0, k)
         return sigmas, us, ws
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
@@ -517,10 +547,10 @@ class _JacobianObjective:
         the singular pair that the decomposition returned.
 
         At points the objective has evaluated, the singular vectors are
-        reused, so only the vector-Jacobian product program runs, once per
-        chunk of `runtime.chunk_points`; the other points get J in one
-        batched evaluation first. A point where the graph gradient cannot be
-        evaluated falls back to finite differences alone.
+        reused, so only the vector-Jacobian product program runs, in one
+        batched execute; the other points get J in one batched evaluation
+        first. A point where the graph gradient cannot be evaluated falls
+        back to finite differences alone.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
@@ -555,36 +585,13 @@ class _JacobianObjective:
             outs = runtime.execute(self._grad_program, inputs, batch_shape=(len(at),))
             grads[at] = np.concatenate([out.reshape(len(at), -1) for out in outs], axis=1)
 
-        step = runtime.chunk_points(self._grad_program)
-        for start in range(0, len(todo), step):
-            trapped = _around_traps(run, start, min(len(todo), start + step))
-            failed.update((todo[i], err) for i, err in trapped.items())
+        trapped = _halving(run, 0, len(todo))
+        failed.update((todo[i], err) for i, err in trapped.items())
         for i in sorted(failed):
             _log.warning("sigma_max gradient falls back to finite differences "
                          "at a point of the box: %s", failed[i])
             grads[i] = _fd_gradient(self, v[i:i + 1], self.lo, self.hi)[0]
         return grads
-
-
-def _around_traps(run, start: int, stop: int) -> dict[int, NumericalError]:
-    """Calls run(a, b) on the points [start, stop) of a batch and again
-    around each point whose execute traps; returns those points with their
-    errors. An error that names no point fails every point left."""
-    trapped: dict[int, NumericalError] = {}
-    while start < stop:
-        try:
-            run(start, stop)
-            break
-        except NumericalError as err:
-            if err.point is None:
-                trapped.update(dict.fromkeys(range(start, stop), err))
-                break
-            bad = start + err.point
-            if bad > start:
-                run(start, bad)
-            trapped[bad] = err
-            start = bad + 1
-    return trapped
 
 
 def _grid_chunks(lo, hi, resolution, size):

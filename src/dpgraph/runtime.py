@@ -24,10 +24,10 @@ declared shape, one value per point; every output has shape B followed by its
 declared shape, broadcast when it depends on no per-point input. The kernels
 index their axes from the end, so the batch axes ride through them (see the
 kernels of `graph.OPS`), and the default B = () is the unbatched call, which
-accepts declared shapes only. The finiteness invariant holds point by point:
-when a batch traps, it is bisected down to one point whose error names the
-node and carries the point's index. Batches run in chunks of at most
-`BATCH_BYTES` of values.
+accepts declared shapes only. A batch that traps at any point raises like an
+unbatched call, naming a node where a point trapped; finding which points
+trap is the caller's job (`lipschitz` halves the stack). Batches run in
+chunks of at most `BATCH_BYTES` of values.
 """
 
 from __future__ import annotations
@@ -289,8 +289,8 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
     holds NaN or Inf (each checked once, before any kernel runs), or when a
     kernel raises a divide-by-zero, overflow or invalid floating-point flag;
     with finite operands those flags are the only way to a non-finite value,
-    so no intermediate result is scanned. In a batched call the error names
-    the first point that traps, by its flat index in B, as its `point`.
+    so no intermediate result is scanned. A batched call raises when any
+    of its points traps, and the error names a node where one does.
     """
     unknown = set(inputs) - set(program.input_slots)
     if unknown:
@@ -329,8 +329,12 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
     step = chunk_points(program)
     for start in range(0, n, step):
         stop = min(n, start + step)
-        for out, value in zip(outs, _run_points(program, regs, per_point, start, stop)):
-            out[start:stop] = value
+        chunk = list(regs)
+        for slot, arr in per_point.items():
+            chunk[slot] = arr[start:stop]
+        _run(program, chunk)
+        for out, s in zip(outs, program.output_slots):
+            out[start:stop] = chunk[s]
     return [out.reshape(batch + dims) for out, dims in zip(outs, program.output_dims)]
 
 
@@ -346,25 +350,6 @@ def _run(program: CompiledProgram, regs: list) -> None:
         raise NumericalError(
             f"non-finite value produced at node '{instr.label}' "
             f"({instr.kind.value})") from err
-
-
-def _run_points(program: CompiledProgram, regs: list,
-                per_point: Mapping[int, np.ndarray], start: int, stop: int) -> list:
-    """Points [start, stop) of a flattened batch; a trap is bisected to the
-    first point that raises it."""
-    chunk = list(regs)
-    for slot, arr in per_point.items():
-        chunk[slot] = arr[start:stop]
-    try:
-        _run(program, chunk)
-        return [chunk[s] for s in program.output_slots]
-    except NumericalError as err:
-        if stop - start == 1:
-            raise NumericalError(f"{err} at batch point {start}", point=start) from err
-        mid = (start + stop) // 2
-        _run_points(program, regs, per_point, start, mid)
-        _run_points(program, regs, per_point, mid, stop)
-        raise  # no half traps alone; cannot happen for point-wise kernels
 
 
 # ---------------------------------------------------------------------------

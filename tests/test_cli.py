@@ -8,6 +8,7 @@ import pytest
 from dpgraph import GraphBuilder, runtime
 from dpgraph.cli import main
 from dpgraph.model_io import save_model
+from dpgraph.models import mlp_classifier
 
 
 @pytest.fixture(autouse=True)
@@ -157,6 +158,30 @@ def test_analyze_refuses_bounds_that_are_not_numbers(tmp_path, capsys, bounds):
     model = _write(tmp_path, "bounds.json", doc)
     assert main(["analyze", "--model", str(model)]) == 2
     assert "bounds must hold numbers" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_bool_inside_bounds(tmp_path, capsys):
+    doc = json.loads(json.dumps(MEAN_MODEL))
+    doc["tensors"][0]["bounds"] = [[[True]] + [[0.0]] * 9, [[1.0]] * 10]
+    model = _write(tmp_path, "bounds.json", doc)
+    assert main(["analyze", "--model", str(model)]) == 2
+    assert "bounds must hold numbers" in capsys.readouterr().err
+
+
+def test_analyze_past_the_sobol_cap_exits_3(tmp_path):
+    # mlp_classifier(128) has 66,304 free scalars; scipy's Sobol sampler
+    # takes at most 21,201 and once ended this run in a traceback
+    model = tmp_path / "mlp128.json"
+    save_model(mlp_classifier(128), model)
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", "analyze", "--model", str(model),
+         "--methods", "global_opt", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "domain has 66304" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("op", [

@@ -96,6 +96,42 @@ def test_maximize_bad_box():
         global_maximize(lambda v: np.zeros(len(v)), (np.ones(2), np.zeros(2)))
 
 
+def test_a_stack_that_raises_is_halved_to_the_points_that_do():
+    # the same landscape, once raising on any stack that holds a row with
+    # x0 < 0 and once marking those rows NaN
+    def nan_below_zero(v):
+        return np.where(v[:, 0] < 0, np.nan, np.sin(3 * v[:, 0]) + v[:, 1] ** 2)
+
+    def raises_below_zero(v):
+        if np.any(v[:, 0] < 0):
+            raise FloatingPointError("invalid value in the test")
+        return nan_below_zero(v)
+
+    box = (np.array([-1.0, -1.0]), np.array([2.0, 1.0]))
+    want = global_maximize(nan_below_zero, box)
+    got = global_maximize(raises_below_zero, box)
+    assert got.value == want.value
+    assert np.array_equal(got.argmax, want.argmax)
+    assert got.n_evaluations == want.n_evaluations
+
+
+def test_global_opt_refuses_a_box_past_the_sobol_cap(monkeypatch):
+    # scipy's Sobol sampler once ended such a run in a ValueError
+    d = qmc.Sobol.MAXDIM + 1
+    calls = []
+    with pytest.raises(DimensionTooLarge, match=f"domain has {d}"):
+        global_maximize(lambda v: calls.append(len(v)) or np.zeros(len(v)),
+                        (np.zeros(d), np.ones(d)))
+    assert calls == []
+    g = mlp_classifier(128)  # 66,304 free scalars
+    execute = runtime.execute
+    monkeypatch.setattr(runtime, "execute",
+                        lambda *a, **k: calls.append(a) or execute(*a, **k))
+    with pytest.raises(DimensionTooLarge, match="domain has 66304"):
+        estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert calls == []
+
+
 def test_maximize_is_deterministic():
     cfg = OptimizerConfig(seed=7)
     f = lambda v: np.sin(3 * v[:, 0]) + v[:, 1] ** 2
@@ -567,6 +603,31 @@ def test_out_of_domain_point_is_infeasible_alone():
 
 
 @pytest.mark.parametrize("budget", [None, 5], ids=["one-chunk", "chunks-of-5"])
+def test_trapping_points_are_isolated_by_halving(budget, monkeypatch):
+    # every other point leaves the domain of Log; finding the first trapping
+    # point and resuming after it ran 32,957 point evaluations on this stack
+    g = _x_log_x()
+    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    if budget is not None:
+        monkeypatch.setattr(runtime, "BATCH_BYTES", budget * obj.program.point_bytes)
+    slot, _ = obj.program.input_slots["x"]
+    evaluated = []
+    run = runtime._run
+
+    def counting_run(program, regs):
+        evaluated.append(np.size(regs[slot]))
+        run(program, regs)
+
+    monkeypatch.setattr(runtime, "_run", counting_run)
+    stack = np.where(np.arange(256) % 2 == 0, 0.5, -0.5)[:, None]
+    values = obj(stack)
+    assert sum(evaluated) <= 256 * (1 + 8)
+    np.testing.assert_array_equal(np.flatnonzero(values == -np.inf),
+                                  np.arange(1, 256, 2))
+    assert values[0::2].tobytes() == np.full(128, obj(np.array([0.5]))).tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 5], ids=["one-chunk", "chunks-of-5"])
 @pytest.mark.parametrize("graph", ["affine", "random"])
 def test_grid_oracle_matches_a_per_point_loop(graph, budget, monkeypatch):
     if graph == "affine":  # every value ties, so the first grid point wins
@@ -670,9 +731,8 @@ def test_a_point_whose_gradient_traps_falls_back_alone(monkeypatch, caplog):
     execute = runtime.execute
 
     def vjp_traps_at_one_and_a_half(program, inputs, **kwargs):
-        at = np.flatnonzero(np.ravel(inputs["x"]) == 1.5)
-        if program is obj._grad_program and at.size:
-            raise NumericalError("overflow in the test", point=int(at[0]))
+        if program is obj._grad_program and np.any(np.ravel(inputs["x"]) == 1.5):
+            raise NumericalError("overflow in the test")
         return execute(program, inputs, **kwargs)
 
     monkeypatch.setattr(runtime, "execute", vjp_traps_at_one_and_a_half)

@@ -137,6 +137,27 @@ def test_bounds_halves_must_be_numbers(bounds):
         loads_model(json.dumps(doc))
 
 
+# NumPy promotes a bool among numbers to an integer, so these once loaded as
+# the lo [[1, 0], [1, 2]] and the value [1, 2.5]
+def test_a_bool_inside_bounds_is_refused():
+    doc = {
+        "tensors": [{"name": "x", "shape": [2, 2], "role": "private_input",
+                     "bounds": [[[True, 0], [1, 2]], [[3, 3], [3, 3]]]}],
+        "ops": [{"name": "s", "kind": "Sum", "inputs": ["x"]}],
+        "outputs": ["s"],
+    }
+    with pytest.raises(ModelFormatError, match="tensor 'x': bounds must hold numbers"):
+        loads_model(json.dumps(doc))
+
+
+def test_a_bool_inside_a_constant_is_refused():
+    doc = json.loads(json.dumps(AFFINE))
+    doc["tensors"][0]["shape"] = [2]
+    doc["ops"][0]["attrs"]["value"] = [True, 2.5]
+    with pytest.raises(ModelFormatError, match="'value' must hold numbers"):
+        loads_model(json.dumps(doc))
+
+
 def test_nested_array_bounds():
     doc = {
         "tensors": [{"name": "x", "shape": [2, 1], "role": "private_input",
