@@ -412,7 +412,11 @@ def _k_bce(attrs, p, t):
         p, t = _lift(p, t, rp, rt)
     pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
     loss = -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
-    return np.asarray(np.mean(loss, axis=_trailing(loss, max(rp, rt))))
+    axis = _trailing(loss, max(rp, rt))
+    # np.mean's own sum and division, without its overhead; a rank-0 operand
+    # gives axis (), which averages over no axis
+    count = loss.size if axis is None else math.prod(loss.shape[loss.ndim - len(axis):])
+    return np.asarray(np.add.reduce(loss, axis) / count)
 
 
 def _k_reshape(attrs, a):

@@ -292,7 +292,7 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
     so no intermediate result is scanned. A batched call raises when any
     of its points traps, and the error names a node where one does.
     """
-    unknown = set(inputs) - set(program.input_slots)
+    unknown = inputs.keys() - program.input_slots.keys()
     if unknown:
         raise UnknownNode(f"no declared input named {sorted(unknown)[0]!r}")
 

@@ -285,6 +285,17 @@ def test_run_rejects_delta_below_float64_reach(tmp_path, rng):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_run_rejects_epsilon_beyond_float64_reach(tmp_path, rng):
+    model = _write(tmp_path, "mean.json", MEAN_MODEL)
+    csv = _write_csv(tmp_path, "x.csv", rng.uniform(0, 1, (10, 1)))
+    out = tmp_path / "out.json"
+    code = main(["run", "--model", str(model), "--data", f"x={csv}",
+                 "--epsilon", "710", "--delta", "1e-5", "--seed", "0",
+                 "--out", str(out)])
+    assert code == 4
+    assert not out.exists()
+
+
 def test_run_rejects_exceeded_cap(tmp_path, rng):
     data = rng.uniform(0, 1, (10, 1))
     code, _ = _run_mean(tmp_path, data, extra=("--cap", "0.01"))

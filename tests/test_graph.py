@@ -11,6 +11,7 @@ from dpgraph import (
     optimize,
 )
 from dpgraph.autodiff import jacobian, vjp
+from dpgraph import graph
 from dpgraph.graph import LEAF_KINDS, attr_key
 from dpgraph.models import mlp_classifier
 
@@ -207,3 +208,34 @@ def test_topological_order_is_stable():
     g1, g2 = build(), build()
     assert [n.kind for n in g1.nodes] == [n.kind for n in g2.nodes]
     assert all(i < n.id for n in g1.nodes for i in n.inputs)
+
+
+def _bce_by_mean(attrs, p, t):
+    """The BCE kernel as it was written with np.mean."""
+    rp, rt = attrs["ranks"]
+    if rp != rt:
+        p, t = graph._lift(p, t, rp, rt)
+    pc = np.clip(p, graph.BCE_CLAMP, 1.0 - graph.BCE_CLAMP)
+    loss = -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
+    return np.asarray(np.mean(loss, axis=graph._trailing(loss, max(rp, rt))))
+
+
+@pytest.mark.parametrize("ranks,p_shape,t_shape", [
+    ((2, 2), (3, 4), (3, 4)),
+    ((1, 1), (7,), (7,)),
+    ((0, 0), (), ()),
+    ((2, 2), (5, 3, 4), (3, 4)),
+    ((2, 2), (2, 5, 3, 4), (2, 5, 3, 4)),
+    ((0, 0), (6,), ()),
+    ((0, 2), (), (3, 4)),
+    ((0, 2), (5,), (5, 3, 4)),
+    ((1, 0), (5, 3), ()),
+], ids=["matrix", "vector", "scalar", "batched", "batched_2d", "batched_rank0",
+        "rank0_prediction", "batched_rank0_prediction", "rank0_target"])
+def test_bce_kernel_has_the_bits_of_the_mean(ranks, p_shape, t_shape, rng):
+    p = rng.uniform(0.0, 1.0, p_shape)
+    t = rng.uniform(0.0, 1.0, t_shape)
+    got = graph._k_bce({"ranks": ranks}, p, t)
+    expected = _bce_by_mean({"ranks": ranks}, p, t)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()

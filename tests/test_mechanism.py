@@ -11,8 +11,10 @@ from dpgraph import (
     InvalidParams,
     ShapeMismatch,
 )
+from dpgraph import mechanism
 from dpgraph.graph import Bounds
 from dpgraph.mechanism import (
+    MIN_DELTA,
     PrivacyParams,
     calibrate_sigma,
     clip,
@@ -99,6 +101,91 @@ def test_calibration_meets_delta_in_the_tails():
     assert misses == []
 
 
+def _bisected_sigma_ratio(epsilon, delta):
+    """The calibration the Newton solver replaced: double until the condition
+    holds, then bisect to a relative width of 1e-9 and return the upper end."""
+    hi = 1.0
+    for _ in range(200):
+        if gaussian_condition(1.0, epsilon, hi) <= delta:
+            break
+        hi *= 2.0
+    else:
+        raise AssertionError("failed to bracket the calibration condition")
+    lo = 0.0
+    while (hi - lo) > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if gaussian_condition(1.0, epsilon, mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _per_request_pool():
+    """The 1,024 per-request budgets of perfbench's release mix."""
+    rng = np.random.default_rng(20210921)
+    eps = np.exp(rng.uniform(math.log(0.1), math.log(8.0), 1024))
+    delta = np.exp(rng.uniform(math.log(1e-12), math.log(1e-4), 1024))
+    return [(float(e), float(d)) for e, d in zip(eps, delta)]
+
+
+TAILS_GRID = [(float(e), float(d)) for e in np.geomspace(0.01, 50.0, 25)
+              for d in np.geomspace(1e-200, 0.999, 30)]
+
+
+@pytest.fixture
+def cold_sigma_cache():
+    mechanism._sigma_ratio.cache_clear()
+    yield
+    mechanism._sigma_ratio.cache_clear()
+
+
+@pytest.mark.parametrize("budgets", [TAILS_GRID, _per_request_pool()],
+                         ids=["tails_grid", "per_request_pool"])
+def test_calibration_agrees_with_bisection(budgets):
+    far = []
+    for epsilon, delta in budgets:
+        sigma = calibrate_sigma(1.0, PrivacyParams(epsilon, delta))
+        ref = _bisected_sigma_ratio(epsilon, delta)
+        if not ref * (1.0 - 2e-9) <= sigma <= ref * (1.0 + 2e-9):
+            far.append((epsilon, delta, sigma, ref))
+    assert far == []
+
+
+def test_cold_calibration_evaluates_the_condition_few_times(monkeypatch, cold_sigma_cache):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gaussian_condition(*args)
+
+    monkeypatch.setattr(mechanism, "gaussian_condition", counted)
+    pool = _per_request_pool()
+    for epsilon, delta in pool:
+        calibrate_sigma(1.0, PrivacyParams(epsilon, delta))
+    # bisection from a doubled bracket made about 35 per budget
+    assert calls / len(pool) <= 10
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-12, 709.7])
+@pytest.mark.parametrize("delta", [MIN_DELTA, 1.0 - 1e-16])
+def test_calibration_certifies_its_bracket_at_the_extremes(epsilon, delta):
+    sigma = calibrate_sigma(1.0, PrivacyParams(epsilon, delta))
+    assert gaussian_condition(1.0, epsilon, sigma) <= delta
+    assert gaussian_condition(1.0, epsilon, sigma * (1.0 - 2e-9)) > delta
+
+
+def test_epsilon_beyond_float64_reach_is_refused():
+    params = PrivacyParams(epsilon=709.7, delta=1e-5)
+    sigma = calibrate_sigma(1.0, params)
+    assert gaussian_condition(1.0, 709.7, sigma) <= 1e-5
+    assert gaussian_condition(1.0, 709.7, sigma * (1.0 - 2e-9)) > 1e-5
+    for epsilon in (710.0, 1e308, math.inf):
+        with pytest.raises(InvalidParams, match="overflows"):
+            PrivacyParams(epsilon=epsilon, delta=1e-5)
+
+
 def test_delta_below_float64_reach_is_refused():
     PrivacyParams(epsilon=1.0, delta=1e-200)
     for delta in (1e-201, 1e-250, 1e-320):
@@ -130,6 +217,24 @@ def test_clip_scalar_bound_broadcasts():
 def test_clip_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         clip(np.zeros(3), Bounds.make(np.zeros(4), np.ones(4)))
+
+
+@pytest.mark.parametrize("data,bounds", [
+    (np.array([np.nan, -0.0, 0.0, 2.0, -3.0, 0.5]), Bounds.make(-0.0, 1.0)),
+    (np.array([[np.nan, -0.0], [0.0, 5.0]]),
+     Bounds.make(np.full((2, 2), -0.0), np.full((2, 2), 1.0))),
+    (np.array([-0.0, np.nan, 1.5]), Bounds.make([0.0, -1.0, 0.0], [1.0, 1.0, 1.0])),
+    (np.zeros((0,)), Bounds.make(0.0, 1.0)),
+    (np.zeros((0, 3)), Bounds.make(np.zeros((0, 3)), np.ones((0, 3)))),
+    (np.arange(7.0) - 3.0, Bounds.make(-1.0, 1.0)),
+], ids=["nan_and_signed_zero", "signed_zero_bound", "full_shape", "empty", "empty_full_shape",
+        "sevenths"])
+def test_clip_fraction_has_the_bits_of_the_mean(data, bounds):
+    clipped, fraction = clip(data, bounds)
+    expected = float(np.mean(clipped != data)) if data.size else 0.0
+    assert type(fraction) is float
+    assert np.float64(fraction).tobytes() == np.float64(expected).tobytes()
+    assert np.array_equal(clipped, np.clip(data, bounds.lo, bounds.hi), equal_nan=True)
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=20))
