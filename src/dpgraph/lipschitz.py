@@ -9,6 +9,13 @@ bound (it is the max over every point evaluated) but is flagged with a
 warning instead of a certificate. The doubled set extends the first one's
 Sobol sequence, and no point is evaluated twice.
 
+The sampling set-up serves both phases at once. One stable sort of the
+doubled set's rows, compared as byte strings, orders them and drops repeats
+(`_unique_rows`); the first set is a mask over the result. The neighbours
+are exact k-nearest ones, found by brute force for every dimension
+(`_nearest`): squared distances from Gram products, in tiles that BLAS runs
+on one thread, in blocks of rows; each block serves both phases.
+
 The objective and its gradient are evaluated on stacks of points: each
 sampling phase, and each chunk of the grid oracle, is one batched
 `runtime.execute` followed by one stacked SVD. A stack on which an
@@ -22,7 +29,9 @@ the starts still searching, so every start visits the points it would visit
 alone.
 The Jacobian objective keeps one point memo: the top singular vectors of J at
 every feasible point it evaluates, keyed by the point's digest (`_point_key`,
-the key of every point memo in this module). A gradient
+the key of every point memo in this module). The `_Recorder` digests each
+stack it evaluates and hands the keys along with it, so the objective digests
+no point again. A gradient
 at a point the objective has evaluated runs only the vector-Jacobian product;
 J runs again only at points never evaluated. The grid oracle, which takes no
 gradients, bypasses the memo.
@@ -33,13 +42,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
+import math
+import sys
 import time
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .autodiff import jacobian, vjp
@@ -180,6 +191,29 @@ def _point_key(x: np.ndarray) -> bytes:
     return hashlib.blake2b(x.tobytes(), digest_size=16).digest()
 
 
+# The stack a _Recorder is handing to its objective or its gradient, with
+# the keys of its rows, for the length of that one call: the Jacobian
+# objective keys its memo by them instead of digesting each point again.
+_handed: ContextVar[tuple[np.ndarray | None, list[bytes]]] = ContextVar(
+    "_handed", default=(None, []))
+
+
+def _hand(fn, stack: np.ndarray, keys: list[bytes]):
+    """fn(stack), with the keys of the stack's rows readable by `_keys`."""
+    token = _handed.set((stack, keys))
+    try:
+        return fn(stack)
+    finally:
+        _handed.reset(token)
+
+
+def _keys(stack: np.ndarray) -> list[bytes]:
+    """The keys of a stack's rows: those a _Recorder hands with it, or their
+    digests when no _Recorder is handing this very array."""
+    handed, keys = _handed.get()
+    return keys if stack is handed else [_point_key(p) for p in stack]
+
+
 def _unseen(keys: list[bytes], seen) -> dict[bytes, int]:
     """The first row of each key not in `seen`, in row order."""
     fresh: dict[bytes, int] = {}
@@ -192,7 +226,8 @@ def _unseen(keys: list[bytes], seen) -> dict[bytes, int]:
 class _Recorder:
     """Wraps a stacked objective and its stacked gradient: evaluates each
     distinct point once, by the bytes of the point, and tracks the best
-    feasible value in the order the points were first evaluated."""
+    feasible value in the order the points were first evaluated. Each stack
+    reaches fn or grad_fn with the keys of its rows (`_hand`)."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], gradient=None):
         self.fn = fn
@@ -212,7 +247,8 @@ class _Recorder:
         fresh = _unseen(keys, self.values)
         if fresh:
             rows = list(fresh.values())
-            for key, i, value in zip(fresh, rows, self._evaluate(points[rows])):
+            values = self._evaluate(points[rows], list(fresh))
+            for key, i, value in zip(fresh, rows, values):
                 self.values[key] = value
                 if value > self.best_value:
                     self.best_value = value
@@ -225,17 +261,18 @@ class _Recorder:
         keys = [_point_key(p) for p in points]
         fresh = _unseen(keys, self.grads)
         if fresh:
-            grads = np.asarray(self.grad_fn(points[list(fresh.values())]),
-                               dtype=np.float64)
+            stack = points[list(fresh.values())]
+            grads = np.asarray(_hand(self.grad_fn, stack, list(fresh)), dtype=np.float64)
             self.grads.update(zip(fresh, grads))
         return np.array([self.grads[key] for key in keys])
 
-    def _evaluate(self, points: np.ndarray) -> np.ndarray:
+    def _evaluate(self, points: np.ndarray, keys: list[bytes]) -> np.ndarray:
         values = np.full(len(points), -np.inf)  # a point that traps stays -inf
 
         def run(start, stop):
             values[start:stop] = np.asarray(
-                self.fn(points[start:stop]), dtype=np.float64).reshape(stop - start)
+                _hand(self.fn, points[start:stop], keys[start:stop]),
+                dtype=np.float64).reshape(stop - start)
 
         _halving(run, 0, len(points))
         return np.where(np.isnan(values), -np.inf, values)
@@ -332,9 +369,10 @@ def _ascend(f: _Recorder, starts, lo, hi):
 
 
 def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Phase A's and phase B's point sets from one scrambled Sobol draw of
-    2n points, n = config.n_samples: A takes the first n, B all 2n, and both
-    the midpoint and the corners, which are drawn once."""
+    """Phase B's points, each once and in lexicographic row order, and the
+    mask of phase A's points among them. Both phases come from one scrambled
+    Sobol draw of 2n points, n = config.n_samples: A takes the first n, B all
+    2n, and both the midpoint and the corners, which are drawn once."""
     d, n = lo.size, config.n_samples
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -344,12 +382,94 @@ def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, np.ndar
     else:
         rng = np.random.default_rng(config.seed + 1)
         corners = np.where(rng.integers(0, 2, size=(MAX_CORNER_SAMPLES, d)) == 0, lo, hi)
-    extra = [(lo + hi)[None, :] / 2.0, corners]
+    sobol = lo + unit * (hi - lo)
+    # phase A's rows come first, so that the first copy of a point is A's
+    # whenever A has one
+    rows = np.concatenate([sobol[:n], (lo + hi)[None, :] / 2.0, corners, sobol[n:]])
+    first = _unique_rows(rows)
+    return rows[first], first < n + 1 + len(corners)
 
-    def point_set(u):
-        return np.unique(np.concatenate([lo + u * (hi - lo)] + extra, axis=0), axis=0)
 
-    return point_set(unit[:n]), point_set(unit)
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The index of the first copy of each distinct row of a (m, d) array of
+    floats without NaN, the rows in lexicographic order. A row's -0.0 equals
+    its 0.0, so rows[_unique_rows(rows)] are the rows NumPy's `unique` gives
+    along axis 0; of rows equal but for the sign of a zero, the first stays.
+
+    A row compares as the big-endian bytes of an order-preserving map of its
+    floats to uint64, so one stable sort of (m,) byte strings orders them."""
+    keys = (rows + 0.0).view(np.int64)  # + 0.0 folds -0.0
+    # flips every bit of a negative float and the sign bit of the others
+    keys ^= (keys >> 63) | np.int64(-2 ** 63)
+    if sys.byteorder == "little":
+        keys.byteswap(inplace=True)
+    strings = keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel()
+    order = np.argsort(strings, kind="stable")
+    ordered = strings[order]
+    distinct = np.ones(len(order), dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]
+    return order[distinct]
+
+
+# OpenBLAS runs a matrix product of m x k by k x n on one thread when
+# m * n * k is at most this; above it, the idle worker threads spin after
+# the product and `time.process_time` counts their spin
+_ONE_THREAD_PRODUCT = 1 << 18
+
+
+def _squared_distances(z: np.ndarray, norms: np.ndarray, side: int,
+                       start: int, stop: int) -> np.ndarray:
+    """The (stop - start, m) squared Euclidean distances from the rows
+    start..stop of a (m, d) array to all of its rows, +inf from a row to
+    itself. Each is ||a||^2 + ||b||^2 - 2 a.b, from `norms` and Gram products
+    of side x side tiles; start and stop are multiples of side or m, and a
+    tile whose rows and columns both lie in start..stop is taken once and
+    mirrored."""
+    m = len(z)
+    block = np.empty((stop - start, m))
+    for i in range(start, stop, side):
+        for j in range(0, m, side):
+            if start <= j < i:  # mirrored from the tile at (j, i)
+                continue
+            gram = z[i:i + side] @ z[j:j + side].T
+            block[i - start:i + side - start, j:j + side] = gram
+            if i < j < stop:
+                block[j - start:j + side - start, i:i + side] = gram.T
+    block *= -2.0
+    block += norms[start:stop, None]
+    block += norms[None, :]
+    block[np.arange(stop - start), np.arange(start, stop)] = np.inf
+    return block
+
+
+def _nearest(z: np.ndarray, k_all: int, subset: np.ndarray,
+             k_subset: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k_all nearest other rows of each row of a (m, d) array, and the
+    k_subset nearest other rows of each row of z[subset] among z[subset], as
+    indices into z[subset]; each k is below the number of rows it searches.
+
+    Both come from one pass over the squared distances, in blocks of rows of
+    at most `runtime.BATCH_BYTES`, with Gram tiles small enough to run on one
+    thread. The search is exact up to the rounding of the distances; among
+    tied distances it picks any."""
+    m, d = z.shape
+    rows_per_block = max(1, runtime.BATCH_BYTES // (8 * m))
+    side = min(rows_per_block, max(1, math.isqrt(_ONE_THREAD_PRODUCT // max(d, 1))))
+    rows_per_block -= rows_per_block % side
+    norms = np.einsum("ij,ij->i", z, z)
+    cols = np.flatnonzero(subset)
+    near_all = np.empty((m, k_all), dtype=np.intp)
+    near_subset = np.empty((len(cols), k_subset), dtype=np.intp)
+    done = 0  # rows of the subset
+    for start in range(0, m, rows_per_block):
+        stop = min(start + rows_per_block, m)
+        block = _squared_distances(z, norms, side, start, stop)
+        near_all[start:stop] = np.argpartition(block, k_all - 1, axis=1)[:, :k_all]
+        within = block[subset[start:stop]][:, cols]
+        near_subset[done:done + len(within)] = np.argpartition(
+            within, k_subset - 1, axis=1)[:, :k_subset]
+        done += len(within)
+    return near_all, near_subset
 
 
 def _value_groups(values, rtol) -> int:
@@ -404,21 +524,16 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
         return MaximizeResult(np.zeros(0), value, True, None, f.count)
     if gradient is None:
         f.grad_fn = lambda xs: _fd_gradient(f, xs, lo, hi)
-    span = np.maximum(hi - lo, 1e-30)
 
-    def run_phase(pts: np.ndarray):
+    def run_phase(pts: np.ndarray, near: np.ndarray):
         vals = f(pts)
         feasible = np.isfinite(vals)
         if not np.any(feasible):
             return -np.inf, 0
-        k = int(min(2 * lo.size + 2, 16, len(pts) - 1))
-        if k >= 1 and len(pts) > 1:
-            tree = cKDTree(pts / span)
-            _, nbr = tree.query(pts / span, k=k + 1)
-            is_star_max = feasible & (vals >= vals[nbr[:, 1:]].max(axis=1))
-            candidates = np.flatnonzero(is_star_max)
-        else:
-            candidates = np.flatnonzero(feasible)
+        stars = feasible
+        if near.shape[1]:  # the points at least as high as their neighbours
+            stars = feasible & (vals >= vals[near].max(axis=1))
+        candidates = np.flatnonzero(stars)
         order = candidates[np.argsort(-vals[candidates])][:MAX_STARTS]
         _, refined = _ascend(f, pts[order], lo, hi)
         refined_vals = [float(v) for v in refined if np.isfinite(v)]
@@ -427,9 +542,16 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
             return best, 1
         return max(refined_vals), _value_groups(refined_vals, CERTIFICATE_RTOL)
 
-    pts_a, pts_b = _sample_points(lo, hi, config)
-    best_a, groups_a = run_phase(pts_a)
-    best_b, groups_b = run_phase(pts_b)
+    def k_nearest(points: int) -> int:
+        return min(2 * lo.size + 2, 16, points - 1)
+
+    pts_b, in_a = _sample_points(lo, hi, config)
+    # the neighbours of each point in the box scaled to the unit cube
+    span = np.maximum(hi - lo, 1e-30)
+    near_b, near_a = _nearest((pts_b - lo) / span, k_nearest(len(pts_b)),
+                              in_a, k_nearest(int(in_a.sum())))
+    best_a, groups_a = run_phase(pts_b[in_a], near_a)
+    best_b, groups_b = run_phase(pts_b, near_b)
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
 
@@ -513,8 +635,9 @@ class _JacobianObjective:
         if v.ndim == 1:
             return float(self(v[None, :])[0])
         values, u, w = self._triples(v)
+        keys = _keys(v)
         for i in np.flatnonzero(np.isfinite(values)):
-            self._vectors[_point_key(v[i])] = u[i], w[i]
+            self._vectors[keys[i]] = u[i], w[i]
         return values
 
     def _triples(self, stack: np.ndarray):
@@ -564,8 +687,8 @@ class _JacobianObjective:
         rows, cols = self.program.output_dims[0]
         u, w = np.empty((k, rows)), np.empty((k, cols))
         missing = []
-        for i, p in enumerate(v):
-            vectors = self._vectors.get(_point_key(p))
+        for i, key in enumerate(_keys(v)):
+            vectors = self._vectors.get(key)
             if vectors is None:
                 missing.append(i)
             else:

@@ -1,8 +1,10 @@
 import itertools
 import logging
+import time
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.special import expit
 from scipy.stats import qmc
 
@@ -693,7 +695,8 @@ def test_phases_share_one_sobol_draw():
     hi = np.array([1.0, 3.0, 2.5, -1.0, 0.75, 4.0, 2.0])
     assert 2 ** lo.size > lipschitz.MAX_CORNER_SAMPLES  # corners drawn at random
     cfg = OptimizerConfig(n_samples=16)
-    phase_a, phase_b = _sample_points(lo, hi, cfg)
+    phase_b, in_a = _sample_points(lo, hi, cfg)
+    phase_a = phase_b[in_a]
 
     def rows(points):
         return {p.tobytes() for p in points}
@@ -899,3 +902,126 @@ def test_stacked_finite_differences_equal_a_per_point_loop(pairs_per_call, monke
     assert list(stacked.values) == list(per_point.values)
     assert got[2, 0] == 0.0 and got[0, 0] != 0.0
     assert not got[:, 3].any()  # the zero-width coordinate is skipped
+
+
+# -- sampling set-up: nearest neighbours, row sort, digests ----------------------
+
+def _exact_squared_distances(z):
+    """Squared distances by sums of squared differences, +inf to a row itself."""
+    sq = np.array([((z - row) ** 2).sum(axis=1) for row in z])
+    np.fill_diagonal(sq, np.inf)
+    return sq
+
+
+def _tree_neighbours(z, k):
+    return [set(row[1:]) for row in cKDTree(z).query(z, k=k + 1)[1].tolist()]
+
+
+@pytest.mark.parametrize("blocks", ["one-block", "blocks-of-40-rows"])
+@pytest.mark.parametrize("points", ["random", "sobol"])
+@pytest.mark.parametrize("d", [1, 2, 28, 1000])
+def test_nearest_matches_a_kd_tree(d, points, blocks, monkeypatch):
+    rng = np.random.default_rng(d)
+    if points == "random":
+        z = rng.uniform(size=(150, d))
+    else:
+        z = qmc.Sobol(d, scramble=True, seed=d).random(128)
+    if blocks != "one-block":  # 8 bytes per distance
+        monkeypatch.setattr(runtime, "BATCH_BYTES", 8 * len(z) * 40)
+    subset = rng.uniform(size=len(z)) < 0.6
+    k_all, k_subset = min(2 * d + 2, 16), min(2 * d + 2, 16) - 1
+    for sq, k in [(_exact_squared_distances(z), k_all),
+                  (_exact_squared_distances(z[subset]), k_subset)]:
+        ranked = np.sort(sq, axis=1)  # no ties at the k-th neighbour
+        assert np.all(ranked[:, k] - ranked[:, k - 1] > 1e-9 * ranked[:, k])
+    near_all, near_subset = lipschitz._nearest(z, k_all, subset, k_subset)
+    assert [set(row) for row in near_all.tolist()] == _tree_neighbours(z, k_all)
+    assert ([set(row) for row in near_subset.tolist()]
+            == _tree_neighbours(z[subset], k_subset))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 28, 1000])
+def test_nearest_among_tied_corners_is_no_farther_than_the_kth(d):
+    if 2 ** d <= lipschitz.MAX_CORNER_SAMPLES:
+        z = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+    else:
+        z = np.unique(np.random.default_rng(d).integers(0, 2, (64, d)), axis=0) * 1.0
+    subset = np.arange(len(z)) % 3 != 0
+    k = min(2 * d + 2, 16, int(subset.sum()) - 1)
+    for rows, near in zip([z, z[subset]], lipschitz._nearest(z, k, subset, k)):
+        sq = _exact_squared_distances(rows)
+        kth = np.sort(sq, axis=1)[:, k - 1]
+        assert near.shape == (len(rows), k)
+        for i, row in enumerate(near):
+            assert len(set(row)) == k and i not in row
+            assert sq[i, row].max() <= kth[i]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 28, 1000])
+def test_unique_rows_match_numpy_unique(d):
+    rng = np.random.default_rng(d)
+    values = np.array([-1.5, -0.0, 0.25, 3.0, -2.0, 1e-300, -1e-300, 5e-324, -np.inf])
+    rows = np.concatenate([rng.choice(values, size=(40, d)),  # shared leading columns
+                           rng.standard_normal((60, d))])
+    rows[rng.uniform(size=rows.shape) < 0.1] = -0.0
+    if d > 1:  # zeros of both signs, equal in the first column
+        rows = np.concatenate([rows, [[-0.0] + [2.0] * (d - 1), [0.0] + [1.0] * (d - 1)]])
+    rows = np.concatenate([rows, rows[:9], rows[-5:]])  # repeated rows
+    rng.shuffle(rows)
+    first = lipschitz._unique_rows(rows)
+    assert rows[first].tobytes() == np.unique(rows, axis=0).tobytes()
+    assert len(first) < len(rows)
+    for i in first:  # the first copy of each row
+        assert not (rows[:i] == rows[i]).all(axis=1).any()
+
+
+def test_unique_rows_keep_the_first_of_rows_equal_but_for_a_zero_sign():
+    rows = np.array([[1.0, -0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, -0.0]])
+    assert lipschitz._unique_rows(rows).tolist() == [2, 0]
+
+
+@pytest.mark.parametrize("graph,most", [(mean_query(1000), 578), (mlp_classifier(2), 1076)],
+                         ids=["mean1000", "mlp2"])
+def test_global_opt_digests_each_point_once(graph, most, monkeypatch):
+    # the _Recorder keys every stack; the Jacobian objective reuses its keys
+    calls = []
+    point_key = lipschitz._point_key
+    monkeypatch.setattr(lipschitz, "_point_key", lambda x: calls.append(1) or point_key(x))
+    estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
+    assert 0 < len(calls) <= most
+
+
+def _clipped_mean(n):
+    b = GraphBuilder()
+    x = b.input("x", (n, 1), bounds=(-2.0, 2.0))
+    b.output(b.reduce_mean(b.clip(x, -1.0, 1.0), axis=None))
+    return b.graph()
+
+
+# bound, certified and n_evaluations of global_opt wrt x at the default
+# config, as measured before the kd-tree and np.unique were replaced
+@pytest.mark.parametrize("graph,bound,certified,n_evaluations", [
+    (mean_query(1000), "0x1.030dc4ea03a73p-5", True, 321),
+    (mean_query(100), "0x1.999999999999ap-4", True, 321),
+    (_sum_sigmoid(64), "0x1.0000000000001p+1", True, 321),
+    (_clipped_mean(100), "0x1.999999999999ap-4", True, 321),
+    (mlp_classifier(2), "0x1.4464e6cd0e6c7p-4", True, 502),
+    (mlp_classifier(3), "0x1.41c020803624bp-3", True, 2042),
+    (mlp_classifier(4), "0x1.f7d8a3fd6f7b1p-3", False, 2621),
+    (mlp_classifier(8), "0x1.6672a8c40b5c4p-1", True, 2121),
+], ids=["mean1000", "mean100", "sumsig64", "clipmean100", "mlp2", "mlp3", "mlp4", "mlp8"])
+def test_global_opt_reports_are_pinned(graph, bound, certified, n_evaluations):
+    report = estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
+    assert (report.bound.hex(), report.certified, report.n_evaluations) == (
+        bound, certified, n_evaluations)
+
+
+def test_global_opt_runs_on_one_core():
+    # a BLAS product large enough to run on several threads leaves the idle
+    # ones spinning, and process_time counts their spin; other tenants' load
+    # can only raise the wall time
+    g = mean_query(1000)
+    cpu, wall = time.process_time(), time.perf_counter()
+    estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    assert cpu <= 1.25 * wall + 0.05
