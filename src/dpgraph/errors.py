@@ -42,7 +42,7 @@ class NonFinite(DpGraphError):
 
 class DimensionTooLarge(DpGraphError):
     """A domain has more free scalars than a method supports: the grid
-    oracle's cap, or the Sobol sampler's of the global maximizer."""
+    oracle's cap, or the Sobol' table's of the global maximizer."""
 
 
 class OptimizerFailure(DpGraphError):

@@ -7,7 +7,9 @@ certificate is heuristic: the stationary-value set must be stable when the
 sample count is doubled. When it is not, the result is still a valid lower
 bound (it is the max over every point evaluated) but is flagged with a
 warning instead of a certificate. The doubled set extends the first one's
-Sobol sequence, and no point is evaluated twice.
+Sobol' sequence, and no point is evaluated twice. The samples are scrambled
+Sobol' points from `_sobol`, a NumPy engine that builds them from Joe &
+Kuo's direction-number table, bit for bit those of scipy's `qmc.Sobol`.
 
 The sampling set-up serves both phases at once. One stable sort of the
 doubled set's rows, compared as byte strings, orders them and drops repeats
@@ -29,9 +31,10 @@ the starts still searching, so every start visits the points it would visit
 alone.
 The Jacobian objective keeps one point memo: the top singular vectors of J at
 every feasible point it evaluates, keyed by the point's digest (`_point_key`,
-the key of every point memo in this module). The `_Recorder` digests each
-stack it evaluates and hands the keys along with it, so the objective digests
-no point again. A gradient
+the key of every point memo in this module). Each point is digested once:
+the doubled sample set's keys serve both phases, an ascent carries the keys
+of its current points into their gradients, and the `_Recorder` hands the
+keys of each stack it evaluates to the objective with it. A gradient
 at a point the objective has evaluated runs only the vector-Jacobian product;
 J runs again only at points never evaluated. The grid oracle, which takes no
 gradients, bypasses the memo.
@@ -45,13 +48,11 @@ import logging
 import math
 import sys
 import time
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .autodiff import jacobian, vjp
 from .errors import (
@@ -65,7 +66,7 @@ from .errors import (
 from .graph import Diagnostic, Graph, OpKind
 from .interval import ibp_bound
 from .report import SensitivityReport
-from . import runtime
+from . import _sobol, runtime
 
 METHODS = ("ibp", "global_opt", "grid_oracle")
 
@@ -191,6 +192,14 @@ def _point_key(x: np.ndarray) -> bytes:
     return hashlib.blake2b(x.tobytes(), digest_size=16).digest()
 
 
+def _digests(points: np.ndarray) -> np.ndarray:
+    """The keys of a stack's rows, as an object array that fancy indexing
+    keeps aligned with the rows."""
+    keys = np.empty(len(points), dtype=object)
+    keys[:] = [_point_key(p) for p in points]
+    return keys
+
+
 # The stack a _Recorder is handing to its objective or its gradient, with
 # the keys of its rows, for the length of that one call: the Jacobian
 # objective keys its memo by them instead of digesting each point again.
@@ -226,8 +235,10 @@ def _unseen(keys: list[bytes], seen) -> dict[bytes, int]:
 class _Recorder:
     """Wraps a stacked objective and its stacked gradient: evaluates each
     distinct point once, by the bytes of the point, and tracks the best
-    feasible value in the order the points were first evaluated. Each stack
-    reaches fn or grad_fn with the keys of its rows (`_hand`)."""
+    feasible value in the order the points were first evaluated. A caller
+    that has the keys of a stack's rows passes them, and only a stack that
+    comes without them is digested here; each stack reaches fn or grad_fn
+    with the keys of its rows (`_hand`)."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], gradient=None):
         self.fn = fn
@@ -241,9 +252,11 @@ class _Recorder:
     def count(self) -> int:
         return len(self.values)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Values at the rows of a (k, d) stack; only unseen rows reach fn."""
-        keys = [_point_key(p) for p in points]
+    def __call__(self, points: np.ndarray, keys=None) -> np.ndarray:
+        """Values at the rows of a (k, d) stack, whose keys are given or
+        digested here; only unseen rows reach fn."""
+        if keys is None:
+            keys = _digests(points)
         fresh = _unseen(keys, self.values)
         if fresh:
             rows = list(fresh.values())
@@ -255,10 +268,9 @@ class _Recorder:
                     self.best_point = np.array(points[i])
         return np.array([self.values[key] for key in keys])
 
-    def gradients(self, points: np.ndarray) -> np.ndarray:
-        """Gradients at the rows of a (k, d) stack; only unseen rows reach
-        grad_fn, in one call."""
-        keys = [_point_key(p) for p in points]
+    def gradients(self, points: np.ndarray, keys) -> np.ndarray:
+        """Gradients at the rows of a (k, d) stack with the given keys; only
+        unseen rows reach grad_fn, in one call."""
         fresh = _unseen(keys, self.grads)
         if fresh:
             stack = points[list(fresh.values())]
@@ -321,15 +333,21 @@ def _fd_gradient(f, xs, lo, hi, rel_step=1e-6):
     return g
 
 
-def _ascend(f: _Recorder, starts, lo, hi):
-    """Projected gradient ascent from each row of a (k, d) stack of starts,
-    in lockstep. Each start keeps its own point, value, step and streak of
-    flat gains, so it follows the path it would follow alone; each iteration
-    takes one stacked gradient of the starts still climbing, and each halving
-    of the line search evaluates one stack of the starts still searching.
+def _ascend(f: _Recorder, starts: np.ndarray, keys: np.ndarray, lo, hi):
+    """Projected gradient ascent from each row of a (k, d) stack of starts
+    with the given keys, in lockstep. Each start keeps its
+    own point, key, value, step and streak of flat gains, so it follows the
+    path it would follow alone; each iteration takes one stacked gradient of
+    the starts still climbing, and each halving of the line search evaluates
+    one stack of the starts still searching, each candidate digested once.
     Returns the final points and their values."""
-    x = np.clip(np.asarray(starts, dtype=np.float64), lo, hi)
-    fx = f(x)
+    x = np.clip(starts, lo, hi)
+    keys = keys.copy()
+    # a start that the clip moved is another point: on the box [-0.0, 0.0],
+    # np.clip turns a corner's -0.0 into 0.0
+    for i in np.flatnonzero((x.view(np.int64) != starts.view(np.int64)).any(axis=1)):
+        keys[i] = _point_key(x[i])
+    fx = f(x, keys)
     width = float(np.max(hi - lo))
     step = np.full(len(x), 0.25 * width or 1.0)
     flat_streak = np.zeros(len(x), dtype=int)
@@ -337,7 +355,7 @@ def _ascend(f: _Recorder, starts, lo, hi):
     for _ in range(MAX_REFINE_ITERS):
         if climbing.size == 0:
             break
-        g = f.gradients(x[climbing])
+        g = f.gradients(x[climbing], keys[climbing])
         # the norm of each row alone: norm(axis=1) may sum in another order
         norm_g = np.array([np.linalg.norm(row) for row in g])
         moves = (norm_g != 0.0) & np.isfinite(norm_g)
@@ -353,12 +371,14 @@ def _ascend(f: _Recorder, starts, lo, hi):
             cand = np.clip(x[at] + s[rows, None] * direction[rows], lo, hi)
             moved = np.any(cand != x[at], axis=1)
             fc = np.full(len(rows), -np.inf)  # a candidate that did not move
+            cand_keys = np.empty(len(rows), dtype=object)
             if moved.any():
-                fc[moved] = f(cand[moved])
+                cand_keys[moved] = _digests(cand[moved])
+                fc[moved] = f(cand[moved], cand_keys[moved])
             better = fc > fx[at]
             won = at[better]
             gain = fc[better] - fx[won]
-            x[won], fx[won] = cand[better], fc[better]
+            x[won], fx[won], keys[won] = cand[better], fc[better], cand_keys[better]
             step[won] = np.minimum(s[rows[better]] * 2.0, width)
             flat = gain <= VALUE_TOL * (1.0 + np.abs(fx[won]))
             flat_streak[won] = np.where(flat, flat_streak[won] + 1, 0)
@@ -374,9 +394,7 @@ def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, np.ndar
     Sobol draw of 2n points, n = config.n_samples: A takes the first n, B all
     2n, and both the midpoint and the corners, which are drawn once."""
     d, n = lo.size, config.n_samples
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        unit = qmc.Sobol(d, scramble=True, seed=config.seed).random(2 * n)
+    unit = _sobol.sobol(d, 2 * n, config.seed)
     if 2 ** d <= MAX_CORNER_SAMPLES:
         corners = np.array(list(itertools.product(*zip(lo, hi))))
     else:
@@ -504,7 +522,8 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     that raise (`_halving`), and those are infeasible too.
 
     Raises `DimensionTooLarge` before any sampling when the box has more
-    free scalars than scipy's Sobol sampler supports (`qmc.Sobol.MAXDIM`).
+    free scalars than the Sobol' engine's direction-number table covers
+    (`_sobol.max_dimension()`, 21,201).
     """
     config = config or OptimizerConfig()
     lo = np.asarray(box[0], dtype=np.float64).ravel()
@@ -512,9 +531,9 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     if lo.shape != hi.shape or np.any(lo > hi) or not (
             np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise InvalidParams("box must be finite with lo <= hi")
-    if lo.size > qmc.Sobol.MAXDIM:
+    if lo.size > _sobol.max_dimension():
         raise DimensionTooLarge(
-            f"global_opt samples at most {qmc.Sobol.MAXDIM} free scalar "
+            f"global_opt samples at most {_sobol.max_dimension()} free scalar "
             f"variables, domain has {lo.size}")
     f = _Recorder(objective, gradient)
     if lo.size == 0:
@@ -525,8 +544,8 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     if gradient is None:
         f.grad_fn = lambda xs: _fd_gradient(f, xs, lo, hi)
 
-    def run_phase(pts: np.ndarray, near: np.ndarray):
-        vals = f(pts)
+    def run_phase(pts: np.ndarray, keys: np.ndarray, near: np.ndarray):
+        vals = f(pts, keys)
         feasible = np.isfinite(vals)
         if not np.any(feasible):
             return -np.inf, 0
@@ -535,7 +554,7 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
             stars = feasible & (vals >= vals[near].max(axis=1))
         candidates = np.flatnonzero(stars)
         order = candidates[np.argsort(-vals[candidates])][:MAX_STARTS]
-        _, refined = _ascend(f, pts[order], lo, hi)
+        _, refined = _ascend(f, pts[order], keys[order], lo, hi)
         refined_vals = [float(v) for v in refined if np.isfinite(v)]
         if not refined_vals:
             best = float(np.max(vals[feasible]))
@@ -546,12 +565,13 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
         return min(2 * lo.size + 2, 16, points - 1)
 
     pts_b, in_a = _sample_points(lo, hi, config)
+    keys_b = _digests(pts_b)  # each point's only digest
     # the neighbours of each point in the box scaled to the unit cube
     span = np.maximum(hi - lo, 1e-30)
     near_b, near_a = _nearest((pts_b - lo) / span, k_nearest(len(pts_b)),
                               in_a, k_nearest(int(in_a.sum())))
-    best_a, groups_a = run_phase(pts_b[in_a], near_a)
-    best_b, groups_b = run_phase(pts_b, near_b)
+    best_a, groups_a = run_phase(pts_b[in_a], keys_b[in_a], near_a)
+    best_b, groups_b = run_phase(pts_b, keys_b, near_b)
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
 

@@ -169,8 +169,8 @@ def test_analyze_refuses_a_bool_inside_bounds(tmp_path, capsys):
 
 
 def test_analyze_past_the_sobol_cap_exits_3(tmp_path):
-    # mlp_classifier(128) has 66,304 free scalars; scipy's Sobol sampler
-    # takes at most 21,201 and once ended this run in a traceback
+    # mlp_classifier(128) has 66,304 free scalars; the Sobol' direction-number
+    # table covers at most 21,201, and a run past it once ended in a traceback
     model = tmp_path / "mlp128.json"
     save_model(mlp_classifier(128), model)
     out = tmp_path / "out.json"

@@ -1,0 +1,90 @@
+"""The NumPy Sobol' engine against scipy's `qmc.Sobol`, its oracle here, and
+the guard that no dpgraph process imports `scipy.stats`."""
+
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from scipy.stats import qmc
+
+from dpgraph import _sobol
+
+
+def _qmc_points(engine: qmc.Sobol, n: int) -> np.ndarray:
+    engine.reset()
+    with warnings.catch_warnings():  # n need not be a power of 2
+        warnings.simplefilter("ignore")
+        return engine.random(n)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _assert_same_scramble(engine: qmc.Sobol, d: int, seed: int):
+    # the first n points use only the first ceil(log2 n) direction numbers
+    # of each dimension; this compares all BITS of them, and the shift
+    direction, shift = _sobol._scrambled(d, seed)
+    assert direction.dtype == engine._sv.dtype and np.array_equal(direction, engine._sv)
+    assert shift.dtype == engine._shift.dtype and np.array_equal(shift, engine._shift)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 28, 64, 100, 1000, 3000])
+def test_engine_matches_qmc_sobol_bit_for_bit(d, seed):
+    engine = qmc.Sobol(d, scramble=True, seed=seed)
+    _assert_same_scramble(engine, d, seed)
+    for n in [1, 2, 3, 256, 257]:
+        _assert_same_bits(_sobol.sobol(d, n, seed), _qmc_points(engine, n))
+
+
+def test_engine_matches_qmc_sobol_at_the_last_dimension():
+    d = _sobol.max_dimension()
+    engine = qmc.Sobol(d, scramble=True, seed=5)
+    _assert_same_scramble(engine, d, 5)
+    for n in [1, 3]:
+        _assert_same_bits(_sobol.sobol(d, n, 5), _qmc_points(engine, n))
+
+
+def test_a_smaller_dimension_takes_a_prefix_of_the_cached_table(monkeypatch):
+    monkeypatch.setattr(_sobol, "_table", np.zeros((0, _sobol.BITS), dtype=np.uint32))
+    fresh = _sobol.sobol(5, 9, 3)
+    assert len(_sobol._table) == 5
+    _sobol.sobol(100, 1, 0)
+    assert len(_sobol._table) == 100
+    _assert_same_bits(_sobol.sobol(5, 9, 3), fresh)
+    _assert_same_bits(fresh, _qmc_points(qmc.Sobol(5, scramble=True, seed=3), 9))
+
+
+def test_max_dimension_is_qmc_sobols():
+    assert _sobol.max_dimension() == qmc.Sobol.MAXDIM == 21201
+
+
+def test_two_seeds_give_different_points():
+    a, b = _sobol.sobol(28, 64, 0), _sobol.sobol(28, 64, 1)
+    assert not np.array_equal(a, b)
+    for points in (a, b):
+        assert np.all((0.0 <= points) & (points < 1.0))
+        assert len(np.unique(points, axis=0)) == 64
+
+
+def test_no_dpgraph_process_imports_scipy_stats():
+    # importing scipy.stats costs about a second of CPU and 46 MB of memory
+    # in every process; only the Sobol' table is needed of it, read as data
+    code = "\n".join([
+        "import sys",
+        "import dpgraph, dpgraph.cli",
+        "from dpgraph.models import mean_query",
+        "g = mean_query(3)",
+        "report = dpgraph.estimate_sensitivity(g, wrt=[g.find('x')], method='global_opt')",
+        "print(report.n_evaluations, sorted(m for m in sys.modules if m.startswith('scipy.stats')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    n_evaluations, modules = proc.stdout.split(" ", 1)
+    assert int(n_evaluations) > 0
+    assert modules.strip() == "[]"
