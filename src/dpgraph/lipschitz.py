@@ -24,31 +24,30 @@ sampling phase, and each chunk of the grid oracle, is one batched
 evaluation traps (Log or Div at a pole, Pow overflow) is halved down to the
 points that trap, which are infeasible, while the points around them keep
 their values; `_halving` is the one place that does this, for J, for the
-sigma_max gradient and for a caller's own objective. The starts of a phase
-ascend in lockstep: each iteration takes one stacked gradient of the starts
-still climbing, and each halving of the line search evaluates one stack of
-the starts still searching, so every start visits the points it would visit
-alone.
-The Jacobian objective keeps one point memo: the top singular vectors of J at
-every feasible point it evaluates, keyed by the point's digest (`_point_key`,
-the key of every point memo in this module). Each point is digested once:
-the doubled sample set's keys serve both phases, an ascent carries the keys
-of its current points into their gradients, and the `_Recorder` hands the
-keys of each stack it evaluates to the objective with it. A gradient
-at a point the objective has evaluated runs only the vector-Jacobian product;
-J runs again only at points never evaluated. The grid oracle, which takes no
-gradients, bypasses the memo.
+sigma_max gradient and for a caller's own objective.
+
+The first phase's set is part of the second's, so one ascent serves both:
+the distinct union of the two phases' starts ascends in lockstep, and each
+phase reads its stationary values at its own starts. Each iteration takes
+one stacked gradient of the starts still climbing, and each halving of the
+line search evaluates one stack of the starts still searching, so every
+start visits the points it would visit alone.
+
+A point's bytes are its only key. `_Recorder` evaluates each distinct point
+once, and the Jacobian objective keeps the top singular vectors of J at
+every feasible point it evaluates, so a gradient at a point the objective
+has evaluated runs only the vector-Jacobian product; J runs again only at
+points never evaluated. The grid oracle, which takes no gradients, bypasses
+the memo.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import logging
 import math
 import sys
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
@@ -187,64 +186,14 @@ class MaximizeResult(NamedTuple):
 # global maximization
 
 
-def _point_key(x: np.ndarray) -> bytes:
-    # a digest of the bytes, so that keys stay small at 10^4 dimensions
-    return hashlib.blake2b(x.tobytes(), digest_size=16).digest()
-
-
-def _digests(points: np.ndarray) -> np.ndarray:
-    """The keys of a stack's rows, as an object array that fancy indexing
-    keeps aligned with the rows."""
-    keys = np.empty(len(points), dtype=object)
-    keys[:] = [_point_key(p) for p in points]
-    return keys
-
-
-# The stack a _Recorder is handing to its objective or its gradient, with
-# the keys of its rows, for the length of that one call: the Jacobian
-# objective keys its memo by them instead of digesting each point again.
-_handed: ContextVar[tuple[np.ndarray | None, list[bytes]]] = ContextVar(
-    "_handed", default=(None, []))
-
-
-def _hand(fn, stack: np.ndarray, keys: list[bytes]):
-    """fn(stack), with the keys of the stack's rows readable by `_keys`."""
-    token = _handed.set((stack, keys))
-    try:
-        return fn(stack)
-    finally:
-        _handed.reset(token)
-
-
-def _keys(stack: np.ndarray) -> list[bytes]:
-    """The keys of a stack's rows: those a _Recorder hands with it, or their
-    digests when no _Recorder is handing this very array."""
-    handed, keys = _handed.get()
-    return keys if stack is handed else [_point_key(p) for p in stack]
-
-
-def _unseen(keys: list[bytes], seen) -> dict[bytes, int]:
-    """The first row of each key not in `seen`, in row order."""
-    fresh: dict[bytes, int] = {}
-    for i, key in enumerate(keys):
-        if key not in seen:
-            fresh.setdefault(key, i)
-    return fresh
-
-
 class _Recorder:
-    """Wraps a stacked objective and its stacked gradient: evaluates each
-    distinct point once, by the bytes of the point, and tracks the best
-    feasible value in the order the points were first evaluated. A caller
-    that has the keys of a stack's rows passes them, and only a stack that
-    comes without them is digested here; each stack reaches fn or grad_fn
-    with the keys of its rows (`_hand`)."""
+    """Wraps a stacked objective: evaluates each distinct point once, keyed
+    by the point's own bytes, and tracks the best feasible value in the
+    order the points were first evaluated."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], gradient=None):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
-        self.grad_fn = gradient
         self.values: dict[bytes, float] = {}
-        self.grads: dict[bytes, np.ndarray] = {}
         self.best_value = -np.inf
         self.best_point: np.ndarray | None = None
 
@@ -252,39 +201,29 @@ class _Recorder:
     def count(self) -> int:
         return len(self.values)
 
-    def __call__(self, points: np.ndarray, keys=None) -> np.ndarray:
-        """Values at the rows of a (k, d) stack, whose keys are given or
-        digested here; only unseen rows reach fn."""
-        if keys is None:
-            keys = _digests(points)
-        fresh = _unseen(keys, self.values)
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Values at the rows of a (k, d) stack; only the first copy of each
+        unseen row reaches fn."""
+        keys = [p.tobytes() for p in points]
+        fresh: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
+            if key not in self.values:
+                fresh.setdefault(key, i)
         if fresh:
             rows = list(fresh.values())
-            values = self._evaluate(points[rows], list(fresh))
-            for key, i, value in zip(fresh, rows, values):
+            for key, i, value in zip(fresh, rows, self._evaluate(points[rows])):
                 self.values[key] = value
                 if value > self.best_value:
                     self.best_value = value
                     self.best_point = np.array(points[i])
         return np.array([self.values[key] for key in keys])
 
-    def gradients(self, points: np.ndarray, keys) -> np.ndarray:
-        """Gradients at the rows of a (k, d) stack with the given keys; only
-        unseen rows reach grad_fn, in one call."""
-        fresh = _unseen(keys, self.grads)
-        if fresh:
-            stack = points[list(fresh.values())]
-            grads = np.asarray(_hand(self.grad_fn, stack, list(fresh)), dtype=np.float64)
-            self.grads.update(zip(fresh, grads))
-        return np.array([self.grads[key] for key in keys])
-
-    def _evaluate(self, points: np.ndarray, keys: list[bytes]) -> np.ndarray:
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
         values = np.full(len(points), -np.inf)  # a point that traps stays -inf
 
         def run(start, stop):
             values[start:stop] = np.asarray(
-                _hand(self.fn, points[start:stop], keys[start:stop]),
-                dtype=np.float64).reshape(stop - start)
+                self.fn(points[start:stop]), dtype=np.float64).reshape(stop - start)
 
         _halving(run, 0, len(points))
         return np.where(np.isnan(values), -np.inf, values)
@@ -333,21 +272,15 @@ def _fd_gradient(f, xs, lo, hi, rel_step=1e-6):
     return g
 
 
-def _ascend(f: _Recorder, starts: np.ndarray, keys: np.ndarray, lo, hi):
-    """Projected gradient ascent from each row of a (k, d) stack of starts
-    with the given keys, in lockstep. Each start keeps its
-    own point, key, value, step and streak of flat gains, so it follows the
-    path it would follow alone; each iteration takes one stacked gradient of
-    the starts still climbing, and each halving of the line search evaluates
-    one stack of the starts still searching, each candidate digested once.
-    Returns the final points and their values."""
+def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
+    """Projected gradient ascent from each row of a (k, d) stack of starts,
+    in lockstep. Each start keeps its own point, value, step and streak of
+    flat gains, so it follows the path it would follow alone; each iteration
+    calls `gradient` once, on the stack of the starts still climbing, and
+    each halving of the line search evaluates one stack of the starts still
+    searching. Returns the final points and their values."""
     x = np.clip(starts, lo, hi)
-    keys = keys.copy()
-    # a start that the clip moved is another point: on the box [-0.0, 0.0],
-    # np.clip turns a corner's -0.0 into 0.0
-    for i in np.flatnonzero((x.view(np.int64) != starts.view(np.int64)).any(axis=1)):
-        keys[i] = _point_key(x[i])
-    fx = f(x, keys)
+    fx = f(x)
     width = float(np.max(hi - lo))
     step = np.full(len(x), 0.25 * width or 1.0)
     flat_streak = np.zeros(len(x), dtype=int)
@@ -355,7 +288,7 @@ def _ascend(f: _Recorder, starts: np.ndarray, keys: np.ndarray, lo, hi):
     for _ in range(MAX_REFINE_ITERS):
         if climbing.size == 0:
             break
-        g = f.gradients(x[climbing], keys[climbing])
+        g = np.asarray(gradient(x[climbing]), dtype=np.float64)
         # the norm of each row alone: norm(axis=1) may sum in another order
         norm_g = np.array([np.linalg.norm(row) for row in g])
         moves = (norm_g != 0.0) & np.isfinite(norm_g)
@@ -371,14 +304,12 @@ def _ascend(f: _Recorder, starts: np.ndarray, keys: np.ndarray, lo, hi):
             cand = np.clip(x[at] + s[rows, None] * direction[rows], lo, hi)
             moved = np.any(cand != x[at], axis=1)
             fc = np.full(len(rows), -np.inf)  # a candidate that did not move
-            cand_keys = np.empty(len(rows), dtype=object)
             if moved.any():
-                cand_keys[moved] = _digests(cand[moved])
-                fc[moved] = f(cand[moved], cand_keys[moved])
+                fc[moved] = f(cand[moved])
             better = fc > fx[at]
             won = at[better]
             gain = fc[better] - fx[won]
-            x[won], fx[won], keys[won] = cand[better], fc[better], cand_keys[better]
+            x[won], fx[won] = cand[better], fc[better]
             step[won] = np.minimum(s[rows[better]] * 2.0, width)
             flat = gain <= VALUE_TOL * (1.0 + np.abs(fx[won]))
             flat_streak[won] = np.where(flat, flat_streak[won] + 1, 0)
@@ -510,10 +441,11 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     gradients; otherwise central differences are taken, with the rows of
     one gradient call in one objective call (one per `runtime.BATCH_BYTES`
     of rows at high dimension). A single point arrives as a stack of one.
-    Each distinct point is evaluated once: values and gradients are
-    remembered by the bytes of the point, so the second sampling phase,
-    which contains the first, and the ascents it repeats cost nothing
-    again. The starts of each phase ascend in lockstep (see `_ascend`).
+    Each distinct point is evaluated once, remembered by its bytes. The
+    second sampling phase contains the first, so both are evaluated, first
+    phase first, and then the distinct union of their starts ascends once,
+    in lockstep (see `_ascend`); each phase reads its stationary values at
+    its own starts.
 
     Returns the best point evaluated anywhere in the procedure, a heuristic
     stability certificate, and the number of distinct points evaluated.
@@ -535,45 +467,56 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
         raise DimensionTooLarge(
             f"global_opt samples at most {_sobol.max_dimension()} free scalar "
             f"variables, domain has {lo.size}")
-    f = _Recorder(objective, gradient)
+    f = _Recorder(objective)
     if lo.size == 0:
         value = float(f(np.zeros((1, 0)))[0])
         if not np.isfinite(value):
             raise OptimizerFailure("objective is infeasible")
         return MaximizeResult(np.zeros(0), value, True, None, f.count)
     if gradient is None:
-        f.grad_fn = lambda xs: _fd_gradient(f, xs, lo, hi)
-
-    def run_phase(pts: np.ndarray, keys: np.ndarray, near: np.ndarray):
-        vals = f(pts, keys)
-        feasible = np.isfinite(vals)
-        if not np.any(feasible):
-            return -np.inf, 0
-        stars = feasible
-        if near.shape[1]:  # the points at least as high as their neighbours
-            stars = feasible & (vals >= vals[near].max(axis=1))
-        candidates = np.flatnonzero(stars)
-        order = candidates[np.argsort(-vals[candidates])][:MAX_STARTS]
-        _, refined = _ascend(f, pts[order], keys[order], lo, hi)
-        refined_vals = [float(v) for v in refined if np.isfinite(v)]
-        if not refined_vals:
-            best = float(np.max(vals[feasible]))
-            return best, 1
-        return max(refined_vals), _value_groups(refined_vals, CERTIFICATE_RTOL)
+        gradient = lambda xs: _fd_gradient(f, xs, lo, hi)
 
     def k_nearest(points: int) -> int:
         return min(2 * lo.size + 2, 16, points - 1)
 
+    def starts(vals: np.ndarray, near: np.ndarray) -> np.ndarray:
+        """The highest MAX_STARTS feasible points at least as high as their
+        neighbours, as indices into vals."""
+        stars = np.isfinite(vals)
+        if near.shape[1]:
+            stars &= vals >= vals[near].max(axis=1)
+        candidates = np.flatnonzero(stars)
+        return candidates[np.argsort(-vals[candidates])][:MAX_STARTS]
+
     pts_b, in_a = _sample_points(lo, hi, config)
-    keys_b = _digests(pts_b)  # each point's only digest
     # the neighbours of each point in the box scaled to the unit cube
     span = np.maximum(hi - lo, 1e-30)
     near_b, near_a = _nearest((pts_b - lo) / span, k_nearest(len(pts_b)),
                               in_a, k_nearest(int(in_a.sum())))
-    best_a, groups_a = run_phase(pts_b[in_a], keys_b[in_a], near_a)
-    best_b, groups_b = run_phase(pts_b, keys_b, near_b)
+    # phase A's rows are evaluated first: the best value keeps the first of
+    # equal values, and on a mean query every value is equal
+    f(pts_b[in_a])
+    vals_b = f(pts_b)
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
+    starts_a = np.flatnonzero(in_a)[starts(vals_b[in_a], near_a)]
+    starts_b = starts(vals_b, near_b)
+    union = np.concatenate([starts_a, starts_b[~np.isin(starts_b, starts_a)]])
+    refined = np.full(len(pts_b), -np.inf)
+    refined[union] = _ascend(f, gradient, pts_b[union], lo, hi)[1]
+
+    def stationary(vals: np.ndarray, phase_starts: np.ndarray):
+        """A phase's best stationary value and its number of distinct ones."""
+        feasible = vals[np.isfinite(vals)]
+        if not feasible.size:
+            return -np.inf, 0
+        found = [float(v) for v in refined[phase_starts] if np.isfinite(v)]
+        if not found:
+            return float(feasible.max()), 1
+        return max(found), _value_groups(found, CERTIFICATE_RTOL)
+
+    best_a, groups_a = stationary(vals_b[in_a], starts_a)
+    best_b, groups_b = stationary(vals_b, starts_b)
 
     stable = bool(
         groups_a == groups_b
@@ -625,7 +568,7 @@ class _JacobianObjective:
             pos += size
         self._grad_program = None
         self._cotangent = ""
-        # the key of each feasible point evaluated -> the top singular
+        # the bytes of each feasible point evaluated -> the top singular
         # vectors (u, w) of J there
         self._vectors: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -655,9 +598,8 @@ class _JacobianObjective:
         if v.ndim == 1:
             return float(self(v[None, :])[0])
         values, u, w = self._triples(v)
-        keys = _keys(v)
         for i in np.flatnonzero(np.isfinite(values)):
-            self._vectors[keys[i]] = u[i], w[i]
+            self._vectors[v[i].tobytes()] = u[i], w[i]
         return values
 
     def _triples(self, stack: np.ndarray):
@@ -689,11 +631,12 @@ class _JacobianObjective:
         simple; where it is repeated, the result is the derivative along
         the singular pair that the decomposition returned.
 
-        At points the objective has evaluated, the singular vectors are
-        reused, so only the vector-Jacobian product program runs, in one
-        batched execute; the other points get J in one batched evaluation
-        first. A point where the graph gradient cannot be evaluated falls
-        back to finite differences alone.
+        At points the objective has evaluated, found by their bytes, the
+        singular vectors are reused, so only the vector-Jacobian product
+        program runs, in one batched execute; the other points get J in one
+        batched evaluation first. Nothing else is remembered: a gradient
+        asked for twice is computed twice. A point where the graph gradient
+        cannot be evaluated falls back to finite differences alone.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
@@ -707,8 +650,8 @@ class _JacobianObjective:
         rows, cols = self.program.output_dims[0]
         u, w = np.empty((k, rows)), np.empty((k, cols))
         missing = []
-        for i, key in enumerate(_keys(v)):
-            vectors = self._vectors.get(key)
+        for i, point in enumerate(v):
+            vectors = self._vectors.get(point.tobytes())
             if vectors is None:
                 missing.append(i)
             else:

@@ -37,6 +37,12 @@ def _reject_unknown(entry: dict, allowed: set, where: str) -> None:
         raise ModelFormatError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
+def _object(entry, what: str) -> dict:
+    if not isinstance(entry, dict):
+        raise ModelFormatError(f"each {what} must be an object, got {entry!r}")
+    return entry
+
+
 def _require(entry: dict, key: str, where: str):
     if key not in entry:
         raise ModelFormatError(f"missing key {key!r} in {where}")
@@ -59,6 +65,7 @@ def loads_model(text: str, origin: str = "<string>") -> Graph:
     b = GraphBuilder()
     try:
         for entry in tensors:
+            entry = _object(entry, "tensor")
             where = f"tensor {entry.get('name', '?')!r}"
             _reject_unknown(entry, _TENSOR_KEYS, where)
             name = _require(entry, "name", where)
@@ -80,6 +87,7 @@ def loads_model(text: str, origin: str = "<string>") -> Graph:
                 b.parameter(name, shape, bounds)
 
         for entry in ops:
+            entry = _object(entry, "op")
             where = f"op {entry.get('name', '?')!r}"
             _reject_unknown(entry, _OP_KEYS, where)
             name = _require(entry, "name", where)

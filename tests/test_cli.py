@@ -168,6 +168,22 @@ def test_analyze_refuses_a_bool_inside_bounds(tmp_path, capsys):
     assert "bounds must hold numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"tensors": ["x"], "ops": [], "outputs": []},
+    {"tensors": [], "ops": [7], "outputs": []},
+    {"tensors": {"x": 1}, "ops": [], "outputs": []},
+], ids=["tensor-string", "op-number", "tensors-mapping"])
+def test_analyze_refuses_an_entry_that_is_not_an_object(tmp_path, doc):
+    # each once exited 1 with an AttributeError traceback from the loader
+    model = _write(tmp_path, "entries.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", "analyze", "--model", str(model)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "must be an object" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_past_the_sobol_cap_exits_3(tmp_path):
     # mlp_classifier(128) has 66,304 free scalars; the Sobol' direction-number
     # table covers at most 21,201, and a run past it once ended in a traceback

@@ -231,3 +231,14 @@ def test_tensor_shapes_are_integers():
     doc["tensors"][0]["shape"] = [2.7, 3]
     with pytest.raises(ModelFormatError, match="2.7"):
         loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc,what", [
+    ({"tensors": ["x"], "ops": [], "outputs": []}, "tensor"),
+    ({"tensors": {"x": 1}, "ops": [], "outputs": []}, "tensor"),
+    ({"tensors": [], "ops": [7], "outputs": []}, "op"),
+], ids=["tensor-string", "tensors-mapping", "op-number"])
+def test_an_entry_that_is_not_an_object_is_refused(doc, what):
+    # each once ended in an AttributeError from entry.get
+    with pytest.raises(ModelFormatError, match=f"each {what} must be an object"):
+        loads_model(json.dumps(doc))
