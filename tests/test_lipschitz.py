@@ -680,9 +680,8 @@ def test_no_gradient_runs_the_jacobian_during_global_opt(monkeypatch):
     assert all(p is not jacobian_programs[0] for p in run_in_gradient)
 
 
-@pytest.mark.parametrize("g", [mean_query(1000), mlp_classifier(2)],
-                         ids=["mean1000", "mlp2"])
-def test_no_point_is_evaluated_twice(g, monkeypatch):
+def test_no_point_is_evaluated_twice(monkeypatch):
+    g = mlp_classifier(2)
     seen = []
     objective = _JacobianObjective.__call__
     monkeypatch.setattr(_JacobianObjective, "__call__",
@@ -1018,6 +1017,26 @@ def test_unique_rows_match_numpy_unique(d):
 def test_unique_rows_keep_the_first_of_rows_equal_but_for_a_zero_sign():
     rows = np.array([[1.0, -0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, -0.0]])
     assert lipschitz._unique_rows(rows).tolist() == [2, 0]
+
+
+# mean_query(1000) evaluates 321 distinct points and mlp_classifier(2) 502
+@pytest.mark.parametrize("graph,points", [(mean_query(1000), 321), (mlp_classifier(2), 502)],
+                         ids=["mean1000", "mlp2"])
+def test_global_opt_digests_each_point_once(graph, points, monkeypatch):
+    # each point's Jacobian is built and decomposed once: the gradient finds
+    # the singular vectors of an evaluated point by the point's bytes
+    rows, seen = [], []
+    triples = _JacobianObjective._triples
+    monkeypatch.setattr(_JacobianObjective, "_triples",
+                        lambda self, stack: rows.extend(p.tobytes() for p in stack)
+                        or triples(self, stack))
+    objective = _JacobianObjective.__call__
+    monkeypatch.setattr(_JacobianObjective, "__call__",
+                        lambda self, v: seen.extend(p.tobytes() for p in np.atleast_2d(v))
+                        or objective(self, v))
+    report = estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
+    assert len(rows) == len(set(rows)) == report.n_evaluations == points
+    assert len(seen) == len(set(seen)) == points
 
 
 def _clipped_mean(n):
