@@ -7,6 +7,13 @@ Newton steps that return the end of a bracket as bisection would certify
 it. This is tighter than the classic s = D * sqrt(2 ln(1.25/delta)) / e
 formula and remains valid for epsilon > 1, where the classic formula does
 not.
+
+Release clips by the leaf layout that compilation builds once per program
+(`runtime.LeafGroup`): the bounded leaves that share one `Bounds` are
+flattened end to end and clipped by one `clip` call per group, the program
+is bound to views of the clipped vectors, and one `execute` call evaluates
+the query. `clipped_fraction` is the exact count of altered entries over
+the count of bounded entries.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import FingerprintMismatch, InvalidParams, ShapeMismatch
+from .errors import FingerprintMismatch, InvalidParams, MissingInput, ShapeMismatch
 from .graph import Bounds
 from .report import SensitivityReport
 from .runtime import CompiledProgram, execute
@@ -179,10 +186,28 @@ def clip(data, bounds: Bounds) -> tuple[np.ndarray, float]:
     return clipped, fraction
 
 
+def _leaf_value(data: Mapping[str, Any], name: str, dims: tuple[int, ...]) -> np.ndarray:
+    if name not in data:
+        raise MissingInput(f"missing value for input '{name}'")
+    value = np.asarray(data[name], dtype=np.float64)
+    if value.shape != dims:
+        raise ShapeMismatch(f"input '{name}' expects shape {dims}, got {value.shape}")
+    return value
+
+
 def privatize(program: CompiledProgram, data: Mapping[str, Any],
               params: PrivacyParams, report: SensitivityReport,
               seed: int | None = None) -> MechanismOutput:
     """Clip, evaluate, and release the query output under Gaussian noise.
+
+    Each group of `program.leaf_groups` is clipped by one `clip` call on the
+    concatenation of its leaves' data; every leaf is bound to its slice of
+    the clipped vector, reshaped to its dims, and the program runs once. The
+    caller's arrays are never mutated, and data for names the program does
+    not declare are ignored. A missing leaf raises `MissingInput`, a leaf of
+    the wrong shape `ShapeMismatch`, and a NaN or Inf that reaches `execute`
+    `NumericalError`. The output L2-norm is summed with scaling, so it
+    overflows only if the norm itself exceeds float64.
 
     The report must carry the fingerprint of the program's graph; refusing a
     stale report prevents calibrating with a bound computed for different
@@ -205,31 +230,33 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
     elif seed < 0:
         raise InvalidParams(f"seed must be non-negative, got {seed}")
 
-    graph = program.optimized_graph
-    clipped_inputs: dict[str, np.ndarray] = {}
-    altered = 0.0
-    bounded_elements = 0
-    for h in graph.leaves():
-        node = graph.nodes[h]
-        if node.name not in data:
-            continue
-        b = graph.bounds.get(h)
-        if b is None:
-            clipped_inputs[node.name] = np.asarray(data[node.name], dtype=np.float64)
-            continue
-        value, fraction = clip(data[node.name], b)
-        clipped_inputs[node.name] = value
-        altered += fraction * value.size
-        bounded_elements += value.size
-    clipped_fraction = altered / bounded_elements if bounded_elements else 0.0
+    inputs: dict[str, Any] = {name: data[name] for name in program.unbounded_leaves
+                              if name in data}
+    altered = bounded = 0
+    for bounds, members in program.leaf_groups:
+        if len(members) == 1:  # per-element bounds clip data of the leaf's shape
+            name, dims, _, _ = members[0]
+            clipped, fraction = clip(_leaf_value(data, name, dims), bounds)
+            inputs[name] = clipped
+        else:
+            clipped, fraction = clip(np.concatenate(
+                [_leaf_value(data, name, dims).ravel() for name, dims, _, _ in members]),
+                bounds)
+            for name, dims, start, stop in members:
+                inputs[name] = clipped[start:stop].reshape(dims)
+        # clip's fraction is count / size correctly rounded, so this is the count
+        altered += round(fraction * clipped.size)
+        bounded += clipped.size
+    clipped_fraction = altered / bounded if bounded else 0.0
 
-    raw = execute(program, clipped_inputs)
+    raw = execute(program, inputs)
     sigma = calibrate_sigma(report.bound, params)
     rng = np.random.default_rng(seed)
     noisy = {}
     for name, value in zip(program.output_names, raw):
         noisy[name] = value + rng.normal(0.0, sigma, size=value.shape)
-    norm = math.sqrt(sum(float(np.sum(v ** 2)) for v in raw))
+    # hypot scales as it sums, so no square overflows; of one value it is |v|
+    norm = math.hypot(*np.concatenate([v.ravel() for v in raw]).tolist())
     return MechanismOutput(
         value=noisy,
         sigma=sigma,

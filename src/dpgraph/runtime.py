@@ -1,13 +1,14 @@
 """Compilation of graphs to linear register programs, execution, benchmarks.
 
 Compilation runs the optimizer, linearizes the surviving nodes, resolves each
-instruction's kernel, and assigns tensor slots with last-use reuse. It is
-where the derivative graphs of `autodiff`, which come unoptimized, are
-optimized, so a compiled program's `optimized_graph` is the one to
-differentiate or inspect further. Programs
-are cached under two content keys: the canonical hash of the graph as given
-and the hash of its optimized form (the program fingerprint), so recompiling
-an identical graph is a lookup.
+instruction's kernel, and assigns tensor slots with last-use reuse; it also
+groups the bounded leaves by their bounds (`LeafGroup`), so that a release
+clips each group once. It is where the derivative graphs of `autodiff`, which
+come unoptimized, are optimized, so a compiled program's `optimized_graph` is
+the one to differentiate or inspect further. Programs are cached under two
+content keys: the canonical hash of the graph as given and the hash of its
+optimized form (the program fingerprint), so recompiling an identical graph
+is a lookup.
 
 Finiteness invariant: execution raises `NumericalError` whenever a value the
 outputs depend on is NaN or Inf, without scanning intermediate results. Every
@@ -53,6 +54,7 @@ from .errors import (
 from .graph import (
     LEAF_KINDS,
     OPS,
+    Bounds,
     Graph,
     OpKind,
     TensorShape,
@@ -102,6 +104,19 @@ class Instruction:
     kernel: Callable[..., np.ndarray]
 
 
+class LeafGroup(NamedTuple):
+    """Bounded leaves that share one `Bounds`, laid end to end in one vector.
+
+    Each member is (name, dims, start, stop): the leaf's declared dims and its
+    slice of the group's flattened data. Leaves whose scalar bounds have the
+    same bytes share a group; a leaf with per-element bounds is a group of
+    its own. `bounds` is the leaves' own `Bounds`, never broadcast.
+    """
+
+    bounds: Bounds
+    members: tuple[tuple[str, tuple[int, ...], int, int], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledProgram:
     plan: tuple[Instruction, ...]
@@ -115,6 +130,8 @@ class CompiledProgram:
     output_dims: tuple[tuple[int, ...], ...]
     nonfinite_constant: str | None
     point_bytes: int  # bytes of the inputs and values one point computes
+    leaf_groups: tuple[LeafGroup, ...]  # every bounded leaf, by shared bounds
+    unbounded_leaves: tuple[str, ...]   # names of the leaves without bounds
 
     @property
     def param_count(self) -> int:
@@ -181,6 +198,8 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
     const_loads: list[tuple[int, np.ndarray]] = []
     nonfinite_constant: str | None = None
     input_slots: dict[str, tuple[int | None, TensorShape]] = {}
+    groups: dict[Any, tuple[Bounds, list]] = {}
+    unbounded: list[str] = []
 
     for h in opt.leaves():
         node = opt.nodes[h]
@@ -188,6 +207,15 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         input_slots[node.name] = (slot, node.shape)
         if slot is not None:
             slot_of[h] = slot
+        b = opt.bounds.get(h)
+        if b is None:
+            unbounded.append(node.name)
+            continue
+        key = (b.lo.tobytes(), b.hi.tobytes()) if b.lo.shape == () else h
+        members = groups.setdefault(key, (b, []))[1]
+        start = members[-1][3] if members else 0
+        members.append((node.name, node.shape.dims, start,
+                        start + node.shape.num_elements))
     for node in opt.nodes:
         if node.kind is OpKind.CONSTANT and node.id in reachable:
             slot = new_slot()
@@ -237,6 +265,8 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         output_dims=output_dims,
         nonfinite_constant=nonfinite_constant,
         point_bytes=8 * max(point_elements, 1),
+        leaf_groups=tuple(LeafGroup(b, tuple(m)) for b, m in groups.values()),
+        unbounded_leaves=tuple(unbounded),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from scipy.special import log_ndtr
 from dpgraph import (
     FingerprintMismatch,
     InvalidParams,
+    MissingInput,
+    NumericalError,
     ShapeMismatch,
 )
 from dpgraph import mechanism
-from dpgraph.graph import Bounds
+from dpgraph.graph import Bounds, GraphBuilder
 from dpgraph.mechanism import (
     MIN_DELTA,
     PrivacyParams,
@@ -22,7 +25,8 @@ from dpgraph.mechanism import (
     privatize,
 )
 from dpgraph.lipschitz import estimate_sensitivity
-from dpgraph.models import mean_query
+from dpgraph.models import mean_query, mlp_classifier
+from dpgraph.report import SensitivityReport
 from dpgraph import runtime
 
 
@@ -343,3 +347,209 @@ def test_privatize_std_sanity(mean_setup):
     ])
     sigma = calibrate_sigma(report.bound, params)
     assert np.std(outs) == pytest.approx(sigma, rel=0.05)
+
+
+# -- the leaf layout ------------------------------------------------------------
+
+def _unit_report(program) -> SensitivityReport:
+    """A report of bound 1 for `program`: enough to release through it."""
+    return SensitivityReport(method="ibp", bound=1.0, interval_low=0.0, certified=True,
+                             argmax=None, wall_time=0.0, fingerprint=program.fingerprint)
+
+
+def _per_leaf_release(program, data, params, report, seed):
+    """privatize as a loop over the leaves, with one clip per bounded leaf:
+    the reference that the grouped clip must reproduce bit for bit."""
+    graph = program.optimized_graph
+    inputs, altered, bounded = {}, 0, 0
+    for h in graph.leaves():
+        name = graph.nodes[h].name
+        b = graph.bounds.get(h)
+        if b is None:
+            inputs[name] = np.asarray(data[name], dtype=np.float64)
+            continue
+        value, _ = clip(data[name], b)
+        inputs[name] = value
+        altered += int(np.count_nonzero(value != np.asarray(data[name])))
+        bounded += value.size
+    raw = runtime.execute(program, inputs)
+    sigma = calibrate_sigma(report.bound, params)
+    rng = np.random.default_rng(seed)
+    noisy = {name: v + rng.normal(0.0, sigma, size=v.shape)
+             for name, v in zip(program.output_names, raw)}
+    norm = math.hypot(*np.concatenate([v.ravel() for v in raw]).tolist())
+    return noisy, sigma, altered / bounded, norm
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _mixed_graph():
+    """Scalar-bounded leaves sharing a group, a per-element-bounded leaf, a
+    -0.0 bound (a group apart from 0.0), an unbounded Parameter and a leaf
+    that no output reaches; two outputs, one of them a matrix."""
+    b = GraphBuilder()
+    x = b.input("x", (3, 2), bounds=(0.0, 1.0))
+    y = b.input("y", (4, 1), bounds=(0.0, 1.0))
+    z = b.input("z", (2, 2), bounds=([[-1.0, 0.0], [0.0, -2.0]], [[1.0, 1.0], [2.0, 0.0]]))
+    s = b.input("s", (), bounds=(-0.0, 1.0))
+    b.input("u", (2, 1), bounds=(0.0, 1.0))  # reaches no output
+    w = b.parameter("w", (2, 2))
+    k = b.parameter("k", (1, 2), bounds=(-0.0, 1.0))
+    b.output(b.add(b.add(b.reduce_sum(x), b.mul(b.reduce_sum(y), s)),
+                   b.reduce_sum(b.matmul(k, z))))
+    b.output(b.matmul(w, z))
+    return b.graph()
+
+
+def _wild_data(graph, rng) -> dict[str, np.ndarray]:
+    """Data that strays past every bound, with signed zeros among it."""
+    data = {}
+    for h in graph.leaves():
+        node = graph.nodes[h]
+        value = rng.uniform(-2.5, 2.5, node.shape.dims)
+        value.flat[0] = -0.0
+        data[node.name] = value
+    return data
+
+
+def test_layout_groups_leaves_by_their_own_bounds():
+    g = _mixed_graph()
+    program = runtime.compile(g)
+    groups = {tuple(name for name, *_ in members): bounds
+              for bounds, members in program.leaf_groups}
+    assert set(groups) == {("x", "y", "u"), ("z",), ("s", "k")}
+    assert program.unbounded_leaves == ("w",)
+    (members,) = [m for _, m in program.leaf_groups if len(m) == 3]
+    assert members == (("x", (3, 2), 0, 6), ("y", (4, 1), 6, 10), ("u", (2, 1), 10, 12))
+    opt = program.optimized_graph
+    for bounds, members in program.leaf_groups:
+        # the first leaf's own Bounds, never a broadcast copy
+        assert bounds is opt.bounds.get(opt.find(members[0][0]))
+        for name, *_ in members:
+            own = opt.bounds.get(opt.find(name))
+            assert _bits(own.lo) == _bits(bounds.lo) and _bits(own.hi) == _bits(bounds.hi)
+
+
+@pytest.mark.parametrize("graph", [mlp_classifier(2), mlp_classifier(3), _mixed_graph()],
+                         ids=["mlp2", "mlp3", "mixed"])
+def test_grouped_clip_matches_the_per_leaf_loop(graph, rng, monkeypatch):
+    program = runtime.compile(graph)
+    report = _unit_report(program)
+    params = PrivacyParams(epsilon=0.7, delta=1e-6)
+    calls = {"clip": 0, "execute": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mechanism, "clip", counted("clip", mechanism.clip))
+    monkeypatch.setattr(mechanism, "execute", counted("execute", mechanism.execute))
+    for seed in range(5):
+        data = _wild_data(graph, rng)
+        before = {k: v.copy() for k, v in data.items()}
+        out = privatize(program, data, params, report, seed=seed)
+        for k, v in data.items():
+            assert _bits(v) == _bits(before[k]), f"privatize mutated {k}"
+        value, sigma, fraction, norm = _per_leaf_release(program, data, params, report, seed)
+        assert set(out.value) == set(value)
+        for k in value:
+            assert _bits(out.value[k]) == _bits(value[k])
+        assert _bits(out.sigma) == _bits(sigma)
+        assert _bits(out.clipped_fraction) == _bits(fraction)
+        assert _bits(out.output_l2_norm) == _bits(norm)
+        assert out.seed == seed
+    assert calls == {"clip": 5 * len(program.leaf_groups), "execute": 5}
+
+
+def test_clipped_fraction_is_exact_across_leaves():
+    # one group of 23 entries, 15 of them out of the box; a per-leaf float
+    # accumulation reports 0.6521739130434782
+    b = GraphBuilder()
+    x = b.input("x", (22, 1), bounds=(0.0, 1.0))
+    y = b.input("y", (1, 1), bounds=(0.0, 1.0))
+    b.output(b.add(b.reduce_mean(x), b.reduce_sum(y)))
+    program = runtime.compile(b.graph())
+    x_data = np.full((22, 1), 0.5)
+    x_data[:15] = 2.0
+    out = privatize(program, {"x": x_data, "y": np.full((1, 1), 0.5)},
+                    PrivacyParams(epsilon=1.0, delta=1e-5), _unit_report(program), seed=0)
+    assert _bits(out.clipped_fraction) == _bits(15 / 23)
+
+
+def test_clipped_fraction_is_exact_over_groups_of_different_sizes(rng):
+    b = GraphBuilder()
+    a = b.input("a", (3, 1), bounds=(0.0, 1.0))
+    c = b.parameter("c", (4, 1), bounds=(0.0, 1.0))
+    d = b.input("d", (5, 1), bounds=(-1.0, 2.0))
+    e = b.input("e", (2, 3), bounds=(np.zeros((2, 3)), np.arange(1.0, 7.0).reshape(2, 3)))
+    total = b.add(b.add(b.reduce_sum(a), b.reduce_sum(c)),
+                  b.add(b.reduce_sum(d), b.reduce_sum(e)))
+    b.output(total)
+    g = b.graph()
+    program = runtime.compile(g)
+    assert len(program.leaf_groups) == 3
+    for seed in range(20):
+        data = {name: rng.uniform(-3.0, 8.0, dims)
+                for name, dims in (("a", (3, 1)), ("c", (4, 1)), ("d", (5, 1)), ("e", (2, 3)))}
+        outside = sum(int(np.count_nonzero(
+            (data[name] < bnd.lo) | (data[name] > bnd.hi)))
+            for name, bnd in ((n, g.bounds.get(g.find(n))) for n in data))
+        out = privatize(program, data, PrivacyParams(epsilon=1.0, delta=1e-5),
+                        _unit_report(program), seed=seed)
+        assert _bits(out.clipped_fraction) == _bits(outside / 18)
+
+
+def test_output_l2_norm_does_not_overflow():
+    # eight entries: the sum and the division by 8 are exact
+    program = runtime.compile(mean_query(8, bounds=(0.0, 1e300)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = privatize(program, {"x": np.full((8, 1), 1e300)},
+                        PrivacyParams(epsilon=1.0, delta=1e-5), _unit_report(program), seed=0)
+    assert out.output_l2_norm == 1e300
+
+
+def test_output_l2_norm_of_a_scalar_is_its_magnitude(mean_setup, rng):
+    _, program, report = mean_setup
+    params = PrivacyParams(epsilon=1.0, delta=1e-5)
+    for seed in range(20):
+        x = rng.uniform(0, 1, (10, 1))
+        out = privatize(program, {"x": x}, params, report, seed=seed)
+        raw = runtime.execute(program, {"x": x})[0]
+        assert _bits(out.output_l2_norm) == _bits(abs(raw))
+
+
+def test_grouped_clip_keeps_the_errors_of_the_leaf_path(rng):
+    mlp = mlp_classifier(2)
+    program = runtime.compile(mlp)
+    params = PrivacyParams(epsilon=1.0, delta=1e-5)
+    report = _unit_report(program)
+    data = _wild_data(mlp, rng)
+
+    nan_param = dict(data, w2=np.full((2, 2), np.nan))
+    with pytest.raises(NumericalError, match="'w2'"):
+        privatize(program, nan_param, params, report, seed=0)
+    # the same number of entries, laid out as the wrong shape
+    transposed = dict(data, x=data["x"].T)
+    with pytest.raises(ShapeMismatch, match="'x'"):
+        privatize(program, transposed, params, report, seed=0)
+    missing = {k: v for k, v in data.items() if k != "t"}
+    with pytest.raises(MissingInput, match="'t'"):
+        privatize(program, missing, params, report, seed=0)
+
+    mixed = _mixed_graph()
+    program = runtime.compile(mixed)
+    report = _unit_report(program)
+    data = _wild_data(mixed, rng)
+    with pytest.raises(NumericalError, match="'w'"):
+        privatize(program, dict(data, w=np.full((2, 2), np.inf)), params, report, seed=0)
+    with pytest.raises(ShapeMismatch, match="'z'"):
+        privatize(program, dict(data, z=np.zeros((4, 1))), params, report, seed=0)
+    for name in ("w", "u", "s"):
+        with pytest.raises(MissingInput, match=f"'{name}'"):
+            privatize(program, {k: v for k, v in data.items() if k != name},
+                      params, report, seed=0)
