@@ -8,28 +8,31 @@ it. This is tighter than the classic s = D * sqrt(2 ln(1.25/delta)) / e
 formula and remains valid for epsilon > 1, where the classic formula does
 not.
 
-Release clips by the leaf layout that compilation builds once per program
-(`runtime.LeafGroup`): the bounded leaves that share one `Bounds` are
-flattened end to end and clipped by one `clip` call per group, the program
-is bound to views of the clipped vectors, and one `execute` call evaluates
-the query. `clipped_fraction` is the exact count of altered entries over
-the count of bounded entries.
+Release walks the leaf layout that compilation builds once per program
+(`runtime.LeafGroup`), the same table `execute` binds through: the bounded
+leaves that share one `Bounds` are flattened end to end and clipped by one
+`clip` call per group, the unbounded leaves pass through unclipped, the
+program is bound to views of the clipped vectors, and one `execute` call
+checks each group's values for NaN and Inf in one scan and evaluates the
+query. `clipped_fraction` is the exact count of altered entries over the
+count of bounded entries.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import FingerprintMismatch, InvalidParams, MissingInput, ShapeMismatch
+from .errors import FingerprintMismatch, InvalidParams, ShapeMismatch
 from .graph import Bounds
 from .report import SensitivityReport
-from .runtime import CompiledProgram, execute
+from .runtime import CompiledProgram, execute, leaf_array
 
 # A calibrated sigma is the upper end of a checked bracket no wider than
 # 2 * _REL_TOL relative, as a bisection to width 1e-9 would leave it.
@@ -186,28 +189,23 @@ def clip(data, bounds: Bounds) -> tuple[np.ndarray, float]:
     return clipped, fraction
 
 
-def _leaf_value(data: Mapping[str, Any], name: str, dims: tuple[int, ...]) -> np.ndarray:
-    if name not in data:
-        raise MissingInput(f"missing value for input '{name}'")
-    value = np.asarray(data[name], dtype=np.float64)
-    if value.shape != dims:
-        raise ShapeMismatch(f"input '{name}' expects shape {dims}, got {value.shape}")
-    return value
-
-
 def privatize(program: CompiledProgram, data: Mapping[str, Any],
               params: PrivacyParams, report: SensitivityReport,
               seed: int | None = None) -> MechanismOutput:
     """Clip, evaluate, and release the query output under Gaussian noise.
 
-    Each group of `program.leaf_groups` is clipped by one `clip` call on the
-    concatenation of its leaves' data; every leaf is bound to its slice of
-    the clipped vector, reshaped to its dims, and the program runs once. The
-    caller's arrays are never mutated, and data for names the program does
-    not declare are ignored. A missing leaf raises `MissingInput`, a leaf of
-    the wrong shape `ShapeMismatch`, and a NaN or Inf that reaches `execute`
-    `NumericalError`. The output L2-norm is summed with scaling, so it
-    overflows only if the norm itself exceeds float64.
+    Each bounded group of `program.leaf_groups` is clipped by one `clip`
+    call on the concatenation of its leaves' data; every leaf is bound to its
+    slice of the clipped vector, reshaped to its dims, the unbounded leaves
+    are bound as given, and the program runs once. The caller's arrays are
+    never mutated, and data for names the program does not declare are
+    ignored. A missing leaf raises `MissingInput`, a leaf of the wrong shape
+    `ShapeMismatch`, and a value that is not real numbers, or a NaN or Inf
+    that reaches `execute`, `NumericalError`; an Inf in a bounded leaf is
+    clipped and counted. The seed must be a non-negative integer, of any
+    integer type; the output records it as an `int`. The output L2-norm is
+    summed with scaling, so it overflows only if the norm itself exceeds
+    float64.
 
     The report must carry the fingerprint of the program's graph; refusing a
     stale report prevents calibrating with a bound computed for different
@@ -227,22 +225,30 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
 
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) % (2 ** 63)
-    elif seed < 0:
-        raise InvalidParams(f"seed must be non-negative, got {seed}")
+    else:
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise InvalidParams(
+                f"seed must be a non-negative integer, got {seed!r}") from None
+        if seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {seed}")
 
-    inputs: dict[str, Any] = {name: data[name] for name in program.unbounded_leaves
-                              if name in data}
+    inputs: dict[str, Any] = {}
     altered = bounded = 0
     for bounds, members in program.leaf_groups:
+        if bounds is None:
+            inputs.update((name, data[name]) for name, *_ in members if name in data)
+            continue
         if len(members) == 1:  # per-element bounds clip data of the leaf's shape
-            name, dims, _, _ = members[0]
-            clipped, fraction = clip(_leaf_value(data, name, dims), bounds)
+            name, dims, *_ = members[0]
+            clipped, fraction = clip(leaf_array(data, name, dims), bounds)
             inputs[name] = clipped
         else:
             clipped, fraction = clip(np.concatenate(
-                [_leaf_value(data, name, dims).ravel() for name, dims, _, _ in members]),
+                [leaf_array(data, name, dims).ravel() for name, dims, *_ in members]),
                 bounds)
-            for name, dims, start, stop in members:
+            for name, dims, start, stop, _ in members:
                 inputs[name] = clipped[start:stop].reshape(dims)
         # clip's fraction is count / size correctly rounded, so this is the count
         altered += round(fraction * clipped.size)

@@ -2,21 +2,23 @@
 
 Compilation runs the optimizer, linearizes the surviving nodes, resolves each
 instruction's kernel, and assigns tensor slots with last-use reuse; it also
-groups the bounded leaves by their bounds (`LeafGroup`), so that a release
-clips each group once. It is where the derivative graphs of `autodiff`, which
-come unoptimized, are optimized, so a compiled program's `optimized_graph` is
-the one to differentiate or inspect further. Programs are cached under two
+lays the leaves out in groups (`LeafGroup`): the bounded leaves by their
+bounds, so that a release clips each group once, and the unbounded ones in a
+group of their own. That layout is the table `execute` binds through. It is
+where the derivative graphs of `autodiff`, which come unoptimized, are
+optimized, so a compiled program's `optimized_graph` is the one to
+differentiate or inspect further. Programs are cached under two
 content keys: the canonical hash of the graph as given and the hash of its
 optimized form (the program fingerprint), so recompiling an identical graph
 is a lookup.
 
 Finiteness invariant: execution raises `NumericalError` whenever a value the
-outputs depend on is NaN or Inf, without scanning intermediate results. Every
-bound input is checked once when it is bound, and every constant once when
-the program is linearized. Once all operands are finite, a kernel can only
-produce NaN or Inf by raising an IEEE divide-by-zero, overflow or invalid
-flag, and the kernels run with those flags trapped; underflow to zero is
-allowed.
+outputs depend on is NaN or Inf, without scanning intermediate results. The
+bound inputs are checked once per leaf group, by one scan over the group's
+values when they are bound, and every constant once when the program is
+linearized. Once all operands are finite, a kernel can only produce NaN or
+Inf by raising an IEEE divide-by-zero, overflow or invalid flag, and the
+kernels run with those flags trapped; underflow to zero is allowed.
 
 Batch rule: `execute(program, inputs, batch_shape=B)` evaluates the program at
 many points through the same plan. Each input is bound either with its
@@ -57,7 +59,6 @@ from .graph import (
     Bounds,
     Graph,
     OpKind,
-    TensorShape,
     attr_key,
     optimize,
 )
@@ -105,16 +106,20 @@ class Instruction:
 
 
 class LeafGroup(NamedTuple):
-    """Bounded leaves that share one `Bounds`, laid end to end in one vector.
+    """Leaves that share one `Bounds`, laid end to end in one vector.
 
-    Each member is (name, dims, start, stop): the leaf's declared dims and its
-    slice of the group's flattened data. Leaves whose scalar bounds have the
-    same bytes share a group; a leaf with per-element bounds is a group of
-    its own. `bounds` is the leaves' own `Bounds`, never broadcast.
+    Each member is (name, dims, start, stop, slot): the leaf's declared dims,
+    its slice of the group's flattened data and its register slot, None for
+    a leaf that no output reaches. Leaves whose scalar bounds have the same
+    bytes share a group; a leaf with per-element bounds is a group of its
+    own. `bounds` is the leaves' own `Bounds`, never broadcast, or None for
+    the one group of every unbounded leaf. Groups follow the order of
+    their first leaves in `Graph.leaves`. `execute` checks the values bound
+    to a group for NaN and Inf in one scan.
     """
 
-    bounds: Bounds
-    members: tuple[tuple[str, tuple[int, ...], int, int], ...]
+    bounds: Bounds | None
+    members: tuple[tuple[str, tuple[int, ...], int, int, int | None], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +129,13 @@ class CompiledProgram:
     optimized_graph: Graph
     n_slots: int
     const_loads: tuple[tuple[int, np.ndarray], ...]
-    input_slots: Mapping[str, tuple[int | None, TensorShape]]
+    leaf_names: frozenset[str]
     output_slots: tuple[int, ...]
     output_names: tuple[str, ...]
     output_dims: tuple[tuple[int, ...], ...]
     nonfinite_constant: str | None
     point_bytes: int  # bytes of the inputs and values one point computes
-    leaf_groups: tuple[LeafGroup, ...]  # every bounded leaf, by shared bounds
-    unbounded_leaves: tuple[str, ...]   # names of the leaves without bounds
+    leaf_groups: tuple[LeafGroup, ...]  # every leaf, by shared bounds
 
     @property
     def param_count(self) -> int:
@@ -197,25 +201,24 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
     slot_of: dict[int, int] = {}
     const_loads: list[tuple[int, np.ndarray]] = []
     nonfinite_constant: str | None = None
-    input_slots: dict[str, tuple[int | None, TensorShape]] = {}
-    groups: dict[Any, tuple[Bounds, list]] = {}
-    unbounded: list[str] = []
+    groups: dict[Any, tuple[Bounds | None, list]] = {}
 
     for h in opt.leaves():
         node = opt.nodes[h]
         slot = new_slot() if h in reachable else None
-        input_slots[node.name] = (slot, node.shape)
         if slot is not None:
             slot_of[h] = slot
         b = opt.bounds.get(h)
         if b is None:
-            unbounded.append(node.name)
-            continue
-        key = (b.lo.tobytes(), b.hi.tobytes()) if b.lo.shape == () else h
+            key = None
+        elif b.lo.shape == ():
+            key = (b.lo.tobytes(), b.hi.tobytes())
+        else:
+            key = h
         members = groups.setdefault(key, (b, []))[1]
         start = members[-1][3] if members else 0
         members.append((node.name, node.shape.dims, start,
-                        start + node.shape.num_elements))
+                        start + node.shape.num_elements, slot))
     for node in opt.nodes:
         if node.kind is OpKind.CONSTANT and node.id in reachable:
             slot = new_slot()
@@ -259,14 +262,13 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         optimized_graph=opt,
         n_slots=n_slots,
         const_loads=tuple(const_loads),
-        input_slots=input_slots,
+        leaf_names=frozenset(opt.nodes[h].name for h in opt.leaves()),
         output_slots=output_slots,
         output_names=output_names,
         output_dims=output_dims,
         nonfinite_constant=nonfinite_constant,
         point_bytes=8 * max(point_elements, 1),
         leaf_groups=tuple(LeafGroup(b, tuple(m)) for b, m in groups.values()),
-        unbounded_leaves=tuple(unbounded),
     )
 
 
@@ -304,6 +306,42 @@ def chunk_points(program: CompiledProgram) -> int:
     return max(1, BATCH_BYTES // program.point_bytes)
 
 
+# NumPy's own float64 descriptor, which its float64 arrays share; an array
+# whose dtype is an equal copy of it takes the slow path, to the same result
+_FLOAT64 = np.dtype(np.float64)
+
+
+def leaf_array(inputs: Mapping[str, Any], name: str, dims: tuple[int, ...],
+               batch: tuple[int, ...] = ()) -> np.ndarray:
+    """The value `inputs` binds to leaf `name`, as a float64 array.
+
+    Its shape must be `dims` or, with a batch shape, `batch + dims` (the
+    batch rule). Raises `MissingInput` when the value is absent,
+    `NumericalError` when it is not an array of real numbers (strings,
+    complex numbers, ragged nestings) and `ShapeMismatch` when its shape is
+    wrong; it does not check finiteness.
+    """
+    if name not in inputs:
+        raise MissingInput(f"missing value for input '{name}'")
+    arr = inputs[name]
+    if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64:
+        # a float64 conversion would parse strings, drop imaginary parts, or
+        # fail with a bare ValueError on a ragged nesting
+        try:
+            arr = np.asarray(arr)
+        except (TypeError, ValueError) as err:
+            raise NumericalError(
+                f"input '{name}' is not an array of real numbers") from err
+        if arr.dtype.kind not in "biuf":  # bool, signed, unsigned, float
+            raise NumericalError(
+                f"input '{name}' holds {arr.dtype} values, not real numbers")
+        arr = arr.astype(np.float64, copy=False)
+    if arr.shape != dims and (not batch or arr.shape != batch + dims):
+        expected = f"{dims} or {batch + dims}" if batch else f"{dims}"
+        raise ShapeMismatch(f"input '{name}' expects shape {expected}, got {arr.shape}")
+    return arr
+
+
 def execute(program: CompiledProgram, inputs: Mapping[str, Any],
             batch_shape: tuple[int, ...] = ()) -> list[np.ndarray]:
     """Run a compiled program; returns one array per declared output.
@@ -315,37 +353,46 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
     B followed by it, and each output has shape B followed by its declared
     shape (the batch rule of the module docstring).
 
+    The inputs are bound group by group of `program.leaf_groups`: each
+    member is checked as `leaf_array` checks it, then the group's values
+    are checked for NaN and Inf in one scan. So within a group a missing
+    value or a wrong shape is reported before a non-finite value.
+
     Raises `NumericalError` when a bound input or a constant of the program
-    holds NaN or Inf (each checked once, before any kernel runs), or when a
-    kernel raises a divide-by-zero, overflow or invalid floating-point flag;
-    with finite operands those flags are the only way to a non-finite value,
-    so no intermediate result is scanned. A batched call raises when any
-    of its points traps, and the error names a node where one does.
+    holds NaN or Inf (checked once, before any kernel runs; the error names
+    the first such input of its group), or when a kernel raises a
+    divide-by-zero, overflow or invalid floating-point flag; with finite
+    operands those flags are the only way to a non-finite value, so no
+    intermediate result is scanned. A batched call raises when any of its
+    points traps, and the error names a node where one does.
     """
-    unknown = inputs.keys() - program.input_slots.keys()
-    if unknown:
-        raise UnknownNode(f"no declared input named {sorted(unknown)[0]!r}")
+    if not program.leaf_names.issuperset(inputs):
+        unknown = sorted(inputs.keys() - program.leaf_names)[0]
+        raise UnknownNode(f"no declared input named {unknown!r}")
 
     batch = tuple(map(int, batch_shape)) if batch_shape else ()
     regs: list[Any] = [None] * program.n_slots
     for slot, value in program.const_loads:
         regs[slot] = value
     per_point: dict[int, np.ndarray] = {}
-    for name, (slot, shape) in program.input_slots.items():
-        if name not in inputs:
-            raise MissingInput(f"missing value for input '{name}'")
-        arr = np.asarray(inputs[name], dtype=np.float64)
-        if arr.shape != shape.dims:
-            if not batch or arr.shape != batch + shape.dims:
-                expected = f"{shape} or {batch + shape.dims}" if batch else f"{shape}"
-                raise ShapeMismatch(
-                    f"input '{name}' expects shape {expected}, got {arr.shape}")
+    for _, members in program.leaf_groups:
+        arrs = []
+        for name, dims, _, _, slot in members:
+            arr = inputs.get(name)
+            # a float64 array of the declared shape is bound as it is
+            if (type(arr) is not np.ndarray or arr.dtype is not _FLOAT64
+                    or arr.shape != dims):
+                arr = leaf_array(inputs, name, dims, batch)
+                if slot is not None and arr.shape != dims:
+                    per_point[slot] = arr.reshape((-1,) + dims)
+            arrs.append(arr)
             if slot is not None:
-                per_point[slot] = arr.reshape((-1,) + shape.dims)
-        if not np.isfinite(arr).all():
+                regs[slot] = arr
+        whole = arrs[0] if len(arrs) == 1 else np.concatenate([a.ravel() for a in arrs])
+        if not np.isfinite(whole).all():
+            name = next(m[0] for m, arr in zip(members, arrs)
+                        if not np.isfinite(arr).all())
             raise NumericalError(f"non-finite value bound to input '{name}'")
-        if slot is not None:
-            regs[slot] = arr
     if program.nonfinite_constant is not None:
         raise NumericalError(
             f"non-finite value in constant '{program.nonfinite_constant}'")

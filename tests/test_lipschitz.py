@@ -613,7 +613,8 @@ def test_trapping_points_are_isolated_by_halving(budget, monkeypatch):
     obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
     if budget is not None:
         monkeypatch.setattr(runtime, "BATCH_BYTES", budget * obj.program.point_bytes)
-    slot, _ = obj.program.input_slots["x"]
+    (slot,) = [slot for _, members in obj.program.leaf_groups
+               for name, *_, slot in members if name == "x"]
     evaluated = []
     run = runtime._run
 

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -318,6 +319,27 @@ def test_privatize_refuses_a_negative_seed(mean_setup):
         privatize(program, {"x": np.zeros((10, 1))}, params, report, seed=-3)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3", [3], np.float64(3.0)],
+                         ids=["float", "str", "list", "np-float"])
+def test_privatize_refuses_a_seed_that_is_not_an_integer(mean_setup, seed):
+    _, program, report = mean_setup
+    params = PrivacyParams(epsilon=1.0, delta=1e-5)
+    with pytest.raises(InvalidParams, match="seed must be a non-negative integer"):
+        privatize(program, {"x": np.zeros((10, 1))}, params, report, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)], ids=["int64", "uint8"])
+def test_privatize_records_an_integer_seed_as_int(mean_setup, seed):
+    _, program, report = mean_setup
+    params = PrivacyParams(epsilon=1.0, delta=1e-5)
+    data = {"x": np.full((10, 1), 0.5)}
+    out = privatize(program, data, params, report, seed=seed)
+    assert type(out.seed) is int and out.seed == 3
+    assert json.loads(json.dumps(out.to_json_dict()))["seed"] == 3
+    same = privatize(program, data, params, report, seed=3)
+    assert _bits(out.value["n1"]) == _bits(same.value["n1"])
+
+
 def test_privatize_refuses_stacked_data(mean_setup, rng):
     # three records' worth of data would release three answers under a
     # sigma sized for one
@@ -419,12 +441,19 @@ def test_layout_groups_leaves_by_their_own_bounds():
     program = runtime.compile(g)
     groups = {tuple(name for name, *_ in members): bounds
               for bounds, members in program.leaf_groups}
-    assert set(groups) == {("x", "y", "u"), ("z",), ("s", "k")}
-    assert program.unbounded_leaves == ("w",)
+    assert set(groups) == {("x", "y", "u"), ("z",), ("s", "k"), ("w",)}
+    assert groups[("w",)] is None  # the one group of the unbounded leaves
     (members,) = [m for _, m in program.leaf_groups if len(m) == 3]
-    assert members == (("x", (3, 2), 0, 6), ("y", (4, 1), 6, 10), ("u", (2, 1), 10, 12))
+    assert [m[:4] for m in members] == [("x", (3, 2), 0, 6), ("y", (4, 1), 6, 10),
+                                        ("u", (2, 1), 10, 12)]
+    # every leaf an output reaches has a register of its own; "u" has none
+    slots = {name: slot for _, members in program.leaf_groups for name, *_, slot in members}
+    assert slots.pop("u") is None
+    assert all(isinstance(s, int) for s in slots.values()) and len(set(slots.values())) == 6
     opt = program.optimized_graph
     for bounds, members in program.leaf_groups:
+        if bounds is None:
+            continue
         # the first leaf's own Bounds, never a broadcast copy
         assert bounds is opt.bounds.get(opt.find(members[0][0]))
         for name, *_ in members:
@@ -462,7 +491,8 @@ def test_grouped_clip_matches_the_per_leaf_loop(graph, rng, monkeypatch):
         assert _bits(out.clipped_fraction) == _bits(fraction)
         assert _bits(out.output_l2_norm) == _bits(norm)
         assert out.seed == seed
-    assert calls == {"clip": 5 * len(program.leaf_groups), "execute": 5}
+    bounded_groups = sum(bounds is not None for bounds, _ in program.leaf_groups)
+    assert calls == {"clip": 5 * bounded_groups, "execute": 5}
 
 
 def test_clipped_fraction_is_exact_across_leaves():
@@ -553,3 +583,76 @@ def test_grouped_clip_keeps_the_errors_of_the_leaf_path(rng):
         with pytest.raises(MissingInput, match=f"'{name}'"):
             privatize(program, {k: v for k, v in data.items() if k != name},
                       params, report, seed=0)
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_privatize_names_the_member_of_a_group_that_holds_a_nan(position, rng):
+    mlp = mlp_classifier(2)
+    program = runtime.compile(mlp)
+    (group,) = program.leaf_groups
+    name = group.members[{"first": 0, "middle": 5, "last": 9}[position]][0]
+    data = _wild_data(mlp, rng)
+    data[name].flat[-1] = np.nan
+    with pytest.raises(NumericalError, match=f"input '{name}'"):
+        privatize(program, data, PrivacyParams(epsilon=1.0, delta=1e-5),
+                  _unit_report(program), seed=0)
+
+
+@pytest.mark.parametrize("name", ["w", "u"], ids=["unbounded", "unreached"])
+def test_privatize_refuses_a_nan_that_no_clip_removes(name, rng):
+    mixed = _mixed_graph()
+    program = runtime.compile(mixed)
+    data = _wild_data(mixed, rng)
+    data[name].flat[0] = np.nan
+    with pytest.raises(NumericalError, match=f"input '{name}'"):
+        privatize(program, data, PrivacyParams(epsilon=1.0, delta=1e-5),
+                  _unit_report(program), seed=0)
+
+
+def test_an_inf_in_a_bounded_leaf_is_clipped_by_privatize_and_refused_by_execute():
+    mixed = _mixed_graph()
+    program = runtime.compile(mixed)
+    data = {name: np.full(dims, 0.5) for _, members in program.leaf_groups
+            for name, dims, *_ in members}
+    data["z"] = np.zeros((2, 2))
+    data["y"][2, 0] = np.inf
+    with pytest.raises(NumericalError, match="input 'y'"):
+        runtime.execute(program, data)
+    out = privatize(program, data, PrivacyParams(epsilon=1.0, delta=1e-5),
+                    _unit_report(program), seed=0)
+    # one altered entry of the 6 + 4 + 2 + 4 + 1 + 2 bounded ones
+    assert _bits(out.clipped_fraction) == _bits(1 / 19)
+    clipped = dict(data, y=np.where(np.isinf(data["y"]), 1.0, data["y"]))
+    raw = runtime.execute(program, clipped)
+    assert _bits(out.output_l2_norm) == _bits(
+        math.hypot(*np.concatenate([v.ravel() for v in raw]).tolist()))
+
+
+def test_privatize_reports_missing_and_misshapen_data_before_a_nan(rng):
+    mixed = _mixed_graph()
+    program = runtime.compile(mixed)
+    params, report = PrivacyParams(epsilon=1.0, delta=1e-5), _unit_report(program)
+    data = _wild_data(mixed, rng)
+    data["x"][0, 0] = np.nan
+    with pytest.raises(MissingInput, match="'u'"):
+        privatize(program, {k: v for k, v in data.items() if k != "u"}, params, report,
+                  seed=0)
+    with pytest.raises(ShapeMismatch, match="'y'"):
+        privatize(program, dict(data, y=np.zeros((1, 4))), params, report, seed=0)
+    with pytest.raises(NumericalError, match="'x'"):
+        privatize(program, data, params, report, seed=0)
+
+
+@pytest.mark.parametrize("name", ["x", "w"], ids=["bounded", "unbounded"])
+@pytest.mark.parametrize("kind", ["strings", "complex"])
+def test_privatize_refuses_values_that_are_not_real_numbers(name, kind, rng):
+    mixed = _mixed_graph()
+    program = runtime.compile(mixed)
+    data = _wild_data(mixed, rng)
+    data[name] = (data[name].astype(str).tolist() if kind == "strings"
+                  else data[name] + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"input '{name}'"):
+            privatize(program, data, PrivacyParams(epsilon=1.0, delta=1e-5),
+                      _unit_report(program), seed=0)

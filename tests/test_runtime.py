@@ -1,5 +1,6 @@
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,112 @@ def test_raises_exactly_where_the_reference_is_nonfinite(rng):
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
     assert raised >= 20 and finite >= 20
+
+
+# -- the group-wise check: one finiteness scan per leaf group ------------------
+
+def _leaf_inputs(program, fill=0.5):
+    g = program.optimized_graph
+    return {g.nodes[h].name: np.full(g.nodes[h].shape.dims, fill) for h in g.leaves()}
+
+
+def _mixed_layout():
+    """A group of three bounded leaves whose last one reaches no output, a
+    per-element-bounded leaf and two unbounded ones, one of them unreached."""
+    b = GraphBuilder()
+    x = b.input("x", (3, 2), bounds=(0.0, 1.0))
+    y = b.input("y", (4, 1), bounds=(0.0, 1.0))
+    b.input("u", (2, 1), bounds=(0.0, 1.0))  # reaches no output
+    z = b.input("z", (2, 2), bounds=([[-1.0, 0.0], [0.0, -2.0]], [[1.0, 1.0], [2.0, 0.0]]))
+    w = b.parameter("w", (2, 2))
+    b.parameter("v", (3,))  # unbounded, reaches no output
+    b.output(b.add(b.add(b.reduce_sum(x), b.reduce_sum(y)), b.reduce_sum(b.matmul(w, z))))
+    return b.graph()
+
+
+def test_layout_covers_every_leaf_with_its_register():
+    program = runtime.compile(_mixed_layout())
+    layout = {name: (bounds, slot) for bounds, members in program.leaf_groups
+              for name, _, _, _, slot in members}
+    assert sorted(layout) == sorted(program.leaf_names) == ["u", "v", "w", "x", "y", "z"]
+    (unbounded,) = [m for bounds, m in program.leaf_groups if bounds is None]
+    assert [name for name, *_ in unbounded] == ["w", "v"]
+    assert layout["u"][1] is None and layout["v"][1] is None
+    slots = [layout[name][1] for name in "xyzw"]
+    assert len(set(slots)) == 4 and all(isinstance(s, int) for s in slots)
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_nan_in_any_member_of_a_group_names_that_member(position):
+    program = runtime.compile(mlp_classifier(2))
+    (group,) = program.leaf_groups
+    names = [name for name, *_ in group.members]
+    assert len(names) == 10
+    name = names[{"first": 0, "middle": 5, "last": 9}[position]]
+    inputs = _leaf_inputs(program)
+    inputs[name].flat[-1] = np.nan
+    with pytest.raises(NumericalError, match=f"input '{name}'"):
+        runtime.execute(program, inputs)
+    # a batch of four points, only the third of which holds the NaN
+    batched = {k: np.stack([v] * 4) if k in (name, names[0], names[9]) else v
+               for k, v in _leaf_inputs(program).items()}
+    batched[name][2].flat[0] = np.nan
+    with pytest.raises(NumericalError, match=f"input '{name}'"):
+        runtime.execute(program, batched, batch_shape=(4,))
+    batched[name][2].flat[0] = 0.5
+    (out,) = runtime.execute(program, batched, batch_shape=(4,))
+    assert out.shape == (4,) + program.output_dims[0] and np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("name", ["x", "u", "z", "w", "v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_values_are_refused_in_every_group(name, bad):
+    # bounded, unreached, per-element bounded, unbounded, unbounded unreached
+    program = runtime.compile(_mixed_layout())
+    inputs = _leaf_inputs(program)
+    inputs[name].flat[0] = bad
+    with pytest.raises(NumericalError, match=f"input '{name}'"):
+        runtime.execute(program, inputs)
+
+
+def test_missing_and_misshapen_values_come_before_nonfinite_ones_in_a_group():
+    program = runtime.compile(_mixed_layout())
+    inputs = _leaf_inputs(program)
+    inputs["x"][0, 0] = np.nan
+    with pytest.raises(MissingInput, match="'u'"):
+        runtime.execute(program, {k: v for k, v in inputs.items() if k != "u"})
+    with pytest.raises(ShapeMismatch, match="'y'"):
+        runtime.execute(program, dict(inputs, y=np.zeros((1, 4))))
+    with pytest.raises(NumericalError, match="'x'"):
+        runtime.execute(program, inputs)
+
+
+@pytest.mark.parametrize("value", [
+    [["a"]] * 4,
+    np.full((4, 1), 1 + 2j),
+    [[1.0], [2.0, 3.0], [4.0], [5.0]],
+    [[None]] * 4,
+], ids=["strings", "complex", "ragged", "none"])
+def test_values_that_are_not_real_numbers_are_refused(value):
+    b = GraphBuilder()
+    x = b.input("x", (4, 1), bounds=(0.0, 1.0))
+    b.output(b.reduce_sum(x))
+    program = runtime.compile(b.graph())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning, no dropped part
+        with pytest.raises(NumericalError, match="input 'x'"):
+            runtime.execute(program, {"x": value})
+
+
+def test_integers_booleans_and_lists_are_bound_as_float64():
+    b = GraphBuilder()
+    x = b.input("x", (4, 1), bounds=(0.0, 1.0))
+    b.output(b.reduce_sum(x))
+    program = runtime.compile(b.graph())
+    for value in ([[1], [0], [1], [1]], np.array([[True], [False], [True], [True]]),
+                  np.ones((4, 1), dtype=np.float32), np.array([[1], [0], [2], [3]], np.int8)):
+        (out,) = runtime.execute(program, {"x": value})
+        assert out == np.sum(np.asarray(value, dtype=np.float64))
 
 
 # -- batched execution ---------------------------------------------------------
