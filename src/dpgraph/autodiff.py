@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonDifferentiable
+from .errors import NonDifferentiable, UnknownNode
 from .graph import (
     BCE_CLAMP,
     LEAF_KINDS,
@@ -43,6 +43,8 @@ from .graph import (
     GraphBuilder,
     OpKind,
     TensorShape,
+    _count,
+    _index,
     optimize,
 )
 
@@ -266,7 +268,10 @@ class _ReverseSweep:
 
     def __init__(self, graph: Graph, wrt):
         graph.require_valid()
-        self.wrt = tuple(int(h) for h in wrt)
+        try:
+            self.wrt = tuple(_index(h) for h in wrt)
+        except ValueError as err:
+            raise UnknownNode(f"wrt entry {err}") from None
         if not self.wrt:
             raise NonDifferentiable("empty differentiation target list")
         for h in self.wrt:
@@ -307,7 +312,8 @@ class _ReverseSweep:
 def jacobian(graph: Graph, wrt) -> JacobianGraph:
     """Build the graph computing the full Jacobian of outputs w.r.t. `wrt`.
 
-    `wrt` is an ordered list of Input/Parameter handles of `graph`. The
+    `wrt` is an ordered list of Input/Parameter handles of `graph`; an entry
+    that is not an integer handle, a name included, raises `UnknownNode`. The
     returned graph extends the source, so it keeps every node of it (same
     handles, names, roles, and bounds), and has a single (output_size,
     wrt_size) matrix output. It is not optimized.
@@ -372,10 +378,10 @@ def higher_order(graph: Graph, wrt, order: int) -> JacobianGraph:
 
     Each order is optimized before it is differentiated again, so the next
     sweep runs over the folded graph and not over every node the previous
-    sweeps appended; the last order is returned unoptimized.
+    sweeps appended; the last order is returned unoptimized. An order that
+    is not an integer of at least 1 is refused with `InvalidParams`.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _count(order, 1, "order")
     jg = jacobian(graph, wrt)
     for _ in range(order - 1):
         g = optimize(jg.graph)

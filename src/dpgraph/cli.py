@@ -1,7 +1,8 @@
 """Command-line front end: analyze a model, run it privately, benchmark.
 
 Exit codes: 0 success, 2 input or validation problems, 3 analysis or
-optimizer failures, 4 invalid privacy parameters. The `run` command only
+optimizer failures, 4 invalid privacy parameters; one mapping,
+`_exit_code`, decides the code of every refusal. The `run` command only
 ever writes privatized values; there is no flag that exposes raw results.
 """
 
@@ -45,6 +46,15 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in its usage errors
     return parse
+
+
+def _exit_code(err: DpGraphError) -> int:
+    """The one mapping from a refusal to an exit code."""
+    if isinstance(err, InvalidParams):
+        return 4
+    if isinstance(err, _ANALYSIS_ERRORS):
+        return 3
+    return 2
 
 
 def _fail(code: int, message: str) -> int:
@@ -124,25 +134,16 @@ def cmd_analyze(args) -> int:
     try:
         graph = load_model(args.model)
         graph.require_valid()
-    except DpGraphError as err:
-        return _fail(2, str(err))
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    bad = [m for m in methods if m not in METHODS]
-    if bad or not methods:
-        return _fail(2, f"unknown method(s) {bad}; choose from {METHODS}")
-    config = OptimizerConfig(seed=args.seed, n_samples=args.samples)
-    reports = []
-    try:
+        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        bad = [m for m in methods if m not in METHODS]
+        if bad or not methods:
+            return _fail(2, f"unknown method(s) {bad}; choose from {METHODS}")
+        config = OptimizerConfig(seed=args.seed, n_samples=args.samples)
         fingerprint = runtime.graph_fingerprint(graph)
-        for method in methods:
-            reports.append(estimate_sensitivity(graph, method=method,
-                                                config=config))
-    except InvalidParams as err:
-        return _fail(4, str(err))
-    except _ANALYSIS_ERRORS as err:
-        return _fail(3, str(err))
+        reports = [estimate_sensitivity(graph, method=method, config=config)
+                   for method in methods]
     except DpGraphError as err:
-        return _fail(2, str(err))
+        return _fail(_exit_code(err), str(err))
     _print_report_table(reports)
     out = Path(args.out) if args.out else Path(args.model).with_suffix(".analysis.json")
     out.write_text(json.dumps(_analysis_dict(args.model, fingerprint, reports),
@@ -172,35 +173,17 @@ def cmd_run(args) -> int:
         graph.require_valid()
         program = runtime.compile(graph)
         data = _collect_data(graph, args.data or [])
-    except DpGraphError as err:
-        return _fail(2, str(err))
-
-    try:
         params = PrivacyParams(epsilon=args.epsilon, delta=args.delta,
                                sensitivity_cap=args.cap)
-    except InvalidParams as err:
-        return _fail(4, str(err))
-
-    try:
         if args.analysis:
             report = _load_cached_report(args.analysis, program.fingerprint)
         else:
             config = OptimizerConfig(seed=args.optimizer_seed)
             report = estimate_sensitivity(graph, method="global_opt",
                                           config=config)
-    except _ANALYSIS_ERRORS as err:
-        return _fail(3, str(err))
-    except DpGraphError as err:
-        return _fail(2, str(err))
-
-    try:
         output = privatize(program, data, params, report, seed=args.seed)
-    except InvalidParams as err:
-        return _fail(4, str(err))
-    except _ANALYSIS_ERRORS as err:
-        return _fail(3, str(err))
     except DpGraphError as err:
-        return _fail(2, str(err))
+        return _fail(_exit_code(err), str(err))
 
     doc = output.to_json_dict()
     doc["fingerprint"] = program.fingerprint

@@ -30,6 +30,7 @@ from scipy.special import expit
 
 from .errors import (
     ArityError,
+    InvalidParams,
     ShapeMismatch,
     UnknownNode,
     ValidationFailed,
@@ -221,12 +222,24 @@ def _flag(v) -> bool:
 
 def _index(v) -> int:
     """An integer; a bool is refused, and so is a float, which int() truncates."""
-    if not isinstance(v, bool):
+    if not isinstance(v, (bool, np.bool_)):
         try:
             return operator.index(v)
         except TypeError:
             pass
     raise ValueError(f"must be an integer, got {v!r}")
+
+
+def _count(v, least: int, what: str) -> int:
+    """An integer no smaller than `least`; anything else is refused with
+    InvalidParams naming `what`."""
+    try:
+        n = _index(v)
+    except ValueError as err:
+        raise InvalidParams(f"{what} {err}") from None
+    if n < least:
+        raise InvalidParams(f"{what} must be at least {least}, got {n}")
+    return n
 
 
 def _holds_bool(v) -> bool:

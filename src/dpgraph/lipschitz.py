@@ -35,10 +35,9 @@ start visits the points it would visit alone.
 
 A point's bytes are its only key. `_Recorder` evaluates each distinct point
 once, and the Jacobian objective keeps the top singular vectors of J at
-every feasible point it evaluates, so a gradient at a point the objective
-has evaluated runs only the vector-Jacobian product; J runs again only at
-points never evaluated. The grid oracle, which takes no gradients, bypasses
-the memo.
+every feasible point it evaluates. The ascent asks for gradients only at
+such points, so a gradient runs only the vector-Jacobian product and never
+J. The grid oracle, which takes no gradients, bypasses the memo.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .errors import (
     OptimizerFailure,
     ValidationFailed,
 )
-from .graph import Diagnostic, Graph, OpKind
+from .graph import Diagnostic, Graph, OpKind, _count
 from .interval import ibp_bound
 from .report import SensitivityReport
 from . import _sobol, runtime
@@ -74,11 +73,6 @@ _log = logging.getLogger("dpgraph")
 
 # ---------------------------------------------------------------------------
 # spectral norm
-
-_SVD_MAX_SIDE = 64
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 1000
-
 
 def spectral_norm(matrix) -> float:
     """Largest singular value; equals the Euclidean norm for vectors."""
@@ -95,52 +89,18 @@ def spectral_norm_with_vectors(matrix) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def spectral_norms_with_vectors(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma, u, w) of each matrix of a (k, R, C) stack, by SVD when a side
-    is at most `_SVD_MAX_SIDE` and by power iteration otherwise; sigma is
-    -inf, with zero vectors, for a matrix holding NaN or Inf. A matrix gets
-    the same bits in any stack."""
+    """(sigma, u, w) of each matrix of a (k, R, C) stack, from one stacked
+    SVD of its finite matrices whatever their shape; sigma is -inf, with
+    zero vectors, for a matrix holding NaN or Inf. A matrix gets the same
+    bits in any stack."""
     ms = np.asarray(stack, dtype=np.float64)
     k, rows, cols = ms.shape
     sigmas, us, ws = np.full(k, -np.inf), np.zeros((k, rows)), np.zeros((k, cols))
     finite = np.isfinite(ms).all(axis=(1, 2))
-    if min(rows, cols) <= _SVD_MAX_SIDE:
-        if finite.any():
-            u, s, vt = np.linalg.svd(ms[finite], full_matrices=False)
-            sigmas[finite], us[finite], ws[finite] = s[:, 0], u[:, :, 0], vt[:, 0]
-    else:
-        for i in np.flatnonzero(finite):
-            sigmas[i], us[i], ws[i] = _power_iteration(ms[i])
+    if finite.any():
+        u, s, vt = np.linalg.svd(ms[finite], full_matrices=False)
+        sigmas[finite], us[finite], ws[finite] = s[:, 0], u[:, :, 0], vt[:, 0]
     return sigmas, us, ws
-
-
-def _power_iteration(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    rows, cols = m.shape
-    gram_on_right = cols <= rows
-    n = cols if gram_on_right else rows
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = m.T @ (m @ v) if gram_on_right else m @ (m.T @ v)
-        lam = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0, np.zeros(rows), np.zeros(cols)
-        v = w / norm_w
-        if abs(lam - lam_prev) <= _POWER_TOL * max(1.0, abs(lam)):
-            break
-        lam_prev = lam
-    sigma = float(np.sqrt(max(lam, 0.0)))
-    if gram_on_right:
-        right = v
-        left = m @ v
-    else:
-        left = v
-        right = m.T @ v
-    left_n = np.linalg.norm(left)
-    right_n = np.linalg.norm(right)
-    return sigma, left / (left_n or 1.0), right / (right_n or 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +125,9 @@ class OptimizerConfig:
     freeze: Mapping | None = None  # tensor name -> fixed value, removed from the box
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
-        if self.n_samples < 1:
-            raise InvalidParams(f"n_samples must be at least 1, got {self.n_samples}")
-        if self.grid_resolution < 2:  # a grid axis needs both of its ends
-            raise InvalidParams(
-                f"grid_resolution must be at least 2, got {self.grid_resolution}")
+        # stored as plain ints; a grid axis needs both of its ends
+        for name, least in (("n_samples", 1), ("seed", 0), ("grid_resolution", 2)):
+            object.__setattr__(self, name, _count(getattr(self, name), least, name))
 
 
 class MaximizeResult(NamedTuple):
@@ -631,12 +587,14 @@ class _JacobianObjective:
         simple; where it is repeated, the result is the derivative along
         the singular pair that the decomposition returned.
 
-        At points the objective has evaluated, found by their bytes, the
-        singular vectors are reused, so only the vector-Jacobian product
-        program runs, in one batched execute; the other points get J in one
-        batched evaluation first. Nothing else is remembered: a gradient
-        asked for twice is computed twice. A point where the graph gradient
-        cannot be evaluated falls back to finite differences alone.
+        Precondition: the objective has evaluated every point of the stack
+        and found it feasible, as `_ascend` asks only at points whose
+        recorded value is finite. The singular vectors `__call__` kept
+        there, found by the point's bytes, seed the cotangent, so only the
+        vector-Jacobian product program runs, in one batched execute.
+        Nothing else is remembered: a gradient asked for twice is computed
+        twice. A point where the graph gradient cannot be evaluated falls
+        back to finite differences alone.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
@@ -649,33 +607,21 @@ class _JacobianObjective:
         k = len(v)
         rows, cols = self.program.output_dims[0]
         u, w = np.empty((k, rows)), np.empty((k, cols))
-        missing = []
         for i, point in enumerate(v):
-            vectors = self._vectors.get(point.tobytes())
-            if vectors is None:
-                missing.append(i)
-            else:
-                u[i], w[i] = vectors
-        failed: dict[int, object] = {}  # point -> why its graph gradient failed
-        if missing:
-            sigmas, u[missing], w[missing] = self._triples(v[missing])
-            failed = {i: "the Jacobian cannot be evaluated there"
-                      for i, sigma in zip(missing, sigmas) if not np.isfinite(sigma)}
-        todo = np.array([i for i in range(k) if i not in failed], dtype=int)
+            u[i], w[i] = self._vectors[point.tobytes()]
         grads = np.empty((k, self.dim))
 
         def run(start, stop):
-            at = todo[start:stop]
-            inputs = self.unpack(v[at])
-            inputs[self._cotangent] = u[at, :, None] * w[at, None, :]
-            outs = runtime.execute(self._grad_program, inputs, batch_shape=(len(at),))
-            grads[at] = np.concatenate([out.reshape(len(at), -1) for out in outs], axis=1)
+            inputs = self.unpack(v[start:stop])
+            inputs[self._cotangent] = u[start:stop, :, None] * w[start:stop, None, :]
+            outs = runtime.execute(self._grad_program, inputs,
+                                   batch_shape=(stop - start,))
+            grads[start:stop] = np.concatenate(
+                [out.reshape(stop - start, -1) for out in outs], axis=1)
 
-        trapped = _halving(run, 0, len(todo))
-        failed.update((todo[i], err) for i, err in trapped.items())
-        for i in sorted(failed):
+        for i, err in sorted(_halving(run, 0, k).items()):
             _log.warning("sigma_max gradient falls back to finite differences "
-                         "at a point of the box: %s", failed[i])
+                         "at a point of the box: %s", err)
             grads[i] = _fd_gradient(self, v[i:i + 1], self.lo, self.hi)[0]
         return grads
 

@@ -30,7 +30,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import FingerprintMismatch, InvalidParams, ShapeMismatch
-from .graph import Bounds
+from .graph import Bounds, _number
 from .report import SensitivityReport
 from .runtime import CompiledProgram, execute, leaf_array
 
@@ -60,6 +60,13 @@ class PrivacyParams:
     sensitivity_cap: float | None = None
 
     def __post_init__(self):
+        for name in ("epsilon", "delta", "sensitivity_cap"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, _number(value))
+                except ValueError as err:
+                    raise InvalidParams(f"{name} {err}") from None
         if not self.epsilon > 0:
             raise InvalidParams(f"epsilon must be positive, got {self.epsilon}")
         if self.epsilon > MAX_EPSILON:

@@ -59,6 +59,7 @@ from .graph import (
     Bounds,
     Graph,
     OpKind,
+    _index,
     attr_key,
     optimize,
 )
@@ -342,6 +343,16 @@ def leaf_array(inputs: Mapping[str, Any], name: str, dims: tuple[int, ...],
     return arr
 
 
+def _batch_dims(batch_shape) -> tuple[int, ...]:
+    try:
+        batch = tuple(map(_index, batch_shape))
+    except ValueError as err:
+        raise ShapeMismatch(f"batch extent {err}") from None
+    if any(n < 0 for n in batch):
+        raise ShapeMismatch(f"batch extents must be non-negative, got {batch}")
+    return batch
+
+
 def execute(program: CompiledProgram, inputs: Mapping[str, Any],
             batch_shape: tuple[int, ...] = ()) -> list[np.ndarray]:
     """Run a compiled program; returns one array per declared output.
@@ -351,7 +362,8 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
     With the default `batch_shape` every input must have exactly its declared
     shape. With a batch shape B, each input has either its declared shape or
     B followed by it, and each output has shape B followed by its declared
-    shape (the batch rule of the module docstring).
+    shape (the batch rule of the module docstring); an extent of B that is
+    not a non-negative integer raises `ShapeMismatch`.
 
     The inputs are bound group by group of `program.leaf_groups`: each
     member is checked as `leaf_array` checks it, then the group's values
@@ -370,7 +382,7 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
         unknown = sorted(inputs.keys() - program.leaf_names)[0]
         raise UnknownNode(f"no declared input named {unknown!r}")
 
-    batch = tuple(map(int, batch_shape)) if batch_shape else ()
+    batch = _batch_dims(batch_shape) if batch_shape else ()
     regs: list[Any] = [None] * program.n_slots
     for slot, value in program.const_loads:
         regs[slot] = value

@@ -63,12 +63,17 @@ def test_spectral_norm_nonfinite():
         spectral_norm([[np.nan]])
 
 
-def test_power_iteration_path_matches_svd(rng):
-    m = rng.standard_normal((90, 80))
-    sigma, u, v = spectral_norm_with_vectors(m)
-    want = np.linalg.svd(m, compute_uv=False)[0]
-    assert sigma == pytest.approx(want, rel=1e-8)
-    assert u @ m @ v == pytest.approx(sigma, rel=1e-6)
+# both sides above 64, a shape for which the top singular pair once came
+# from a power iteration that stopped short of the SVD's
+@pytest.mark.parametrize("seed,shape", [(80, (100, 2000)), (99, (2000, 100))],
+                         ids=["wide", "tall"])
+def test_large_matrices_get_the_svd_triple(seed, shape):
+    m = np.random.default_rng(seed).standard_normal(shape)
+    sigma, u, w = spectral_norm_with_vectors(m)
+    w_svd = np.linalg.svd(m, full_matrices=False)[2][0]
+    assert sigma == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-12, abs=0)
+    assert abs(w @ w_svd) >= 1 - 1e-12
+    assert u @ m @ w == pytest.approx(sigma, rel=1e-12)
 
 
 # -- global maximization -----------------------------------------------------
@@ -501,12 +506,14 @@ def test_gradient_matches_central_differences(graph):
     rng = np.random.default_rng(5)
     for _ in range(3):
         v = rng.uniform(obj.lo, obj.hi)
+        obj(v)
         _assert_matches_central_differences(obj, v, obj.gradient(v))
 
 
 def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
     g = mlp_classifier(2)
     obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    obj(np.zeros(obj.dim))
     obj.gradient(np.zeros(obj.dim))  # builds the vjp program
     programs = []
     execute = runtime.execute
@@ -519,24 +526,19 @@ def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
     at_stack = obj.gradient(stack[[3, 1]])
     assert programs == [obj.program, obj._grad_program]
 
-    # points outside the last stack get J in one batched execute for all of them
-    other = rng.uniform(obj.lo, obj.hi, (2, obj.dim))
-    mixed = np.stack([other[0], stack[0], other[1]])
-    del programs[:]
-    at_mixed = obj.gradient(mixed)
-    assert programs == [obj.program, obj._grad_program]
-
-    # reusing the singular vectors changes no bit of the gradient
+    # the singular vectors of a point have the same bits in any stack
     fresh = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    fresh(stack[[3, 1]])
     np.testing.assert_array_equal(at_stack, fresh.gradient(stack[[3, 1]]))
-    np.testing.assert_array_equal(at_mixed, fresh.gradient(mixed))
-    for v, grad in zip(mixed, at_mixed):
+    for v, grad in zip(stack[[3, 1]], at_stack):
         _assert_matches_central_differences(obj, v, grad)
 
     # the vectors are keyed by value, not by the array the caller passed
+    other = rng.uniform(obj.lo, obj.hi, (2, obj.dim))
     obj(other)
+    evaluated = other.copy()
     other[:] = rng.uniform(obj.lo, obj.hi, other.shape)
-    _assert_matches_central_differences(obj, other[0], obj.gradient(other[0]))
+    _assert_matches_central_differences(obj, evaluated[0], obj.gradient(evaluated[0]))
 
 
 @pytest.mark.parametrize("graph", [_sum_sigmoid(64), mean_query(1000),
@@ -544,11 +546,12 @@ def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
                          ids=["sumsig64", "mean1000", "mlp8"])
 def test_gradient_makes_no_objective_evaluations(graph, monkeypatch):
     obj = _JacobianObjective(graph, [graph.find("x")], OptimizerConfig())
+    v = np.random.default_rng(6).uniform(obj.lo, obj.hi)
+    obj(v)
     calls = []
     objective = _JacobianObjective.__call__
     monkeypatch.setattr(_JacobianObjective, "__call__",
                         lambda self, v: calls.append(1) or objective(self, v))
-    v = np.random.default_rng(6).uniform(obj.lo, obj.hi)
     g = obj.gradient(v)
     assert calls == []
     assert g.shape == v.shape and np.all(np.isfinite(g))
@@ -570,7 +573,7 @@ def test_elementwise_queries_at_ten_thousand(graph, sup, ibp_bound):
 # -- stacked evaluation ---------------------------------------------------------
 
 @pytest.mark.parametrize("shape", [(1, 5), (3, 4), (6, 1), (90, 80)],
-                         ids=["row", "matrix", "column", "power-iteration"])
+                         ids=["row", "matrix", "column", "both-sides-large"])
 def test_stacked_sigma_equals_spectral_norm(shape, rng):
     stack = rng.standard_normal((7,) + shape)
     stack[3, 0, 0] = np.nan
@@ -712,6 +715,7 @@ def test_gradient_fallback_is_logged(monkeypatch, caplog):
     g = mlp_classifier(2)
     obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
     v = np.full(obj.dim, 0.5)
+    obj(v)
     want = obj.gradient(v)
     execute = runtime.execute
 
@@ -731,8 +735,9 @@ def test_gradient_fallback_is_logged(monkeypatch, caplog):
 def test_a_point_whose_gradient_traps_falls_back_alone(monkeypatch, caplog):
     g = _x_log_x()
     obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
-    stack = np.array([[0.5], [-0.5], [1.5], [2.0]])  # J traps at -0.5
-    alone = np.array([obj.gradient(p) for p in stack[[0, 3]]])
+    stack = np.array([[0.5], [1.5], [2.0]])
+    obj(stack)
+    alone = np.array([obj.gradient(p) for p in stack[[0, 2]]])
     execute = runtime.execute
 
     def vjp_traps_at_one_and_a_half(program, inputs, **kwargs):
@@ -743,11 +748,10 @@ def test_a_point_whose_gradient_traps_falls_back_alone(monkeypatch, caplog):
     monkeypatch.setattr(runtime, "execute", vjp_traps_at_one_and_a_half)
     with caplog.at_level(logging.WARNING, logger="dpgraph"):
         grads = obj.gradient(stack)
-    assert grads[[0, 3]].tobytes() == alone.tobytes()
-    assert grads[1, 0] == 0.0  # both neighbours of -0.5 are infeasible too
-    assert grads[2, 0] == pytest.approx(1 / 1.5, rel=1e-5)  # |log x + 1|' by differences
-    assert len(caplog.records) == 2
-    assert "cannot be evaluated" in caplog.text and "overflow in the test" in caplog.text
+    assert grads[[0, 2]].tobytes() == alone.tobytes()
+    assert grads[1, 0] == pytest.approx(1 / 1.5, rel=1e-5)  # |log x + 1|' by differences
+    assert len(caplog.records) == 1
+    assert "overflow in the test" in caplog.text
 
 
 # -- lockstep ascent ------------------------------------------------------------
@@ -1038,6 +1042,22 @@ def test_global_opt_digests_each_point_once(graph, points, monkeypatch):
     report = estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
     assert len(rows) == len(set(rows)) == report.n_evaluations == points
     assert len(seen) == len(set(seen)) == points
+
+
+@pytest.mark.parametrize("graph", [mlp_classifier(2), _x_log_x()], ids=["mlp2", "xlogx"])
+def test_global_opt_asks_gradients_only_at_evaluated_points(graph, monkeypatch):
+    asked = []
+    gradient = _JacobianObjective.gradient
+
+    def checked(self, v):
+        stack = np.atleast_2d(v)
+        assert all(p.tobytes() in self._vectors for p in stack)
+        asked.append(len(stack))
+        return gradient(self, v)
+
+    monkeypatch.setattr(_JacobianObjective, "gradient", checked)
+    estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
+    assert asked
 
 
 def _clipped_mean(n):
