@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import jacobian
 from .errors import DomainError, ValidationFailed
-from .graph import BCE_CLAMP, BoundsSpec, Diagnostic, Graph, OpKind, apply_kind
+from .graph import BCE_CLAMP, Diagnostic, Graph, OpKind, apply_kind
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,12 @@ INTERVAL_RULES = {
 }
 
 
-def propagate(graph: Graph, bounds: BoundsSpec | None = None) -> dict[int, IntervalTensor]:
+def propagate(graph: Graph) -> dict[int, IntervalTensor]:
     """Sound enclosures for every node reachable from the outputs.
 
     Every Input/Parameter feeding an output must carry bounds. Division and
     Log raise DomainError when their operand interval reaches a pole.
     """
-    bounds = bounds if bounds is not None else graph.bounds
     reachable = graph.ancestors(graph.outputs)
     result: dict[int, IntervalTensor] = {}
     missing = []
@@ -186,7 +185,7 @@ def propagate(graph: Graph, bounds: BoundsSpec | None = None) -> dict[int, Inter
             continue
         k = node.kind
         if k in (OpKind.INPUT, OpKind.PARAMETER):
-            b = bounds.get(node.id)
+            b = graph.bounds.get(node.id)
             if b is None:
                 missing.append(node)
                 continue

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -30,7 +29,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import FingerprintMismatch, InvalidParams, ShapeMismatch
-from .graph import Bounds, _number
+from .graph import Bounds, _index, _number
 from .report import SensitivityReport
 from .runtime import CompiledProgram, execute, leaf_array
 
@@ -210,9 +209,9 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
     `ShapeMismatch`, and a value that is not real numbers, or a NaN or Inf
     that reaches `execute`, `NumericalError`; an Inf in a bounded leaf is
     clipped and counted. The seed must be a non-negative integer, of any
-    integer type; the output records it as an `int`. The output L2-norm is
-    summed with scaling, so it overflows only if the norm itself exceeds
-    float64.
+    integer type but bool; the output records it as an `int`. The output
+    L2-norm is summed with scaling, so it overflows only if the norm itself
+    exceeds float64.
 
     The report must carry the fingerprint of the program's graph; refusing a
     stale report prevents calibrating with a bound computed for different
@@ -234,8 +233,8 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
         seed = int(np.random.SeedSequence().entropy) % (2 ** 63)
     else:
         try:
-            seed = operator.index(seed)
-        except TypeError:
+            seed = _index(seed)
+        except ValueError:
             raise InvalidParams(
                 f"seed must be a non-negative integer, got {seed!r}") from None
         if seed < 0:

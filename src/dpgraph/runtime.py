@@ -7,10 +7,9 @@ bounds, so that a release clips each group once, and the unbounded ones in a
 group of their own. That layout is the table `execute` binds through. It is
 where the derivative graphs of `autodiff`, which come unoptimized, are
 optimized, so a compiled program's `optimized_graph` is the one to
-differentiate or inspect further. Programs are cached under two
-content keys: the canonical hash of the graph as given and the hash of its
-optimized form (the program fingerprint), so recompiling an identical graph
-is a lookup.
+differentiate or inspect further. Each program is cached under one key, the
+content hash of the graph as given, which is also the program's fingerprint,
+so recompiling an identical graph is one hash and a lookup.
 
 Finiteness invariant: execution raises `NumericalError` whenever a value the
 outputs depend on is NaN or Inf, without scanning intermediate results. The
@@ -46,13 +45,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    MissingInput,
-    NumericalError,
-    ShapeMismatch,
-    UnknownNode,
-    ValidationFailed,
-)
+from .errors import MissingInput, NumericalError, ShapeMismatch, UnknownNode
 from .graph import (
     LEAF_KINDS,
     OPS,
@@ -144,8 +137,8 @@ class CompiledProgram:
         return sum(g.nodes[h].shape.num_elements for h in g.parameters)
 
 
-# Each compile files its program under two keys (see the module docstring);
-# past CACHE_SIZE keys the least recently used one is dropped.
+# Each program is filed under its fingerprint, the content hash of the graph
+# as given; past CACHE_SIZE programs the least recently used one is dropped.
 CACHE_SIZE = 256
 _CACHE: OrderedDict[str, CompiledProgram] = OrderedDict()
 _CACHE_LOCK = threading.Lock()
@@ -155,7 +148,7 @@ _CACHE_STATS = {"hits": 0, "misses": 0}
 class CacheInfo(NamedTuple):
     hits: int    # compiles answered from the cache
     misses: int  # compiles that linearized a new program
-    size: int    # keys held, at most CACHE_SIZE
+    size: int    # programs held, at most CACHE_SIZE
 
 
 def cache_info() -> CacheInfo:
@@ -179,11 +172,10 @@ def _cache_get(key: str) -> CompiledProgram | None:
         return program
 
 
-def _cache_put(program: CompiledProgram, *keys: str) -> None:
+def _cache_put(program: CompiledProgram) -> None:
     with _CACHE_LOCK:
-        for key in keys:
-            _CACHE[key] = program
-            _CACHE.move_to_end(key)
+        _CACHE[program.fingerprint] = program
+        _CACHE_STATS["misses"] += 1
         while len(_CACHE) > CACHE_SIZE:
             _CACHE.popitem(last=False)
 
@@ -274,28 +266,26 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
 
 
 def compile(graph: Graph) -> CompiledProgram:
-    """Compile a graph to an executable program; identical graphs hit the cache."""
-    raw_key = content_hash(graph)
-    hit = _cache_get(raw_key)
-    if hit is not None:
-        return hit
-    diags = graph.validate()
-    if diags:
-        raise ValidationFailed(diags)
-    opt = optimize(graph)
-    fingerprint = content_hash(opt)
+    """Compile a graph to an executable program; identical graphs hit the cache.
+
+    The program's fingerprint is `graph_fingerprint(graph)`, the content hash
+    of the graph as given, and it is the program's one cache key; on a miss
+    the graph is validated, optimized and linearized.
+    """
+    fingerprint = content_hash(graph)
     program = _cache_get(fingerprint)
     if program is None:
-        program = _linearize(opt, fingerprint)
-        with _CACHE_LOCK:
-            _CACHE_STATS["misses"] += 1
-    _cache_put(program, raw_key, fingerprint)
+        graph.require_valid()
+        program = _linearize(optimize(graph), fingerprint)
+        _cache_put(program)
     return program
 
 
 def graph_fingerprint(graph: Graph) -> str:
-    """Fingerprint of the optimized form of a graph."""
-    return compile(graph).fingerprint
+    """The fingerprint `compile(graph)` gives its program: the content hash of
+    the valid graph as given; nothing is compiled."""
+    graph.require_valid()
+    return content_hash(graph)
 
 
 # Values one chunk of a batched execute may compute, summed over the plan.
@@ -346,6 +336,9 @@ def leaf_array(inputs: Mapping[str, Any], name: str, dims: tuple[int, ...],
 def _batch_dims(batch_shape) -> tuple[int, ...]:
     try:
         batch = tuple(map(_index, batch_shape))
+    except TypeError:
+        raise ShapeMismatch(f"batch shape must be a sequence of extents, "
+                            f"got {batch_shape!r}") from None
     except ValueError as err:
         raise ShapeMismatch(f"batch extent {err}") from None
     if any(n < 0 for n in batch):
@@ -362,8 +355,8 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
     With the default `batch_shape` every input must have exactly its declared
     shape. With a batch shape B, each input has either its declared shape or
     B followed by it, and each output has shape B followed by its declared
-    shape (the batch rule of the module docstring); an extent of B that is
-    not a non-negative integer raises `ShapeMismatch`.
+    shape (the batch rule of the module docstring); a B that is not a
+    sequence of non-negative integers raises `ShapeMismatch`.
 
     The inputs are bound group by group of `program.leaf_groups`: each
     member is checked as `leaf_array` checks it, then the group's values
@@ -382,7 +375,7 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
         unknown = sorted(inputs.keys() - program.leaf_names)[0]
         raise UnknownNode(f"no declared input named {unknown!r}")
 
-    batch = _batch_dims(batch_shape) if batch_shape else ()
+    batch = _batch_dims(batch_shape)
     regs: list[Any] = [None] * program.n_slots
     for slot, value in program.const_loads:
         regs[slot] = value

@@ -25,8 +25,9 @@ from dpgraph.errors import (
     ValidationFailed,
 )
 from dpgraph.lipschitz import OptimizerConfig, estimate_sensitivity
-from dpgraph.mechanism import PrivacyParams
+from dpgraph.mechanism import PrivacyParams, privatize
 from dpgraph.models import mlp_classifier
+from dpgraph.report import SensitivityReport
 
 
 EXIT_CODES = {
@@ -65,11 +66,23 @@ _GRAPH = mlp_classifier(2)
 _X = _GRAPH.find("x")
 
 
+def _inputs(program):
+    return {name: np.zeros(dims) for _, members in program.leaf_groups
+            for name, dims, *_ in members}
+
+
 def _execute(batch_shape):
     program = runtime.compile(_GRAPH)
-    inputs = {name: np.zeros(dims) for _, members in program.leaf_groups
-              for name, dims, *_ in members}
-    return runtime.execute(program, inputs, batch_shape=batch_shape)
+    return runtime.execute(program, _inputs(program), batch_shape=batch_shape)
+
+
+def _privatize(seed):
+    program = runtime.compile(_GRAPH)
+    report = SensitivityReport(method="ibp", bound=1.0, interval_low=0.0,
+                               certified=True, argmax=None, wall_time=0.0,
+                               fingerprint=program.fingerprint)
+    return privatize(program, _inputs(program), PrivacyParams(1.0, 1e-5), report,
+                     seed=seed)
 
 
 @pytest.mark.parametrize("call,error", [
@@ -87,10 +100,14 @@ def _execute(batch_shape):
     (lambda: PrivacyParams(1.0, 1e-5, sensitivity_cap="2"), InvalidParams),
     (lambda: _execute((-1,)), ShapeMismatch),
     (lambda: _execute((1.5,)), ShapeMismatch),
+    (lambda: _execute(4), ShapeMismatch),
+    (lambda: _privatize(True), InvalidParams),
+    (lambda: _privatize(np.bool_(True)), InvalidParams),
 ], ids=["estimate-wrt-name", "jacobian-wrt-name", "jacobian-wrt-float",
         "higher-order-0", "higher-order-float", "n-samples-str", "seed-float",
         "seed-bool", "grid-resolution-float", "epsilon-str", "epsilon-bool",
-        "cap-str", "batch-negative", "batch-float"])
+        "cap-str", "batch-negative", "batch-float", "batch-int",
+        "privatize-seed-bool", "privatize-seed-numpy-bool"])
 def test_a_bad_argument_is_a_typed_refusal(call, error):
     with pytest.raises(error):
         call()

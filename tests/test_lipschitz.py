@@ -284,10 +284,10 @@ def test_freeze_values_need_the_exact_shape_for_every_method(method, value):
         == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
-@pytest.mark.parametrize("method,calls", [("global_opt", 3), ("ibp", 1)])
+@pytest.mark.parametrize("method,calls", [("global_opt", 2), ("ibp", 0)])
 def test_each_graph_is_optimized_once(monkeypatch, method, calls):
-    # the source graph when it is fingerprinted, and for global_opt the
-    # Jacobian and vjp graphs when they are compiled; jacobian and vjp
+    # for global_opt the Jacobian and vjp graphs when they are compiled;
+    # fingerprinting the source graph compiles nothing, jacobian and vjp
     # return their graphs unoptimized, and ibp propagates its Jacobian as is
     optimized = []
 
@@ -303,13 +303,29 @@ def test_each_graph_is_optimized_once(monkeypatch, method, calls):
     assert len(optimized) == calls
 
 
-def test_frozen_ibp_compiles_only_the_source_graph():
+def test_frozen_ibp_compiles_nothing():
     runtime.clear_cache()
     g = mlp_classifier(2)
     w1 = np.full(g.nodes[g.find("w1")].shape.dims, 0.5)
     estimate_sensitivity(g, wrt=[g.find("x")], method="ibp",
                          config=OptimizerConfig(freeze={"w1": w1}))
-    assert runtime.cache_info().misses == 1
+    assert runtime.cache_info().misses == 0
+
+
+def test_ibp_makes_no_compile_call(monkeypatch):
+    calls = []
+    compile_ = runtime.compile
+
+    def counting(graph):
+        calls.append(graph)
+        return compile_(graph)
+
+    monkeypatch.setattr(runtime, "compile", counting)
+    runtime.clear_cache()
+    g = mlp_classifier(2)
+    estimate_sensitivity(g, wrt=[g.find("x")], method="ibp")
+    assert calls == []
+    assert runtime.cache_info() == (0, 0, 0)
 
 
 @pytest.mark.parametrize("fields", [{"seed": -1}, {"n_samples": 0}, {"n_samples": -4}],

@@ -312,6 +312,24 @@ def test_privatize_fingerprint_mismatch(mean_setup):
         privatize(other, {"x": np.zeros((11, 1))}, params, report, seed=0)
 
 
+def test_privatize_matches_graphs_as_given_not_optimized():
+    # x * 1 optimizes to x, but a report of one does not release through the
+    # program of the other
+    def build(times_one):
+        b = GraphBuilder()
+        x = b.input("x", (2, 1), bounds=(0.0, 1.0))
+        b.output(b.mul(x, b.constant(1.0)) if times_one else x)
+        return b.graph()
+
+    report = estimate_sensitivity(build(True), method="ibp")
+    params = PrivacyParams(epsilon=1.0, delta=1e-5)
+    data = {"x": np.full((2, 1), 0.5)}
+    with pytest.raises(FingerprintMismatch):
+        privatize(runtime.compile(build(False)), data, params, report, seed=0)
+    out = privatize(runtime.compile(build(True)), data, params, report, seed=0)
+    assert out.output_l2_norm == pytest.approx(np.sqrt(0.5))
+
+
 def test_privatize_refuses_a_negative_seed(mean_setup):
     _, program, report = mean_setup
     params = PrivacyParams(epsilon=1.0, delta=1e-5)

@@ -14,7 +14,7 @@ from dpgraph import (
 )
 from dpgraph.autodiff import jacobian
 from dpgraph.graph import LEAF_KINDS, OpKind
-from dpgraph.models import mlp_classifier
+from dpgraph.models import mean_query, mlp_classifier
 from dpgraph import runtime
 
 from conftest import random_graph, ref_eval, ref_eval_all, sample_inputs
@@ -85,6 +85,19 @@ def test_content_hash_is_stable():
         b.sigmoid(b.add(h, b.constant([[0.25], [-0.75]]))), axis=0))
     assert runtime.content_hash(b.graph()) == (
         "efcee6944158f494bf2d19176504efe713e443d9d823416ec08a3c6c7cf182f5")
+
+
+@pytest.mark.parametrize("make,fingerprint", [
+    (lambda: mean_query(10),
+     "f967da21d691dd1abd447d6dd42128a944a97cabd98f7f9c17d5b9fbe2070c5a"),
+    (lambda: mlp_classifier(2),
+     "c672bb42003e999c93076fa597ad4ef7b32718cbd2b2af5dab9357e51a54da99"),
+], ids=["mean10", "mlp2"])
+def test_fingerprint_is_the_content_hash_of_the_graph_as_given(make, fingerprint):
+    # analyses saved for these models keep matching their programs
+    g = make()
+    assert runtime.graph_fingerprint(g) == runtime.content_hash(g) == fingerprint
+    assert runtime.compile(g).fingerprint == fingerprint
 
 
 def test_deep_jacobian_graph_compiles():
@@ -595,26 +608,29 @@ def test_cache_info_counts_hits_misses_and_size(monkeypatch):
     assert runtime.cache_info() == (0, 0, 0)
     g = _scaled(2.0)
     runtime.compile(g)
-    assert runtime.cache_info() == (0, 1, 1)  # optimize leaves it as it is
+    assert runtime.cache_info() == (0, 1, 1)
     runtime.compile(g)
     assert runtime.cache_info() == (1, 1, 1)
-    # a graph that optimizes to g's program: a miss on its own key, then a
-    # hit on the program's fingerprint, and both keys held
+    # a graph that optimizes to g's program differs as given, so it is a
+    # miss and a program of its own, under its own key
     b = GraphBuilder()
     x = b.input("x", (2, 1), bounds=(0.0, 1.0))
     b.output(b.sigmoid(b.mul(b.mul(b.constant(2.0), x), b.constant(1.0))))
-    assert runtime.compile(b.graph()) is runtime.compile(g)
-    assert runtime.cache_info() == (3, 1, 2)
+    same_as_g = b.graph()
+    p_same, p_g = runtime.compile(same_as_g), runtime.compile(g)
+    assert p_same is not p_g and p_same.fingerprint != p_g.fingerprint
+    assert runtime.content_hash(p_same.optimized_graph) == \
+        runtime.content_hash(p_g.optimized_graph)
+    assert runtime.cache_info() == (2, 2, 2)
 
     monkeypatch.setattr(runtime, "CACHE_SIZE", 3)
-    same_as_g = b.graph()
     runtime.compile(_scaled(3.0))
-    runtime.compile(_scaled(4.0))  # drops same_as_g's key, the oldest
-    assert runtime.cache_info() == (3, 3, 3)
+    runtime.compile(_scaled(4.0))  # drops same_as_g's program, the oldest
+    assert runtime.cache_info() == (2, 4, 3)
     runtime.compile(g)
-    runtime.compile(same_as_g)  # its key again, found by fingerprint; drops 3.0
-    assert runtime.cache_info() == (5, 3, 3)
+    runtime.compile(same_as_g)  # compiled again; drops 3.0
+    assert runtime.cache_info() == (3, 5, 3)
     runtime.compile(_scaled(3.0))
-    assert runtime.cache_info() == (5, 4, 3)
+    assert runtime.cache_info() == (3, 6, 3)
     runtime.clear_cache()
     assert runtime.cache_info() == (0, 0, 0)
