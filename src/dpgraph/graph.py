@@ -6,7 +6,8 @@ ever references earlier handles, which makes every graph acyclic by
 construction and makes the node table a valid topological order.
 
 Each op kind has one entry in `OPS`: its arity, its attributes with their
-converters and defaults, its shape rule and its kernel. `GraphBuilder.build`,
+converters and defaults, its shape rule and its kernel, a binder of the
+attrs that returns the function of the operands. `GraphBuilder.build`,
 `normalize_attrs`, `apply_kind` and the compiled plan read that entry alone,
 so an attribute is checked where it is defined. A new kind needs an `OpKind`
 member and one entry here, plus its derivative rule in `autodiff.VJP_RULES`
@@ -366,96 +367,140 @@ def _slice_shape(shapes, attrs) -> TensorShape:
     return TensorShape(tuple(dims))
 
 
-# Kernels map the attrs and the operand values to the result value. Every
-# kernel is batch-polymorphic. An operand holds either its declared shape or
-# a batch shape followed by it, and `attrs["ranks"]` holds the declared rank
-# of each operand, so a kernel counts its axes from the end and leaves the
-# leading batch axes alone. Operands that carry batch axes all carry the same
-# ones. The unbatched call is the batch-shape () case; the compiled plan
-# resolves "ranks" once, and `apply_kind` reads it off the operands.
+# Kernels are binders: `kernel(attrs)` takes the node's attrs, with
+# `attrs["ranks"]` holding the declared rank of each operand, and returns the
+# function that maps the operand values to the result value. The compiled plan
+# binds each instruction once, and `apply_kind` binds for one call, reading
+# the ranks off its operands; whatever the attrs and ranks decide (a lift, a
+# reduction's axes, a transpose) is settled at binding. Every bound kernel is
+# batch-polymorphic. An operand holds either its declared shape or a batch
+# shape followed by it, so a kernel counts its axes from the end and leaves
+# the leading batch axes alone. Operands that carry batch axes all carry the
+# same ones. The unbatched call is the batch-shape () case.
 
 
-def _lift(a, b, ra, rb):
-    """Give a declared scalar (rank 0) the other operand's rank, so that its
-    batch axes, if it has any, stay in front when the two broadcast."""
-    if ra < rb and a.ndim:
-        a = a.reshape(a.shape + (1,) * rb)
-    elif rb < ra and b.ndim:
-        b = b.reshape(b.shape + (1,) * ra)
-    return a, b
+def _elementwise(fn, attrs):
+    """fn bound to one operand: fn itself, or for a declared scalar (rank 0)
+    fn with its result wrapped in np.asarray."""
+    return fn if attrs["ranks"][0] else lambda a: np.asarray(fn(a))
 
 
-def _trailing(x, rank):
-    """The last `rank` axes of x; None (every axis) when x is unbatched."""
-    return None if x.ndim == rank else tuple(range(-rank, 0))
+def _k_pow(attrs):
+    exponent = attrs["exponent"]
+    return _elementwise(lambda a: np.power(a, exponent), attrs)
+
+
+def _k_clip(attrs):
+    lo, hi = attrs["lo"], attrs["hi"]
+    return lambda a: np.clip(a, lo, hi)
+
+
+def _k_in_interval(attrs):
+    lo, hi = attrs["lo"], attrs["hi"]
+    return lambda a: np.asarray((a >= lo) & (a <= hi), dtype=np.float64)
+
+
+def _lifted(op, ra, rb):
+    """op(a, b) for operands of declared ranks ra and rb, one of them 0 when
+    they differ. The declared scalar gets the other operand's rank, so that
+    its batch axes, if it has any, stay in front when the two broadcast."""
+    if ra < rb:
+        pad = (1,) * rb
+        return lambda a, b: op(a.reshape(a.shape + pad) if a.ndim else a, b)
+    if rb < ra:
+        pad = (1,) * ra
+        return lambda a, b: op(a, b.reshape(b.shape + pad) if b.ndim else b)
+    return op
 
 
 def _k_pair(op):
-    def kernel(attrs, a, b):
+    def bind(attrs):
         ra, rb = attrs["ranks"]
-        if ra != rb:
-            a, b = _lift(a, b, ra, rb)
-        return np.asarray(op(a, b))
+        if ra or rb:
+            return _lifted(op, ra, rb)
+        return lambda a, b: np.asarray(op(a, b))
+
+    return bind
+
+
+def _k_matmul(attrs):
+    ta, tb = attrs["transpose_a"], attrs["transpose_b"]
+    if not (ta or tb):
+        return np.matmul
+
+    def kernel(a, b):
+        return np.matmul(a.swapaxes(-1, -2) if ta else a,
+                         b.swapaxes(-1, -2) if tb else b)
 
     return kernel
-
-
-def _k_matmul(attrs, a, b):
-    if attrs["transpose_a"]:
-        a = a.swapaxes(-1, -2)
-    if attrs["transpose_b"]:
-        b = b.swapaxes(-1, -2)
-    return a @ b
 
 
 def _k_reduce(fn):
-    def kernel(attrs, x):
+    def bind(attrs):
         (rank,) = attrs["ranks"]
         axis = attrs["axis"]
-        if axis is None:
-            return np.asarray(fn(x, axis=_trailing(x, rank)))
-        return fn(x, axis=axis - rank, keepdims=True)
+        if axis is not None:
+            axis -= rank
+            return lambda x: fn(x, axis=axis, keepdims=True)
+        axes = tuple(range(-rank, 0))  # the declared axes behind a batch
+        return lambda x: np.asarray(fn(x, axis=None if x.ndim == rank else axes))
+
+    return bind
+
+
+def _bce_loss(p, t):
+    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
+
+
+def _k_bce(attrs):
+    rp, rt = attrs["ranks"]
+    rank = max(rp, rt)
+    axes = tuple(range(-rank, 0))
+    elementwise = _lifted(_bce_loss, rp, rt)
+
+    def kernel(p, t):
+        loss = elementwise(p, t)
+        # np.mean's own sum and division, without its overhead; a rank-0
+        # operand gives axes (), which average over no axis
+        if loss.ndim == rank:
+            return np.asarray(np.add.reduce(loss, None) / loss.size)
+        return np.add.reduce(loss, axes) / math.prod(loss.shape[loss.ndim - rank:])
 
     return kernel
 
 
-def _k_bce(attrs, p, t):
-    rp, rt = attrs["ranks"]
-    if rp != rt:
-        p, t = _lift(p, t, rp, rt)
-    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    loss = -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
-    axis = _trailing(loss, max(rp, rt))
-    # np.mean's own sum and division, without its overhead; a rank-0 operand
-    # gives axis (), which averages over no axis
-    count = loss.size if axis is None else math.prod(loss.shape[loss.ndim - len(axis):])
-    return np.asarray(np.add.reduce(loss, axis) / count)
-
-
-def _k_reshape(attrs, a):
+def _k_reshape(attrs):
     (rank,) = attrs["ranks"]
-    return a.reshape(a.shape[:a.ndim - rank] + attrs["shape"])
+    shape = attrs["shape"]
+    return lambda a: a.reshape(a.shape[:a.ndim - rank] + shape)
 
 
-def _k_concat(attrs, *parts):
+def _k_concat(attrs):
     rank = attrs["ranks"][0]
-    batch = max((p.shape[:p.ndim - rank] for p in parts), key=len)
-    if batch:  # an unbatched operand, such as a zero constant, is shared
-        parts = [np.broadcast_to(p, batch + p.shape[p.ndim - rank:]) for p in parts]
-    return np.concatenate(parts, axis=attrs["axis"] - rank)
+    axis = attrs["axis"] - rank
+
+    def kernel(*parts):
+        batch = max((p.shape[:p.ndim - rank] for p in parts), key=len)
+        if batch:  # an unbatched operand, such as a zero constant, is shared
+            parts = [np.broadcast_to(p, batch + p.shape[p.ndim - rank:]) for p in parts]
+        return np.concatenate(parts, axis=axis)
+
+    return kernel
 
 
-def _k_slice(attrs, a):
+def _k_slice(attrs):
     (rank,) = attrs["ranks"]
-    return a[(Ellipsis, slice(attrs["start"], attrs["stop"]))
-             + (slice(None),) * (rank - 1 - attrs["axis"])]
+    index = ((Ellipsis, slice(attrs["start"], attrs["stop"]))
+             + (slice(None),) * (rank - 1 - attrs["axis"]))
+    return lambda a: a[index]
 
 
 class OpSpec(NamedTuple):
     arity: int | None  # inputs taken; None for one or more (Concat)
     attrs: Mapping[str, tuple[Callable, Any]]  # name -> (converter, default or REQUIRED)
     shape: Callable | None  # (shapes, attrs) -> shape; None for Input and Parameter
-    kernel: Callable | None  # (attrs, *operands) -> value; None for the leaf kinds
+    kernel: Callable | None  # attrs -> (*operands -> value); None for the leaf kinds
 
 
 _LEAF = OpSpec(0, {}, None, None)
@@ -473,21 +518,18 @@ OPS: dict[OpKind, OpSpec] = {
     OpKind.SUB: OpSpec(2, {}, _pair, _k_pair(np.subtract)),
     OpKind.MUL: OpSpec(2, {}, _pair, _k_pair(np.multiply)),
     OpKind.DIV: OpSpec(2, {}, _pair, _k_pair(np.divide)),
-    OpKind.NEG: OpSpec(1, {}, _first, lambda attrs, a: np.asarray(-a)),
+    OpKind.NEG: OpSpec(1, {}, _first, lambda attrs: _elementwise(np.negative, attrs)),
     OpKind.MATMUL: OpSpec(2, {"transpose_a": _FLAG, "transpose_b": _FLAG},
                           _matmul_shape, _k_matmul),
-    OpKind.POW: OpSpec(1, {"exponent": (_finite, REQUIRED)}, _first,
-                       lambda attrs, a: np.asarray(np.power(a, attrs["exponent"]))),
-    OpKind.EXP: OpSpec(1, {}, _first, lambda attrs, a: np.exp(a)),
-    OpKind.LOG: OpSpec(1, {}, _first, lambda attrs, a: np.log(a)),
-    OpKind.SIGMOID: OpSpec(1, {}, _first, lambda attrs, a: np.asarray(expit(a))),
-    OpKind.SUM: OpSpec(1, _AXIS, _reduce_shape, _k_reduce(np.sum)),
+    OpKind.POW: OpSpec(1, {"exponent": (_finite, REQUIRED)}, _first, _k_pow),
+    OpKind.EXP: OpSpec(1, {}, _first, lambda attrs: np.exp),
+    OpKind.LOG: OpSpec(1, {}, _first, lambda attrs: np.log),
+    OpKind.SIGMOID: OpSpec(1, {}, _first, lambda attrs: _elementwise(expit, attrs)),
+    OpKind.SUM: OpSpec(1, _AXIS, _reduce_shape, _k_reduce(np.add.reduce)),
     OpKind.MEAN: OpSpec(1, _AXIS, _reduce_shape, _k_reduce(np.mean)),
-    OpKind.CLIP: OpSpec(1, _BOUNDS, _interval,
-                        lambda attrs, a: np.clip(a, attrs["lo"], attrs["hi"])),
+    OpKind.CLIP: OpSpec(1, _BOUNDS, _interval, _k_clip),
     OpKind.BCE: OpSpec(2, {}, _loss, _k_bce),
-    OpKind.IN_INTERVAL: OpSpec(1, _BOUNDS, _interval, lambda attrs, a: np.asarray(
-        (a >= attrs["lo"]) & (a <= attrs["hi"]), dtype=np.float64)),
+    OpKind.IN_INTERVAL: OpSpec(1, _BOUNDS, _interval, _k_in_interval),
     OpKind.RESHAPE: OpSpec(
         1, {"shape": (lambda v: TensorShape.coerce(v).dims, REQUIRED)},
         _reshape_shape, _k_reshape),
@@ -533,11 +575,11 @@ def attr_key(attrs: Mapping[str, Any]) -> tuple:
 
 
 def apply_kind(kind: OpKind, attrs: Mapping, *operands: np.ndarray) -> np.ndarray:
-    """Run one kernel on unbatched operands, with FP flags ignored."""
+    """Bind one kernel to unbatched operands and run it, with FP flags ignored."""
     operands = tuple(np.asarray(x) for x in operands)
-    attrs = {**attrs, "ranks": tuple(x.ndim for x in operands)}
+    kernel = OPS[kind].kernel({**attrs, "ranks": tuple(x.ndim for x in operands)})
     with np.errstate(all="ignore"):
-        return OPS[kind].kernel(attrs, *operands)
+        return kernel(*operands)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ Sobol' points from `_sobol`, a NumPy engine that builds them from Joe &
 Kuo's direction-number table, bit for bit those of scipy's `qmc.Sobol`.
 
 The sampling set-up serves both phases at once. One stable sort of the
-doubled set's rows, compared as byte strings, orders them and drops repeats
-(`_unique_rows`); the first set is a mask over the result. The neighbours
-are exact k-nearest ones, found by brute force for every dimension
+doubled set's rows by their first coordinate, with the rows that tie there
+(the box's corners) sorted again as byte strings, orders them and drops
+repeats (`_unique_rows`); the first set is a mask over the result. The
+neighbours are exact k-nearest ones, found by brute force for every dimension
 (`_nearest`): squared distances from Gram products, in tiles that BLAS runs
 on one thread, in blocks of rows; each block serves both phases.
 
@@ -31,7 +32,10 @@ the distinct union of the two phases' starts ascends in lockstep, and each
 phase reads its stationary values at its own starts. Each iteration takes
 one stacked gradient of the starts still climbing, and each halving of the
 line search evaluates one stack of the starts still searching, so every
-start visits the points it would visit alone.
+start visits the points it would visit alone. A start whose projected step
+lands on its own point leaves the line search at once and stops climbing:
+every shorter step lands there too, so the remaining halvings of its 30
+would evaluate nothing.
 
 A point's bytes are its only key. `_Recorder` evaluates each distinct point
 once, and the Jacobian objective keeps the top singular vectors of J at
@@ -45,7 +49,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
@@ -234,7 +237,11 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
     flat gains, so it follows the path it would follow alone; each iteration
     calls `gradient` once, on the stack of the starts still climbing, and
     each halving of the line search evaluates one stack of the starts still
-    searching. Returns the final points and their values."""
+    halving. A start whose projected candidate is its own point stops halving
+    at once and, having found no better point, stops climbing: a halved step
+    rounds and projects back onto the point again (halving is exact and
+    rounding monotone), so the 30 halvings would evaluate nothing more.
+    Returns the final points and their values."""
     x = np.clip(starts, lo, hi)
     fx = f(x)
     width = float(np.max(hi - lo))
@@ -251,9 +258,10 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
         climbing = climbing[moves]
         direction = g[moves] / norm_g[moves, None]
         s = step[climbing]
-        searching = np.ones(len(climbing), dtype=bool)
+        searching = np.ones(len(climbing), dtype=bool)  # no better point yet
+        halving = searching.copy()
         for _ in range(30):
-            rows = np.flatnonzero(searching)
+            rows = np.flatnonzero(halving)
             if rows.size == 0:
                 break
             at = climbing[rows]
@@ -270,6 +278,7 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
             flat = gain <= VALUE_TOL * (1.0 + np.abs(fx[won]))
             flat_streak[won] = np.where(flat, flat_streak[won] + 1, 0)
             searching[rows[better]] = False
+            halving[rows[better | ~moved]] = False
             s[rows[~better]] *= 0.5
         climbing = climbing[~searching & (flat_streak[climbing] < 2)]
     return x, fx
@@ -297,23 +306,40 @@ def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, np.ndar
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The index of the first copy of each distinct row of a (m, d) array of
-    floats without NaN, the rows in lexicographic order. A row's -0.0 equals
-    its 0.0, so rows[_unique_rows(rows)] are the rows NumPy's `unique` gives
-    along axis 0; of rows equal but for the sign of a zero, the first stays.
+    floats without NaN, d >= 1, the rows in lexicographic order. A row's -0.0
+    equals its 0.0, so rows[_unique_rows(rows)] are the rows NumPy's `unique`
+    gives along axis 0; of rows equal but for the sign of a zero, the first
+    stays.
 
-    A row compares as the big-endian bytes of an order-preserving map of its
-    floats to uint64, so one stable sort of (m,) byte strings orders them."""
-    keys = (rows + 0.0).view(np.int64)  # + 0.0 folds -0.0
+    A float compares as an order-preserving map of it to uint64. One stable
+    sort of the first coordinate's keys orders the rows; only runs of rows
+    that tie there, such as the box's corners, are sorted again, stably, by
+    the big-endian bytes of all their keys, and compared row by row."""
+    first = _order_keys(rows[:, 0])
+    order = np.argsort(first, kind="stable")
+    same = first[order[1:]] == first[order[:-1]]
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] |= same
+    tied[:-1] |= same
+    distinct = ~tied
+    at = np.flatnonzero(tied)
+    if at.size:
+        keys = _order_keys(rows[order[at]]).astype(">u8")
+        strings = keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel()
+        resort = np.argsort(strings, kind="stable")
+        order[at], strings = order[at][resort], strings[resort]
+        distinct[at[0]] = True
+        distinct[at[1:]] = strings[1:] != strings[:-1]
+    return order[distinct]
+
+
+def _order_keys(values: np.ndarray) -> np.ndarray:
+    """uint64 keys of floats without NaN that order as the floats do, with
+    -0.0 folded into 0.0."""
+    keys = (values + 0.0).view(np.int64)
     # flips every bit of a negative float and the sign bit of the others
     keys ^= (keys >> 63) | np.int64(-2 ** 63)
-    if sys.byteorder == "little":
-        keys.byteswap(inplace=True)
-    strings = keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel()
-    order = np.argsort(strings, kind="stable")
-    ordered = strings[order]
-    distinct = np.ones(len(order), dtype=bool)
-    distinct[1:] = ordered[1:] != ordered[:-1]
-    return order[distinct]
+    return keys.view(np.uint64)
 
 
 # OpenBLAS runs a matrix product of m x k by k x n on one thread when

@@ -1,7 +1,7 @@
 """Compilation of graphs to linear register programs, execution, benchmarks.
 
-Compilation runs the optimizer, linearizes the surviving nodes, resolves each
-instruction's kernel, and assigns tensor slots with last-use reuse; it also
+Compilation runs the optimizer, linearizes the surviving nodes, binds each
+instruction's kernel to the node's attrs and operand ranks, and assigns tensor slots with last-use reuse; it also
 lays the leaves out in groups (`LeafGroup`): the bounded leaves by their
 bounds, so that a release clips each group once, and the unbounded ones in a
 group of their own. That layout is the table `execute` binds through. It is
@@ -92,11 +92,10 @@ def content_hash(graph: Graph) -> str:
 @dataclass(frozen=True)
 class Instruction:
     kind: OpKind
-    attrs: Mapping[str, Any]
     in_slots: tuple[int, ...]
     out_slot: int
     label: str
-    kernel: Callable[..., np.ndarray]
+    kernel: Callable[..., np.ndarray]  # the kind's kernel bound to the node's attrs
 
 
 class LeafGroup(NamedTuple):
@@ -243,8 +242,8 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         out_slot = free.pop() if free else new_slot()
         slot_of[node.id] = out_slot
         ranks = tuple(opt.nodes[i].shape.rank for i in node.inputs)
-        plan.append(Instruction(node.kind, {**node.attrs, "ranks": ranks},
-                                in_slots, out_slot, node.name, OPS[node.kind].kernel))
+        kernel = OPS[node.kind].kernel({**node.attrs, "ranks": ranks})
+        plan.append(Instruction(node.kind, in_slots, out_slot, node.name, kernel))
 
     output_slots = tuple(slot_of[h] for h in opt.outputs)
     output_names = tuple(opt.nodes[h].name for h in opt.outputs)
@@ -426,8 +425,7 @@ def _run(program: CompiledProgram, regs: list) -> None:
         with np.errstate(divide="raise", over="raise", invalid="raise",
                          under="ignore"):
             for instr in program.plan:
-                regs[instr.out_slot] = instr.kernel(
-                    instr.attrs, *[regs[s] for s in instr.in_slots])
+                regs[instr.out_slot] = instr.kernel(*[regs[s] for s in instr.in_slots])
     except FloatingPointError as err:
         raise NumericalError(
             f"non-finite value produced at node '{instr.label}' "

@@ -7,7 +7,13 @@ from dpgraph.graph import LEAF_KINDS, OPS
 from dpgraph.models import mlp_classifier
 from dpgraph import runtime
 
-from conftest import finite_difference, kink_free_point, random_graph, ref_eval
+from conftest import (
+    finite_difference,
+    kink_free_point,
+    random_graph,
+    ref_eval,
+    ref_eval_all,
+)
 
 
 def _scalar_query(fn):
@@ -234,6 +240,16 @@ def test_layout_op_kernel_and_jacobian(kind, rng):
     (got,) = runtime.execute(runtime.compile(g), point)
     (want,) = ref_eval(g, point)
     assert np.array_equal(got, want)
+    # the kernel bound to the node's attrs and operand ranks, on the
+    # reference operands and on a batch of two copies of them
+    values = ref_eval_all(g, point)
+    (node,) = [n for n in g.nodes if n.kind is kind]
+    ranks = tuple(g.nodes[i].shape.rank for i in node.inputs)
+    kernel = OPS[kind].kernel({**node.attrs, "ranks": ranks})
+    operands = [values[i] for i in node.inputs]
+    assert np.array_equal(kernel(*operands), values[node.id])
+    batched = kernel(*[np.stack([v, v]) for v in operands])
+    assert np.array_equal(batched, np.stack([values[node.id]] * 2))
     jg = jacobian(g, [g.find("x"), g.find("y")])
     j = _eval_jacobian(jg, point)
     fd = finite_difference(g, point, jg.wrt_names)

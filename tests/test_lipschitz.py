@@ -869,6 +869,39 @@ def test_lockstep_ascent_follows_each_start_with_finite_differences():
     assert fx[0] > _terrain(starts[:1])[0]
 
 
+# 2^40, where a float's spacing is 2^-12: a step of 2^-13 rounds back
+_FAR = 2.0 ** 40
+
+
+def _downhill_below_three_quarters(xs):
+    """A gradient of v - 2^40 that points down the slope below 2^40 + 0.75:
+    every move it proposes there loses."""
+    return np.where(xs < _FAR + 0.75, -1.0, 1.0)
+
+
+def test_lockstep_ascent_follows_starts_that_cannot_move():
+    lo, hi = np.array([_FAR]), np.array([_FAR + 1.0])
+    starts = np.array([
+        [_FAR],          # a corner whose gradient points out of the box
+        [_FAR + 0.5],    # halves on losing moves until x + s d rounds to x
+        [_FAR + 0.8],    # climbs to the far corner, then points out of it
+    ])
+    def objective(v):
+        return v[:, 0] - _FAR
+
+    x, fx = _assert_lockstep_equals_one_start_at_a_time(
+        objective, _downhill_below_three_quarters, starts, lo, hi)
+    assert x.tolist() == [[_FAR], [_FAR + 0.5], [_FAR + 1.0]]
+    assert fx.tolist() == [0.0, 0.5, 1.0]
+    # a start that cannot move stops climbing: only the third one, after its
+    # climb, is asked for a second gradient
+    asked = []
+    _ascend(_Recorder(objective),
+            lambda xs: asked.append(len(xs)) or _downhill_below_three_quarters(xs),
+            starts, lo, hi)
+    assert asked == [3, 1]
+
+
 def _wave(v):
     return np.sin(3 * v[:, 0]) + v[:, 1] ** 2
 
@@ -918,6 +951,22 @@ def test_global_opt_takes_one_gradient_call_per_iteration(monkeypatch):
     estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
     assert 0 < len(calls) <= lipschitz.MAX_REFINE_ITERS
     assert max(calls) > 1
+
+
+def test_global_opt_path_on_mlp2_is_pinned(monkeypatch):
+    # the ascent's path, not only its result: objective and gradient calls
+    # and distinct points evaluated
+    calls = {"objective": 0, "gradient": 0}
+    objective, gradient = _JacobianObjective.__call__, _JacobianObjective.gradient
+
+    def counted(name, fn):
+        return lambda self, v: calls.update({name: calls[name] + 1}) or fn(self, v)
+
+    monkeypatch.setattr(_JacobianObjective, "__call__", counted("objective", objective))
+    monkeypatch.setattr(_JacobianObjective, "gradient", counted("gradient", gradient))
+    g = mlp_classifier(2)
+    report = estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert (calls["objective"], calls["gradient"], report.n_evaluations) == (30, 30, 502)
 
 
 def _fd_one_point_at_a_time(f, x, lo, hi, rel_step=1e-6):

@@ -556,6 +556,80 @@ def test_batched_scalars_lift_over_tensor_operands(rng):
                     np.testing.assert_array_equal(out[j], want)
 
 
+M, S = (2, 3), ()  # the declared shapes of the kernel cases
+
+
+def _pair_cases(method):
+    # equal ranks, then a declared scalar on either side of a tensor
+    return [((M, M), method), ((S, S), method), ((S, M), method), ((M, S), method)]
+
+
+def _unary_cases(method):
+    return [((M,), method), ((S,), method)]
+
+
+# kind -> (leaf shapes, builder method applied to the leaves) for each case;
+# the leaves are bounded to [0.5, 2.0], where every kind is finite
+KERNEL_CASES = {
+    OpKind.ADD: _pair_cases(lambda b, x, y: b.add(x, y)),
+    OpKind.SUB: _pair_cases(lambda b, x, y: b.sub(x, y)),
+    OpKind.MUL: _pair_cases(lambda b, x, y: b.mul(x, y)),
+    OpKind.DIV: _pair_cases(lambda b, x, y: b.div(x, y)),
+    OpKind.BCE: _pair_cases(lambda b, p, t: b.binary_cross_entropy(p, t)),
+    OpKind.NEG: _unary_cases(lambda b, x: b.neg(x)),
+    OpKind.EXP: _unary_cases(lambda b, x: b.exp(x)),
+    OpKind.LOG: _unary_cases(lambda b, x: b.log(x)),
+    OpKind.SIGMOID: _unary_cases(lambda b, x: b.sigmoid(x)),
+    OpKind.POW: _unary_cases(lambda b, x: b.power(x, -1.5)),
+    OpKind.CLIP: _unary_cases(lambda b, x: b.clip(x, 0.8, 1.5)),
+    OpKind.IN_INTERVAL: _unary_cases(lambda b, x: b.in_interval(x, 0.8, 1.5)),
+    OpKind.MATMUL: [
+        (((2, 3), (3, 4)), lambda b, x, y: b.matmul(x, y)),
+        (((3, 2), (3, 4)), lambda b, x, y: b.matmul(x, y, transpose_a=True)),
+        (((2, 3), (4, 3)), lambda b, x, y: b.matmul(x, y, transpose_b=True)),
+        (((3, 2), (4, 3)), lambda b, x, y: b.matmul(x, y, True, True)),
+    ],
+    OpKind.SUM: [((M,), lambda b, x, axis=axis: b.reduce_sum(x, axis=axis))
+                 for axis in (None, 0, 1)] + [((S,), lambda b, x: b.reduce_sum(x))],
+    OpKind.MEAN: [((M,), lambda b, x, axis=axis: b.reduce_mean(x, axis=axis))
+                  for axis in (None, 0, 1)] + [((S,), lambda b, x: b.reduce_mean(x))],
+    OpKind.RESHAPE: [((M,), lambda b, x: b.reshape(x, (3, 2))),
+                     ((M,), lambda b, x: b.reshape(x, (6,))),
+                     ((S,), lambda b, x: b.reshape(x, (1, 1)))],
+    # with a shared constant block beside the leaves
+    OpKind.CONCAT: [(((2, 3), (2, 1)), lambda b, x, y: b.concat(
+                        [x, b.constant(np.zeros((2, 2))), y], axis=1)),
+                    (((2, 3), (1, 3)), lambda b, x, y: b.concat([y, x], axis=0))],
+    OpKind.SLICE: [((M,), lambda b, x: b.slice(x, axis=1, start=1, stop=3)),
+                   ((M,), lambda b, x: b.slice(x, axis=0, start=0, stop=1))],
+}
+
+
+@pytest.mark.parametrize("kind", [k for k in OpKind if k not in LEAF_KINDS],
+                         ids=lambda k: k.value)
+def test_every_kernel_batches_with_the_bits_of_one_point(kind, rng):
+    # every case of every kind that has a kernel: a batch, with every leaf
+    # stacked and with each leaf shared in turn, has the bits of the points
+    # executed one at a time
+    for shapes, method in KERNEL_CASES[kind]:
+        b = GraphBuilder()
+        leaves = [b.input(f"x{i}", shape, bounds=(0.5, 2.0))
+                  for i, shape in enumerate(shapes)]
+        b.output(method(b, *leaves))
+        program = runtime.compile(b.graph())
+        assert kind in {instr.kind for instr in program.plan}
+        stack = {f"x{i}": rng.uniform(0.5, 2.0, (5,) + shape)
+                 for i, shape in enumerate(shapes)}
+        for shared in [None] + list(stack):
+            inputs = {k: v[0] if k == shared else v for k, v in stack.items()}
+            (out,) = runtime.execute(program, inputs, batch_shape=(5,))
+            for j in range(5):
+                point = {k: v if k == shared else v[j] for k, v in inputs.items()}
+                (want,) = runtime.execute(program, point)
+                assert out[j].shape == want.shape
+                assert out[j].tobytes() == want.tobytes()
+
+
 def test_batched_trap_names_the_node():
     b = GraphBuilder()
     x = b.input("x", (), bounds=(-10.0, 10.0))
