@@ -252,8 +252,7 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
         if climbing.size == 0:
             break
         g = np.asarray(gradient(x[climbing]), dtype=np.float64)
-        # the norm of each row alone: norm(axis=1) may sum in another order
-        norm_g = np.array([np.linalg.norm(row) for row in g])
+        norm_g = _row_norms(g)
         moves = (norm_g != 0.0) & np.isfinite(norm_g)
         climbing = climbing[moves]
         direction = g[moves] / norm_g[moves, None]
@@ -282,6 +281,13 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
             s[rows[~better]] *= 0.5
         climbing = climbing[~searching & (flat_streak[climbing] < 2)]
     return x, fx
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a (k, d) stack, with the bits that
+    `np.linalg.norm` gives the row alone: both take the row's dot product
+    with itself, where norm(axis=1) may sum in another order."""
+    return np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
 
 
 def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -477,8 +483,9 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
                               in_a, k_nearest(int(in_a.sum())))
     # phase A's rows are evaluated first: the best value keeps the first of
     # equal values, and on a mean query every value is equal
-    f(pts_b[in_a])
-    vals_b = f(pts_b)
+    vals_b = np.empty(len(pts_b))
+    vals_b[in_a] = f(pts_b[in_a])
+    vals_b[~in_a] = f(pts_b[~in_a])
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
     starts_a = np.flatnonzero(in_a)[starts(vals_b[in_a], near_a)]
@@ -631,10 +638,7 @@ class _JacobianObjective:
                 g, [g.find(name) for name, _ in self.free])
             self._grad_program = runtime.compile(grad_graph)
         k = len(v)
-        rows, cols = self.program.output_dims[0]
-        u, w = np.empty((k, rows)), np.empty((k, cols))
-        for i, point in enumerate(v):
-            u[i], w[i] = self._vectors[point.tobytes()]
+        u, w = map(np.array, zip(*[self._vectors[point.tobytes()] for point in v]))
         grads = np.empty((k, self.dim))
 
         def run(start, stop):

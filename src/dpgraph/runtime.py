@@ -29,13 +29,19 @@ kernels of `graph.OPS`), and the default B = () is the unbatched call, which
 accepts declared shapes only. A batch that traps at any point raises like an
 unbatched call, naming a node where a point trapped; finding which points
 trap is the caller's job (`lipschitz` halves the stack). Batches run in
-chunks of at most `BATCH_BYTES` of values.
+chunks of at most `BATCH_BYTES` of values. A call whose points fit one chunk,
+the unbatched call among them, returns its output registers as they are,
+copying only an output that would alias a bound input, a constant or another
+output, and broadcasting one that no per-point input reaches; a call of
+several chunks copies each chunk's outputs into its own arrays. Either way
+the caller owns every array it gets back.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import statistics
 import threading
 import time
@@ -126,6 +132,8 @@ class CompiledProgram:
     output_slots: tuple[int, ...]
     output_names: tuple[str, ...]
     output_dims: tuple[tuple[int, ...], ...]
+    # per output: its slot is a leaf's, a constant's or an earlier output's
+    output_shared: tuple[bool, ...]
     nonfinite_constant: str | None
     point_bytes: int  # bytes of the inputs and values one point computes
     leaf_groups: tuple[LeafGroup, ...]  # every leaf, by shared bounds
@@ -246,6 +254,11 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         plan.append(Instruction(node.kind, in_slots, out_slot, node.name, kernel))
 
     output_slots = tuple(slot_of[h] for h in opt.outputs)
+    shared = {slot_of[h] for h in slot_of if opt.nodes[h].kind in LEAF_KINDS}
+    output_shared = []
+    for s in output_slots:
+        output_shared.append(s in shared)
+        shared.add(s)
     output_names = tuple(opt.nodes[h].name for h in opt.outputs)
     output_dims = tuple(opt.nodes[h].shape.dims for h in opt.outputs)
     return CompiledProgram(
@@ -258,6 +271,7 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         output_slots=output_slots,
         output_names=output_names,
         output_dims=output_dims,
+        output_shared=tuple(output_shared),
         nonfinite_constant=nonfinite_constant,
         point_bytes=8 * max(point_elements, 1),
         leaf_groups=tuple(LeafGroup(b, tuple(m)) for b, m in groups.values()),
@@ -349,8 +363,10 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
             batch_shape: tuple[int, ...] = ()) -> list[np.ndarray]:
     """Run a compiled program; returns one array per declared output.
 
-    Inputs are bound by tensor name and are never mutated. Every declared
-    Input/Parameter must be supplied, even ones the outputs do not depend on.
+    Inputs are bound by tensor name and are never mutated, and no returned
+    array shares memory with an input, a constant or another output. Every
+    declared Input/Parameter must be supplied, even ones the outputs do not
+    depend on.
     With the default `batch_shape` every input must have exactly its declared
     shape. With a batch shape B, each input has either its declared shape or
     B followed by it, and each output has shape B followed by its declared
@@ -388,7 +404,9 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
                     or arr.shape != dims):
                 arr = leaf_array(inputs, name, dims, batch)
                 if slot is not None and arr.shape != dims:
-                    per_point[slot] = arr.reshape((-1,) + dims)
+                    if len(batch) > 1:  # the points along one axis
+                        arr = arr.reshape((-1,) + dims)
+                    per_point[slot] = arr
             arrs.append(arr)
             if slot is not None:
                 regs[slot] = arr
@@ -401,31 +419,51 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
         raise NumericalError(
             f"non-finite value in constant '{program.nonfinite_constant}'")
 
-    if not batch:
-        _run(program, regs)
-        return [np.array(regs[s]) for s in program.output_slots]
-
-    n = int(np.prod(batch))
-    outs = [np.empty((n,) + dims) for dims in program.output_dims]
-    step = chunk_points(program)
+    # the batch runs through the plan in chunks of points, all on `regs`: a
+    # plan writes each register before it reads it, and it never writes the
+    # registers of leaves and constants
+    n = math.prod(batch)
+    step = chunk_points(program) if batch else 1  # an unbatched call is one point
+    one_chunk = 0 < n <= step
+    outs = [] if one_chunk else [np.empty((n,) + dims) for dims in program.output_dims]
     for start in range(0, n, step):
-        stop = min(n, start + step)
-        chunk = list(regs)
-        for slot, arr in per_point.items():
-            chunk[slot] = arr[start:stop]
-        _run(program, chunk)
+        if not one_chunk:  # the last chunk's slices stop at n
+            for slot, arr in per_point.items():
+                regs[slot] = arr[start:start + step]
+        _run(program, regs)
+        if one_chunk:
+            # a register is returned as it is unless it is a view, or the
+            # register of a leaf, a constant or an earlier output; any other
+            # holds an array that its kernel made and nothing else holds
+            for s, dims, shared in zip(program.output_slots, program.output_dims,
+                                       program.output_shared):
+                out = regs[s]
+                if batch and out.ndim == len(dims):  # no per-point input reaches it
+                    out = np.broadcast_to(out, (n,) + dims).copy()
+                elif shared or type(out) is not np.ndarray or out.base is not None:
+                    out = np.array(out)  # a NumPy scalar becomes an array too
+                outs.append(out.reshape(batch + dims) if len(batch) > 1 else out)
+            return outs
         for out, s in zip(outs, program.output_slots):
-            out[start:stop] = chunk[s]
+            out[start:start + step] = regs[s]
     return [out.reshape(batch + dims) for out, dims in zip(outs, program.output_dims)]
 
 
 def _run(program: CompiledProgram, regs: list) -> None:
-    """The plan's kernels on bound registers, with FP flags trapped."""
+    """The plan's kernels on bound registers, with FP flags trapped. Each
+    kernel is called with its operands as arguments; only a Concat of three
+    or more parts has them gathered in a list first."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise",
                          under="ignore"):
             for instr in program.plan:
-                regs[instr.out_slot] = instr.kernel(*[regs[s] for s in instr.in_slots])
+                ins = instr.in_slots
+                if len(ins) == 2:
+                    regs[instr.out_slot] = instr.kernel(regs[ins[0]], regs[ins[1]])
+                elif len(ins) == 1:
+                    regs[instr.out_slot] = instr.kernel(regs[ins[0]])
+                else:  # a Concat of three or more parts
+                    regs[instr.out_slot] = instr.kernel(*[regs[s] for s in ins])
     except FloatingPointError as err:
         raise NumericalError(
             f"non-finite value produced at node '{instr.label}' "

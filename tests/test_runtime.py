@@ -599,7 +599,10 @@ KERNEL_CASES = {
     # with a shared constant block beside the leaves
     OpKind.CONCAT: [(((2, 3), (2, 1)), lambda b, x, y: b.concat(
                         [x, b.constant(np.zeros((2, 2))), y], axis=1)),
-                    (((2, 3), (1, 3)), lambda b, x, y: b.concat([y, x], axis=0))],
+                    (((2, 3), (1, 3)), lambda b, x, y: b.concat([y, x], axis=0)),
+                    # three leaves: the one kernel that takes a list of operands
+                    (((1, 3), (2, 3), (1, 3)), lambda b, x, y, z: b.concat(
+                        [x, y, z], axis=0))],
     OpKind.SLICE: [((M,), lambda b, x: b.slice(x, axis=1, start=1, stop=3)),
                    ((M,), lambda b, x: b.slice(x, axis=0, start=0, stop=1))],
 }
@@ -666,6 +669,47 @@ def test_batches_run_in_chunks_under_the_byte_budget(monkeypatch):
     assert runtime.chunk_points(program) == 3
     (chunked,) = runtime.execute(program, inputs, batch_shape=(50,))
     np.testing.assert_array_equal(chunked, whole)
+
+
+def _aliasing_graph():
+    # outputs that could share memory: a leaf, one node twice, a constant, a
+    # node that no per-point input reaches and a view of a leaf
+    b = GraphBuilder()
+    x = b.input("x", (3,), bounds=(0.0, 1.0))
+    w = b.parameter("w", (2,), bounds=(0.0, 1.0))
+    y = b.exp(x)
+    for h in (x, y, y, b.constant(np.arange(3.0)), b.exp(w), b.reshape(x, (3, 1))):
+        b.output(h)
+    return b.graph()
+
+
+@pytest.mark.parametrize("batch, chunks", [((), 1), ((5,), 1), ((5,), 3),
+                                           ((2, 3), 1), ((2, 3), 3)],
+                         ids=["unbatched", "5-one-chunk", "5-chunks",
+                              "2x3-one-chunk", "2x3-chunks"])
+def test_outputs_never_alias_inputs_constants_or_each_other(batch, chunks,
+                                                            monkeypatch, rng):
+    program = runtime.compile(_aliasing_graph())
+    if chunks > 1:
+        monkeypatch.setattr(runtime, "BATCH_BYTES", 2 * program.point_bytes)
+    assert -(-int(np.prod(batch)) // runtime.chunk_points(program)) == chunks
+    inputs = {"x": rng.uniform(0.0, 1.0, batch + (3,)),
+              "w": rng.uniform(0.0, 1.0, (2,))}
+    given = {k: v.copy() for k, v in inputs.items()}
+    constants = [value.copy() for _, value in program.const_loads]
+    outs = runtime.execute(program, inputs, batch_shape=batch)
+    want = [out.copy() for out in outs]
+    assert [out.shape for out in outs] == [batch + dims for dims in program.output_dims]
+    for out in outs:
+        out += 1.0
+    for out, w in zip(outs, want):  # no output shares another's memory
+        np.testing.assert_array_equal(out, w + 1.0)
+    for k, v in inputs.items():
+        assert v.tobytes() == given[k].tobytes()
+    for (_, value), c in zip(program.const_loads, constants):
+        assert value.tobytes() == c.tobytes()
+    for out, w in zip(runtime.execute(program, inputs, batch_shape=batch), want):
+        assert out.tobytes() == w.tobytes()
 
 
 # -- compile cache -------------------------------------------------------------
