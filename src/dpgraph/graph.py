@@ -14,7 +14,15 @@ member and one entry here, plus its derivative rule in `autodiff.VJP_RULES`
 and its interval rule in `interval.INTERVAL_RULES`.
 
 `optimize` is one rewrite pass (folding, identities and CSE, each reading the
-rewritten operands), then a drop of the nodes that no output reaches.
+rewritten operands), then a drop of the nodes that no output reaches. The
+pass carries each node it keeps into the new graph as it is, with its shape,
+attrs and bounds; only a folded constant is built anew, so a cold compile
+builds each node once.
+
+Reachability is one sweep per graph: `Graph.reached`, the nodes the outputs
+reach, is one reverse pass over the node table, kept on the graph, and the
+optimizer, `runtime.content_hash`, the linearizer and `interval.propagate`
+all read it.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from itertools import compress
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -101,8 +111,14 @@ class TensorShape:
             n *= d
         return n
 
+    @cached_property
+    def text(self) -> str:
+        """The dims as "(2,3)", worked out once: graphs share their shapes,
+        and content hashes read this for every leaf and constant."""
+        return "(" + ",".join(map(str, self.dims)) + ")"
+
     def __str__(self) -> str:
-        return "(" + ",".join(str(d) for d in self.dims) + ")"
+        return self.text
 
 
 SCALAR = TensorShape(())
@@ -613,15 +629,28 @@ class Graph:
         return tuple(self.private_inputs) + tuple(self.parameters)
 
     def ancestors(self, handles: Iterable[int]) -> set[int]:
-        seen: set[int] = set()
-        stack = list(handles)
-        while stack:
-            h = stack.pop()
-            if h in seen:
-                continue
-            seen.add(h)
-            stack.extend(self.nodes[h].inputs)
-        return seen
+        """The given handles and every node they reach through inputs.
+
+        One sweep from the highest handle back to the first node: a node only
+        references earlier handles, so each node is marked before the sweep
+        passes it. A handle that is not a node raises UnknownNode.
+        """
+        marks = bytearray(len(self.nodes))
+        top = -1
+        for h in handles:
+            marks[self.node(h).id] = 1
+            top = max(top, h)
+        for node in reversed(self.nodes[:top + 1]):
+            if marks[node.id]:
+                for i in node.inputs:
+                    marks[i] = 1
+        return set(compress(range(top + 1), marks))
+
+    @cached_property
+    def reached(self) -> frozenset[int]:
+        """The nodes the outputs reach, outputs included: one sweep, kept on
+        the graph, since a graph never changes."""
+        return frozenset(self.ancestors(self.outputs))
 
     def validate(self) -> list[Diagnostic]:
         """Check every structural invariant; returns all violations."""
@@ -715,7 +744,8 @@ class GraphBuilder:
 
     def build(self, kind: OpKind | str, inputs: Sequence[int], attrs=None,
               name: str | None = None) -> int:
-        kind = OpKind(kind)
+        if type(kind) is not OpKind:
+            kind = OpKind(kind)
         spec = OPS[kind]
         if spec.shape is None:
             raise ArityError(f"{kind.value} nodes are created via input()/parameter()")
@@ -728,12 +758,27 @@ class GraphBuilder:
         for h in handles:
             if not 0 <= h < len(self._nodes):
                 raise UnknownNode(f"no node with handle {h}")
-        norm = normalize_attrs(kind, attrs)
+        norm = normalize_attrs(kind, attrs) if spec.attrs or attrs else {}
         try:
             shape = spec.shape([self._nodes[h].shape for h in handles], norm)
         except (ShapeMismatch, ValueError) as err:
             raise type(err)(f"{kind.value}: {err}") from None
         return self._append(kind, handles, shape, norm, name)
+
+    def _carry(self, node: Node, inputs: tuple[int, ...], name: str | None,
+               bounds: Bounds | None = None) -> int:
+        """Append `node` of another graph on the operands `inputs`, with its
+        shape, attrs and, for an Input or Parameter, its role and `bounds`
+        taken as they are: the caller vouches that the operands have the
+        shapes of the node's own."""
+        h = self._append(node.kind, inputs, node.shape, node.attrs, name)
+        if node.kind is OpKind.INPUT:
+            self._private.append(h)
+        elif node.kind is OpKind.PARAMETER:
+            self._params.append(h)
+        if bounds is not None:
+            self._bounds._entries[h] = bounds
+        return h
 
     def _append(self, kind, inputs, shape, attrs, name) -> int:
         nid = len(self._nodes)
@@ -885,52 +930,60 @@ def _identity_rewrite(nodes: list[Node], kind: OpKind, inputs: tuple[int, ...],
 
 
 def _rewrite(graph: Graph) -> Graph:
-    reachable = graph.ancestors(graph.outputs)
+    """Fold, simplify and merge the nodes an output reaches, and keep every
+    Input and Parameter. A node that stays is carried as it is, with its
+    shape, attrs and bounds; only a folded constant is built anew."""
+    reached = graph.reached
     nb = GraphBuilder()
     mapping: dict[int, int] = {}
     memo: dict[tuple, int] = {}
+    constants: set[int] = set()  # handles of nb's constants
 
-    def intern_constant(value: np.ndarray, name=None) -> int:
+    def intern_constant(value: np.ndarray, node: Node | None = None) -> int:
+        """The one constant of `value`: `node` carried when it is given, else
+        a new constant built."""
         key = (OpKind.CONSTANT, (), attr_key({"value": value}))
         if key in memo:
             return memo[key]
-        h = nb.constant(value, name if name not in nb._names else None)
+        if node is None:
+            h = nb.constant(value)
+        else:
+            h = nb._carry(node, (), node.name if node.name not in nb._names else None)
         memo[key] = h
+        constants.add(h)
         return h
 
     for node in graph.nodes:
-        keep_leaf = node.kind in (OpKind.INPUT, OpKind.PARAMETER)
-        if node.id not in reachable and not keep_leaf:
+        kind = node.kind
+        if kind is OpKind.INPUT or kind is OpKind.PARAMETER:
+            mapping[node.id] = nb._carry(node, (), node.name, graph.bounds.get(node.id))
             continue
-        if keep_leaf:
-            b = graph.bounds.get(node.id)
-            leaf = nb.input if node.kind is OpKind.INPUT else nb.parameter
-            mapping[node.id] = leaf(node.name, node.shape, (b.lo, b.hi) if b else None)
+        if node.id not in reached:
             continue
-        if node.kind is OpKind.CONSTANT:
-            mapping[node.id] = intern_constant(node.attrs["value"], node.name)
+        if kind is OpKind.CONSTANT:
+            mapping[node.id] = intern_constant(node.attrs["value"], node)
             continue
 
         new_inputs = tuple(mapping[i] for i in node.inputs)
 
-        if all(nb._nodes[h].kind is OpKind.CONSTANT for h in new_inputs):
+        if all(h in constants for h in new_inputs):
             values = [nb._nodes[h].attrs["value"] for h in new_inputs]
-            folded = apply_kind(node.kind, node.attrs, *values)
+            folded = apply_kind(kind, node.attrs, *values)
             if np.all(np.isfinite(folded)):
                 mapping[node.id] = intern_constant(folded)
                 continue
 
-        rewritten = _identity_rewrite(nb._nodes, node.kind, new_inputs, node.shape)
+        rewritten = _identity_rewrite(nb._nodes, kind, new_inputs, node.shape)
         if rewritten is not None:
             mapping[node.id] = rewritten
             continue
 
-        key = (node.kind, new_inputs, attr_key(node.attrs))
+        key = (kind, new_inputs, attr_key(node.attrs))
         if key in memo:
             mapping[node.id] = memo[key]
             continue
         name = node.name if node.name not in nb._names else None
-        h = nb.build(node.kind, new_inputs, node.attrs, name)
+        h = nb._carry(node, new_inputs, name)
         memo[key] = h
         mapping[node.id] = h
 
@@ -942,7 +995,7 @@ def _rewrite(graph: Graph) -> Graph:
 def _drop_unreached(graph: Graph) -> Graph:
     """Keep the nodes an output reaches and every Input and Parameter,
     renumbered in order, with roles, bounds and outputs remapped."""
-    keep = graph.ancestors(graph.outputs).union(graph.leaves())
+    keep = graph.reached.union(graph.leaves())
     if len(keep) == len(graph.nodes):
         return graph
     new_id: dict[int, int] = {}

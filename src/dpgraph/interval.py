@@ -177,7 +177,7 @@ def propagate(graph: Graph) -> dict[int, IntervalTensor]:
     Every Input/Parameter feeding an output must carry bounds. Division and
     Log raise DomainError when their operand interval reaches a pole.
     """
-    reachable = graph.ancestors(graph.outputs)
+    reachable = graph.reached
     result: dict[int, IntervalTensor] = {}
     missing = []
     for node in graph.nodes:

@@ -64,6 +64,10 @@ from .graph import (
 )
 
 
+# each kind's name; a dict lookup costs less than Enum's `value` descriptor
+_KIND_TEXT = {kind: kind.value for kind in OpKind}
+
+
 def content_hash(graph: Graph) -> str:
     """Content hash of a graph, insensitive to construction order.
 
@@ -71,23 +75,25 @@ def content_hash(graph: Graph) -> str:
     and bounds do, because they are the binding surface of the program.
     """
     digests: dict[int, str] = {}
-    wanted = graph.ancestors(graph.outputs).union(graph.leaves())
+    reached = graph.reached
+    bounds = graph.bounds
+    sha256 = hashlib.sha256
     for node in graph.nodes:  # inputs precede their users
-        if node.id not in wanted:
-            continue
-        parts: list[str] = [node.kind.value]
-        if node.kind in (OpKind.INPUT, OpKind.PARAMETER):
-            parts += [node.name, str(node.shape)]
-            b = graph.bounds.get(node.id)
+        kind = node.kind
+        if kind is OpKind.INPUT or kind is OpKind.PARAMETER:
+            parts = [_KIND_TEXT[kind], node.name, node.shape.text]
+            b = bounds.get(node.id)
             if b is not None:
-                parts += [b.lo.tobytes().hex(), b.hi.tobytes().hex()]
-        elif node.kind is OpKind.CONSTANT:
-            v = node.attrs["value"]
-            parts += [str(node.shape), v.tobytes().hex()]
-        else:
-            parts.append(repr(attr_key(node.attrs)))
+                parts += (b.lo.tobytes().hex(), b.hi.tobytes().hex())
+        elif node.id not in reached:
+            continue
+        elif kind is OpKind.CONSTANT:
+            parts = [_KIND_TEXT[kind], node.shape.text,
+                     node.attrs["value"].tobytes().hex()]
+        else:  # repr(attr_key({})) is "()"
+            parts = [_KIND_TEXT[kind], repr(attr_key(node.attrs)) if node.attrs else "()"]
             parts += [digests[i] for i in node.inputs]
-        digests[node.id] = hashlib.sha256("|".join(parts).encode()).hexdigest()
+        digests[node.id] = sha256("|".join(parts).encode()).hexdigest()
 
     out_digests = [digests[h] for h in graph.outputs]
     leaf_digests = sorted(digests[h] for h in graph.leaves())
@@ -188,7 +194,7 @@ def _cache_put(program: CompiledProgram) -> None:
 
 
 def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
-    reachable = opt.ancestors(opt.outputs)
+    reachable = opt.reached
     outputs = set(opt.outputs)
 
     n_slots = 0

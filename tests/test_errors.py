@@ -26,7 +26,7 @@ from dpgraph.errors import (
 )
 from dpgraph.lipschitz import OptimizerConfig, estimate_sensitivity
 from dpgraph.mechanism import PrivacyParams, privatize
-from dpgraph.models import mlp_classifier
+from dpgraph.models import mean_query, mlp_classifier
 from dpgraph.report import SensitivityReport
 
 
@@ -103,11 +103,14 @@ def _privatize(seed):
     (lambda: _execute(4), ShapeMismatch),
     (lambda: _privatize(True), InvalidParams),
     (lambda: _privatize(np.bool_(True)), InvalidParams),
+    (lambda: mean_query(10).ancestors([99]), UnknownNode),
+    (lambda: mean_query(10).ancestors([0.5]), UnknownNode),
 ], ids=["estimate-wrt-name", "jacobian-wrt-name", "jacobian-wrt-float",
         "higher-order-0", "higher-order-float", "n-samples-str", "seed-float",
         "seed-bool", "grid-resolution-float", "epsilon-str", "epsilon-bool",
         "cap-str", "batch-negative", "batch-float", "batch-int",
-        "privatize-seed-bool", "privatize-seed-numpy-bool"])
+        "privatize-seed-bool", "privatize-seed-numpy-bool",
+        "ancestors-out-of-range", "ancestors-float"])
 def test_a_bad_argument_is_a_typed_refusal(call, error):
     with pytest.raises(error):
         call()

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpgraph import (
     ArityError,
@@ -8,12 +12,14 @@ from dpgraph import (
     ShapeMismatch,
     TensorShape,
     UnknownNode,
+    interval,
     optimize,
+    runtime,
 )
 from dpgraph.autodiff import jacobian, vjp
 from dpgraph import graph
-from dpgraph.graph import LEAF_KINDS, attr_key
-from dpgraph.models import mlp_classifier
+from dpgraph.graph import LEAF_KINDS, Graph, attr_key
+from dpgraph.models import mean_query, mlp_classifier
 
 from conftest import random_graph, ref_eval, sample_inputs
 
@@ -173,14 +179,138 @@ def _table(g):
             [(h, b.lo.tobytes(), b.hi.tobytes()) for h, b in g.bounds.items()])
 
 
-def test_optimize_idempotent(rng):
+def _random_graphs(rng):
+    """40 random graphs, each forcing one interior kind in turn, half of them
+    wild, with the Jacobian and vjp graphs of each with respect to its
+    leaves."""
     kinds = [k for k in OpKind if k not in LEAF_KINDS]
     for i in range(40):
         g = random_graph(rng, wild=i % 2 == 1, force_kinds=(kinds[i % len(kinds)],))
         wrt = list(g.leaves())
-        for graph in (g, jacobian(g, wrt).graph, vjp(g, wrt)[0]):
-            once = optimize(graph)
-            assert _table(optimize(once)) == _table(once)
+        yield from (g, jacobian(g, wrt).graph, vjp(g, wrt)[0])
+
+
+def test_optimize_idempotent(rng):
+    for g in _random_graphs(rng):
+        once = optimize(g)
+        assert _table(optimize(once)) == _table(once)
+
+
+def _sum_sigmoid(n):
+    b = GraphBuilder()
+    x = b.input("x", (n, 1), bounds=(-1.0, 1.0))
+    b.output(b.reduce_sum(b.sigmoid(x), axis=None))
+    return b.graph()
+
+
+def _clipped_mean(n):
+    b = GraphBuilder()
+    x = b.input("x", (n, 1), bounds=(-2.0, 2.0))
+    b.output(b.reduce_mean(b.clip(x, -1.0, 1.0), axis=None))
+    return b.graph()
+
+
+def _query_graphs():
+    """The source, Jacobian and vjp-of-Jacobian graphs of reference queries,
+    each differentiated with respect to x; the vjp is taken of the optimized
+    Jacobian graph, as the graph gradient of global_opt takes it."""
+    for g in (mlp_classifier(2), mlp_classifier(3), mlp_classifier(8), mean_query(100),
+              _sum_sigmoid(64), _clipped_mean(100)):
+        jg = jacobian(g, [g.find("x")]).graph
+        opt = optimize(jg)
+        yield from (g, jg, vjp(opt, [opt.find("x")])[0])
+
+
+def _assert_nodes_are_as_built(source):
+    """optimize carries the nodes it keeps: each must be what GraphBuilder.build
+    makes of the node's kind, operands and attrs, and each leaf must keep the
+    bounds of its source leaf."""
+    og = optimize(source)
+    nb = GraphBuilder.extending(og)
+    for node in og.nodes:
+        if node.kind in (OpKind.INPUT, OpKind.PARAMETER):
+            got, want = og.bounds.get(node.id), source.bounds.get(source.find(node.name))
+            assert (got is None) == (want is None), node
+            if want is not None:
+                assert ((got.lo.shape, got.lo.tobytes(), got.hi.tobytes())
+                        == (want.lo.shape, want.lo.tobytes(), want.hi.tobytes())), node
+            continue
+        rebuilt = nb._nodes[nb.build(node.kind, node.inputs, node.attrs)]
+        assert ((rebuilt.kind, rebuilt.shape, attr_key(rebuilt.attrs))
+                == (node.kind, node.shape, attr_key(node.attrs))), node
+    assert ([og.nodes[h].shape for h in og.outputs]
+            == [source.nodes[h].shape for h in source.outputs])
+
+
+def test_optimized_nodes_are_what_the_builder_makes(rng):
+    for g in _random_graphs(rng):
+        _assert_nodes_are_as_built(g)
+
+
+def test_optimized_nodes_of_reference_queries_are_what_the_builder_makes():
+    for g in _query_graphs():
+        _assert_nodes_are_as_built(g)
+
+
+def _dfs(g, handles):
+    seen, stack = set(), list(handles)
+    while stack:
+        h = stack.pop()
+        if h not in seen:
+            seen.add(h)
+            stack.extend(g.nodes[h].inputs)
+    return seen
+
+
+@st.composite
+def _dags(draw):
+    """A random DAG over scalar leaves: Neg of one scalar, Add of two, the Sum
+    of a Concat of three or more. Its outputs may be leaves and may repeat."""
+    b = GraphBuilder()
+    scalars = [b.input(f"x{i}", (), bounds=(0.0, 1.0))
+               for i in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 20))):
+        operands = draw(st.lists(st.sampled_from(scalars), min_size=1, max_size=4))
+        if len(operands) == 1:
+            scalars.append(b.neg(operands[0]))
+        elif len(operands) == 2:
+            scalars.append(b.add(*operands))
+        else:
+            parts = [b.reshape(h, (1,)) for h in operands]
+            scalars.append(b.reduce_sum(b.concat(parts, axis=0)))
+    n = len(b._nodes)
+    for h in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        b.output(h)
+    return b.graph()
+
+
+@given(g=_dags(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_reachability_sweep_is_a_dfs(g, data):
+    assert g.reached == _dfs(g, g.outputs)
+    handles = data.draw(st.lists(st.integers(0, len(g.nodes) - 1), max_size=4))
+    assert g.ancestors(handles) == _dfs(g, handles)
+
+
+def test_a_cold_compile_sweeps_each_graph_once(monkeypatch):
+    sweeps = Counter()
+    touched = []  # keeps each graph alive, so no two share an id
+    ancestors = Graph.ancestors
+
+    def counted(self, handles):
+        sweeps[id(self)] += 1
+        touched.append(self)
+        return ancestors(self, handles)
+
+    monkeypatch.setattr(Graph, "ancestors", counted)
+    g = mlp_classifier(2)
+    jg = jacobian(g, [g.find("x")]).graph
+    runtime.clear_cache()
+    program = runtime.compile(jg)
+    interval.propagate(jg)
+    interval.propagate(program.optimized_graph)
+    assert sweeps[id(jg)] == 1
+    assert len(sweeps) >= 2 and max(sweeps.values()) == 1, sweeps
 
 
 def test_optimize_never_grows(rng):
