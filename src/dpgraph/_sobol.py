@@ -78,17 +78,43 @@ def _direction_numbers(d: int) -> np.ndarray:
     return v
 
 
+# dimensions whose scramble matrices are drawn and packed at a time
+_SCRAMBLE_CHUNK = 256
+
+
+def _coin_flips(bit_generator, count: int) -> np.ndarray:
+    """The next `count` (even) values of `Generator.integers(2, dtype=uint32)`
+    on this bit generator, as uint32, from half as many raw 64-bit words.
+
+    That call takes one 32-bit word per value, the low half of a 64-bit
+    output and then its high half, and returns the word's top bit (Lemire's
+    method with a range of 2 never rejects). The words are read as
+    little-endian, whatever the machine's byte order, so that each one's low
+    half comes first."""
+    words = bit_generator.random_raw(count // 2).astype("<u8", copy=False)
+    return words.view("<u4") >> np.uint32(31)
+
+
 def _scrambled(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (d, BITS) scrambled direction numbers and the (d,) digital shift."""
-    rng = np.random.default_rng(seed)
-    # scipy's draws, in scipy's order and dtype: any other changes the points
-    shift_bits = rng.integers(2, size=(d, BITS), dtype=np.uint32)
-    lower = rng.integers(2, size=(d, BITS, BITS), dtype=np.uint32)
+    """The (d, BITS) scrambled direction numbers and the (d,) digital shift.
+
+    They come from scipy's draws, in scipy's order, bit for bit: the shift's
+    (d, BITS) bits, then each dimension's BITS x BITS lower-triangular matrix
+    L, row by row. The matrices are read from the generator's raw words a
+    chunk of dimensions at a time, so the (d, BITS, BITS) bits are never held
+    at once."""
+    bit_generator = np.random.default_rng(seed).bit_generator
+    shift_bits = _coin_flips(bit_generator, d * BITS).reshape(d, BITS)
     shift = np.bitwise_or.reduce(shift_bits << np.arange(BITS, dtype=np.uint32), axis=1)
-    # column c of each lower-triangular matrix L, with a unit diagonal, packed
-    # into one word whose bit BITS - 1 - p is L[p, c]
+    # column c of each L, with a unit diagonal, packed into one word whose bit
+    # BITS - 1 - p is L[p, c]
     diagonal = np.uint32(1) << np.arange(BITS - 1, -1, -1, dtype=np.uint32)
-    columns = np.einsum("dpc,p->dc", lower, diagonal)
+    columns = np.empty((d, BITS), dtype=np.uint32)
+    for start in range(0, d, _SCRAMBLE_CHUNK):
+        stop = min(start + _SCRAMBLE_CHUNK, d)
+        lower = _coin_flips(bit_generator, (stop - start) * BITS * BITS)
+        columns[start:stop] = np.einsum(
+            "dpc,p->dc", lower.reshape(stop - start, BITS, BITS), diagonal)
     columns = (columns & (2 * diagonal - 1)) | diagonal
     # L times each direction number over GF(2): bit BITS - 1 - c of a number
     # selects column c

@@ -21,7 +21,10 @@ on one thread, in blocks of rows; each block serves both phases.
 
 The objective and its gradient are evaluated on stacks of points: each
 sampling phase, and each chunk of the grid oracle, is one batched
-`runtime.execute` followed by one stacked SVD. A stack on which an
+`runtime.execute` followed by one stacked spectral norm. When J has one row
+or one column, as on every wrt=x query of a scalar output, sigma_max is the
+Euclidean norm of that vector, taken by a scaled pairwise sum with no BLAS
+or LAPACK call; any other J takes one stacked SVD. A stack on which an
 evaluation traps (Log or Div at a pole, Pow overflow) is halved down to the
 points that trap, which are infeasible, while the points around them keep
 their values; `_halving` is the one place that does this, for J, for the
@@ -62,6 +65,7 @@ from .errors import (
     NonFinite,
     NumericalError,
     OptimizerFailure,
+    ShapeMismatch,
     ValidationFailed,
 )
 from .graph import Diagnostic, Graph, OpKind, _count
@@ -83,8 +87,14 @@ def spectral_norm(matrix) -> float:
 
 
 def spectral_norm_with_vectors(matrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """(sigma, u, v) with sigma = u^T M v the largest singular triple."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    """(sigma, u, v) with sigma = u^T M v the largest singular triple.
+
+    Raises `NumericalError` when `matrix` is not an array of real numbers,
+    `ShapeMismatch` when it is empty or has more than two axes, and
+    `NonFinite` when it holds NaN or Inf."""
+    m = np.atleast_2d(runtime.real_array(matrix, "matrix"))
+    if m.ndim != 2 or m.size == 0:
+        raise ShapeMismatch(f"expected a non-empty matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix contains NaN or Inf")
     sigmas, us, ws = spectral_norms_with_vectors(m[None])
@@ -92,18 +102,51 @@ def spectral_norm_with_vectors(matrix) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def spectral_norms_with_vectors(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma, u, w) of each matrix of a (k, R, C) stack, from one stacked
-    SVD of its finite matrices whatever their shape; sigma is -inf, with
-    zero vectors, for a matrix holding NaN or Inf. A matrix gets the same
-    bits in any stack."""
+    """(sigma, u, w) of each matrix of a (k, R, C) stack, R and C >= 1; sigma
+    is -inf, with zero vectors, for a matrix holding NaN or Inf. A matrix
+    gets the same bits in any stack.
+
+    The path is chosen by the matrices' shape. When R or C is 1 each matrix
+    is a vector v, and its triple is (||v||, v / ||v||, [1]) on the sides
+    they belong to (`_vector_triples`); a zero vector gets the unit vectors
+    e_1 and [1], as the SVD gives it. Any other shape takes one stacked SVD
+    of the finite matrices."""
     ms = np.asarray(stack, dtype=np.float64)
     k, rows, cols = ms.shape
-    sigmas, us, ws = np.full(k, -np.inf), np.zeros((k, rows)), np.zeros((k, cols))
     finite = np.isfinite(ms).all(axis=(1, 2))
-    if finite.any():
-        u, s, vt = np.linalg.svd(ms[finite], full_matrices=False)
-        sigmas[finite], us[finite], ws[finite] = s[:, 0], u[:, :, 0], vt[:, 0]
+    good = ms if finite.all() else ms[finite]
+    if rows == 1 or cols == 1:
+        s, vectors = _vector_triples(good.reshape(len(good), rows * cols))
+        ones = np.ones((len(good), 1))
+        u, w = (ones, vectors) if rows == 1 else (vectors, ones)
+    else:
+        u, s, vt = np.linalg.svd(good, full_matrices=False)
+        s, u, w = s[:, 0], u[:, :, 0], vt[:, 0]
+    if good is ms:
+        return s, u, w
+    sigmas, us, ws = np.full(k, -np.inf), np.zeros((k, rows)), np.zeros((k, cols))
+    sigmas[finite], us[finite], ws[finite] = s, u, w
     return sigmas, us, ws
+
+
+def _vector_triples(vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Euclidean norm of each row of a finite (k, n) stack, n >= 1, and
+    the row divided by it (e_1 for a zero row).
+
+    Each row is scaled by 2^-e, e the exponent of its largest |v|, so that
+    its squares neither overflow nor underflow where they matter, and the
+    squares are summed by NumPy's pairwise sum along the row (Blue 1978;
+    Higham 2002, section 4.2). Scaling by a power of two is exact, so the
+    norm is off by a few ulps at most at any scale, and no BLAS or LAPACK
+    routine runs."""
+    exponent = np.frexp(np.max(np.abs(vs), axis=1))[1]
+    scaled = np.ldexp(vs, -exponent[:, None])
+    root = np.sqrt(np.sum(scaled * scaled, axis=1))
+    zero = root == 0.0
+    vectors = scaled / np.where(zero, 1.0, root)[:, None]
+    vectors[zero, 0] = 1.0
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return np.ldexp(root, exponent), vectors
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +622,9 @@ class _JacobianObjective:
         """sigma_max(J) at each row of a (k, d) stack; -inf where J cannot be
         evaluated. A point of shape (d,) is a stack of one and gets a float.
 
-        The stack is evaluated by one batched execute and one stacked SVD;
-        the top singular vectors of J at its feasible points are kept for
-        `gradient`.
+        The stack is evaluated by one batched execute and one stacked
+        spectral norm; the top singular vectors of J at its feasible points
+        are kept for `gradient`.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:

@@ -321,6 +321,20 @@ def chunk_points(program: CompiledProgram) -> int:
 _FLOAT64 = np.dtype(np.float64)
 
 
+def real_array(value, what: str) -> np.ndarray:
+    """`value` as a float64 array. Raises `NumericalError`, naming `what`,
+    when it is not an array of real numbers: a float64 conversion would
+    parse strings, drop imaginary parts, or fail with a bare ValueError on a
+    ragged nesting."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as err:
+        raise NumericalError(f"{what} is not an array of real numbers") from err
+    if arr.dtype.kind not in "biuf":  # bool, signed, unsigned, float
+        raise NumericalError(f"{what} holds {arr.dtype} values, not real numbers")
+    return arr.astype(np.float64, copy=False)
+
+
 def leaf_array(inputs: Mapping[str, Any], name: str, dims: tuple[int, ...],
                batch: tuple[int, ...] = ()) -> np.ndarray:
     """The value `inputs` binds to leaf `name`, as a float64 array.
@@ -335,17 +349,7 @@ def leaf_array(inputs: Mapping[str, Any], name: str, dims: tuple[int, ...],
         raise MissingInput(f"missing value for input '{name}'")
     arr = inputs[name]
     if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64:
-        # a float64 conversion would parse strings, drop imaginary parts, or
-        # fail with a bare ValueError on a ragged nesting
-        try:
-            arr = np.asarray(arr)
-        except (TypeError, ValueError) as err:
-            raise NumericalError(
-                f"input '{name}' is not an array of real numbers") from err
-        if arr.dtype.kind not in "biuf":  # bool, signed, unsigned, float
-            raise NumericalError(
-                f"input '{name}' holds {arr.dtype} values, not real numbers")
-        arr = arr.astype(np.float64, copy=False)
+        arr = real_array(arr, f"input '{name}'")
     if arr.shape != dims and (not batch or arr.shape != batch + dims):
         expected = f"{dims} or {batch + dims}" if batch else f"{dims}"
         raise ShapeMismatch(f"input '{name}' expects shape {expected}, got {arr.shape}")

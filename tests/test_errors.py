@@ -4,7 +4,7 @@ and the command line maps each error type to one exit code."""
 import numpy as np
 import pytest
 
-from dpgraph import errors, runtime
+from dpgraph import errors, runtime, spectral_norm
 from dpgraph.autodiff import higher_order, jacobian
 from dpgraph.cli import _exit_code
 from dpgraph.errors import (
@@ -105,12 +105,20 @@ def _privatize(seed):
     (lambda: _privatize(np.bool_(True)), InvalidParams),
     (lambda: mean_query(10).ancestors([99]), UnknownNode),
     (lambda: mean_query(10).ancestors([0.5]), UnknownNode),
+    (lambda: spectral_norm([]), ShapeMismatch),
+    (lambda: spectral_norm(np.zeros((3, 0))), ShapeMismatch),
+    (lambda: spectral_norm(np.ones((2, 3, 4))), ShapeMismatch),
+    (lambda: spectral_norm([["1", "2"]]), NumericalError),
+    (lambda: spectral_norm([[1.0, 2j]]), NumericalError),
+    (lambda: spectral_norm([[1.0], [2.0, 3.0]]), NumericalError),
 ], ids=["estimate-wrt-name", "jacobian-wrt-name", "jacobian-wrt-float",
         "higher-order-0", "higher-order-float", "n-samples-str", "seed-float",
         "seed-bool", "grid-resolution-float", "epsilon-str", "epsilon-bool",
         "cap-str", "batch-negative", "batch-float", "batch-int",
         "privatize-seed-bool", "privatize-seed-numpy-bool",
-        "ancestors-out-of-range", "ancestors-float"])
+        "ancestors-out-of-range", "ancestors-float", "spectral-norm-empty",
+        "spectral-norm-no-columns", "spectral-norm-3d", "spectral-norm-str",
+        "spectral-norm-complex", "spectral-norm-ragged"])
 def test_a_bad_argument_is_a_typed_refusal(call, error):
     with pytest.raises(error):
         call()

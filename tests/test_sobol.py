@@ -42,6 +42,20 @@ def test_engine_matches_qmc_sobol_bit_for_bit(d, seed):
         _assert_same_bits(_sobol.sobol(d, n, seed), _qmc_points(engine, n))
 
 
+_CHUNK = _sobol._SCRAMBLE_CHUNK
+
+
+# the scramble matrices are read a chunk of dimensions at a time: a last
+# chunk that is full, one that is short, and chunks of 1 and of 7
+@pytest.mark.parametrize("chunk,d", [(_CHUNK, _CHUNK), (_CHUNK, 2 * _CHUNK + 1),
+                                     (1, 3), (7, 20)])
+def test_the_scramble_is_drawn_in_chunks_of_dimensions(chunk, d, monkeypatch):
+    monkeypatch.setattr(_sobol, "_SCRAMBLE_CHUNK", chunk)
+    engine = qmc.Sobol(d, scramble=True, seed=11)
+    _assert_same_scramble(engine, d, 11)
+    _assert_same_bits(_sobol.sobol(d, 5, 11), _qmc_points(engine, 5))
+
+
 def test_engine_matches_qmc_sobol_at_the_last_dimension():
     d = _sobol.max_dimension()
     engine = qmc.Sobol(d, scramble=True, seed=5)
