@@ -14,10 +14,12 @@ Kuo's direction-number table, bit for bit those of scipy's `qmc.Sobol`.
 The sampling set-up serves both phases at once. One stable sort of the
 doubled set's rows by their first coordinate, with the rows that tie there
 (the box's corners) sorted again as byte strings, orders them and drops
-repeats (`_unique_rows`); the first set is a mask over the result. The
-neighbours are exact k-nearest ones, found by brute force for every dimension
-(`_nearest`): squared distances from Gram products, in tiles that BLAS runs
-on one thread, in blocks of rows; each block serves both phases.
+repeats (`_unique_rows`); the first set is a mask over the result. Each
+phase starts from its MAX_STARTS highest stars: feasible samples no lower
+than any of their k exact nearest neighbours in the phase (Törn & Viitanen
+1992). `_stars` tests the samples from the highest value down and stops once
+both phases have their starts, so only the samples it tests get distance
+rows (`_neighbour_rows`), a block at a time; each block serves both phases.
 
 The objective and its gradient are evaluated on stacks of points: each
 sampling phase, and each chunk of the grid oracle, is one batched
@@ -397,59 +399,66 @@ def _order_keys(values: np.ndarray) -> np.ndarray:
 _ONE_THREAD_PRODUCT = 1 << 18
 
 
-def _squared_distances(z: np.ndarray, norms: np.ndarray, side: int,
-                       start: int, stop: int) -> np.ndarray:
-    """The (stop - start, m) squared Euclidean distances from the rows
-    start..stop of a (m, d) array to all of its rows, +inf from a row to
-    itself. Each is ||a||^2 + ||b||^2 - 2 a.b, from `norms` and Gram products
-    of side x side tiles; start and stop are multiples of side or m, and a
-    tile whose rows and columns both lie in start..stop is taken once and
-    mirrored."""
-    m = len(z)
-    block = np.empty((stop - start, m))
-    for i in range(start, stop, side):
-        for j in range(0, m, side):
-            if start <= j < i:  # mirrored from the tile at (j, i)
-                continue
-            gram = z[i:i + side] @ z[j:j + side].T
-            block[i - start:i + side - start, j:j + side] = gram
-            if i < j < stop:
-                block[j - start:j + side - start, i:i + side] = gram.T
-    block *= -2.0
-    block += norms[start:stop, None]
-    block += norms[None, :]
-    block[np.arange(stop - start), np.arange(start, stop)] = np.inf
-    return block
+def _neighbour_rows(z: np.ndarray, norms: np.ndarray, rows: np.ndarray, k: int,
+                    subset: np.ndarray, k_subset: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest other rows of a (m, d) array z to each z[i], i in rows,
+    and the k_subset nearest other rows among z[subset] to each of those i
+    that the mask subset holds, as indices into z; `norms` holds the squared
+    norms of z's rows, and each k is below the number of rows it searches.
 
-
-def _nearest(z: np.ndarray, k_all: int, subset: np.ndarray,
-             k_subset: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k_all nearest other rows of each row of a (m, d) array, and the
-    k_subset nearest other rows of each row of z[subset] among z[subset], as
-    indices into z[subset]; each k is below the number of rows it searches.
-
-    Both come from one pass over the squared distances, in blocks of rows of
-    at most `runtime.BATCH_BYTES`, with Gram tiles small enough to run on one
-    thread. The search is exact up to the rounding of the distances; among
-    tied distances it picks any."""
+    A squared distance is ||a||^2 + ||b||^2 - 2 a.b, the a.b from Gram tiles
+    small enough to run on one thread; a row's distance to itself is +inf.
+    The search is exact up to the rounding of the distances; among tied
+    distances it picks any."""
     m, d = z.shape
-    rows_per_block = max(1, runtime.BATCH_BYTES // (8 * m))
-    side = min(rows_per_block, max(1, math.isqrt(_ONE_THREAD_PRODUCT // max(d, 1))))
-    rows_per_block -= rows_per_block % side
+    tile_rows = max(1, min(len(rows), math.isqrt(_ONE_THREAD_PRODUCT // max(d, 1))))
+    tile_cols = max(1, _ONE_THREAD_PRODUCT // (tile_rows * max(d, 1)))
+    block = np.empty((len(rows), m))
+    for i in range(0, len(rows), tile_rows):
+        left = z[rows[i:i + tile_rows]]
+        for j in range(0, m, tile_cols):
+            block[i:i + tile_rows, j:j + tile_cols] = left @ z[j:j + tile_cols].T
+    block *= -2.0
+    block += norms[rows, None]
+    block += norms[None, :]
+    block[np.arange(len(rows)), rows] = np.inf
+    near = np.argpartition(block, k - 1, axis=1)[:, :k]
+    within = block[np.ix_(subset[rows], subset)]
+    near_subset = np.argpartition(within, k_subset - 1, axis=1)[:, :k_subset]
+    return near, np.flatnonzero(subset)[near_subset]
+
+
+def _stars(z: np.ndarray, vals: np.ndarray,
+           subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of both sampling phases, as indices into the rows of a
+    (m, d) array z: of all its rows, and of the rows that the mask subset
+    holds, the MAX_STARTS highest feasible ones no lower than any of their k
+    nearest other rows of the same phase, highest first and ties in index
+    order; k is 2d + 2, at most 16 and below the phase's number of rows.
+
+    The rows are tested in that order, a block of neighbour rows at a time
+    (MAX_STARTS rows, then at most `runtime.BATCH_BYTES` of distances), until
+    both phases have their starts; the subset's order is the whole set's
+    restricted to it, so each block serves both phases."""
+    m, d = z.shape
+    k, k_subset = (min(2 * d + 2, 16, n - 1) for n in (m, int(subset.sum())))
     norms = np.einsum("ij,ij->i", z, z)
-    cols = np.flatnonzero(subset)
-    near_all = np.empty((m, k_all), dtype=np.intp)
-    near_subset = np.empty((len(cols), k_subset), dtype=np.intp)
-    done = 0  # rows of the subset
-    for start in range(0, m, rows_per_block):
-        stop = min(start + rows_per_block, m)
-        block = _squared_distances(z, norms, side, start, stop)
-        near_all[start:stop] = np.argpartition(block, k_all - 1, axis=1)[:, :k_all]
-        within = block[subset[start:stop]][:, cols]
-        near_subset[done:done + len(within)] = np.argpartition(
-            within, k_subset - 1, axis=1)[:, :k_subset]
-        done += len(within)
-    return near_all, near_subset
+    feasible = np.flatnonzero(np.isfinite(vals))
+    walk = feasible[np.argsort(-vals[feasible], kind="stable")]
+    found: tuple[list, list] = ([], [])
+    rows_per_block = max(1, runtime.BATCH_BYTES // (8 * m))
+    size = min(MAX_STARTS, rows_per_block)
+    while walk.size and min(map(len, found)) < MAX_STARTS:
+        if len(found[0]) == MAX_STARTS:
+            walk = walk[subset[walk]]
+        rows, walk = walk[:size], walk[size:]
+        near, near_subset = _neighbour_rows(z, norms, rows, k, subset, k_subset)
+        inside = rows[subset[rows]]
+        for phase, tested, neighbours in ((0, rows, near), (1, inside, near_subset)):
+            no_lower = vals[tested] >= vals[neighbours].max(axis=1, initial=-np.inf)
+            found[phase].extend(tested[no_lower][:MAX_STARTS - len(found[phase])])
+        size = rows_per_block
+    return tuple(np.array(stars, dtype=np.intp) for stars in found)
 
 
 def _value_groups(values, rtol) -> int:
@@ -507,23 +516,7 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     if gradient is None:
         gradient = lambda xs: _fd_gradient(f, xs, lo, hi)
 
-    def k_nearest(points: int) -> int:
-        return min(2 * lo.size + 2, 16, points - 1)
-
-    def starts(vals: np.ndarray, near: np.ndarray) -> np.ndarray:
-        """The highest MAX_STARTS feasible points at least as high as their
-        neighbours, as indices into vals."""
-        stars = np.isfinite(vals)
-        if near.shape[1]:
-            stars &= vals >= vals[near].max(axis=1)
-        candidates = np.flatnonzero(stars)
-        return candidates[np.argsort(-vals[candidates])][:MAX_STARTS]
-
     pts_b, in_a = _sample_points(lo, hi, config)
-    # the neighbours of each point in the box scaled to the unit cube
-    span = np.maximum(hi - lo, 1e-30)
-    near_b, near_a = _nearest((pts_b - lo) / span, k_nearest(len(pts_b)),
-                              in_a, k_nearest(int(in_a.sum())))
     # phase A's rows are evaluated first: the best value keeps the first of
     # equal values, and on a mean query every value is equal
     vals_b = np.empty(len(pts_b))
@@ -531,8 +524,11 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     vals_b[~in_a] = f(pts_b[~in_a])
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
-    starts_a = np.flatnonzero(in_a)[starts(vals_b[in_a], near_a)]
-    starts_b = starts(vals_b, near_b)
+    # neighbours are nearest in the box scaled to the unit cube, scaled in
+    # place: the objective's memo holds a vector per point by now
+    unit = pts_b - lo
+    unit /= np.maximum(hi - lo, 1e-30)
+    starts_b, starts_a = _stars(unit, vals_b, in_a)
     union = np.concatenate([starts_a, starts_b[~np.isin(starts_b, starts_a)]])
     refined = np.full(len(pts_b), -np.inf)
     refined[union] = _ascend(f, gradient, pts_b[union], lo, hi)[1]

@@ -1099,7 +1099,7 @@ def test_stacked_finite_differences_equal_a_per_point_loop(pairs_per_call, monke
     assert not got[:, 3].any()  # the zero-width coordinate is skipped
 
 
-# -- sampling set-up: nearest neighbours and row sort ----------------------------
+# -- sampling set-up: nearest neighbours, stars and row sort --------------------
 
 def _exact_squared_distances(z):
     """Squared distances by sums of squared differences, +inf to a row itself."""
@@ -1112,24 +1112,43 @@ def _tree_neighbours(z, k):
     return [set(row[1:]) for row in cKDTree(z).query(z, k=k + 1)[1].tolist()]
 
 
+def _all_neighbour_rows(z, k, subset, k_subset, rows_per_call=None):
+    """lipschitz._neighbour_rows of every row of z, asked for rows_per_call
+    rows at a time in a shuffled order, in the order of z's rows; the
+    subset's neighbours as indices into z[subset]."""
+    order = np.arange(len(z))
+    if rows_per_call:
+        order = np.random.default_rng(0).permutation(len(z))
+    rows_per_call = rows_per_call or len(z)
+    norms = np.einsum("ij,ij->i", z, z)
+    cols = np.flatnonzero(subset)
+    near, near_subset = np.empty((len(z), k), dtype=np.intp), {}
+    for start in range(0, len(z), rows_per_call):
+        rows = order[start:start + rows_per_call]
+        got, got_subset = lipschitz._neighbour_rows(z, norms, rows, k, subset, k_subset)
+        near[rows] = got
+        assert subset[got_subset].all()
+        near_subset.update(zip(rows[subset[rows]].tolist(), np.searchsorted(cols, got_subset)))
+    return near, np.array([near_subset[i] for i in cols]).reshape(-1, k_subset)
+
+
 @pytest.mark.parametrize("blocks", ["one-block", "blocks-of-40-rows"])
 @pytest.mark.parametrize("points", ["random", "sobol"])
 @pytest.mark.parametrize("d", [1, 2, 28, 1000])
-def test_nearest_matches_a_kd_tree(d, points, blocks, monkeypatch):
+def test_nearest_matches_a_kd_tree(d, points, blocks):
     rng = np.random.default_rng(d)
     if points == "random":
         z = rng.uniform(size=(150, d))
     else:
         z = qmc.Sobol(d, scramble=True, seed=d).random(128)
-    if blocks != "one-block":  # 8 bytes per distance
-        monkeypatch.setattr(runtime, "BATCH_BYTES", 8 * len(z) * 40)
     subset = rng.uniform(size=len(z)) < 0.6
     k_all, k_subset = min(2 * d + 2, 16), min(2 * d + 2, 16) - 1
     for sq, k in [(_exact_squared_distances(z), k_all),
                   (_exact_squared_distances(z[subset]), k_subset)]:
         ranked = np.sort(sq, axis=1)  # no ties at the k-th neighbour
         assert np.all(ranked[:, k] - ranked[:, k - 1] > 1e-9 * ranked[:, k])
-    near_all, near_subset = lipschitz._nearest(z, k_all, subset, k_subset)
+    near_all, near_subset = _all_neighbour_rows(
+        z, k_all, subset, k_subset, 40 if blocks != "one-block" else None)
     assert [set(row) for row in near_all.tolist()] == _tree_neighbours(z, k_all)
     assert ([set(row) for row in near_subset.tolist()]
             == _tree_neighbours(z[subset], k_subset))
@@ -1143,13 +1162,133 @@ def test_nearest_among_tied_corners_is_no_farther_than_the_kth(d):
         z = np.unique(np.random.default_rng(d).integers(0, 2, (64, d)), axis=0) * 1.0
     subset = np.arange(len(z)) % 3 != 0
     k = min(2 * d + 2, 16, int(subset.sum()) - 1)
-    for rows, near in zip([z, z[subset]], lipschitz._nearest(z, k, subset, k)):
+    for rows, near in zip([z, z[subset]], _all_neighbour_rows(z, k, subset, k)):
         sq = _exact_squared_distances(rows)
         kth = np.sort(sq, axis=1)[:, k - 1]
         assert near.shape == (len(rows), k)
         for i, row in enumerate(near):
             assert len(set(row)) == k and i not in row
             assert sq[i, row].max() <= kth[i]
+
+
+def _eager_starts(z, vals, k):
+    """The star rule over all pairs at once: every feasible row no lower than
+    any of its k nearest other rows, by exact distances, highest first with
+    ties in index order, the first MAX_STARTS of them."""
+    near = np.argsort(_exact_squared_distances(z), axis=1, kind="stable")[:, :k]
+    stars = np.isfinite(vals)
+    if k:
+        stars &= vals >= vals[near].max(axis=1)
+    candidates = np.flatnonzero(stars)
+    return candidates[np.argsort(-vals[candidates], kind="stable")][:lipschitz.MAX_STARTS]
+
+
+def _stars_of_both_phases(z, vals, subset):
+    k = min(2 * z.shape[1] + 2, 16, len(z) - 1)
+    k_subset = min(2 * z.shape[1] + 2, 16, int(subset.sum()) - 1)
+    got = lipschitz._stars(z, vals, subset)
+    cols = np.flatnonzero(subset)
+    want = (_eager_starts(z, vals, k), cols[_eager_starts(z[subset], vals[subset], k_subset)])
+    return got, want
+
+
+@pytest.mark.parametrize("values", ["random", "ties", "with-inf", "all-equal"])
+@pytest.mark.parametrize("d", [1, 2, 28, 1000])
+def test_stars_match_an_eager_reference(d, values):
+    rng = np.random.default_rng(d)
+    z = rng.uniform(size=(150, d))  # no ties at the k-th neighbour (see above)
+    subset = rng.uniform(size=len(z)) < 0.6
+    vals = {"random": rng.standard_normal(len(z)),
+            "ties": rng.integers(0, 5, len(z)) * 1.0,
+            "with-inf": np.where(rng.uniform(size=len(z)) < 0.3, -np.inf,
+                                 rng.standard_normal(len(z))),
+            "all-equal": np.full(len(z), 0.25)}[values]
+    got, want = _stars_of_both_phases(z, vals, subset)
+    assert [s.tolist() for s in got] == [s.tolist() for s in want]
+    assert all(len(s) <= lipschitz.MAX_STARTS for s in got)
+
+
+def test_stars_of_equal_values_are_the_first_feasible_indices_in_order():
+    rng = np.random.default_rng(5)
+    z = rng.uniform(size=(200, 3))
+    subset = rng.uniform(size=len(z)) < 0.5
+    vals = np.where(rng.uniform(size=len(z)) < 0.2, -np.inf, 1.5)
+    starts, starts_subset = lipschitz._stars(z, vals, subset)
+    feasible = np.isfinite(vals)
+    assert starts.tolist() == np.flatnonzero(feasible)[:lipschitz.MAX_STARTS].tolist()
+    assert (starts_subset.tolist()
+            == np.flatnonzero(feasible & subset)[:lipschitz.MAX_STARTS].tolist())
+
+
+def test_global_opt_starts_equal_values_at_the_first_feasible_points(monkeypatch):
+    lo, hi = np.zeros(3), np.ones(3)
+    ascended = []
+    ascend = lipschitz._ascend
+    monkeypatch.setattr(lipschitz, "_ascend", lambda f, gradient, starts, *args:
+                        ascended.append(starts.copy()) or ascend(f, gradient, starts, *args))
+
+    def objective(v):  # flat but for the half-space x0 > 0.9, which is infeasible
+        return np.where(v[:, 0] > 0.9, np.nan, 2.0)
+
+    global_maximize(objective, (lo, hi))
+    pts, in_a = _sample_points(lo, hi, OptimizerConfig())
+    feasible = pts[:, 0] <= 0.9
+    first_a = np.flatnonzero(feasible & in_a)[:lipschitz.MAX_STARTS]
+    first_b = np.flatnonzero(feasible)[:lipschitz.MAX_STARTS]
+    union = np.concatenate([first_a, first_b[~np.isin(first_b, first_a)]])
+    assert [s.tobytes() for s in ascended] == [pts[union].tobytes()]
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_stars_of_a_zero_width_box_take_no_neighbours(finite):
+    lo = hi = np.array([0.5, -2.0])
+    pts, in_a = _sample_points(lo, hi, OptimizerConfig())
+    assert len(pts) == 1 and in_a.tolist() == [True]
+    vals = np.array([1.0 if finite else -np.inf])
+    got, want = _stars_of_both_phases(np.zeros((1, 2)), vals, in_a)
+    expected = [[0] if finite else []] * 2
+    assert [s.tolist() for s in got] == [s.tolist() for s in want] == expected
+
+
+def test_stars_are_the_same_in_blocks_of_a_few_rows(monkeypatch):
+    # mlp_classifier(3)'s samples and values, and a random objective's
+    calls = []
+    stars = lipschitz._stars
+    monkeypatch.setattr(lipschitz, "_stars", lambda *args: calls.append(args) or stars(*args))
+    g = mlp_classifier(3)
+    estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    rng = np.random.default_rng(3)
+    z = rng.uniform(size=(300, 4))
+    calls.append((z, rng.standard_normal(len(z)), rng.uniform(size=len(z)) < 0.5))
+    one_block = [stars(*args) for args in calls]
+    distances = []  # per block
+    rows = lipschitz._neighbour_rows
+    monkeypatch.setattr(lipschitz, "_neighbour_rows", lambda z, norms, r, *args:
+                        distances.append(len(r) * len(z)) or rows(z, norms, r, *args))
+    for args, want in zip(calls, one_block):
+        monkeypatch.setattr(runtime, "BATCH_BYTES", 8 * len(args[0]) * 3)  # 3 rows
+        distances.clear()
+        assert [s.tolist() for s in stars(*args)] == [s.tolist() for s in want]
+        assert len(distances) > 2 and 8 * max(distances) <= runtime.BATCH_BYTES
+
+
+@pytest.mark.parametrize("graph,every_point",
+                         [(mean_query(100), False), (mlp_classifier(2), True)],
+                         ids=["mean100", "mlp2"])
+def test_global_opt_builds_neighbour_rows_only_until_it_has_its_starts(
+        graph, every_point, monkeypatch):
+    tested, values = [], []
+    rows, stars = lipschitz._neighbour_rows, lipschitz._stars
+    monkeypatch.setattr(lipschitz, "_neighbour_rows", lambda z, norms, r, *args:
+                        tested.extend(r.tolist()) or rows(z, norms, r, *args))
+    monkeypatch.setattr(lipschitz, "_stars", lambda z, vals, *args:
+                        values.append(vals) or stars(z, vals, *args))
+    estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
+    assert len(tested) == len(set(tested))
+    if every_point:
+        assert sorted(tested) == np.flatnonzero(np.isfinite(values[0])).tolist()
+    else:
+        assert len(tested) <= 2 * lipschitz.MAX_STARTS
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 28, 1000])
