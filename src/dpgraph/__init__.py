@@ -1,8 +1,9 @@
 """Static tensor-graph sensitivity analysis and differentially private execution.
 
-Typical flow: build or load a Graph, bound every Input/Parameter, compile it,
-bound its sensitivity with `estimate_sensitivity`, then release results
-through `privatize`. The `dpgraph` console script wraps the same steps.
+Typical flow: build or load a Graph, bound every Input and bound or `freeze`
+every Parameter, compile it, bound its sensitivity with `estimate_sensitivity`,
+then release results through `privatize`. The `dpgraph` console script wraps
+the same steps.
 The library logs through `logging.getLogger("dpgraph")`.
 """
 
@@ -35,6 +36,7 @@ from .graph import (
     Node,
     OpKind,
     TensorShape,
+    freeze,
     optimize,
 )
 from .autodiff import JacobianGraph, higher_order, jacobian
@@ -80,7 +82,7 @@ __all__ = [
     "OptimizerFailure", "PrivacyParams", "SensitivityReport", "ShapeMismatch",
     "TensorShape", "UnknownNode", "ValidationFailed", "benchmark",
     "cache_info", "calibrate_sigma", "clear_cache", "clip", "compile_graph", "dumps_model",
-    "estimate_sensitivity", "execute", "gaussian_condition",
+    "estimate_sensitivity", "execute", "freeze", "gaussian_condition",
     "global_maximize", "graph_fingerprint", "higher_order",
     "jacobian", "load_model", "loads_model", "optimize", "privatize",
     "propagate", "save_model", "spectral_norm",

@@ -124,10 +124,6 @@ class TensorShape:
 SCALAR = TensorShape(())
 
 
-def _as_f64(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Elementwise closed interval attached to one tensor.
@@ -881,6 +877,34 @@ class GraphBuilder:
             bounds=self._bounds.copy(),
             _names=dict(self._names),
         )
+
+
+def freeze(graph: Graph, values: Mapping[str, Any]) -> Graph:
+    """`graph` with each Parameter that `values` names replaced by a Constant
+    of its value, under the same handle and name and without bounds, so that
+    the content hash, and so a report's fingerprint, binds the value. Raises
+    `UnknownNode` for an unknown name, and `InvalidParams` for a node other
+    than a Parameter (a private Input would put private bytes into the
+    fingerprint), a value of another shape or a non-finite value."""
+    constants: dict[int, Node] = {}
+    for name, value in values.items():
+        node = graph.nodes[graph.find(name)]
+        if node.kind is not OpKind.PARAMETER:
+            what = "private input" if node.kind is OpKind.INPUT else "non-leaf node"
+            raise InvalidParams(f"cannot freeze {what} '{name}'")
+        try:
+            value = _array(value)
+        except ValueError as err:
+            raise InvalidParams(f"frozen value for '{name}' {err}") from None
+        if value.shape != node.shape.dims:
+            raise InvalidParams(f"'{name}' expects shape {node.shape}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise InvalidParams(f"frozen value for '{name}' must be finite")
+        constants[node.id] = replace(node, kind=OpKind.CONSTANT, attrs={"value": value})
+    return replace(graph, nodes=tuple(constants.get(n.id, n) for n in graph.nodes),
+                   parameters=tuple(h for h in graph.parameters if h not in constants),
+                   bounds=BoundsSpec({h: b for h, b in graph.bounds.items()
+                                      if h not in constants}))
 
 
 # ---------------------------------------------------------------------------

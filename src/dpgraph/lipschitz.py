@@ -56,7 +56,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from .errors import (
     ShapeMismatch,
     ValidationFailed,
 )
-from .graph import Diagnostic, Graph, OpKind, _count
+from .graph import Diagnostic, Graph, _count
 from .interval import ibp_bound
 from .report import SensitivityReport
 from . import _sobol, runtime
@@ -165,12 +165,12 @@ GRID_DIM_CAP = 4           # free scalars the grid oracle accepts
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """What a caller chooses for the global maximizer and the grid oracle."""
+    """What a caller chooses for the global maximizer and the grid oracle; a
+    parameter is held at a known value by `graph.freeze`, not here."""
 
     n_samples: int = 128          # low-discrepancy samples of the first phase
     seed: int = 0
     grid_resolution: int = 201
-    freeze: Mapping | None = None  # tensor name -> fixed value, removed from the box
 
     def __post_init__(self):
         # stored as plain ints; a grid axis needs both of its ends
@@ -565,35 +565,26 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
 class _JacobianObjective:
     """Spectral norm of the Jacobian as a function of the boxed free tensors."""
 
-    def __init__(self, graph: Graph, wrt, config: OptimizerConfig):
+    def __init__(self, graph: Graph, wrt):
         self.program = runtime.compile(jacobian(graph, wrt).graph)
-        freeze = config.freeze or {}  # shapes checked by estimate_sensitivity
-        self.frozen: dict[str, np.ndarray] = {}
-        self.free: list[tuple[str, tuple[int, ...]]] = []
+        # each leaf's name, dims and slice of a point, in `Graph.leaves` order
+        self._slices: list[tuple[str, tuple[int, ...], int, int]] = []
         lo_parts, hi_parts = [], []
         g = self.program.optimized_graph
         for h in g.leaves():
             node = g.nodes[h]
-            if node.name in freeze:
-                self.frozen[node.name] = np.asarray(freeze[node.name], dtype=np.float64)
-                continue
             b = g.bounds.get(h)
             if b is None:
                 raise ValidationFailed([Diagnostic(
                     "missing-bounds",
-                    f"'{node.name}' has no bounds and is not frozen", h)])
+                    f"'{node.name}' has no bounds; bound it or freeze it", h)])
             lo, hi = b.broadcast_to(node.shape)
-            self.free.append((node.name, node.shape.dims))
+            start = self._slices[-1][3] if self._slices else 0
+            self._slices.append((node.name, node.shape.dims, start, start + lo.size))
             lo_parts.append(lo.ravel())
             hi_parts.append(hi.ravel())
         self.lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0)
         self.hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0)
-        self._slices: list[tuple[str, tuple[int, ...], int, int]] = []
-        pos = 0
-        for name, dims in self.free:
-            size = int(np.prod(dims)) if dims else 1
-            self._slices.append((name, dims, pos, pos + size))
-            pos += size
         self._grad_program = None
         self._cotangent = ""
         # the bytes of each feasible point evaluated -> the top singular
@@ -606,13 +597,11 @@ class _JacobianObjective:
 
     def unpack(self, v: np.ndarray) -> dict[str, np.ndarray]:
         """Input values for one point v of shape (d,), or for each row of a
-        (k, d) stack with a leading batch axis; frozen tensors are shared."""
+        (k, d) stack with a leading batch axis."""
         v = np.asarray(v)
         batch = v.shape[:-1]
-        inputs = dict(self.frozen)
-        for name, dims, start, stop in self._slices:
-            inputs[name] = v[..., start:stop].reshape(batch + dims)
-        return inputs
+        return {name: v[..., start:stop].reshape(batch + dims)
+                for name, dims, start, stop in self._slices}
 
     def __call__(self, v: np.ndarray):
         """sigma_max(J) at each row of a (k, d) stack; -inf where J cannot be
@@ -674,7 +663,7 @@ class _JacobianObjective:
         if self._grad_program is None:
             g = self.program.optimized_graph
             grad_graph, self._cotangent = vjp(
-                g, [g.find(name) for name, _ in self.free])
+                g, [g.find(name) for name, *_ in self._slices])
             self._grad_program = runtime.compile(grad_graph)
         k = len(v)
         u, w = map(np.array, zip(*[self._vectors[point.tobytes()] for point in v]))
@@ -709,8 +698,8 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
     """Bound sup of the Jacobian spectral norm over the bounded box.
 
     `wrt` selects the differentiation targets (default: all private inputs);
-    every non-frozen Input/Parameter still varies over its box as a free
-    coordinate of the supremum. `bounds` overrides the graph's own bounds.
+    every Input and Parameter, unless `graph.freeze` made it a Constant, varies
+    over its box as a free coordinate. `bounds` overrides the graph's bounds.
     Methods: `global_opt` (sampling plus refined ascent), `grid_oracle`
     (brute force, small dimensions only), `ibp` (interval baseline).
     """
@@ -723,22 +712,14 @@ def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
         wrt = list(graph.private_inputs) or list(graph.leaves())
     else:
         wrt = list(wrt)
-    for name, value in (config.freeze or {}).items():
-        node = graph.nodes[graph.find(name)]
-        if node.kind not in (OpKind.INPUT, OpKind.PARAMETER):
-            raise InvalidParams(f"cannot freeze non-leaf node '{name}'")
-        if np.shape(value) != node.shape.dims:
-            raise InvalidParams(f"frozen value for '{name}' expects shape "
-                                f"{node.shape}, got {np.shape(value)}")
 
     t0 = time.perf_counter()
     fingerprint = runtime.graph_fingerprint(graph)
     if method == "ibp":
-        target = _freeze_bounds(graph, config.freeze) if config.freeze else graph
-        found = dict(bound=ibp_bound(target, wrt), interval_low=0.0,
+        found = dict(bound=ibp_bound(graph, wrt), interval_low=0.0,
                      certified=True, argmax=None)
     else:
-        objective = _JacobianObjective(graph, wrt, config)
+        objective = _JacobianObjective(graph, wrt)
         if method == "grid_oracle":
             result = _grid_maximize(objective, config)
         else:
@@ -771,10 +752,3 @@ def _grid_maximize(objective: _JacobianObjective,
         raise OptimizerFailure("grid oracle found no feasible point")
     return MaximizeResult(best_pt, float(best_val), False, None,
                           config.grid_resolution ** objective.dim)
-
-
-def _freeze_bounds(graph: Graph, freeze: Mapping) -> Graph:
-    bounds = graph.bounds.copy()
-    for name, value in freeze.items():
-        bounds.set(graph.find(name), value, value)
-    return replace(graph, bounds=bounds)

@@ -306,3 +306,17 @@ def finite_difference(graph: Graph, inputs: dict, wrt_names, step: float = 1e-5)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def signed_parameters(graph: Graph, seed: int = 0) -> dict[str, np.ndarray]:
+    """Parameter values of an MLP as training would start them: weights from
+    N(0, 1/fan_in) and biases from N(0, 0.1^2), drawn in `graph.parameters`
+    order from `np.random.default_rng(seed)`. A weight's name starts with w."""
+    draw = np.random.default_rng(seed)
+    values = {}
+    for h in graph.parameters:
+        node = graph.nodes[h]
+        dims = node.shape.dims
+        scale = np.sqrt(1.0 / dims[1]) if node.name.startswith("w") else 0.1
+        values[node.name] = draw.normal(0.0, scale, dims)
+    return values

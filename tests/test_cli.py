@@ -5,10 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from dpgraph import GraphBuilder, runtime
+from dpgraph import GraphBuilder, freeze, runtime
 from dpgraph.cli import main
-from dpgraph.model_io import save_model
+from dpgraph.model_io import load_model, save_model
 from dpgraph.models import mlp_classifier
+
+from conftest import signed_parameters
 
 
 @pytest.fixture(autouse=True)
@@ -364,6 +366,32 @@ def test_run_rejects_stale_analysis(tmp_path, rng):
                  "--epsilon", "1.0", "--delta", "1e-5", "--seed", "7",
                  "--analysis", str(report_path)])
     assert code == 3
+
+
+def test_a_frozen_model_needs_no_flag_and_binds_its_parameters(tmp_path, rng, capsys):
+    g = mlp_classifier(2)
+    theta = signed_parameters(g)
+    frozen, source = tmp_path / "frozen.json", tmp_path / "source.json"
+    save_model(freeze(g, theta), frozen)
+    save_model(g, source)
+    assert runtime.graph_fingerprint(load_model(frozen)) \
+        == runtime.graph_fingerprint(freeze(g, theta))
+    analysis = tmp_path / "frozen.analysis.json"
+    assert main(["analyze", "--model", str(frozen), "--out", str(analysis)]) == 0
+
+    def data(values):
+        args = []
+        for name, value in values.items():
+            args += ["--data", f"{name}={_write_csv(tmp_path, name + '.csv', value)}"]
+        return args
+
+    private = {"x": rng.uniform(0, 1, (2, 1)), "t": rng.uniform(0, 1, (2, 1))}
+    run = ["run", "--epsilon", "1.0", "--delta", "1e-5", "--seed", "7",
+           "--analysis", str(analysis), "--out", str(tmp_path / "out.json")]
+    assert main([*run, "--model", str(frozen), *data(private)]) == 0
+    # the analysis binds theta: the source model, given theta as data, is refused
+    assert main([*run, "--model", str(source), *data({**private, **theta})]) == 3
+    assert "no report matching the model fingerprint" in capsys.readouterr().err
 
 
 def test_run_refuses_nan_data_before_analysis(tmp_path, rng):

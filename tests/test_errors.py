@@ -7,6 +7,7 @@ import pytest
 from dpgraph import errors, runtime, spectral_norm
 from dpgraph.autodiff import higher_order, jacobian
 from dpgraph.cli import _exit_code
+from dpgraph.graph import freeze
 from dpgraph.errors import (
     ArityError,
     DimensionTooLarge,
@@ -64,6 +65,7 @@ def test_exit_code(cls, code):
 
 _GRAPH = mlp_classifier(2)
 _X = _GRAPH.find("x")
+_W1 = np.zeros(_GRAPH.nodes[_GRAPH.find("w1")].shape.dims)
 
 
 def _inputs(program):
@@ -111,6 +113,12 @@ def _privatize(seed):
     (lambda: spectral_norm([["1", "2"]]), NumericalError),
     (lambda: spectral_norm([[1.0, 2j]]), NumericalError),
     (lambda: spectral_norm([[1.0], [2.0, 3.0]]), NumericalError),
+    (lambda: freeze(_GRAPH, {"x": np.zeros((2, 1))}), InvalidParams),
+    (lambda: freeze(_GRAPH, {"w1": np.full_like(_W1, np.nan)}), InvalidParams),
+    (lambda: freeze(_GRAPH, {"w1": _W1 == 0.0}), InvalidParams),
+    (lambda: freeze(_GRAPH, {"W1": _W1}), UnknownNode),
+    (lambda: estimate_sensitivity(freeze(_GRAPH, {"w1": _W1}),
+                                  wrt=[_GRAPH.find("w1")]), NonDifferentiable),
 ], ids=["estimate-wrt-name", "jacobian-wrt-name", "jacobian-wrt-float",
         "higher-order-0", "higher-order-float", "n-samples-str", "seed-float",
         "seed-bool", "grid-resolution-float", "epsilon-str", "epsilon-bool",
@@ -118,7 +126,8 @@ def _privatize(seed):
         "privatize-seed-bool", "privatize-seed-numpy-bool",
         "ancestors-out-of-range", "ancestors-float", "spectral-norm-empty",
         "spectral-norm-no-columns", "spectral-norm-3d", "spectral-norm-str",
-        "spectral-norm-complex", "spectral-norm-ragged"])
+        "spectral-norm-complex", "spectral-norm-ragged", "freeze-private-input",
+        "freeze-nan", "freeze-bool", "freeze-unknown-name", "frozen-wrt"])
 def test_a_bad_argument_is_a_typed_refusal(call, error):
     with pytest.raises(error):
         call()

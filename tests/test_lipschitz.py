@@ -34,7 +34,7 @@ from dpgraph.lipschitz import (
     spectral_norms_with_vectors,
 )
 from dpgraph import autodiff, lipschitz, runtime
-from dpgraph.graph import optimize
+from dpgraph.graph import freeze, optimize
 from dpgraph.models import mean_query, mlp_classifier
 from dpgraph.report import SensitivityReport
 
@@ -311,11 +311,9 @@ def test_freeze_removes_coordinates():
     x = b.input("x", (), bounds=(0.0, 1.0))
     w = b.parameter("w", ())
     b.output(b.mul(w, x))
-    g = b.graph()
-    cfg = OptimizerConfig(freeze={"w": 2.5})
-    report = estimate_sensitivity(g, method="global_opt", config=cfg)
+    report = estimate_sensitivity(freeze(b.graph(), {"w": 2.5}), method="global_opt")
     assert report.bound == pytest.approx(2.5, abs=1e-9)
-    assert report.argmax["w"] == pytest.approx(2.5)
+    assert "w" not in report.argmax  # a Constant, not a coordinate of the box
 
 
 @pytest.mark.parametrize("method", lipschitz.METHODS)
@@ -326,9 +324,9 @@ def test_freeze_names_are_checked_for_every_method(method):
     b.output(b.mul(w, b.mul(b.constant(1.0, name="one"), x)))
     g = b.graph()
 
-    def bound(freeze):
-        config = OptimizerConfig(freeze=freeze, grid_resolution=21)
-        return estimate_sensitivity(g, method=method, config=config).bound
+    def bound(values):
+        config = OptimizerConfig(grid_resolution=21)
+        return estimate_sensitivity(freeze(g, values), method=method, config=config).bound
 
     with pytest.raises(UnknownNode):
         bound({"W": 2.0})
@@ -347,11 +345,11 @@ def test_freeze_values_need_the_exact_shape_for_every_method(method, value):
     x = b.input("x", (2, 1), bounds=(0.0, 1.0))
     w = b.parameter("w", (2, 2), bounds=(-1.0, 1.0))
     b.output(b.reduce_sum(b.matmul(w, x)))
-    config = OptimizerConfig(freeze={"w": value}, grid_resolution=5)
+    config = OptimizerConfig(grid_resolution=5)
     with pytest.raises(InvalidParams, match="'w' expects shape"):
-        estimate_sensitivity(b.graph(), method=method, config=config)
-    config = OptimizerConfig(freeze={"w": np.eye(2)}, grid_resolution=5)
-    assert estimate_sensitivity(b.graph(), method=method, config=config).bound \
+        estimate_sensitivity(freeze(b.graph(), {"w": value}), method=method, config=config)
+    frozen = freeze(b.graph(), {"w": np.eye(2)})
+    assert estimate_sensitivity(frozen, method=method, config=config).bound \
         == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
@@ -378,8 +376,7 @@ def test_frozen_ibp_compiles_nothing():
     runtime.clear_cache()
     g = mlp_classifier(2)
     w1 = np.full(g.nodes[g.find("w1")].shape.dims, 0.5)
-    estimate_sensitivity(g, wrt=[g.find("x")], method="ibp",
-                         config=OptimizerConfig(freeze={"w1": w1}))
+    estimate_sensitivity(freeze(g, {"w1": w1}), wrt=[g.find("x")], method="ibp")
     assert runtime.cache_info().misses == 0
 
 
@@ -542,19 +539,20 @@ def _narrow_mlp():
 
 def test_reduced_mlp_instance_matches_grid_oracle(rng):
     g = _narrow_mlp()
-    # keep x and the final bias free; pin every other tensor at a bound corner
-    freeze = {}
-    for h in g.leaves():
+    # keep the inputs x and t and the final bias free; pin every other
+    # parameter inside its box (pins at the box's corners can zero w4, and
+    # the bound with it)
+    values = {}
+    for h in g.parameters:
         node = g.nodes[h]
-        if node.name in ("x", "b4"):
-            continue
-        lo, hi = g.bounds.get(h).broadcast_to(node.shape)
-        corners = rng.integers(0, 2, node.shape.dims)
-        freeze[node.name] = np.where(corners == 0, lo, hi)
-    cfg = OptimizerConfig(freeze=freeze, grid_resolution=21)
+        if node.name != "b4":
+            values[node.name] = rng.uniform(*g.bounds.get(h).broadcast_to(node.shape))
+    g = freeze(g, values)
+    cfg = OptimizerConfig(grid_resolution=21)
     wrt = [g.find("x")]
     go = estimate_sensitivity(g, wrt=wrt, method="global_opt", config=cfg)
     oracle = estimate_sensitivity(g, wrt=wrt, method="grid_oracle", config=cfg)
+    assert oracle.bound > 0.0
     assert abs(go.bound - oracle.bound) <= 0.05 * max(oracle.bound, 1e-12)
     assert go.bound >= oracle.bound - 1e-12
 
@@ -589,7 +587,7 @@ def _assert_matches_central_differences(obj, v, g, step=1e-6):
 @pytest.mark.parametrize("graph", [mlp_classifier(2), _sum_sigmoid(64)],
                          ids=["mlp2", "sumsig64"])
 def test_gradient_matches_central_differences(graph):
-    obj = _JacobianObjective(graph, [graph.find("x")], OptimizerConfig())
+    obj = _JacobianObjective(graph, [graph.find("x")])
     rng = np.random.default_rng(5)
     for _ in range(3):
         v = rng.uniform(obj.lo, obj.hi)
@@ -599,7 +597,7 @@ def test_gradient_matches_central_differences(graph):
 
 def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
     g = mlp_classifier(2)
-    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    obj = _JacobianObjective(g, [g.find("x")])
     obj(np.zeros(obj.dim))
     obj.gradient(np.zeros(obj.dim))  # builds the vjp program
     programs = []
@@ -614,7 +612,7 @@ def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
     assert programs == [obj.program, obj._grad_program]
 
     # the singular vectors of a point have the same bits in any stack
-    fresh = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    fresh = _JacobianObjective(g, [g.find("x")])
     fresh(stack[[3, 1]])
     np.testing.assert_array_equal(at_stack, fresh.gradient(stack[[3, 1]]))
     for v, grad in zip(stack[[3, 1]], at_stack):
@@ -632,7 +630,7 @@ def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
                                    mlp_classifier(8)],
                          ids=["sumsig64", "mean1000", "mlp8"])
 def test_gradient_makes_no_objective_evaluations(graph, monkeypatch):
-    obj = _JacobianObjective(graph, [graph.find("x")], OptimizerConfig())
+    obj = _JacobianObjective(graph, [graph.find("x")])
     v = np.random.default_rng(6).uniform(obj.lo, obj.hi)
     obj(v)
     calls = []
@@ -700,7 +698,7 @@ def _x_log_x():
 
 def test_out_of_domain_point_is_infeasible_alone():
     g = _x_log_x()
-    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    obj = _JacobianObjective(g, [g.find("x")])
     stack = np.array([[0.5], [1.5], [-0.5], [2.0], [0.0], [1.0]])
     values = obj(stack)
     assert values[2] == values[4] == -np.inf
@@ -715,7 +713,7 @@ def test_trapping_points_are_isolated_by_halving(budget, monkeypatch):
     # every other point leaves the domain of Log; finding the first trapping
     # point and resuming after it ran 32,957 point evaluations on this stack
     g = _x_log_x()
-    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    obj = _JacobianObjective(g, [g.find("x")])
     if budget is not None:
         monkeypatch.setattr(runtime, "BATCH_BYTES", budget * obj.program.point_bytes)
     (slot,) = [slot for _, members in obj.program.leaf_groups
@@ -746,7 +744,7 @@ def test_grid_oracle_matches_a_per_point_loop(graph, budget, monkeypatch):
                          depth=4, smooth_only=True)
     wrt = list(g.leaves())
     cfg = OptimizerConfig(grid_resolution=31)
-    obj = _JacobianObjective(g, wrt, cfg)
+    obj = _JacobianObjective(g, wrt)
     if budget is not None:
         monkeypatch.setattr(runtime, "BATCH_BYTES", budget * obj.program.point_bytes)
     report = estimate_sensitivity(g, wrt=wrt, method="grid_oracle", config=cfg)
@@ -815,7 +813,7 @@ def test_phases_share_one_sobol_draw():
 
 def test_gradient_fallback_is_logged(monkeypatch, caplog):
     g = mlp_classifier(2)
-    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    obj = _JacobianObjective(g, [g.find("x")])
     v = np.full(obj.dim, 0.5)
     obj(v)
     want = obj.gradient(v)
@@ -836,7 +834,7 @@ def test_gradient_fallback_is_logged(monkeypatch, caplog):
 
 def test_a_point_whose_gradient_traps_falls_back_alone(monkeypatch, caplog):
     g = _x_log_x()
-    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    obj = _JacobianObjective(g, [g.find("x")])
     stack = np.array([[0.5], [1.5], [2.0]])
     obj(stack)
     alone = np.array([obj.gradient(p) for p in stack[[0, 2]]])
@@ -928,7 +926,7 @@ def test_lockstep_ascent_follows_each_start_on_mlp3(monkeypatch):
     estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
     monkeypatch.undo()
     assert len(starts) == 1 and len(starts[0]) > 1  # one stack for both phases
-    obj = _JacobianObjective(g, [g.find("x")], OptimizerConfig())
+    obj = _JacobianObjective(g, [g.find("x")])
     _assert_lockstep_equals_one_start_at_a_time(obj, obj.gradient, starts[0],
                                                 obj.lo, obj.hi)
 
