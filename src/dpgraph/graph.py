@@ -404,7 +404,7 @@ def _k_pow(attrs):
 
 def _k_clip(attrs):
     lo, hi = attrs["lo"], attrs["hi"]
-    return lambda a: np.clip(a, lo, hi)
+    return lambda a: a.clip(lo, hi)  # what np.clip calls, without its wrapper
 
 
 def _k_in_interval(attrs):
@@ -447,39 +447,44 @@ def _k_matmul(attrs):
     return kernel
 
 
-def _k_reduce(fn):
-    def bind(attrs):
-        (rank,) = attrs["ranks"]
-        axis = attrs["axis"]
-        if axis is not None:
-            axis -= rank
-            return lambda x: fn(x, axis=axis, keepdims=True)
-        axes = tuple(range(-rank, 0))  # the declared axes behind a batch
-        return lambda x: np.asarray(fn(x, axis=None if x.ndim == rank else axes))
+def _k_sum(attrs):
+    (rank,) = attrs["ranks"]
+    axis = attrs["axis"]
+    if axis is not None:
+        axis -= rank
+        return lambda x: np.add.reduce(x, axis, keepdims=True)
+    axes = tuple(range(-rank, 0))  # the declared axes behind a batch
+    return lambda x: np.asarray(np.add.reduce(x, None if x.ndim == rank else axes))
 
-    return bind
+
+def _k_mean(attrs):
+    """np.mean's own sum and division, without its overhead: the same axis
+    argument to the same reduction, divided by the same count."""
+    (rank,) = attrs["ranks"]
+    axis = attrs["axis"]
+    if axis is not None:
+        axis -= rank
+        return lambda x: np.add.reduce(x, axis, keepdims=True) / x.shape[axis]
+    axes = tuple(range(-rank, 0))  # the declared axes behind a batch; () for a scalar
+
+    def kernel(x):
+        if x.ndim == rank:
+            return np.asarray(np.add.reduce(x, None) / x.size)
+        return np.add.reduce(x, axes) / math.prod(x.shape[x.ndim - rank:])
+
+    return kernel
 
 
 def _bce_loss(p, t):
-    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    pc = p.clip(BCE_CLAMP, 1.0 - BCE_CLAMP)
     return -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
 
 
 def _k_bce(attrs):
     rp, rt = attrs["ranks"]
-    rank = max(rp, rt)
-    axes = tuple(range(-rank, 0))
     elementwise = _lifted(_bce_loss, rp, rt)
-
-    def kernel(p, t):
-        loss = elementwise(p, t)
-        # np.mean's own sum and division, without its overhead; a rank-0
-        # operand gives axes (), which average over no axis
-        if loss.ndim == rank:
-            return np.asarray(np.add.reduce(loss, None) / loss.size)
-        return np.add.reduce(loss, axes) / math.prod(loss.shape[loss.ndim - rank:])
-
-    return kernel
+    mean = _k_mean({"axis": None, "ranks": (max(rp, rt),)})
+    return lambda p, t: mean(elementwise(p, t))
 
 
 def _k_reshape(attrs):
@@ -537,8 +542,8 @@ OPS: dict[OpKind, OpSpec] = {
     OpKind.EXP: OpSpec(1, {}, _first, lambda attrs: np.exp),
     OpKind.LOG: OpSpec(1, {}, _first, lambda attrs: np.log),
     OpKind.SIGMOID: OpSpec(1, {}, _first, lambda attrs: _elementwise(expit, attrs)),
-    OpKind.SUM: OpSpec(1, _AXIS, _reduce_shape, _k_reduce(np.add.reduce)),
-    OpKind.MEAN: OpSpec(1, _AXIS, _reduce_shape, _k_reduce(np.mean)),
+    OpKind.SUM: OpSpec(1, _AXIS, _reduce_shape, _k_sum),
+    OpKind.MEAN: OpSpec(1, _AXIS, _reduce_shape, _k_mean),
     OpKind.CLIP: OpSpec(1, _BOUNDS, _interval, _k_clip),
     OpKind.BCE: OpSpec(2, {}, _loss, _k_bce),
     OpKind.IN_INTERVAL: OpSpec(1, _BOUNDS, _interval, _k_in_interval),

@@ -585,8 +585,9 @@ class _JacobianObjective:
             hi_parts.append(hi.ravel())
         self.lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0)
         self.hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0)
+        self._columns = self._group_columns(self.program)
         self._grad_program = None
-        self._cotangent = ""
+        self._grad_columns: list = []
         # the bytes of each feasible point evaluated -> the top singular
         # vectors (u, w) of J there
         self._vectors: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
@@ -596,12 +597,28 @@ class _JacobianObjective:
         return self.lo.size
 
     def unpack(self, v: np.ndarray) -> dict[str, np.ndarray]:
-        """Input values for one point v of shape (d,), or for each row of a
-        (k, d) stack with a leading batch axis."""
+        """Input values, by leaf name, for one point v of shape (d,)."""
         v = np.asarray(v)
-        batch = v.shape[:-1]
-        return {name: v[..., start:stop].reshape(batch + dims)
+        return {name: v[start:stop].reshape(dims)
                 for name, dims, start, stop in self._slices}
+
+    def _group_columns(self, program) -> list:
+        """For each group of `program.leaf_groups`, the columns of a point
+        that hold the group's vector: a slice when its members are a
+        contiguous run of the point, an index array otherwise, and None for
+        the group of the gradient program's cotangent, which is no part of
+        a point."""
+        spans = {name: (start, stop) for name, _, start, stop in self._slices}
+        columns = []
+        for _, members in program.leaf_groups:
+            runs = [spans.get(name) for name, *_ in members]
+            if None in runs:  # the cotangent, the one unbounded leaf
+                columns.append(None)
+            elif all(a[1] == b[0] for a, b in zip(runs, runs[1:])):
+                columns.append(slice(runs[0][0], runs[-1][1]))
+            else:
+                columns.append(np.concatenate([np.arange(*run) for run in runs]))
+        return columns
 
     def __call__(self, v: np.ndarray):
         """sigma_max(J) at each row of a (k, d) stack; -inf where J cannot be
@@ -628,7 +645,8 @@ class _JacobianObjective:
         sigmas, us, ws = np.full(k, -np.inf), np.zeros((k, rows)), np.zeros((k, cols))
 
         def run(start, stop):
-            (js,) = runtime.execute(self.program, self.unpack(stack[start:stop]),
+            points = stack[start:stop]
+            (js,) = runtime.execute(self.program, [points[:, c] for c in self._columns],
                                     batch_shape=(stop - start,))
             sigmas[start:stop], us[start:stop], ws[start:stop] = (
                 spectral_norms_with_vectors(js))
@@ -662,20 +680,23 @@ class _JacobianObjective:
             return self.gradient(v[None, :])[0]
         if self._grad_program is None:
             g = self.program.optimized_graph
-            grad_graph, self._cotangent = vjp(
-                g, [g.find(name) for name, *_ in self._slices])
+            grad_graph, _ = vjp(g, [g.find(name) for name, *_ in self._slices])
             self._grad_program = runtime.compile(grad_graph)
+            self._grad_columns = self._group_columns(self._grad_program)
         k = len(v)
         u, w = map(np.array, zip(*[self._vectors[point.tobytes()] for point in v]))
+        # the cotangent u w^T of each point, as its (k, R*C) vector
+        cotangents = (u[:, :, None] * w[:, None, :]).reshape(k, -1)
         grads = np.empty((k, self.dim))
 
         def run(start, stop):
-            inputs = self.unpack(v[start:stop])
-            inputs[self._cotangent] = u[start:stop, :, None] * w[start:stop, None, :]
-            outs = runtime.execute(self._grad_program, inputs,
+            points = v[start:stop]
+            vectors = [cotangents[start:stop] if c is None else points[:, c]
+                       for c in self._grad_columns]
+            outs = runtime.execute(self._grad_program, vectors,
                                    batch_shape=(stop - start,))
-            grads[start:stop] = np.concatenate(
-                [out.reshape(stop - start, -1) for out in outs], axis=1)
+            for (_, _, a, b), out in zip(self._slices, outs):
+                grads[start:stop, a:b] = out.reshape(stop - start, b - a)
 
         for i, err in sorted(_halving(run, 0, k).items()):
             _log.warning("sigma_max gradient falls back to finite differences "

@@ -11,11 +11,12 @@ not.
 Release walks the leaf layout that compilation builds once per program
 (`runtime.LeafGroup`), the same table `execute` binds through: the bounded
 leaves that share one `Bounds` are flattened end to end and clipped by one
-`clip` call per group, the unbounded leaves pass through unclipped, the
-program is bound to views of the clipped vectors, and one `execute` call
-checks each group's values for NaN and Inf in one scan and evaluates the
-query. `clipped_fraction` is the exact count of altered entries over the
-count of bounded entries.
+`clip` call per group, the unbounded leaves pass through unclipped, and one
+`execute` call takes the clipped vectors as they are, one per group, scans
+each for NaN and Inf once and evaluates the query; no leaf is sliced or
+reshaped on the way. `clipped_fraction` is the exact count of altered
+entries over the count of bounded entries. `clip` calls `ndarray.clip`,
+which `np.clip` dispatches to: the same bits without the wrapper's cost.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import FingerprintMismatch, InvalidParams, ShapeMismatch
 from .graph import Bounds, _index, _number
 from .report import SensitivityReport
-from .runtime import CompiledProgram, execute, leaf_array
+from .runtime import CompiledProgram, execute, group_vector, leaf_array
 
 # A calibrated sigma is the upper end of a checked bracket no wider than
 # 2 * _REL_TOL relative, as a bisection to width 1e-9 would leave it.
@@ -175,11 +176,20 @@ def calibrate_sigma(delta2: float, params: PrivacyParams) -> float:
 
     The condition depends only on sigma/delta2, so the unit-sensitivity ratio
     is solved once and scaled; the returned sigma never exceeds the classic
-    sqrt(2 ln(1.25/delta))/epsilon bound when epsilon <= 1.
+    sqrt(2 ln(1.25/delta))/epsilon bound when epsilon <= 1. Raises
+    `InvalidParams` when delta2 is not positive and finite, or when the
+    scaled sigma is 0, subnormal or infinite.
     """
     if not (delta2 > 0 and math.isfinite(delta2)):
         raise InvalidParams(f"sensitivity must be positive and finite, got {delta2}")
-    return delta2 * _sigma_ratio(params.epsilon, params.delta)
+    sigma = delta2 * _sigma_ratio(params.epsilon, params.delta)
+    # a product that underflows to a subnormal or to 0 has lost the precision
+    # the calibration certified, and one that overflows is no noise scale
+    if not sys.float_info.min <= sigma <= sys.float_info.max:
+        raise InvalidParams(
+            f"sensitivity {delta2} at epsilon={params.epsilon}, delta={params.delta} "
+            f"gives sigma={sigma}, which is not a normal float64")
+    return sigma
 
 
 def clip(data, bounds: Bounds) -> tuple[np.ndarray, float]:
@@ -189,7 +199,7 @@ def clip(data, bounds: Bounds) -> tuple[np.ndarray, float]:
     if lo.shape != () and lo.shape != arr.shape:
         raise ShapeMismatch(
             f"bounds of shape {lo.shape} cannot clip data of shape {arr.shape}")
-    clipped = np.clip(arr, lo, hi)
+    clipped = arr.clip(lo, hi)  # what np.clip calls, without its wrapper
     # the same bits as float(np.mean(clipped != arr)), in less time
     fraction = int(np.count_nonzero(clipped != arr)) / arr.size if arr.size else 0.0
     return clipped, fraction
@@ -201,11 +211,10 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
     """Clip, evaluate, and release the query output under Gaussian noise.
 
     Each bounded group of `program.leaf_groups` is clipped by one `clip`
-    call on the concatenation of its leaves' data; every leaf is bound to its
-    slice of the clipped vector, reshaped to its dims, the unbounded leaves
-    are bound as given, and the program runs once. The caller's arrays are
-    never mutated, and data for names the program does not declare are
-    ignored. A missing leaf raises `MissingInput`, a leaf of the wrong shape
+    call on the concatenation of its leaves' data, the unbounded leaves are
+    packed into their group's vector as given, and the program runs once on
+    these vectors, one per group. The caller's arrays are never mutated, and
+    data for names the program does not declare are ignored. A missing leaf raises `MissingInput`, a leaf of the wrong shape
     `ShapeMismatch`, and a value that is not real numbers, or a NaN or Inf
     that reaches `execute`, `NumericalError`; an Inf in a bounded leaf is
     clipped and counted. The seed must be a non-negative integer, of any
@@ -240,28 +249,27 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
         if seed < 0:
             raise InvalidParams(f"seed must be non-negative, got {seed}")
 
-    inputs: dict[str, Any] = {}
+    vectors = []
     altered = bounded = 0
     for bounds, members in program.leaf_groups:
         if bounds is None:
-            inputs.update((name, data[name]) for name, *_ in members if name in data)
+            vectors.append(group_vector(data, members))
             continue
         if len(members) == 1:  # per-element bounds clip data of the leaf's shape
-            name, dims, *_ = members[0]
+            name, dims, _, size, _ = members[0]
             clipped, fraction = clip(leaf_array(data, name, dims), bounds)
-            inputs[name] = clipped
+            clipped = clipped.reshape(size)
         else:
             clipped, fraction = clip(np.concatenate(
                 [leaf_array(data, name, dims).ravel() for name, dims, *_ in members]),
                 bounds)
-            for name, dims, start, stop, _ in members:
-                inputs[name] = clipped[start:stop].reshape(dims)
+        vectors.append(clipped)
         # clip's fraction is count / size correctly rounded, so this is the count
         altered += round(fraction * clipped.size)
         bounded += clipped.size
     clipped_fraction = altered / bounded if bounded else 0.0
 
-    raw = execute(program, inputs)
+    raw = execute(program, vectors)
     sigma = calibrate_sigma(report.bound, params)
     rng = np.random.default_rng(seed)
     noisy = {}

@@ -4,7 +4,11 @@ Compilation runs the optimizer, linearizes the surviving nodes, binds each
 instruction's kernel to the node's attrs and operand ranks, and assigns tensor slots with last-use reuse; it also
 lays the leaves out in groups (`LeafGroup`): the bounded leaves by their
 bounds, so that a release clips each group once, and the unbounded ones in a
-group of their own. That layout is the table `execute` binds through. It is
+group of their own. That layout is the table `execute` binds through: each
+group from one flat vector, each member's register a reshaped view of its
+slice. A caller that already holds the vectors, as a release holds its
+clipped ones and the Jacobian objective its stacks of points, passes them
+as they are; inputs given by name are packed into them first. It is
 where the derivative graphs of `autodiff`, which come unoptimized, are
 optimized, so a compiled program's `optimized_graph` is the one to
 differentiate or inspect further. Each program is cached under one key, the
@@ -13,17 +17,18 @@ so recompiling an identical graph is one hash and a lookup.
 
 Finiteness invariant: execution raises `NumericalError` whenever a value the
 outputs depend on is NaN or Inf, without scanning intermediate results. The
-bound inputs are checked once per leaf group, by one scan over the group's
-values when they are bound, and every constant once when the program is
-linearized. Once all operands are finite, a kernel can only produce NaN or
-Inf by raising an IEEE divide-by-zero, overflow or invalid flag, and the
-kernels run with those flags trapped; underflow to zero is allowed.
+bound inputs are checked by one scan of each group's vector, and every
+constant once when the program is linearized. Once all operands are finite,
+a kernel can only produce NaN or Inf by raising an IEEE divide-by-zero,
+overflow or invalid flag, and the kernels run with those flags trapped;
+underflow to zero is allowed.
 
 Batch rule: `execute(program, inputs, batch_shape=B)` evaluates the program at
-many points through the same plan. Each input is bound either with its
-declared shape, shared by every point, or with shape B followed by its
-declared shape, one value per point; every output has shape B followed by its
-declared shape, broadcast when it depends on no per-point input. The kernels
+many points through the same plan. Each input, or each group's vector, is
+bound either with its declared shape, shared by every point, or with shape B
+followed by its declared shape, one value per point; every output has shape
+B followed by its declared shape, broadcast when it depends on no per-point
+input. The kernels
 index their axes from the end, so the batch axes ride through them (see the
 kernels of `graph.OPS`), and the default B = () is the unbatched call, which
 accepts declared shapes only. A batch that traps at any point raises like an
@@ -45,7 +50,7 @@ import math
 import statistics
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, abc
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -119,8 +124,9 @@ class LeafGroup(NamedTuple):
     bytes share a group; a leaf with per-element bounds is a group of its
     own. `bounds` is the leaves' own `Bounds`, never broadcast, or None for
     the one group of every unbounded leaf. Groups follow the order of
-    their first leaves in `Graph.leaves`. `execute` checks the values bound
-    to a group for NaN and Inf in one scan.
+    their first leaves in `Graph.leaves`. `execute` binds each group from
+    one flat vector of the group's last stop elements and scans it for NaN
+    and Inf once.
     """
 
     bounds: Bounds | None
@@ -356,7 +362,31 @@ def leaf_array(inputs: Mapping[str, Any], name: str, dims: tuple[int, ...],
     return arr
 
 
+def group_vector(inputs: Mapping[str, Any], members,
+                 batch: tuple[int, ...] = ()) -> np.ndarray:
+    """The flat vector of one leaf group (`LeafGroup.members`) from values
+    bound by name, each checked as `leaf_array` checks it.
+
+    Its shape is (size,) when every member has its declared shape, and
+    `batch + (size,)` when some member holds one value per point; a member
+    shared by every point is then broadcast to each. A lone member is
+    reshaped, several are concatenated.
+    """
+    arrs = [leaf_array(inputs, name, dims, batch) for name, dims, *_ in members]
+    size = members[-1][3]
+    if len(arrs) == 1:
+        arr = arrs[0]
+        return arr.reshape(arr.shape[:arr.ndim - len(members[0][1])] + (size,))
+    if all(arr.shape == m[1] for arr, m in zip(arrs, members)):
+        return np.concatenate([arr.ravel() for arr in arrs])
+    return np.concatenate([np.broadcast_to(arr, batch + dims).reshape(batch + (stop - start,))
+                           for arr, (_, dims, start, stop, _) in zip(arrs, members)],
+                          axis=-1)
+
+
 def _batch_dims(batch_shape) -> tuple[int, ...]:
+    if type(batch_shape) is tuple and not batch_shape:  # the unbatched call
+        return ()
     try:
         batch = tuple(map(_index, batch_shape))
     except TypeError:
@@ -369,24 +399,28 @@ def _batch_dims(batch_shape) -> tuple[int, ...]:
     return batch
 
 
-def execute(program: CompiledProgram, inputs: Mapping[str, Any],
+def execute(program: CompiledProgram, inputs,
             batch_shape: tuple[int, ...] = ()) -> list[np.ndarray]:
     """Run a compiled program; returns one array per declared output.
 
-    Inputs are bound by tensor name and are never mutated, and no returned
-    array shares memory with an input, a constant or another output. Every
-    declared Input/Parameter must be supplied, even ones the outputs do not
-    depend on.
-    With the default `batch_shape` every input must have exactly its declared
-    shape. With a batch shape B, each input has either its declared shape or
-    B followed by it, and each output has shape B followed by its declared
-    shape (the batch rule of the module docstring); a B that is not a
-    sequence of non-negative integers raises `ShapeMismatch`.
-
-    The inputs are bound group by group of `program.leaf_groups`: each
-    member is checked as `leaf_array` checks it, then the group's values
-    are checked for NaN and Inf in one scan. So within a group a missing
-    value or a wrong shape is reported before a non-finite value.
+    `inputs` takes one of two forms, and neither is ever mutated:
+    - a mapping from leaf name to value. Every declared Input/Parameter must
+      be supplied, even ones the outputs do not depend on, and each value is
+      checked as `leaf_array` checks it; the values are first packed into
+      one vector per leaf group by `group_vector`.
+    - a sequence of one flat vector per group of `program.leaf_groups`, in
+      its order, of shape (size,) or B + (size,), where size is the group's
+      last member's stop; each member reads its start:stop slice.
+    No returned array shares memory with an input, a constant or another
+    output. With the default `batch_shape` every value must have exactly its
+    declared shape. With a batch shape B, each value (each vector) has either
+    its declared shape, shared by every point, or B followed by it, and each
+    output has shape B followed by its declared shape (the batch rule of the
+    module docstring); a B that is not a sequence of non-negative integers,
+    a wrong count of vectors or a vector of another shape raise
+    `ShapeMismatch`. Each group's vector is scanned for NaN and Inf once, so
+    within a group a missing value or a wrong shape is reported before a
+    non-finite value.
 
     Raises `NumericalError` when a bound input or a constant of the program
     holds NaN or Inf (checked once, before any kernel runs; the error names
@@ -396,35 +430,45 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
     intermediate result is scanned. A batched call raises when any of its
     points traps, and the error names a node where one does.
     """
-    if not program.leaf_names.issuperset(inputs):
-        unknown = sorted(inputs.keys() - program.leaf_names)[0]
-        raise UnknownNode(f"no declared input named {unknown!r}")
+    groups = program.leaf_groups
+    if isinstance(inputs, abc.Mapping):
+        if not program.leaf_names.issuperset(inputs):
+            unknown = sorted(inputs.keys() - program.leaf_names)[0]
+            raise UnknownNode(f"no declared input named {unknown!r}")
+        batch = _batch_dims(batch_shape)
+        inputs = [group_vector(inputs, members, batch) for _, members in groups]
+    else:
+        batch = _batch_dims(batch_shape)
+        if len(inputs) != len(groups):
+            raise ShapeMismatch(f"expected {len(groups)} group vectors, "
+                                f"got {len(inputs)}")
 
-    batch = _batch_dims(batch_shape)
+    n = math.prod(batch)
     regs: list[Any] = [None] * program.n_slots
     for slot, value in program.const_loads:
         regs[slot] = value
     per_point: dict[int, np.ndarray] = {}
-    for _, members in program.leaf_groups:
-        arrs = []
-        for name, dims, _, _, slot in members:
-            arr = inputs.get(name)
-            # a float64 array of the declared shape is bound as it is
-            if (type(arr) is not np.ndarray or arr.dtype is not _FLOAT64
-                    or arr.shape != dims):
-                arr = leaf_array(inputs, name, dims, batch)
-                if slot is not None and arr.shape != dims:
-                    if len(batch) > 1:  # the points along one axis
-                        arr = arr.reshape((-1,) + dims)
-                    per_point[slot] = arr
-            arrs.append(arr)
-            if slot is not None:
-                regs[slot] = arr
-        whole = arrs[0] if len(arrs) == 1 else np.concatenate([a.ravel() for a in arrs])
-        if not np.isfinite(whole).all():
-            name = next(m[0] for m, arr in zip(members, arrs)
-                        if not np.isfinite(arr).all())
+    for (_, members), vec in zip(groups, inputs):
+        size = members[-1][3]
+        if type(vec) is not np.ndarray or vec.dtype is not _FLOAT64:
+            vec = real_array(vec, f"the group of input '{members[0][0]}'")
+        shared = vec.shape == (size,)
+        if not shared and (not batch or vec.shape != batch + (size,)):
+            expected = f"{(size,)} or {batch + (size,)}" if batch else f"{(size,)}"
+            raise ShapeMismatch(f"the group of input '{members[0][0]}' expects "
+                                f"shape {expected}, got {vec.shape}")
+        if not np.isfinite(vec).all():
+            name = next(name for name, _, start, stop, _ in members
+                        if not np.isfinite(vec[..., start:stop]).all())
             raise NumericalError(f"non-finite value bound to input '{name}'")
+        if not shared and len(batch) > 1:  # the points along one axis
+            vec = vec.reshape(n, size)
+        lead = () if shared else (n,)
+        for _, dims, start, stop, slot in members:
+            if slot is not None:  # a view of the member's slice
+                regs[slot] = vec[..., start:stop].reshape(lead + dims)
+                if not shared:
+                    per_point[slot] = regs[slot]
     if program.nonfinite_constant is not None:
         raise NumericalError(
             f"non-finite value in constant '{program.nonfinite_constant}'")
@@ -432,7 +476,6 @@ def execute(program: CompiledProgram, inputs: Mapping[str, Any],
     # the batch runs through the plan in chunks of points, all on `regs`: a
     # plan writes each register before it reads it, and it never writes the
     # registers of leaves and constants
-    n = math.prod(batch)
     step = chunk_points(program) if batch else 1  # an unbatched call is one point
     one_chunk = 0 < n <= step
     outs = [] if one_chunk else [np.empty((n,) + dims) for dims in program.output_dims]

@@ -78,13 +78,12 @@ def _execute(batch_shape):
     return runtime.execute(program, _inputs(program), batch_shape=batch_shape)
 
 
-def _privatize(seed):
+def _privatize(seed, bound=1.0, params=PrivacyParams(1.0, 1e-5)):
     program = runtime.compile(_GRAPH)
-    report = SensitivityReport(method="ibp", bound=1.0, interval_low=0.0,
+    report = SensitivityReport(method="ibp", bound=bound, interval_low=0.0,
                                certified=True, argmax=None, wall_time=0.0,
                                fingerprint=program.fingerprint)
-    return privatize(program, _inputs(program), PrivacyParams(1.0, 1e-5), report,
-                     seed=seed)
+    return privatize(program, _inputs(program), params, report, seed=seed)
 
 
 @pytest.mark.parametrize("call,error", [
@@ -105,6 +104,10 @@ def _privatize(seed):
     (lambda: _execute(4), ShapeMismatch),
     (lambda: _privatize(True), InvalidParams),
     (lambda: _privatize(np.bool_(True)), InvalidParams),
+    # sigma would be 0.0, inf and a subnormal 2.57e-322
+    (lambda: _privatize(1, 5e-324, PrivacyParams(50.0, 0.5)), InvalidParams),
+    (lambda: _privatize(1, 1e308, PrivacyParams(0.01, 1e-10)), InvalidParams),
+    (lambda: _privatize(1, 1e-320, PrivacyParams(700.0, 0.9)), InvalidParams),
     (lambda: mean_query(10).ancestors([99]), UnknownNode),
     (lambda: mean_query(10).ancestors([0.5]), UnknownNode),
     (lambda: spectral_norm([]), ShapeMismatch),
@@ -123,7 +126,8 @@ def _privatize(seed):
         "higher-order-0", "higher-order-float", "n-samples-str", "seed-float",
         "seed-bool", "grid-resolution-float", "epsilon-str", "epsilon-bool",
         "cap-str", "batch-negative", "batch-float", "batch-int",
-        "privatize-seed-bool", "privatize-seed-numpy-bool",
+        "privatize-seed-bool", "privatize-seed-numpy-bool", "sigma-zero",
+        "sigma-infinite", "sigma-subnormal",
         "ancestors-out-of-range", "ancestors-float", "spectral-norm-empty",
         "spectral-norm-no-columns", "spectral-norm-3d", "spectral-norm-str",
         "spectral-norm-complex", "spectral-norm-ragged", "freeze-private-input",

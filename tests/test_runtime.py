@@ -13,9 +13,9 @@ from dpgraph import (
     ValidationFailed,
 )
 from dpgraph.autodiff import jacobian
-from dpgraph.graph import LEAF_KINDS, OpKind
+from dpgraph.graph import BCE_CLAMP, LEAF_KINDS, OPS, Bounds, OpKind
 from dpgraph.models import mean_query, mlp_classifier
-from dpgraph import runtime
+from dpgraph import mechanism, runtime
 
 from conftest import random_graph, ref_eval, ref_eval_all, sample_inputs
 
@@ -752,3 +752,143 @@ def test_cache_info_counts_hits_misses_and_size(monkeypatch):
     assert runtime.cache_info() == (3, 6, 3)
     runtime.clear_cache()
     assert runtime.cache_info() == (0, 0, 0)
+
+
+# -- binding by group vectors ---------------------------------------------------
+
+def _vectors(program, inputs, batch):
+    """One flat vector per leaf group, laid out as `LeafGroup.members` says:
+    of shape (size,) when every member is shared, else batch + (size,)."""
+    vectors = []
+    for _, members in program.leaf_groups:
+        values = [np.asarray(inputs[name], dtype=np.float64) for name, *_ in members]
+        if all(v.shape == dims for v, (_, dims, *_) in zip(values, members)):
+            vectors.append(np.concatenate([v.ravel() for v in values]))
+        else:
+            vectors.append(np.concatenate(
+                [np.broadcast_to(v, batch + dims).reshape(batch + (stop - start,))
+                 for v, (_, dims, start, stop, _) in zip(values, members)], axis=-1))
+    return vectors
+
+
+@pytest.mark.parametrize("mode", ["unbatched", "batched", "chunked"])
+def test_group_vectors_bind_as_named_inputs_do(mode, monkeypatch, rng):
+    batch = () if mode == "unbatched" else (2, 3)
+    for _ in range(24):
+        g = random_graph(rng, n_leaves=int(rng.integers(1, 5)))
+        program = runtime.compile(g)
+        if batch:
+            flat, stacked = _stacked(g, rng, 6, wild=False)
+            inputs = {name: v.reshape(batch + v.shape[1:]) if name in stacked else v
+                      for name, v in flat.items()}
+        else:
+            inputs = sample_inputs(g, rng)
+        if mode == "chunked":
+            monkeypatch.setattr(runtime, "BATCH_BYTES", 2 * program.point_bytes)
+            assert runtime.chunk_points(program) == 2  # three chunks of the six points
+        vectors = _vectors(program, inputs, batch)
+        given = [v.copy() for v in vectors]
+        named = runtime.execute(program, inputs, batch_shape=batch)
+        grouped = runtime.execute(program, tuple(vectors), batch_shape=batch)
+        assert [out.shape for out in grouped] == [out.shape for out in named]
+        assert [out.tobytes() for out in grouped] == [out.tobytes() for out in named]
+        for out in grouped:
+            assert not any(np.shares_memory(out, v) for v in vectors)
+        assert all(np.array_equal(v, w) for v, w in zip(vectors, given))
+
+
+def _two_groups():
+    # x and w share the bounds [0, 1], so one vector holds x then w; s is alone
+    b = GraphBuilder()
+    x = b.input("x", (3,), bounds=(0.0, 1.0))
+    s = b.parameter("s", (), bounds=(-1.0, 1.0))
+    w = b.parameter("w", (2,), bounds=(0.0, 1.0))
+    b.output(b.add(b.reduce_sum(x), b.mul(s, b.reduce_sum(w))))
+    return b.graph()
+
+
+def test_group_vectors_are_checked():
+    program = runtime.compile(_two_groups())
+    layout = [[(name, start, stop) for name, _, start, stop, _ in members]
+              for _, members in program.leaf_groups]
+    assert layout == [[("x", 0, 3), ("w", 3, 5)], [("s", 0, 1)]]
+    xw, s = np.full(5, 0.5), np.full(1, 0.5)
+    (out,) = runtime.execute(program, [xw, s])
+    assert out == 1.5 + 0.5 * 1.0
+    with pytest.raises(ShapeMismatch, match="2 group vectors, got 1"):
+        runtime.execute(program, [xw])
+    with pytest.raises(ShapeMismatch, match=r"'x' expects shape \(5,\), got \(4,\)"):
+        runtime.execute(program, [np.zeros(4), s])
+    with pytest.raises(ShapeMismatch, match=r"\(5,\) or \(3, 5\), got \(2, 5\)"):
+        runtime.execute(program, [np.zeros((2, 5)), s], batch_shape=(3,))
+    with pytest.raises(ShapeMismatch, match=r"'s' expects shape \(1,\), got \(3, 1\)"):
+        runtime.execute(program, [xw, np.zeros((3, 1))])  # a batch without batch_shape
+    (stacked,) = runtime.execute(program, [np.zeros((3, 5)), s], batch_shape=(3,))
+    assert stacked.shape == (3,)
+    for at, name in (([4], "w"), ([1, 4], "x"), ([2, 3], "x")):
+        bad = xw.copy()
+        bad[at] = np.nan
+        with pytest.raises(NumericalError, match=f"input '{name}'"):
+            runtime.execute(program, [bad, s])
+        rows = np.tile(xw, (3, 1))
+        rows[2, at] = np.inf
+        with pytest.raises(NumericalError, match=f"input '{name}'"):
+            runtime.execute(program, [rows, s], batch_shape=(3,))
+    with pytest.raises(NumericalError, match="input 's'"):
+        runtime.execute(program, [xw, np.array([np.nan])])
+
+
+# -- kernel bits ----------------------------------------------------------------
+
+def _operand(rng, shape, infinite=False):
+    """Uniform values in [-1.5, 1.5] with -0.0 and 0.0 among them, and with
+    infinite=True ±inf too; a rank-0 operand is a 0-d array."""
+    x = rng.uniform(-1.5, 1.5, shape)
+    specials = [-0.0, 0.0] + ([np.inf, -np.inf] if infinite else [])
+    flat = x.reshape(-1)
+    for i in rng.choice(flat.size, size=min(flat.size, len(specials)), replace=False):
+        flat[i] = specials[int(rng.integers(len(specials)))]
+    return x
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+@pytest.mark.parametrize("dims", [(), (3,), (2, 3)])
+def test_mean_clip_and_bce_kernels_keep_numpys_bits(batch, dims, rng):
+    rank = len(dims)
+    trailing = tuple(range(-rank, 0)) if batch else None  # np.mean's axes
+    mean_axes = [None] + list(range(rank))
+    for _ in range(5):
+        x = _operand(rng, batch + dims)
+        for axis in mean_axes:
+            kernel = OPS[OpKind.MEAN].kernel({"axis": axis, "ranks": (rank,)})
+            want = (np.mean(x, axis=trailing) if axis is None
+                    else np.mean(x, axis=axis - rank, keepdims=True))
+            assert _same_bits(kernel(x), want)
+        zeros = np.full(batch + dims, -0.0)  # np.add.reduce makes their sum 0.0
+        kernel = OPS[OpKind.MEAN].kernel({"axis": None, "ranks": (rank,)})
+        assert _same_bits(kernel(zeros), np.mean(zeros, axis=trailing))
+
+        wild = _operand(rng, batch + dims, infinite=True)
+        for lo, hi in ((-0.75, 0.5), (0.0, 1.0), (-0.0, 0.0)):
+            kernel = OPS[OpKind.CLIP].kernel({"lo": lo, "hi": hi, "ranks": (rank,)})
+            assert _same_bits(kernel(wild), np.clip(wild, lo, hi))
+            bounds = Bounds.make(lo, hi)
+            clipped, fraction = mechanism.clip(wild, bounds)
+            want = np.clip(wild, lo, hi)
+            assert _same_bits(clipped, want)
+            assert fraction == float(np.mean(want != wild))
+        per_element = Bounds.make(np.full(batch + dims, -0.5), np.full(batch + dims, 0.5))
+        clipped, fraction = mechanism.clip(wild, per_element)
+        assert _same_bits(clipped, np.clip(wild, per_element.lo, per_element.hi))
+
+        p = _operand(rng, batch + dims, infinite=True)
+        t = np.abs(_operand(rng, batch + dims)) / 1.5
+        pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        loss = -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
+        kernel = OPS[OpKind.BCE].kernel({"ranks": (rank, rank)})
+        assert _same_bits(kernel(p, t), np.mean(loss, axis=trailing))
