@@ -563,7 +563,12 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
 
 
 class _JacobianObjective:
-    """Spectral norm of the Jacobian as a function of the boxed free tensors."""
+    """Spectral norm of the Jacobian as a function of the boxed free tensors.
+
+    A point lays the leaves end to end in `Graph.leaves` order. Its programs
+    bind each leaf group from one column block of a stack of points: a view
+    when the group's members are a contiguous run of the point, as the one
+    group of every leaf of `mlp_classifier` is, and one gather otherwise."""
 
     def __init__(self, graph: Graph, wrt):
         self.program = runtime.compile(jacobian(graph, wrt).graph)

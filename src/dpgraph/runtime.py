@@ -52,7 +52,7 @@ import threading
 import time
 from collections import OrderedDict, abc
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -399,7 +399,7 @@ def _batch_dims(batch_shape) -> tuple[int, ...]:
     return batch
 
 
-def execute(program: CompiledProgram, inputs,
+def execute(program: CompiledProgram, inputs: Mapping[str, Any] | Sequence[Any],
             batch_shape: tuple[int, ...] = ()) -> list[np.ndarray]:
     """Run a compiled program; returns one array per declared output.
 
@@ -430,18 +430,15 @@ def execute(program: CompiledProgram, inputs,
     intermediate result is scanned. A batched call raises when any of its
     points traps, and the error names a node where one does.
     """
+    batch = _batch_dims(batch_shape)
     groups = program.leaf_groups
     if isinstance(inputs, abc.Mapping):
         if not program.leaf_names.issuperset(inputs):
             unknown = sorted(inputs.keys() - program.leaf_names)[0]
             raise UnknownNode(f"no declared input named {unknown!r}")
-        batch = _batch_dims(batch_shape)
         inputs = [group_vector(inputs, members, batch) for _, members in groups]
-    else:
-        batch = _batch_dims(batch_shape)
-        if len(inputs) != len(groups):
-            raise ShapeMismatch(f"expected {len(groups)} group vectors, "
-                                f"got {len(inputs)}")
+    elif len(inputs) != len(groups):
+        raise ShapeMismatch(f"expected {len(groups)} group vectors, got {len(inputs)}")
 
     n = math.prod(batch)
     regs: list[Any] = [None] * program.n_slots
