@@ -126,11 +126,10 @@ def _scrambled(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return scrambled, shift
 
 
-def sobol(d: int, n: int, seed: int) -> np.ndarray:
-    """The first n points of the scrambled Sobol' sequence in [0, 1)^d, as a
-    (n, d) float64 array equal to `qmc.Sobol(d, scramble=True,
-    seed=seed).random(n)`. Point k is the shift XOR the scrambled direction
-    numbers at the set bits of its Gray code k ^ (k >> 1)."""
+def sobol_integers(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the scrambled Sobol' sequence as a (n, d) uint32
+    array of BITS-bit integers; point k is the shift XOR the scrambled
+    direction numbers at the set bits of its Gray code k ^ (k >> 1)."""
     direction, shift = _scrambled(d, seed)
     points = np.empty((n, d), dtype=np.uint32)
     points[:1] = shift
@@ -140,4 +139,11 @@ def sobol(d: int, n: int, seed: int) -> np.ndarray:
         count = min(size, n - size)
         points[size:size + count] = points[size - 1::-1][:count] ^ direction[:, bit]
         size, bit = 2 * size, bit + 1
-    return points * 2.0 ** -BITS
+    return points
+
+
+def sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the scrambled Sobol' sequence in [0, 1)^d, as a
+    (n, d) float64 array equal to `qmc.Sobol(d, scramble=True,
+    seed=seed).random(n)`: `sobol_integers` times 2^-BITS."""
+    return sobol_integers(d, n, seed) * 2.0 ** -BITS

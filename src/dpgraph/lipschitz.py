@@ -42,11 +42,15 @@ lands on its own point leaves the line search at once and stops climbing:
 every shorter step lands there too, so the remaining halvings of its 30
 would evaluate nothing.
 
-A point's bytes are its only key. `_Recorder` evaluates each distinct point
-once, and the Jacobian objective keeps the top singular vectors of J at
-every feasible point it evaluates. The ascent asks for gradients only at
-such points, so a gradient runs only the vector-Jacobian product and never
-J. The grid oracle, which takes no gradients, bypasses the memo.
+A point's bytes are its only key, and `_Recorder` is the one memo: it keys
+each distinct point once and keeps under that key the point's value and
+what the objective's values carried for it (`_Kept`), which for the
+Jacobian objective is the top singular vectors of J there. The ascent hands
+each gradient call the vectors of its points, so a gradient runs only the
+vector-Jacobian product and never J. The grid oracle, which takes no
+gradients, bypasses the memo. When the optimized Jacobian graph's output is
+a Constant, as on every mean or sum query, J is decomposed once and its
+triple serves every point, with no execute.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from .errors import (
     ShapeMismatch,
     ValidationFailed,
 )
-from .graph import Diagnostic, Graph, _count
+from .graph import Diagnostic, Graph, OpKind, _count
 from .interval import ibp_bound
 from .report import SensitivityReport
 from . import _sobol, runtime
@@ -190,47 +194,83 @@ class MaximizeResult(NamedTuple):
 # global maximization
 
 
+class _Kept(np.ndarray):
+    """An array that carries `kept`, a list of one item per row: on the
+    values an objective returns, what to keep beside each point's value; on
+    the stack a gradient is asked for, what was kept at each of its points.
+    Any other array has no `kept`."""
+
+    kept: list | None = None
+
+
+def _keeping(array: np.ndarray, kept: list) -> np.ndarray:
+    """A view of `array` that carries `kept`."""
+    view = array.view(_Kept)
+    view.kept = kept
+    return view
+
+
 class _Recorder:
-    """Wraps a stacked objective: evaluates each distinct point once, keyed
-    by the point's own bytes, and tracks the best feasible value in the
-    order the points were first evaluated."""
+    """Wraps a stacked objective as the one memo of a maximization: each
+    distinct point is evaluated once and keyed once, by its own bytes, and
+    the key holds the point's value and the item that the objective's values
+    carried for it as `kept` (None when they carried none). Tracks the best
+    feasible value in the order the points were first evaluated."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
-        self.values: dict[bytes, float] = {}
+        self.memo: dict[bytes, tuple[float, object]] = {}
+        self.keeps = False  # whether fn's values have carried `kept`
         self.best_value = -np.inf
         self.best_point: np.ndarray | None = None
 
     @property
     def count(self) -> int:
-        return len(self.values)
+        return len(self.memo)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Values at the rows of a (k, d) stack; only the first copy of each
-        unseen row reaches fn."""
+        """Values at the rows of a (k, d) stack."""
+        memo = self.memo
+        return np.array([memo[key][0] for key in self._record(points)])
+
+    def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, list]:
+        """Values at the rows of a (k, d) stack, and the item kept at each."""
+        found = [self.memo[key] for key in self._record(points)]
+        return np.array([value for value, _ in found]), [item for _, item in found]
+
+    def _record(self, points: np.ndarray) -> list[bytes]:
+        """The keys of a stack's rows, after the first copy of each unseen row
+        has been evaluated; a stack whose rows are all unseen and distinct
+        reaches fn as it is."""
         keys = [p.tobytes() for p in points]
         fresh: dict[bytes, int] = {}
         for i, key in enumerate(keys):
-            if key not in self.values:
+            if key not in self.memo:
                 fresh.setdefault(key, i)
         if fresh:
             rows = list(fresh.values())
-            for key, i, value in zip(fresh, rows, self._evaluate(points[rows])):
-                self.values[key] = value
+            values, kept = self._evaluate(points if len(rows) == len(points)
+                                          else points[rows])
+            for key, i, value, item in zip(fresh, rows, values, kept):
+                self.memo[key] = value, item
                 if value > self.best_value:
                     self.best_value = value
                     self.best_point = np.array(points[i])
-        return np.array([self.values[key] for key in keys])
+        return keys
 
-    def _evaluate(self, points: np.ndarray) -> np.ndarray:
+    def _evaluate(self, points: np.ndarray) -> tuple[np.ndarray, list]:
         values = np.full(len(points), -np.inf)  # a point that traps stays -inf
+        kept: list = [None] * len(points)
 
         def run(start, stop):
-            values[start:stop] = np.asarray(
-                self.fn(points[start:stop]), dtype=np.float64).reshape(stop - start)
+            out = self.fn(points[start:stop])
+            values[start:stop] = np.asarray(out, dtype=np.float64).reshape(stop - start)
+            if getattr(out, "kept", None) is not None:
+                self.keeps = True
+                kept[start:stop] = out.kept
 
         _halving(run, 0, len(points))
-        return np.where(np.isnan(values), -np.inf, values)
+        return np.where(np.isnan(values), -np.inf, values), kept
 
 
 def _halving(run, start: int, stop: int) -> dict[int, Exception]:
@@ -286,9 +326,11 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
     at once and, having found no better point, stops climbing: a halved step
     rounds and projects back onto the point again (halving is exact and
     rounding monotone), so the 30 halvings would evaluate nothing more.
+    When the objective keeps items (`_Kept`), each start carries its point's
+    item, and the stack a gradient is asked for carries them.
     Returns the final points and their values."""
     x = np.clip(starts, lo, hi)
-    fx = f(x)
+    fx, kept = f.evaluate(x)
     width = float(np.max(hi - lo))
     step = np.full(len(x), 0.25 * width or 1.0)
     flat_streak = np.zeros(len(x), dtype=int)
@@ -296,7 +338,10 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
     for _ in range(MAX_REFINE_ITERS):
         if climbing.size == 0:
             break
-        g = np.asarray(gradient(x[climbing]), dtype=np.float64)
+        at_points = x[climbing]
+        if f.keeps:
+            at_points = _keeping(at_points, [kept[i] for i in climbing])
+        g = np.asarray(gradient(at_points), dtype=np.float64)
         norm_g = _row_norms(g)
         moves = (norm_g != 0.0) & np.isfinite(norm_g)
         climbing = climbing[moves]
@@ -313,11 +358,14 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
             moved = np.any(cand != x[at], axis=1)
             fc = np.full(len(rows), -np.inf)  # a candidate that did not move
             if moved.any():
-                fc[moved] = f(cand[moved])
+                fc[moved], found = f.evaluate(cand[moved])
             better = fc > fx[at]
             won = at[better]
             gain = fc[better] - fx[won]
             x[won], fx[won] = cand[better], fc[better]
+            # a winner moved, so its item is at its rank among the moved
+            for i, j in zip(won, np.cumsum(moved)[better] - 1):
+                kept[i] = found[j]
             step[won] = np.minimum(s[rows[better]] * 2.0, width)
             flat = gain <= VALUE_TOL * (1.0 + np.abs(fx[won]))
             flat_streak[won] = np.where(flat, flat_streak[won] + 1, 0)
@@ -335,24 +383,41 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
 
 
-def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Phase B's points, each once and in lexicographic row order, and the
-    mask of phase A's points among them. Both phases come from one scrambled
-    Sobol draw of 2n points, n = config.n_samples: A takes the first n, B all
-    2n, and both the midpoint and the corners, which are drawn once."""
+def _sample_points(lo, hi, config: OptimizerConfig
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase B's points, each once and in lexicographic row order, the mask
+    of phase A's points among them, and a spare (m, d) buffer, m at least
+    the number of points, that nothing else holds. Both phases come from one
+    scrambled Sobol draw of 2n points, n = config.n_samples: A takes the
+    first n, B all 2n, and both the midpoint and the corners, which are
+    drawn once.
+
+    Every row is written into the one buffer that the gather of the
+    distinct rows leaves spare: A's Sobol' rows, the midpoint and the
+    corners first, so that the first copy of a point is A's whenever A has
+    one, then B's other Sobol' rows. A Sobol' row is its integer point times
+    2^-BITS, times hi - lo, plus lo: the bits of lo + unit * (hi - lo)."""
     d, n = lo.size, config.n_samples
-    unit = _sobol.sobol(d, 2 * n, config.seed)
-    if 2 ** d <= MAX_CORNER_SAMPLES:
-        corners = np.array(list(itertools.product(*zip(lo, hi))))
+    few = 2 ** d <= MAX_CORNER_SAMPLES
+    n_corners = 2 ** d if few else MAX_CORNER_SAMPLES
+    end_a = n + 1 + n_corners
+    rows = np.empty((end_a + n, d))
+    integers = _sobol.sobol_integers(d, 2 * n, config.seed)
+    for part, points in ((rows[:n], integers[:n]), (rows[end_a:], integers[n:])):
+        np.multiply(points, 2.0 ** -_sobol.BITS, out=part)
+        part *= hi - lo
+        part += lo
+    del integers
+    rows[n] = (lo + hi) / 2.0
+    corners = rows[n + 1:end_a]
+    if few:
+        corners[:] = list(itertools.product(*zip(lo, hi)))
     else:
         rng = np.random.default_rng(config.seed + 1)
-        corners = np.where(rng.integers(0, 2, size=(MAX_CORNER_SAMPLES, d)) == 0, lo, hi)
-    sobol = lo + unit * (hi - lo)
-    # phase A's rows come first, so that the first copy of a point is A's
-    # whenever A has one
-    rows = np.concatenate([sobol[:n], (lo + hi)[None, :] / 2.0, corners, sobol[n:]])
+        np.copyto(corners, hi)
+        np.copyto(corners, lo, where=rng.integers(0, 2, size=corners.shape) == 0)
     first = _unique_rows(rows)
-    return rows[first], first < n + 1 + len(corners)
+    return rows[first], first < end_a, rows
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -481,7 +546,9 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     gradients; otherwise central differences are taken, with the rows of
     one gradient call in one objective call (one per `runtime.BATCH_BYTES`
     of rows at high dimension). A single point arrives as a stack of one.
-    Each distinct point is evaluated once, remembered by its bytes. The
+    Each distinct point is evaluated once, remembered by its bytes; values
+    that carry `kept` (`_Kept`) have each row's item remembered with it, and
+    a gradient is asked for on a stack that carries its points' items. The
     second sampling phase contains the first, so both are evaluated, first
     phase first, and then the distinct union of their starts ascends once,
     in lockstep (see `_ascend`); each phase reads its stationary values at
@@ -516,17 +583,22 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     if gradient is None:
         gradient = lambda xs: _fd_gradient(f, xs, lo, hi)
 
-    pts_b, in_a = _sample_points(lo, hi, config)
+    pts_b, in_a, spare = _sample_points(lo, hi, config)
     # phase A's rows are evaluated first: the best value keeps the first of
-    # equal values, and on a mean query every value is equal
+    # equal values, and on a mean query every value is equal. Both phases'
+    # rows are gathered into the sampler's spare buffer, A's first (mode
+    # "clip" writes there directly; the indices are in range)
+    order = np.argsort(~in_a, kind="stable")
+    stack = np.take(pts_b, order, axis=0, out=spare[:len(pts_b)], mode="clip")
+    n_a = int(np.count_nonzero(in_a))
     vals_b = np.empty(len(pts_b))
-    vals_b[in_a] = f(pts_b[in_a])
-    vals_b[~in_a] = f(pts_b[~in_a])
+    vals_b[order[:n_a]] = f(stack[:n_a])
+    vals_b[order[n_a:]] = f(stack[n_a:])
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
-    # neighbours are nearest in the box scaled to the unit cube, scaled in
-    # place: the objective's memo holds a vector per point by now
-    unit = pts_b - lo
+    # neighbours are nearest in the box scaled to the unit cube, written over
+    # the evaluated stack
+    unit = np.subtract(pts_b, lo, out=stack)
     unit /= np.maximum(hi - lo, 1e-30)
     starts_b, starts_a = _stars(unit, vals_b, in_a)
     union = np.concatenate([starts_a, starts_b[~np.isin(starts_b, starts_a)]])
@@ -568,7 +640,12 @@ class _JacobianObjective:
     A point lays the leaves end to end in `Graph.leaves` order. Its programs
     bind each leaf group from one column block of a stack of points: a view
     when the group's members are a contiguous run of the point, as the one
-    group of every leaf of `mlp_classifier` is, and one gather otherwise."""
+    group of every leaf of `mlp_classifier` is, and one gather otherwise.
+    The objective remembers no point: its values carry the top singular
+    vectors of J at each point as `kept`, which a `_Recorder` keeps under
+    the point's key and `gradient` reads from the stack it is given. When
+    the optimized Jacobian graph's output is a Constant, its triple is
+    decomposed once and serves every point."""
 
     def __init__(self, graph: Graph, wrt):
         self.program = runtime.compile(jacobian(graph, wrt).graph)
@@ -593,9 +670,12 @@ class _JacobianObjective:
         self._columns = self._group_columns(self.program)
         self._grad_program = None
         self._grad_columns: list = []
-        # the bytes of each feasible point evaluated -> the top singular
-        # vectors (u, w) of J there
-        self._vectors: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        # (sigma, u, w) of J when it is the same Constant at every point
+        self._constant = None
+        out = g.nodes[g.outputs[0]]
+        if out.kind is OpKind.CONSTANT:
+            matrix = np.reshape(out.attrs["value"], self.program.output_dims[0])
+            self._constant = tuple(a[0] for a in spectral_norms_with_vectors(matrix[None]))
 
     @property
     def dim(self) -> int:
@@ -630,23 +710,30 @@ class _JacobianObjective:
         evaluated. A point of shape (d,) is a stack of one and gets a float.
 
         The stack is evaluated by one batched execute and one stacked
-        spectral norm; the top singular vectors of J at its feasible points
-        are kept for `gradient`.
+        spectral norm. The values carry the top singular vectors (u, w) of J
+        at each point as `kept`, for `gradient`.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
             return float(self(v[None, :])[0])
-        values, u, w = self._triples(v)
-        for i in np.flatnonzero(np.isfinite(values)):
-            self._vectors[v[i].tobytes()] = u[i], w[i]
-        return values
+        sigmas, us, ws = self._triples(v)
+        return _keeping(sigmas, list(zip(us, ws)))
+
+    def _sigmas(self, stack: np.ndarray) -> np.ndarray:
+        """sigma_max(J) at each point of a stack, with no vectors kept."""
+        return self._triples(stack)[0]
 
     def _triples(self, stack: np.ndarray):
         """(sigma, u, w) of J at each point of a stack. A point that traps is
         -inf with zero vectors; `_halving` evaluates the points around it
-        without it."""
+        without it. A constant J traps only at a point with NaN or Inf, as
+        `runtime.execute` would, and is -inf everywhere when it holds one."""
         k = len(stack)
         rows, cols = self.program.output_dims[0]
+        if self._constant is not None:
+            sigma, u, w = self._constant
+            sigmas = np.where(np.isfinite(stack).all(axis=1), sigma, -np.inf)
+            return sigmas, np.broadcast_to(u, (k, rows)), np.broadcast_to(w, (k, cols))
         sigmas, us, ws = np.full(k, -np.inf), np.zeros((k, rows)), np.zeros((k, cols))
 
         def run(start, stop):
@@ -671,25 +758,29 @@ class _JacobianObjective:
         simple; where it is repeated, the result is the derivative along
         the singular pair that the decomposition returned.
 
-        Precondition: the objective has evaluated every point of the stack
-        and found it feasible, as `_ascend` asks only at points whose
-        recorded value is finite. The singular vectors `__call__` kept
-        there, found by the point's bytes, seed the cotangent, so only the
-        vector-Jacobian product program runs, in one batched execute.
-        Nothing else is remembered: a gradient asked for twice is computed
-        twice. A point where the graph gradient cannot be evaluated falls
-        back to finite differences alone.
+        The singular vectors seed the cotangent. `_ascend` asks only at
+        points whose recorded value is finite, on a stack that carries the
+        vectors `__call__` gave there as `kept`, so only the vector-Jacobian
+        product program runs, in one batched execute; a stack without them
+        has its triples found first. Nothing is remembered: a gradient asked
+        for twice is computed twice. A point where the graph gradient cannot
+        be evaluated falls back to finite differences alone, whose probes
+        are no points of the search and keep nothing.
         """
+        if np.ndim(v) == 1:
+            return self.gradient(np.asarray(v, dtype=np.float64)[None, :])[0]
+        kept = getattr(v, "kept", None)
         v = np.asarray(v, dtype=np.float64)
-        if v.ndim == 1:
-            return self.gradient(v[None, :])[0]
         if self._grad_program is None:
             g = self.program.optimized_graph
             grad_graph, _ = vjp(g, [g.find(name) for name, *_ in self._slices])
             self._grad_program = runtime.compile(grad_graph)
             self._grad_columns = self._group_columns(self._grad_program)
         k = len(v)
-        u, w = map(np.array, zip(*[self._vectors[point.tobytes()] for point in v]))
+        if kept is None:
+            u, w = self._triples(v)[1:]
+        else:
+            u, w = map(np.array, zip(*kept))
         # the cotangent u w^T of each point, as its (k, R*C) vector
         cotangents = (u[:, :, None] * w[:, None, :]).reshape(k, -1)
         grads = np.empty((k, self.dim))
@@ -706,7 +797,7 @@ class _JacobianObjective:
         for i, err in sorted(_halving(run, 0, k).items()):
             _log.warning("sigma_max gradient falls back to finite differences "
                          "at a point of the box: %s", err)
-            grads[i] = _fd_gradient(self, v[i:i + 1], self.lo, self.hi)[0]
+            grads[i] = _fd_gradient(self._sigmas, v[i:i + 1], self.lo, self.hi)[0]
         return grads
 
 
@@ -770,7 +861,7 @@ def _grid_maximize(objective: _JacobianObjective,
     best_val, best_pt = -np.inf, None
     for chunk in _grid_chunks(objective.lo, objective.hi, config.grid_resolution,
                               runtime.chunk_points(objective.program)):
-        vals = objective._triples(chunk)[0]
+        vals = objective._sigmas(chunk)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_pt = vals[i], chunk[i]

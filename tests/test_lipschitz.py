@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -595,10 +596,15 @@ def test_gradient_matches_central_differences(graph):
         _assert_matches_central_differences(obj, v, obj.gradient(v))
 
 
+def _recorded_gradient(f: _Recorder, points: np.ndarray) -> np.ndarray:
+    """The gradient of f's objective at points f evaluated, asked for as the
+    ascent asks: on a stack that carries the items f kept there."""
+    return f.fn.gradient(lipschitz._keeping(points, f.evaluate(points)[1]))
+
+
 def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
     g = mlp_classifier(2)
     obj = _JacobianObjective(g, [g.find("x")])
-    obj(np.zeros(obj.dim))
     obj.gradient(np.zeros(obj.dim))  # builds the vjp program
     programs = []
     execute = runtime.execute
@@ -606,15 +612,18 @@ def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
                         programs.append(p) or execute(p, inputs, **kwargs))
     rng = np.random.default_rng(8)
     stack = rng.uniform(obj.lo, obj.hi, (5, obj.dim))
-    obj(stack)
+    f = _Recorder(obj)
+    f(stack)
     assert programs == [obj.program]
-    at_stack = obj.gradient(stack[[3, 1]])
+    at_stack = _recorded_gradient(f, stack[[3, 1]])
     assert programs == [obj.program, obj._grad_program]
 
     # the singular vectors of a point have the same bits in any stack
-    fresh = _JacobianObjective(g, [g.find("x")])
+    fresh = _Recorder(_JacobianObjective(g, [g.find("x")]))
     fresh(stack[[3, 1]])
-    np.testing.assert_array_equal(at_stack, fresh.gradient(stack[[3, 1]]))
+    np.testing.assert_array_equal(at_stack, _recorded_gradient(fresh, stack[[3, 1]]))
+    # and a stack that carries none has them found first, to the same bits
+    np.testing.assert_array_equal(at_stack, fresh.fn.gradient(stack[[3, 1]]))
     for v, grad in zip(stack[[3, 1]], at_stack):
         _assert_matches_central_differences(obj, v, grad)
 
@@ -800,7 +809,7 @@ def test_phases_share_one_sobol_draw():
     hi = np.array([1.0, 3.0, 2.5, -1.0, 0.75, 4.0, 2.0])
     assert 2 ** lo.size > lipschitz.MAX_CORNER_SAMPLES  # corners drawn at random
     cfg = OptimizerConfig(n_samples=16)
-    phase_b, in_a = _sample_points(lo, hi, cfg)
+    phase_b, in_a, _ = _sample_points(lo, hi, cfg)
     phase_a = phase_b[in_a]
 
     def rows(points):
@@ -850,8 +859,15 @@ def test_a_point_whose_gradient_traps_falls_back_alone(monkeypatch, caplog):
         return execute(program, inputs, **kwargs)
 
     monkeypatch.setattr(runtime, "execute", vjp_traps_at_one_and_a_half)
+    # the probes of the finite differences are no points of the search, so
+    # they are evaluated without the values that a recorder would keep
+    calls = []
+    objective = _JacobianObjective.__call__
+    monkeypatch.setattr(_JacobianObjective, "__call__",
+                        lambda self, v: calls.append(len(v)) or objective(self, v))
     with caplog.at_level(logging.WARNING, logger="dpgraph"):
         grads = obj.gradient(stack)
+    assert calls == []
     assert grads[[0, 2]].tobytes() == alone.tobytes()
     assert grads[1, 0] == pytest.approx(1 / 1.5, rel=1e-5)  # |log x + 1|' by differences
     assert len(caplog.records) == 1
@@ -912,12 +928,12 @@ def _assert_lockstep_equals_one_start_at_a_time(objective, gradient, starts, lo,
         xi, fxi = _ascend(alone, alone_gradient, start[None, :], lo, hi)
         assert xi[0].tobytes() == x[i].tobytes()
         assert fxi[0].tobytes() == fx[i].tobytes()
-        visited |= set(alone.values)
+        visited |= set(alone.memo)
         reference, reference_gradient = _recorder(objective, gradient, lo, hi)
         xr, fxr = _ascend_one_point(reference, reference_gradient, start, lo, hi)
         assert xr.tobytes() == x[i].tobytes() and fxr == fx[i]
-        assert set(reference.values) == set(alone.values)
-    assert set(together.values) == visited
+        assert set(reference.memo) == set(alone.memo)
+    assert set(together.memo) == visited
     return x, fx
 
 
@@ -1027,7 +1043,7 @@ def test_ascent_keys_a_start_that_the_clip_moved_by_its_new_bytes():
     starts = np.array([[-0.0, 0.5], [0.0, 0.25]])
     f, gradient = _recorder(objective, None, lo, hi)
     _ascend(f, gradient, starts, lo, hi)
-    assert set(f.values) == {np.array(p).tobytes() for p in evaluated}
+    assert set(f.memo) == {np.array(p).tobytes() for p in evaluated}
 
 
 def test_global_opt_takes_one_gradient_call_per_iteration(monkeypatch):
@@ -1096,7 +1112,7 @@ def test_stacked_finite_differences_equal_a_per_point_loop(pairs_per_call, monke
     per_point = _Recorder(objective)
     want = np.array([_fd_one_point_at_a_time(per_point, p, lo, hi) for p in points])
     assert got.tobytes() == want.tobytes()
-    assert list(stacked.values) == list(per_point.values)
+    assert list(stacked.memo) == list(per_point.memo)
     assert got[2, 0] == 0.0 and got[0, 0] != 0.0
     assert not got[:, 3].any()  # the zero-width coordinate is skipped
 
@@ -1233,7 +1249,7 @@ def test_global_opt_starts_equal_values_at_the_first_feasible_points(monkeypatch
         return np.where(v[:, 0] > 0.9, np.nan, 2.0)
 
     global_maximize(objective, (lo, hi))
-    pts, in_a = _sample_points(lo, hi, OptimizerConfig())
+    pts, in_a, _ = _sample_points(lo, hi, OptimizerConfig())
     feasible = pts[:, 0] <= 0.9
     first_a = np.flatnonzero(feasible & in_a)[:lipschitz.MAX_STARTS]
     first_b = np.flatnonzero(feasible)[:lipschitz.MAX_STARTS]
@@ -1244,7 +1260,7 @@ def test_global_opt_starts_equal_values_at_the_first_feasible_points(monkeypatch
 @pytest.mark.parametrize("finite", [True, False])
 def test_stars_of_a_zero_width_box_take_no_neighbours(finite):
     lo = hi = np.array([0.5, -2.0])
-    pts, in_a = _sample_points(lo, hi, OptimizerConfig())
+    pts, in_a, _ = _sample_points(lo, hi, OptimizerConfig())
     assert len(pts) == 1 and in_a.tolist() == [True]
     vals = np.array([1.0 if finite else -np.inf])
     got, want = _stars_of_both_phases(np.zeros((1, 2)), vals, in_a)
@@ -1341,12 +1357,23 @@ def test_global_opt_asks_gradients_only_at_evaluated_points(graph, monkeypatch):
     asked = []
     gradient = _JacobianObjective.gradient
 
+    recorders = []
+
+    class Recorder(_Recorder):
+        def __init__(self, fn):
+            super().__init__(fn)
+            recorders.append(self)
+
     def checked(self, v):
         stack = np.atleast_2d(v)
-        assert all(p.tobytes() in self._vectors for p in stack)
+        (f,) = recorders
+        assert all(np.isfinite(f.memo[p.tobytes()][0]) for p in stack)
+        # the stack carries the singular vectors kept at its points
+        assert [id(item) for item in v.kept] == [id(f.memo[p.tobytes()][1]) for p in stack]
         asked.append(len(stack))
         return gradient(self, v)
 
+    monkeypatch.setattr(lipschitz, "_Recorder", Recorder)
     monkeypatch.setattr(_JacobianObjective, "gradient", checked)
     estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
     assert asked
@@ -1395,3 +1422,77 @@ def test_global_opt_runs_on_one_core():
     estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
     cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     assert cpu <= 1.25 * wall + 0.05
+
+
+# -- a Jacobian that is one Constant ----------------------------------------------
+
+def _infinite_slope():
+    b = GraphBuilder()
+    x = b.input("x", (1, 1), bounds=(0.0, 1.0))
+    b.output(b.mul(b.constant(np.full((1, 1), np.inf)), x))
+    return b.graph()
+
+
+def test_a_non_finite_constant_jacobian_is_infeasible_everywhere():
+    g = _infinite_slope()
+    obj = _JacobianObjective(g, [g.find("x")])
+    assert obj._constant is not None and obj._constant[0] == -np.inf
+    with pytest.raises(OptimizerFailure):
+        estimate_sensitivity(g, method="global_opt")
+
+
+@pytest.mark.parametrize("graph", [mean_query(5), _infinite_slope()], ids=["mean5", "inf"])
+def test_a_constant_jacobian_has_the_bits_of_the_executed_one(graph):
+    obj = _JacobianObjective(graph, [graph.find("x")])
+    assert obj._constant is not None
+    rng = np.random.default_rng(4)
+    stack = rng.uniform(obj.lo, obj.hi, (7, obj.dim))
+    stack[2, 0], stack[4, -1], stack[5, 0] = np.nan, np.inf, -np.inf
+    got = obj._triples(stack)
+    assert got[0][[2, 4, 5]].tolist() == [-np.inf] * 3  # as execute traps there
+    finite = [0, 1, 3, 6]
+    # each finite row: the triple of J executed and decomposed at the point alone
+    obj._constant = None
+    for i in finite:
+        want = obj._triples(stack[i:i + 1])
+        for a, b in zip(got, want):
+            assert a[i].tobytes() == b[0].tobytes()
+    # and the bits of the whole stack executed at once
+    executed = obj._triples(stack)
+    assert got[0].tobytes() == executed[0].tobytes()
+
+
+def test_a_constant_jacobian_is_never_executed(monkeypatch):
+    g = mean_query(100)
+    obj = _JacobianObjective(g, [g.find("x")])
+    programs = []
+    execute = runtime.execute
+    monkeypatch.setattr(runtime, "execute", lambda p, inputs, **kwargs:
+                        programs.append(p) or execute(p, inputs, **kwargs))
+    result = global_maximize(obj, (obj.lo, obj.hi), gradient=obj.gradient)
+    assert result.n_evaluations == 321 and result.value == pytest.approx(0.1, rel=1e-12)
+    # only the gradient's vector-Jacobian product runs
+    assert programs and all(p is obj._grad_program for p in programs)
+
+
+def test_sampling_leaves_a_spare_buffer_for_the_unit_cube():
+    lo, hi = np.full(40, -1.0), np.full(40, 3.0)
+    pts, in_a, spare = _sample_points(lo, hi, OptimizerConfig())
+    assert spare.shape[0] >= len(pts) and spare.shape[1] == pts.shape[1]
+    assert spare.flags.c_contiguous and not np.shares_memory(spare, pts)
+
+
+def test_global_opt_on_a_wide_box_holds_few_copies_of_its_samples():
+    # mean_query(10^4) evaluates 321 points of 10^4 coordinates: one float64
+    # stack of them is 25.7 MB, and the search peaks under 4.5 of them
+    g = mean_query(10_000)
+    estimate_sensitivity(g, method="global_opt")  # compiled outside the measure
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = estimate_sensitivity(g, method="global_opt")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.n_evaluations == 321
+    assert peak <= 4.5 * 8 * 321 * 10_000
