@@ -1356,7 +1356,6 @@ def test_global_opt_digests_each_point_once(graph, points, monkeypatch):
 def test_global_opt_asks_gradients_only_at_evaluated_points(graph, monkeypatch):
     asked = []
     gradient = _JacobianObjective.gradient
-
     recorders = []
 
     class Recorder(_Recorder):
