@@ -1,13 +1,16 @@
-"""Scrambled Sobol' points, bit for bit those of scipy's
-`qmc.Sobol(d, scramble=True, seed=seed).random(n)`, without importing
-`scipy.stats`.
+"""Digitally shifted Sobol' points, without importing `scipy.stats`: the
+points of scipy's `qmc.Sobol(d, scramble=False).random(n)`, bit for bit,
+each XOR one random BITS-bit word per dimension.
 
 The direction numbers come from Joe & Kuo's (2008) table of primitive
 polynomials and initial direction numbers, which scipy ships as a data file
-beside its Sobol' engine. The scramble is Matoušek's (1998) linear matrix
-scramble followed by a digital shift, drawn from `np.random.default_rng(seed)`
-exactly as scipy draws them. The points follow the Gray-code order of
-Antonov & Saleev (1979), with 30 bits, as scipy's do.
+beside its Sobol' engine. The points follow the Gray-code order of Antonov &
+Saleev (1979), with 30 bits, as scipy's do. The shift is d words drawn from
+`np.random.default_rng(seed)`. A random digital shift keeps the net's
+structure: every elementary interval holds as many points as before
+(Matoušek 1998; Owen 1995). It forgoes the variance reduction of a full
+scramble, which an integral would want and the ascent's starts do not, and
+a second seed is a second, independent draw at the cost of d words.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ def max_dimension() -> int:
     return len(_joe_kuo()[0])
 
 
-# the unscrambled direction numbers of the largest d computed so far, a pure
+# the direction numbers of the largest d computed so far, a pure
 # function of d; any smaller d takes a prefix of them
 _table = np.zeros((0, BITS), dtype=np.uint32)
 
 
 def _direction_numbers(d: int) -> np.ndarray:
-    """The (d, BITS) unscrambled direction numbers, column j scaled by
+    """The (d, BITS) direction numbers, column j scaled by
     2^(BITS - 1 - j) (Bratley & Fox 1988, recurrence on page 90)."""
     global _table
     if d <= len(_table):
@@ -78,61 +81,14 @@ def _direction_numbers(d: int) -> np.ndarray:
     return v
 
 
-# dimensions whose scramble matrices are drawn and packed at a time
-_SCRAMBLE_CHUNK = 256
-
-
-def _coin_flips(bit_generator, count: int) -> np.ndarray:
-    """The next `count` (even) values of `Generator.integers(2, dtype=uint32)`
-    on this bit generator, as uint32, from half as many raw 64-bit words.
-
-    That call takes one 32-bit word per value, the low half of a 64-bit
-    output and then its high half, and returns the word's top bit (Lemire's
-    method with a range of 2 never rejects). The words are read as
-    little-endian, whatever the machine's byte order, so that each one's low
-    half comes first."""
-    words = bit_generator.random_raw(count // 2).astype("<u8", copy=False)
-    return words.view("<u4") >> np.uint32(31)
-
-
-def _scrambled(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (d, BITS) scrambled direction numbers and the (d,) digital shift.
-
-    They come from scipy's draws, in scipy's order, bit for bit: the shift's
-    (d, BITS) bits, then each dimension's BITS x BITS lower-triangular matrix
-    L, row by row. The matrices are read from the generator's raw words a
-    chunk of dimensions at a time, so the (d, BITS, BITS) bits are never held
-    at once."""
-    bit_generator = np.random.default_rng(seed).bit_generator
-    shift_bits = _coin_flips(bit_generator, d * BITS).reshape(d, BITS)
-    shift = np.bitwise_or.reduce(shift_bits << np.arange(BITS, dtype=np.uint32), axis=1)
-    # column c of each L, with a unit diagonal, packed into one word whose bit
-    # BITS - 1 - p is L[p, c]
-    diagonal = np.uint32(1) << np.arange(BITS - 1, -1, -1, dtype=np.uint32)
-    columns = np.empty((d, BITS), dtype=np.uint32)
-    for start in range(0, d, _SCRAMBLE_CHUNK):
-        stop = min(start + _SCRAMBLE_CHUNK, d)
-        lower = _coin_flips(bit_generator, (stop - start) * BITS * BITS)
-        columns[start:stop] = np.einsum(
-            "dpc,p->dc", lower.reshape(stop - start, BITS, BITS), diagonal)
-    columns = (columns & (2 * diagonal - 1)) | diagonal
-    # L times each direction number over GF(2): bit BITS - 1 - c of a number
-    # selects column c
-    direction = _direction_numbers(d)
-    scrambled = np.zeros((d, BITS), dtype=np.uint32)
-    for i in range(BITS):
-        bit = (direction >> np.uint32(BITS - 1 - i)) & np.uint32(1)
-        scrambled ^= bit * columns[:, i, None]
-    return scrambled, shift
-
-
 def sobol_integers(d: int, n: int, seed: int) -> np.ndarray:
-    """The first n points of the scrambled Sobol' sequence as a (n, d) uint32
-    array of BITS-bit integers; point k is the shift XOR the scrambled
-    direction numbers at the set bits of its Gray code k ^ (k >> 1)."""
-    direction, shift = _scrambled(d, seed)
+    """The first n points of the shifted Sobol' sequence as a (n, d) uint32
+    array of BITS-bit integers; point k is the shift XOR the direction
+    numbers at the set bits of its Gray code k ^ (k >> 1)."""
+    direction = _direction_numbers(d)
     points = np.empty((n, d), dtype=np.uint32)
-    points[:1] = shift
+    points[:1] = np.random.default_rng(seed).integers(0, 1 << BITS, size=d,
+                                                      dtype=np.uint32)
     # the Gray codes of size .. 2 size - 1 are size | those of size - 1 .. 0
     size, bit = 1, 0
     while size < n:
@@ -143,7 +99,6 @@ def sobol_integers(d: int, n: int, seed: int) -> np.ndarray:
 
 
 def sobol(d: int, n: int, seed: int) -> np.ndarray:
-    """The first n points of the scrambled Sobol' sequence in [0, 1)^d, as a
-    (n, d) float64 array equal to `qmc.Sobol(d, scramble=True,
-    seed=seed).random(n)`: `sobol_integers` times 2^-BITS."""
+    """The first n points of the shifted Sobol' sequence in [0, 1)^d, as a
+    (n, d) float64 array: `sobol_integers` times 2^-BITS."""
     return sobol_integers(d, n, seed) * 2.0 ** -BITS

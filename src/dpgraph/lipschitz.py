@@ -7,19 +7,23 @@ certificate is heuristic: the stationary-value set must be stable when the
 sample count is doubled. When it is not, the result is still a valid lower
 bound (it is the max over every point evaluated) but is flagged with a
 warning instead of a certificate. The doubled set extends the first one's
-Sobol' sequence, and no point is evaluated twice. The samples are scrambled
-Sobol' points from `_sobol`, a NumPy engine that builds them from Joe &
-Kuo's direction-number table, bit for bit those of scipy's `qmc.Sobol`.
+Sobol' sequence, and no point is evaluated twice. The samples are digitally
+shifted Sobol' points from `_sobol`, a NumPy engine that builds them from Joe
+& Kuo's direction-number table: scipy's unscrambled `qmc.Sobol` points, each
+XOR one random word per dimension drawn from the seed.
 
 The sampling set-up serves both phases at once. One stable sort of the
 doubled set's rows by their first coordinate, with the rows that tie there
 (the box's corners) sorted again as byte strings, orders them and drops
 repeats (`_unique_rows`); the first set is a mask over the result. Each
-phase starts from its MAX_STARTS highest stars: feasible samples no lower
-than any of their k exact nearest neighbours in the phase (Törn & Viitanen
-1992). `_stars` tests the samples from the highest value down and stops once
-both phases have their starts, so only the samples it tests get distance
-rows (`_neighbour_rows`), a block at a time; each block serves both phases.
+phase starts from its MAX_STARTS highest stars: feasible samples with at
+least k other samples of the phase strictly closer than their nearest
+strictly higher one, which, unless samples tie at the k-th nearest distance,
+are those no lower than any of their k exact nearest neighbours (Törn &
+Viitanen 1992). `_stars` tests the samples from the highest value down and
+stops once both phases have their starts, so only the samples it tests get
+distance rows (`_distance_rows`), a block at a time; each block serves both
+phases.
 
 The objective and its gradient are evaluated on stacks of points: each
 sampling phase, and each chunk of the grid oracle, is one batched
@@ -388,7 +392,7 @@ def _sample_points(lo, hi, config: OptimizerConfig
     """Phase B's points, each once and in lexicographic row order, the mask
     of phase A's points among them, and a spare (m, d) buffer, m at least
     the number of points, that nothing else holds. Both phases come from one
-    scrambled Sobol draw of 2n points, n = config.n_samples: A takes the
+    shifted Sobol' draw of 2n points, n = config.n_samples: A takes the
     first n, B all 2n, and both the midpoint and the corners, which are
     drawn once.
 
@@ -464,17 +468,11 @@ def _order_keys(values: np.ndarray) -> np.ndarray:
 _ONE_THREAD_PRODUCT = 1 << 18
 
 
-def _neighbour_rows(z: np.ndarray, norms: np.ndarray, rows: np.ndarray, k: int,
-                    subset: np.ndarray, k_subset: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest other rows of a (m, d) array z to each z[i], i in rows,
-    and the k_subset nearest other rows among z[subset] to each of those i
-    that the mask subset holds, as indices into z; `norms` holds the squared
-    norms of z's rows, and each k is below the number of rows it searches.
-
-    A squared distance is ||a||^2 + ||b||^2 - 2 a.b, the a.b from Gram tiles
-    small enough to run on one thread; a row's distance to itself is +inf.
-    The search is exact up to the rounding of the distances; among tied
-    distances it picks any."""
+def _distance_rows(z: np.ndarray, norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), m) squared distances from each z[i], i in rows, to
+    every row of a (m, d) array z, +inf to z[i] itself; `norms` holds the
+    squared norms of z's rows. A squared distance is ||a||^2 + ||b||^2 -
+    2 a.b, the a.b from Gram tiles small enough to run on one thread."""
     m, d = z.shape
     tile_rows = max(1, min(len(rows), math.isqrt(_ONE_THREAD_PRODUCT // max(d, 1))))
     tile_cols = max(1, _ONE_THREAD_PRODUCT // (tile_rows * max(d, 1)))
@@ -487,21 +485,30 @@ def _neighbour_rows(z: np.ndarray, norms: np.ndarray, rows: np.ndarray, k: int,
     block += norms[rows, None]
     block += norms[None, :]
     block[np.arange(len(rows)), rows] = np.inf
-    near = np.argpartition(block, k - 1, axis=1)[:, :k]
-    within = block[np.ix_(subset[rows], subset)]
-    near_subset = np.argpartition(within, k_subset - 1, axis=1)[:, :k_subset]
-    return near, np.flatnonzero(subset)[near_subset]
+    return block
+
+
+def _no_higher_within(block: np.ndarray, higher: np.ndarray, k: int) -> np.ndarray:
+    """Whether each row of a block of squared distances has at least k
+    columns strictly closer than its nearest column that the mask `higher`
+    holds; a row with no such column has all of them."""
+    nearest_higher = np.min(block, axis=1, where=higher, initial=np.inf)
+    return np.count_nonzero(block < nearest_higher[:, None], axis=1) >= k
 
 
 def _stars(z: np.ndarray, vals: np.ndarray,
            subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The starts of both sampling phases, as indices into the rows of a
     (m, d) array z: of all its rows, and of the rows that the mask subset
-    holds, the MAX_STARTS highest feasible ones no lower than any of their k
-    nearest other rows of the same phase, highest first and ties in index
-    order; k is 2d + 2, at most 16 and below the phase's number of rows.
+    holds, the MAX_STARTS highest stars, highest first and ties in index
+    order. A star is a feasible row with at least k other rows of its phase
+    strictly closer than its nearest row of the phase with a strictly higher
+    value, or with no higher row; k is 2d + 2, at most 16 and below the
+    phase's number of rows. When no other row lies at the k-th nearest
+    distance, a star is a row no lower than any of its k nearest other rows;
+    when some do, a higher one among them makes it no star.
 
-    The rows are tested in that order, a block of neighbour rows at a time
+    The rows are tested in that order, a block of distance rows at a time
     (MAX_STARTS rows, then at most `runtime.BATCH_BYTES` of distances), until
     both phases have their starts; the subset's order is the whole set's
     restricted to it, so each block serves both phases."""
@@ -517,11 +524,14 @@ def _stars(z: np.ndarray, vals: np.ndarray,
         if len(found[0]) == MAX_STARTS:
             walk = walk[subset[walk]]
         rows, walk = walk[:size], walk[size:]
-        near, near_subset = _neighbour_rows(z, norms, rows, k, subset, k_subset)
-        inside = rows[subset[rows]]
-        for phase, tested, neighbours in ((0, rows, near), (1, inside, near_subset)):
-            no_lower = vals[tested] >= vals[neighbours].max(axis=1, initial=-np.inf)
-            found[phase].extend(tested[no_lower][:MAX_STARTS - len(found[phase])])
+        block = _distance_rows(z, norms, rows)
+        higher = vals > vals[rows, None]
+        for phase, within, cols, k_phase in ((0, slice(None), slice(None), k),
+                                             (1, subset[rows], subset, k_subset)):
+            if len(found[phase]) < MAX_STARTS:
+                star = _no_higher_within(block[within][:, cols],
+                                         higher[within][:, cols], k_phase)
+                found[phase].extend(rows[within][star][:MAX_STARTS - len(found[phase])])
         size = rows_per_block
     return tuple(np.array(stars, dtype=np.intp) for stars in found)
 
@@ -765,12 +775,15 @@ class _JacobianObjective:
         has its triples found first. Nothing is remembered: a gradient asked
         for twice is computed twice. A point where the graph gradient cannot
         be evaluated falls back to finite differences alone, whose probes
-        are no points of the search and keep nothing.
+        are no points of the search and keep nothing. A constant J has the
+        gradient 0 everywhere, and no program is built or run for it.
         """
         if np.ndim(v) == 1:
             return self.gradient(np.asarray(v, dtype=np.float64)[None, :])[0]
         kept = getattr(v, "kept", None)
         v = np.asarray(v, dtype=np.float64)
+        if self._constant is not None:
+            return np.zeros((len(v), self.dim))
         if self._grad_program is None:
             g = self.program.optimized_graph
             grad_graph, _ = vjp(g, [g.find(name) for name, *_ in self._slices])

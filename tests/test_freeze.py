@@ -61,12 +61,15 @@ def test_a_report_at_other_parameters_is_refused():
 
 # The bounds of OptimizerConfig(freeze=...), the knob that `freeze` replaced,
 # on mlp_classifier(w) with wrt=x at the signed parameters: the transform
-# keeps every bit, the certificate and the count of points evaluated
+# kept every bit, the certificate and the count of points evaluated. The
+# global_opt columns were re-measured when the samples became digitally
+# shifted Sobol' points: the counts moved, and w8's bound fell by 1.0e-5
+# relative, a tenth of CERTIFICATE_RTOL
 @pytest.mark.parametrize("width,ibp,global_opt,n_evaluations", [
-    (2, "0x1.47fbf882df238p-8", "0x1.ec9a6c19c09f0p-11", 1777),
-    (4, "0x1.b131cc77b050ep-5", "0x1.dbd27fe63f83ep-8", 1922),
-    (8, "0x1.b69e92323ff4cp-2", "0x1.dc26239418c89p-8", 2521),
-    (16, "0x1.98a0025efae8cp+2", "0x1.09838bd2d87c6p-8", 1921),
+    (2, "0x1.47fbf882df238p-8", "0x1.ec9a6c19c09f0p-11", 1503),
+    (4, "0x1.b131cc77b050ep-5", "0x1.dbd27fe63f83ep-8", 1650),
+    (8, "0x1.b69e92323ff4cp-2", "0x1.dc24e0488c890p-8", 2321),
+    (16, "0x1.98a0025efae8cp+2", "0x1.09838bd2d87c6p-8", 2021),
 ], ids=["w2", "w4", "w8", "w16"])
 def test_frozen_bounds_are_pinned(width, ibp, global_opt, n_evaluations):
     g = mlp_classifier(width)

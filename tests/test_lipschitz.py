@@ -815,8 +815,15 @@ def test_phases_share_one_sobol_draw():
     def rows(points):
         return {p.tobytes() for p in points}
 
-    sobol = qmc.Sobol(lo.size, scramble=True, seed=cfg.seed).random(cfg.n_samples)
-    assert rows(lo + sobol * (hi - lo)) <= rows(phase_a) < rows(phase_b)
+    # qmc.Sobol's unscrambled points XOR the seed's digital shift
+    unscrambled = qmc.Sobol(lo.size, scramble=False).random(2 * cfg.n_samples)
+    shift = np.random.default_rng(cfg.seed).integers(0, 1 << 30, size=lo.size,
+                                                     dtype=np.uint32)
+    sobol = ((unscrambled * 2.0 ** 30).astype(np.uint32) ^ shift) * 2.0 ** -30
+    points = lo + sobol * (hi - lo)
+    first, second = rows(points[:cfg.n_samples]), rows(points[cfg.n_samples:])
+    assert first <= rows(phase_a) < rows(phase_b)
+    assert second <= rows(phase_b) and not second & rows(phase_a)
     assert len(phase_b) - len(phase_a) == cfg.n_samples
 
 
@@ -1015,12 +1022,13 @@ def _ripples(v):
 
 
 # value, certificate and n_evaluations of global_maximize by central
-# differences, as measured before both phases ascended in one lockstep
+# differences, as measured when the samples became digitally shifted Sobol'
+# points
 @pytest.mark.parametrize("objective,lo,hi,seed,value,certificate,n_evaluations", [
-    (_wave, [-2.0, -1.0], [2.0, 1.0], 0, "0x1.fffffffffff24p+0", False, 938),
-    (_wave, [-2.0, -1.0], [2.0, 1.0], 7, "0x1.fffffffffff9ap+0", True, 1763),
-    (_terrain, [-1.0, -1.0], [1.0, 1.0], 0, "0x1.f87ba53250e77p+0", True, 355),
-    (_ripples, [-1.0] * 5, [2.0] * 5, 7, "0x1.124319679e691p+2", False, 11883),
+    (_wave, [-2.0, -1.0], [2.0, 1.0], 0, "0x1.ffffffffffee4p+0", True, 1275),
+    (_wave, [-2.0, -1.0], [2.0, 1.0], 7, "0x1.ffffffffffeecp+0", True, 1330),
+    (_terrain, [-1.0, -1.0], [1.0, 1.0], 0, "0x1.f87ba53250e77p+0", True, 343),
+    (_ripples, [-1.0] * 5, [2.0] * 5, 7, "0x1.22e1f737311d7p+2", False, 11859),
 ], ids=["wave-seed0", "wave-seed7", "terrain-seed0", "ripples-seed7"])
 def test_finite_difference_maximize_is_pinned(objective, lo, hi, seed, value,
                                               certificate, n_evaluations):
@@ -1070,7 +1078,7 @@ def test_global_opt_path_on_mlp2_is_pinned(monkeypatch):
     monkeypatch.setattr(_JacobianObjective, "gradient", counted("gradient", gradient))
     g = mlp_classifier(2)
     report = estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
-    assert (calls["objective"], calls["gradient"], report.n_evaluations) == (30, 30, 502)
+    assert (calls["objective"], calls["gradient"], report.n_evaluations) == (30, 30, 509)
 
 
 def _fd_one_point_at_a_time(f, x, lo, hi, rel_step=1e-6):
@@ -1117,7 +1125,7 @@ def test_stacked_finite_differences_equal_a_per_point_loop(pairs_per_call, monke
     assert not got[:, 3].any()  # the zero-width coordinate is skipped
 
 
-# -- sampling set-up: nearest neighbours, stars and row sort --------------------
+# -- sampling set-up: stars and row sort ------------------------------------------
 
 def _exact_squared_distances(z):
     """Squared distances by sums of squared differences, +inf to a row itself."""
@@ -1126,67 +1134,11 @@ def _exact_squared_distances(z):
     return sq
 
 
-def _tree_neighbours(z, k):
-    return [set(row[1:]) for row in cKDTree(z).query(z, k=k + 1)[1].tolist()]
-
-
-def _all_neighbour_rows(z, k, subset, k_subset, rows_per_call=None):
-    """lipschitz._neighbour_rows of every row of z, asked for rows_per_call
-    rows at a time in a shuffled order, in the order of z's rows; the
-    subset's neighbours as indices into z[subset]."""
-    order = np.arange(len(z))
-    if rows_per_call:
-        order = np.random.default_rng(0).permutation(len(z))
-    rows_per_call = rows_per_call or len(z)
-    norms = np.einsum("ij,ij->i", z, z)
-    cols = np.flatnonzero(subset)
-    near, near_subset = np.empty((len(z), k), dtype=np.intp), {}
-    for start in range(0, len(z), rows_per_call):
-        rows = order[start:start + rows_per_call]
-        got, got_subset = lipschitz._neighbour_rows(z, norms, rows, k, subset, k_subset)
-        near[rows] = got
-        assert subset[got_subset].all()
-        near_subset.update(zip(rows[subset[rows]].tolist(), np.searchsorted(cols, got_subset)))
-    return near, np.array([near_subset[i] for i in cols]).reshape(-1, k_subset)
-
-
-@pytest.mark.parametrize("blocks", ["one-block", "blocks-of-40-rows"])
-@pytest.mark.parametrize("points", ["random", "sobol"])
-@pytest.mark.parametrize("d", [1, 2, 28, 1000])
-def test_nearest_matches_a_kd_tree(d, points, blocks):
-    rng = np.random.default_rng(d)
-    if points == "random":
-        z = rng.uniform(size=(150, d))
-    else:
-        z = qmc.Sobol(d, scramble=True, seed=d).random(128)
-    subset = rng.uniform(size=len(z)) < 0.6
-    k_all, k_subset = min(2 * d + 2, 16), min(2 * d + 2, 16) - 1
-    for sq, k in [(_exact_squared_distances(z), k_all),
-                  (_exact_squared_distances(z[subset]), k_subset)]:
-        ranked = np.sort(sq, axis=1)  # no ties at the k-th neighbour
-        assert np.all(ranked[:, k] - ranked[:, k - 1] > 1e-9 * ranked[:, k])
-    near_all, near_subset = _all_neighbour_rows(
-        z, k_all, subset, k_subset, 40 if blocks != "one-block" else None)
-    assert [set(row) for row in near_all.tolist()] == _tree_neighbours(z, k_all)
-    assert ([set(row) for row in near_subset.tolist()]
-            == _tree_neighbours(z[subset], k_subset))
-
-
-@pytest.mark.parametrize("d", [2, 3, 6, 28, 1000])
-def test_nearest_among_tied_corners_is_no_farther_than_the_kth(d):
-    if 2 ** d <= lipschitz.MAX_CORNER_SAMPLES:
-        z = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
-    else:
-        z = np.unique(np.random.default_rng(d).integers(0, 2, (64, d)), axis=0) * 1.0
-    subset = np.arange(len(z)) % 3 != 0
-    k = min(2 * d + 2, 16, int(subset.sum()) - 1)
-    for rows, near in zip([z, z[subset]], _all_neighbour_rows(z, k, subset, k)):
-        sq = _exact_squared_distances(rows)
-        kth = np.sort(sq, axis=1)[:, k - 1]
-        assert near.shape == (len(rows), k)
-        for i, row in enumerate(near):
-            assert len(set(row)) == k and i not in row
-            assert sq[i, row].max() <= kth[i]
+def _in_value_order(stars, vals):
+    """The rows of a star mask, highest first with ties in index order, the
+    first MAX_STARTS of them."""
+    candidates = np.flatnonzero(stars)
+    return candidates[np.argsort(-vals[candidates], kind="stable")][:lipschitz.MAX_STARTS]
 
 
 def _eager_starts(z, vals, k):
@@ -1197,8 +1149,13 @@ def _eager_starts(z, vals, k):
     stars = np.isfinite(vals)
     if k:
         stars &= vals >= vals[near].max(axis=1)
-    candidates = np.flatnonzero(stars)
-    return candidates[np.argsort(-vals[candidates], kind="stable")][:lipschitz.MAX_STARTS]
+    return _in_value_order(stars, vals)
+
+
+def _tree_starts(z, vals, k):
+    """The same rule with each row's k nearest other rows from a kd-tree."""
+    near = cKDTree(z).query(z, k=k + 1)[1][:, 1:]  # the row itself comes first
+    return _in_value_order(np.isfinite(vals) & (vals >= vals[near].max(axis=1)), vals)
 
 
 def _stars_of_both_phases(z, vals, subset):
@@ -1210,11 +1167,69 @@ def _stars_of_both_phases(z, vals, subset):
     return got, want
 
 
+def _no_tie_at_the_kth(z, k):
+    ranked = np.sort(_exact_squared_distances(z), axis=1)
+    return bool(np.all(ranked[:, k] - ranked[:, k - 1] > 1e-9 * ranked[:, k]))
+
+
+@pytest.mark.parametrize("blocks", ["one-block", "blocks-of-40-rows"])
+@pytest.mark.parametrize("points", ["random", "sobol"])
+@pytest.mark.parametrize("d", [1, 2, 28, 1000])
+def test_nearest_matches_a_kd_tree(d, points, blocks, monkeypatch):
+    # with no tie at the k-th nearest distance, the stars are those of the k
+    # nearest neighbours that a kd-tree finds, and those of the eager rule
+    rng = np.random.default_rng(d)
+    if points == "random":
+        z = rng.uniform(size=(150, d))
+    else:
+        z = qmc.Sobol(d, scramble=True, seed=d).random(128)
+    subset = rng.uniform(size=len(z)) < 0.6
+    k = min(2 * d + 2, 16)  # below either phase's number of rows
+    assert int(subset.sum()) - 1 > k
+    assert _no_tie_at_the_kth(z, k) and _no_tie_at_the_kth(z[subset], k)
+    if blocks != "one-block":
+        monkeypatch.setattr(runtime, "BATCH_BYTES", 8 * len(z) * 40)
+    cols = np.flatnonzero(subset)
+    # random values have many stars; one smooth peak has few, so that every
+    # feasible row is tested
+    for vals in (rng.standard_normal(len(z)), -((z - 0.3) ** 2).sum(axis=1)):
+        got = [s.tolist() for s in lipschitz._stars(z, vals, subset)]
+        for starts in (_tree_starts, _eager_starts):
+            want = (starts(z, vals, k), cols[starts(z[subset], vals[subset], k)])
+            assert got == [s.tolist() for s in want]
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 28, 1000])
+def test_nearest_among_tied_corners_is_no_farther_than_the_kth(d):
+    # the box's corners tie at many distances: a row is no star exactly when
+    # its nearest strictly higher row of the phase is no farther than its
+    # k-th nearest other row, whichever rows tie there
+    if 2 ** d <= lipschitz.MAX_CORNER_SAMPLES:
+        z = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+    else:
+        z = np.unique(np.random.default_rng(d).integers(0, 2, (64, d)), axis=0) * 1.0
+    subset = np.arange(len(z)) % 3 != 0
+    vals = np.random.default_rng(d).integers(0, 4, len(z)) * 1.0
+    vals[::7] = -np.inf
+    got = lipschitz._stars(z, vals, subset)
+    tied = False
+    for phase, rows in ((0, np.arange(len(z))), (1, np.flatnonzero(subset))):
+        k = min(2 * d + 2, 16, len(rows) - 1)
+        sq = _exact_squared_distances(z[rows])
+        kth = np.sort(sq, axis=1)[:, k - 1]
+        tied |= not _no_tie_at_the_kth(z[rows], k)
+        higher = vals[rows][None, :] > vals[rows][:, None]
+        nearest_higher = np.where(higher, sq, np.inf).min(axis=1)
+        stars = np.isfinite(vals[rows]) & (nearest_higher > kth)
+        assert got[phase].tolist() == rows[_in_value_order(stars, vals[rows])].tolist()
+    assert tied
+
+
 @pytest.mark.parametrize("values", ["random", "ties", "with-inf", "all-equal"])
 @pytest.mark.parametrize("d", [1, 2, 28, 1000])
 def test_stars_match_an_eager_reference(d, values):
     rng = np.random.default_rng(d)
-    z = rng.uniform(size=(150, d))  # no ties at the k-th neighbour (see above)
+    z = rng.uniform(size=(150, d))  # no tie at the k-th neighbour (see above)
     subset = rng.uniform(size=len(z)) < 0.6
     vals = {"random": rng.standard_normal(len(z)),
             "ties": rng.integers(0, 5, len(z)) * 1.0,
@@ -1280,9 +1295,9 @@ def test_stars_are_the_same_in_blocks_of_a_few_rows(monkeypatch):
     calls.append((z, rng.standard_normal(len(z)), rng.uniform(size=len(z)) < 0.5))
     one_block = [stars(*args) for args in calls]
     distances = []  # per block
-    rows = lipschitz._neighbour_rows
-    monkeypatch.setattr(lipschitz, "_neighbour_rows", lambda z, norms, r, *args:
-                        distances.append(len(r) * len(z)) or rows(z, norms, r, *args))
+    rows = lipschitz._distance_rows
+    monkeypatch.setattr(lipschitz, "_distance_rows", lambda z, norms, r:
+                        distances.append(len(r) * len(z)) or rows(z, norms, r))
     for args, want in zip(calls, one_block):
         monkeypatch.setattr(runtime, "BATCH_BYTES", 8 * len(args[0]) * 3)  # 3 rows
         distances.clear()
@@ -1296,9 +1311,9 @@ def test_stars_are_the_same_in_blocks_of_a_few_rows(monkeypatch):
 def test_global_opt_builds_neighbour_rows_only_until_it_has_its_starts(
         graph, every_point, monkeypatch):
     tested, values = [], []
-    rows, stars = lipschitz._neighbour_rows, lipschitz._stars
-    monkeypatch.setattr(lipschitz, "_neighbour_rows", lambda z, norms, r, *args:
-                        tested.extend(r.tolist()) or rows(z, norms, r, *args))
+    rows, stars = lipschitz._distance_rows, lipschitz._stars
+    monkeypatch.setattr(lipschitz, "_distance_rows", lambda z, norms, r:
+                        tested.extend(r.tolist()) or rows(z, norms, r))
     monkeypatch.setattr(lipschitz, "_stars", lambda z, vals, *args:
                         values.append(vals) or stars(z, vals, *args))
     estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
@@ -1332,8 +1347,8 @@ def test_unique_rows_keep_the_first_of_rows_equal_but_for_a_zero_sign():
     assert lipschitz._unique_rows(rows).tolist() == [2, 0]
 
 
-# mean_query(1000) evaluates 321 distinct points and mlp_classifier(2) 502
-@pytest.mark.parametrize("graph,points", [(mean_query(1000), 321), (mlp_classifier(2), 502)],
+# mean_query(1000) evaluates 321 distinct points and mlp_classifier(2) 509
+@pytest.mark.parametrize("graph,points", [(mean_query(1000), 321), (mlp_classifier(2), 509)],
                          ids=["mean1000", "mlp2"])
 def test_global_opt_digests_each_point_once(graph, points, monkeypatch):
     # each point's Jacobian is built and decomposed once: the gradient finds
@@ -1386,20 +1401,20 @@ def _clipped_mean(n):
 
 
 # bound, certified and n_evaluations of global_opt wrt x at the default
-# config, as measured before the kd-tree and np.unique were replaced; the
-# bounds of sumsig64, mlp3, mlp4 and mlp8 as re-measured when a one-row J's
-# sigma_max became its scaled norm: each is within 0.5 ulp of the exact norm
-# of J at its argmax, where the SVD's was up to 1.1 ulp off. Every J here
-# has one row, so no SVD runs; the other four kept the SVD's bits
+# config. The first four, as measured before the kd-tree and np.unique were
+# replaced, do not depend on where the samples fall. The classifiers' as
+# measured when the samples became digitally shifted Sobol' points: every
+# point moved, mlp2 kept its bound's bits, and mlp3 and mlp8 found higher
+# values. Every J here has one row, so no SVD runs
 @pytest.mark.parametrize("graph,bound,certified,n_evaluations", [
     (mean_query(1000), "0x1.030dc4ea03a73p-5", True, 321),
     (mean_query(100), "0x1.999999999999ap-4", True, 321),
     (_sum_sigmoid(64), "0x1.0000000000000p+1", True, 321),
     (_clipped_mean(100), "0x1.999999999999ap-4", True, 321),
-    (mlp_classifier(2), "0x1.4464e6cd0e6c7p-4", True, 502),
-    (mlp_classifier(3), "0x1.41c020803624cp-3", True, 2042),
-    (mlp_classifier(4), "0x1.f7d8a3fd6f7aep-3", False, 2621),
-    (mlp_classifier(8), "0x1.6672a8c40b5c6p-1", True, 2121),
+    (mlp_classifier(2), "0x1.4464e6cd0e6c7p-4", False, 509),
+    (mlp_classifier(3), "0x1.41c020b52acfbp-3", False, 2058),
+    (mlp_classifier(4), "0x1.f7d87cfca0174p-3", False, 2321),
+    (mlp_classifier(8), "0x1.6833b52cbbdc9p-1", False, 2021),
 ], ids=["mean1000", "mean100", "sumsig64", "clipmean100", "mlp2", "mlp3", "mlp4", "mlp8"])
 def test_global_opt_reports_are_pinned(graph, bound, certified, n_evaluations,
                                        monkeypatch):
@@ -1462,6 +1477,7 @@ def test_a_constant_jacobian_has_the_bits_of_the_executed_one(graph):
 
 
 def test_a_constant_jacobian_is_never_executed(monkeypatch):
+    runtime.clear_cache()
     g = mean_query(100)
     obj = _JacobianObjective(g, [g.find("x")])
     programs = []
@@ -1470,8 +1486,10 @@ def test_a_constant_jacobian_is_never_executed(monkeypatch):
                         programs.append(p) or execute(p, inputs, **kwargs))
     result = global_maximize(obj, (obj.lo, obj.hi), gradient=obj.gradient)
     assert result.n_evaluations == 321 and result.value == pytest.approx(0.1, rel=1e-12)
-    # only the gradient's vector-Jacobian product runs
-    assert programs and all(p is obj._grad_program for p in programs)
+    # its gradient is 0: no vector-Jacobian product is built, compiled or run
+    assert programs == [] and obj._grad_program is None
+    assert runtime.cache_info().misses == 1
+    assert not obj.gradient(np.stack([obj.lo, obj.hi])).any()
 
 
 def test_sampling_leaves_a_spare_buffer_for_the_unit_cube():

@@ -1,5 +1,6 @@
-"""The NumPy Sobol' engine against scipy's `qmc.Sobol`, its oracle here, and
-the guard that no dpgraph process imports `scipy.stats`."""
+"""The NumPy Sobol' engine against scipy's unscrambled `qmc.Sobol` XOR the
+digital shift, its oracle here, and the guard that no dpgraph process
+imports `scipy.stats`."""
 
 import subprocess
 import sys
@@ -25,43 +26,38 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _assert_same_scramble(engine: qmc.Sobol, d: int, seed: int):
-    # the first n points use only the first ceil(log2 n) direction numbers
-    # of each dimension; this compares all BITS of them, and the shift
-    direction, shift = _sobol._scrambled(d, seed)
+def _shift(d: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 1 << _sobol.BITS, size=d,
+                                                dtype=np.uint32)
+
+
+def _assert_shifted_qmc_points(d: int, seed: int, ns):
+    """The engine's points are qmc.Sobol's unscrambled ones, as BITS-bit
+    integers, XOR the shift, and its direction numbers are qmc.Sobol's (the
+    first n points use only the first ceil(log2 n) of each dimension; this
+    compares all BITS of them)."""
+    engine = qmc.Sobol(d, scramble=False)
+    direction = _sobol._direction_numbers(d)
     assert direction.dtype == engine._sv.dtype and np.array_equal(direction, engine._sv)
-    assert shift.dtype == engine._shift.dtype and np.array_equal(shift, engine._shift)
+    shift = _shift(d, seed)
+    for n in ns:
+        unscrambled = _qmc_points(engine, n) * 2.0 ** _sobol.BITS
+        assert np.array_equal(unscrambled, np.floor(unscrambled))
+        want = unscrambled.astype(np.uint32) ^ shift
+        got = _sobol.sobol_integers(d, n, seed)
+        assert got.dtype == np.uint32 and np.array_equal(got, want)
+        _assert_same_bits(_sobol.sobol(d, n, seed), want * 2.0 ** -_sobol.BITS)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 28, 64, 100, 1000, 3000])
 def test_engine_matches_qmc_sobol_bit_for_bit(d, seed):
-    engine = qmc.Sobol(d, scramble=True, seed=seed)
-    _assert_same_scramble(engine, d, seed)
-    for n in [1, 2, 3, 256, 257]:
-        _assert_same_bits(_sobol.sobol(d, n, seed), _qmc_points(engine, n))
-
-
-_CHUNK = _sobol._SCRAMBLE_CHUNK
-
-
-# the scramble matrices are read a chunk of dimensions at a time: a last
-# chunk that is full, one that is short, and chunks of 1 and of 7
-@pytest.mark.parametrize("chunk,d", [(_CHUNK, _CHUNK), (_CHUNK, 2 * _CHUNK + 1),
-                                     (1, 3), (7, 20)])
-def test_the_scramble_is_drawn_in_chunks_of_dimensions(chunk, d, monkeypatch):
-    monkeypatch.setattr(_sobol, "_SCRAMBLE_CHUNK", chunk)
-    engine = qmc.Sobol(d, scramble=True, seed=11)
-    _assert_same_scramble(engine, d, 11)
-    _assert_same_bits(_sobol.sobol(d, 5, 11), _qmc_points(engine, 5))
+    _assert_shifted_qmc_points(d, seed, [1, 2, 3, 256, 257])
 
 
 def test_engine_matches_qmc_sobol_at_the_last_dimension():
-    d = _sobol.max_dimension()
-    engine = qmc.Sobol(d, scramble=True, seed=5)
-    _assert_same_scramble(engine, d, 5)
-    for n in [1, 3]:
-        _assert_same_bits(_sobol.sobol(d, n, 5), _qmc_points(engine, n))
+    for seed in [5, 0, 12345]:
+        _assert_shifted_qmc_points(_sobol.max_dimension(), seed, [1, 3])
 
 
 def test_a_smaller_dimension_takes_a_prefix_of_the_cached_table(monkeypatch):
@@ -71,7 +67,7 @@ def test_a_smaller_dimension_takes_a_prefix_of_the_cached_table(monkeypatch):
     _sobol.sobol(100, 1, 0)
     assert len(_sobol._table) == 100
     _assert_same_bits(_sobol.sobol(5, 9, 3), fresh)
-    _assert_same_bits(fresh, _qmc_points(qmc.Sobol(5, scramble=True, seed=3), 9))
+    _assert_shifted_qmc_points(5, 3, [9])
 
 
 def test_max_dimension_is_qmc_sobols():
