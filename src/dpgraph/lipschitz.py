@@ -488,12 +488,22 @@ def _distance_rows(z: np.ndarray, norms: np.ndarray, rows: np.ndarray) -> np.nda
     return block
 
 
-def _no_higher_within(block: np.ndarray, higher: np.ndarray, k: int) -> np.ndarray:
-    """Whether each row of a block of squared distances has at least k
-    columns strictly closer than its nearest column that the mask `higher`
-    holds; a row with no such column has all of them."""
-    nearest_higher = np.min(block, axis=1, where=higher, initial=np.inf)
-    return np.count_nonzero(block < nearest_higher[:, None], axis=1) >= k
+def _is_star(block: np.ndarray, ahead: np.ndarray, higher: np.ndarray,
+             columns, k: int) -> np.ndarray:
+    """Whether each row of a block of squared distances has at least k of
+    the columns that the mask `columns` holds (every column when None)
+    strictly closer than its nearest strictly higher row. `ahead` is the
+    phase's feasible rows from the highest value down; a row's strictly
+    higher rows are the first `higher` of them, counts that do not decrease
+    down the block, so each row's nearest one is a prefix minimum."""
+    ahead = ahead[:higher.max(initial=0)]
+    prefix = np.arange(len(ahead)) < higher[:, None]
+    nearest = np.where(prefix, np.take(block, ahead, axis=1), np.inf).min(
+        axis=1, initial=np.inf)
+    closer = block < nearest[:, None]
+    if columns is not None:
+        closer = closer[:, columns]
+    return np.count_nonzero(closer, axis=1) >= k
 
 
 def _stars(z: np.ndarray, vals: np.ndarray,
@@ -517,6 +527,14 @@ def _stars(z: np.ndarray, vals: np.ndarray,
     norms = np.einsum("ij,ij->i", z, z)
     feasible = np.flatnonzero(np.isfinite(vals))
     walk = feasible[np.argsort(-vals[feasible], kind="stable")]
+    # each phase's feasible rows in walk order, and for each of them how many
+    # of those have a strictly higher value
+    phases = []
+    for ahead, columns, k_phase in ((walk, None, k), (walk[subset[walk]], subset, k_subset)):
+        keys = -vals[ahead]  # ascending
+        higher = np.zeros(m, dtype=np.intp)
+        higher[ahead] = np.searchsorted(keys, keys, side="left")
+        phases.append((ahead, higher, columns, k_phase))
     found: tuple[list, list] = ([], [])
     rows_per_block = max(1, runtime.BATCH_BYTES // (8 * m))
     size = min(MAX_STARTS, rows_per_block)
@@ -525,13 +543,12 @@ def _stars(z: np.ndarray, vals: np.ndarray,
             walk = walk[subset[walk]]
         rows, walk = walk[:size], walk[size:]
         block = _distance_rows(z, norms, rows)
-        higher = vals > vals[rows, None]
-        for phase, within, cols, k_phase in ((0, slice(None), slice(None), k),
-                                             (1, subset[rows], subset, k_subset)):
-            if len(found[phase]) < MAX_STARTS:
-                star = _no_higher_within(block[within][:, cols],
-                                         higher[within][:, cols], k_phase)
-                found[phase].extend(rows[within][star][:MAX_STARTS - len(found[phase])])
+        for stars, in_phase, (ahead, higher, columns, k_phase) in zip(
+                found, (slice(None), subset[rows]), phases):
+            if len(stars) < MAX_STARTS:
+                tested = rows[in_phase]
+                star = _is_star(block[in_phase], ahead, higher[tested], columns, k_phase)
+                stars.extend(tested[star][:MAX_STARTS - len(stars)])
         size = rows_per_block
     return tuple(np.array(stars, dtype=np.intp) for stars in found)
 

@@ -1229,7 +1229,7 @@ def test_nearest_among_tied_corners_is_no_farther_than_the_kth(d):
 @pytest.mark.parametrize("d", [1, 2, 28, 1000])
 def test_stars_match_an_eager_reference(d, values):
     rng = np.random.default_rng(d)
-    z = rng.uniform(size=(150, d))  # no tie at the k-th neighbour (see above)
+    z = rng.uniform(size=(150, d))  # no ties at the k-th neighbour (see above)
     subset = rng.uniform(size=len(z)) < 0.6
     vals = {"random": rng.standard_normal(len(z)),
             "ties": rng.integers(0, 5, len(z)) * 1.0,
