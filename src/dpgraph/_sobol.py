@@ -41,13 +41,13 @@ def max_dimension() -> int:
     return len(_joe_kuo()[0])
 
 
-# the direction numbers of the largest d computed so far, a pure
+# the unscrambled direction numbers of the largest d computed so far, a pure
 # function of d; any smaller d takes a prefix of them
 _table = np.zeros((0, BITS), dtype=np.uint32)
 
 
 def _direction_numbers(d: int) -> np.ndarray:
-    """The (d, BITS) direction numbers, column j scaled by
+    """The (d, BITS) unscrambled direction numbers, column j scaled by
     2^(BITS - 1 - j) (Bratley & Fox 1988, recurrence on page 90)."""
     global _table
     if d <= len(_table):
