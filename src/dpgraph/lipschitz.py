@@ -792,15 +792,12 @@ class _JacobianObjective:
         has its triples found first. Nothing is remembered: a gradient asked
         for twice is computed twice. A point where the graph gradient cannot
         be evaluated falls back to finite differences alone, whose probes
-        are no points of the search and keep nothing. A constant J has the
-        gradient 0 everywhere, and no program is built or run for it.
+        are no points of the search and keep nothing.
         """
         if np.ndim(v) == 1:
             return self.gradient(np.asarray(v, dtype=np.float64)[None, :])[0]
         kept = getattr(v, "kept", None)
         v = np.asarray(v, dtype=np.float64)
-        if self._constant is not None:
-            return np.zeros((len(v), self.dim))
         if self._grad_program is None:
             g = self.program.optimized_graph
             grad_graph, _ = vjp(g, [g.find(name) for name, *_ in self._slices])
