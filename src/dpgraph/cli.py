@@ -63,6 +63,9 @@ def _fail(code: int, message: str) -> int:
 
 
 def _load_data_tensor(path: Path, shape) -> np.ndarray:
+    if shape.rank > 2:
+        raise DpGraphError(f"{path}: a CSV file holds at most two axes, not "
+                           f"the declared shape {shape}")
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except OSError as err:

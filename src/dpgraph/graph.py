@@ -787,6 +787,8 @@ class GraphBuilder:
             name = f"n{nid}"
             while name in self._names:
                 name += "_"
+        elif not isinstance(name, str):
+            raise ValueError(f"node name must be a string, got {name!r}")
         elif name in self._names:
             raise ValueError(f"node name {name!r} already used")
         self._nodes.append(Node(nid, kind, inputs, shape, attrs, name))

@@ -86,22 +86,19 @@ def _pow(a: IntervalTensor, exponent: float, node_name: str) -> IntervalTensor:
     p = exponent
     if p == 0.0:
         return _iv(np.ones_like(a.lo), np.ones_like(a.hi))
-    if p != int(p) or p < 0:
-        if np.any(a.lo < 0):
-            raise DomainError(
-                f"Pow exponent {p} needs a nonnegative base at node '{node_name}'")
-        if p < 0 and np.any(a.lo <= 0):
-            raise DomainError(
-                f"Pow exponent {p} has a pole at 0 inside node '{node_name}'")
-        lo, hi = (a.lo ** p, a.hi ** p) if p > 0 else (a.hi ** p, a.lo ** p)
-        return _iv(lo, hi)
-    n = int(p)
-    if n % 2 == 1:
-        return _iv(a.lo ** n, a.hi ** n)
-    straddles = (a.lo < 0) & (a.hi > 0)
-    lo_cand = np.minimum(a.lo ** n, a.hi ** n)
-    lo = np.where(straddles, 0.0, lo_cand)
-    hi = np.maximum(a.lo ** n, a.hi ** n)
+    fractional = p != int(p)
+    if fractional and np.any(a.lo < 0):
+        raise DomainError(
+            f"Pow exponent {p} needs a nonnegative base at node '{node_name}'")
+    if p < 0 and np.any((a.lo <= 0) & (a.hi >= 0)):
+        raise DomainError(
+            f"Pow exponent {p} has a pole at 0 inside node '{node_name}'")
+    # x^p is monotone on each side of 0, and an odd power across it too, so
+    # only an even power over a box that straddles 0 has its minimum, 0, inside
+    ends = a.lo ** p, a.hi ** p
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    if not fractional and int(p) % 2 == 0:
+        lo = np.where((a.lo < 0) & (a.hi > 0), 0.0, lo)
     return _iv(lo, hi)
 
 

@@ -25,6 +25,12 @@ stops once both phases have their starts, so only the samples it tests get
 distance rows (`_distance_rows`), a block at a time; each block serves both
 phases.
 
+A point of the Jacobian objective is the J program's leaf-group vectors
+(`runtime.LeafGroup`) laid end to end, so both of its programs, J and the
+vector-Jacobian product that gives the sigma_max gradient, bind each group
+from a view of one column block of a stack of points. A gradient that traps
+at a point is NaN there, which stops that start of the ascent.
+
 The objective and its gradient are evaluated on stacks of points: each
 sampling phase, and each chunk of the grid oracle, is one batched
 `runtime.execute` followed by one stacked spectral norm. When J has one row
@@ -664,39 +670,44 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
 class _JacobianObjective:
     """Spectral norm of the Jacobian as a function of the boxed free tensors.
 
-    A point lays the leaves end to end in `Graph.leaves` order. Its programs
-    bind each leaf group from one column block of a stack of points: a view
-    when the group's members are a contiguous run of the point, as the one
-    group of every leaf of `mlp_classifier` is, and one gather otherwise.
-    The objective remembers no point: its values carry the top singular
-    vectors of J at each point as `kept`, which a `_Recorder` keeps under
-    the point's key and `gradient` reads from the stack it is given. When
-    the optimized Jacobian graph's output is a Constant, its triple is
-    decomposed once and serves every point."""
+    A point is the vectors of the J program's leaf groups
+    (`runtime.LeafGroup`) laid end to end, so its programs bind each group
+    from a view of one column block of a stack of points. The gradient
+    program, the vector-Jacobian product of the optimized J graph, has the
+    same groups followed by its cotangent's, and is built with J. The
+    objective remembers no point: its values carry the top singular vectors
+    of J at each point as `kept`, which a `_Recorder` keeps under the
+    point's key and `gradient` reads from the stack it is given. When the
+    optimized Jacobian graph's output is a Constant, its triple is decomposed
+    once and serves every point. A point where the gradient program traps
+    gets a NaN gradient, which stops its start of the ascent."""
 
     def __init__(self, graph: Graph, wrt):
         self.program = runtime.compile(jacobian(graph, wrt).graph)
-        # each leaf's name, dims and slice of a point, in `Graph.leaves` order
+        g = self.program.optimized_graph
+        # each group's columns of a point, and each leaf's name, dims and
+        # columns, in the point's order
+        self._groups: list[slice] = []
         self._slices: list[tuple[str, tuple[int, ...], int, int]] = []
         lo_parts, hi_parts = [], []
-        g = self.program.optimized_graph
-        for h in g.leaves():
-            node = g.nodes[h]
-            b = g.bounds.get(h)
+        offset = 0
+        for b, members in self.program.leaf_groups:
             if b is None:
                 raise ValidationFailed([Diagnostic(
                     "missing-bounds",
-                    f"'{node.name}' has no bounds; bound it or freeze it", h)])
-            lo, hi = b.broadcast_to(node.shape)
-            start = self._slices[-1][3] if self._slices else 0
-            self._slices.append((node.name, node.shape.dims, start, start + lo.size))
-            lo_parts.append(lo.ravel())
-            hi_parts.append(hi.ravel())
-        self.lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0)
-        self.hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0)
-        self._columns = self._group_columns(self.program)
-        self._grad_program = None
-        self._grad_columns: list = []
+                    f"'{members[0][0]}' has no bounds; bound it or freeze it",
+                    g.find(members[0][0]))])
+            size = members[-1][3]
+            self._groups.append(slice(offset, offset + size))
+            self._slices += [(name, dims, offset + start, offset + stop)
+                             for name, dims, start, stop, _ in members]
+            lo_parts.append(np.broadcast_to(b.lo.ravel(), (size,)))
+            hi_parts.append(np.broadcast_to(b.hi.ravel(), (size,)))
+            offset += size
+        self.lo = np.concatenate(lo_parts)
+        self.hi = np.concatenate(hi_parts)
+        grad_graph, _ = vjp(g, [g.find(name) for name, *_ in self._slices])
+        self._grad_program = runtime.compile(grad_graph)
         # (sigma, u, w) of J when it is the same Constant at every point
         self._constant = None
         out = g.nodes[g.outputs[0]]
@@ -714,24 +725,6 @@ class _JacobianObjective:
         return {name: v[start:stop].reshape(dims)
                 for name, dims, start, stop in self._slices}
 
-    def _group_columns(self, program) -> list:
-        """For each group of `program.leaf_groups`, the columns of a point
-        that hold the group's vector: a slice when its members are a
-        contiguous run of the point, an index array otherwise, and None for
-        the group of the gradient program's cotangent, which is no part of
-        a point."""
-        spans = {name: (start, stop) for name, _, start, stop in self._slices}
-        columns = []
-        for _, members in program.leaf_groups:
-            runs = [spans.get(name) for name, *_ in members]
-            if None in runs:  # the cotangent, the one unbounded leaf
-                columns.append(None)
-            elif all(a[1] == b[0] for a, b in zip(runs, runs[1:])):
-                columns.append(slice(runs[0][0], runs[-1][1]))
-            else:
-                columns.append(np.concatenate([np.arange(*run) for run in runs]))
-        return columns
-
     def __call__(self, v: np.ndarray):
         """sigma_max(J) at each row of a (k, d) stack; -inf where J cannot be
         evaluated. A point of shape (d,) is a stack of one and gets a float.
@@ -745,10 +738,6 @@ class _JacobianObjective:
             return float(self(v[None, :])[0])
         sigmas, us, ws = self._triples(v)
         return _keeping(sigmas, list(zip(us, ws)))
-
-    def _sigmas(self, stack: np.ndarray) -> np.ndarray:
-        """sigma_max(J) at each point of a stack, with no vectors kept."""
-        return self._triples(stack)[0]
 
     def _triples(self, stack: np.ndarray):
         """(sigma, u, w) of J at each point of a stack. A point that traps is
@@ -765,7 +754,7 @@ class _JacobianObjective:
 
         def run(start, stop):
             points = stack[start:stop]
-            (js,) = runtime.execute(self.program, [points[:, c] for c in self._columns],
+            (js,) = runtime.execute(self.program, [points[:, c] for c in self._groups],
                                     batch_shape=(stop - start,))
             sigmas[start:stop], us[start:stop], ws[start:stop] = (
                 spectral_norms_with_vectors(js))
@@ -788,21 +777,16 @@ class _JacobianObjective:
         The singular vectors seed the cotangent. `_ascend` asks only at
         points whose recorded value is finite, on a stack that carries the
         vectors `__call__` gave there as `kept`, so only the vector-Jacobian
-        product program runs, in one batched execute; a stack without them
-        has its triples found first. Nothing is remembered: a gradient asked
-        for twice is computed twice. A point where the graph gradient cannot
-        be evaluated falls back to finite differences alone, whose probes
-        are no points of the search and keep nothing.
+        product program runs, in one batched execute that binds the point's
+        group slices and the cotangents; a stack without them has its
+        triples found first. Nothing is remembered: a gradient asked for
+        twice is computed twice. A point where the gradient program traps
+        gets a row of NaN, logged once, and `_ascend` stops that start.
         """
         if np.ndim(v) == 1:
             return self.gradient(np.asarray(v, dtype=np.float64)[None, :])[0]
         kept = getattr(v, "kept", None)
         v = np.asarray(v, dtype=np.float64)
-        if self._grad_program is None:
-            g = self.program.optimized_graph
-            grad_graph, _ = vjp(g, [g.find(name) for name, *_ in self._slices])
-            self._grad_program = runtime.compile(grad_graph)
-            self._grad_columns = self._group_columns(self._grad_program)
         k = len(v)
         if kept is None:
             u, w = self._triples(v)[1:]
@@ -814,17 +798,16 @@ class _JacobianObjective:
 
         def run(start, stop):
             points = v[start:stop]
-            vectors = [cotangents[start:stop] if c is None else points[:, c]
-                       for c in self._grad_columns]
+            vectors = [points[:, c] for c in self._groups] + [cotangents[start:stop]]
             outs = runtime.execute(self._grad_program, vectors,
                                    batch_shape=(stop - start,))
             for (_, _, a, b), out in zip(self._slices, outs):
                 grads[start:stop, a:b] = out.reshape(stop - start, b - a)
 
         for i, err in sorted(_halving(run, 0, k).items()):
-            _log.warning("sigma_max gradient falls back to finite differences "
-                         "at a point of the box: %s", err)
-            grads[i] = _fd_gradient(self._sigmas, v[i:i + 1], self.lo, self.hi)[0]
+            _log.warning("sigma_max gradient cannot be evaluated at a point of "
+                         "the box; its ascent stops there: %s", err)
+            grads[i] = np.nan
         return grads
 
 
@@ -888,7 +871,7 @@ def _grid_maximize(objective: _JacobianObjective,
     best_val, best_pt = -np.inf, None
     for chunk in _grid_chunks(objective.lo, objective.hi, config.grid_resolution,
                               runtime.chunk_points(objective.program)):
-        vals = objective._sigmas(chunk)
+        vals = objective._triples(chunk)[0]
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_pt = vals[i], chunk[i]

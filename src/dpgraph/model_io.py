@@ -49,6 +49,13 @@ def _require(entry: dict, key: str, where: str):
     return entry[key]
 
 
+def _name(entry: dict, where: str) -> str:
+    name = _require(entry, "name", where)
+    if not isinstance(name, str):
+        raise ModelFormatError(f"{where}: name must be a string, got {name!r}")
+    return name
+
+
 def loads_model(text: str, origin: str = "<string>") -> Graph:
     try:
         doc = json.loads(text)
@@ -68,7 +75,7 @@ def loads_model(text: str, origin: str = "<string>") -> Graph:
             entry = _object(entry, "tensor")
             where = f"tensor {entry.get('name', '?')!r}"
             _reject_unknown(entry, _TENSOR_KEYS, where)
-            name = _require(entry, "name", where)
+            name = _name(entry, where)
             shape = _require(entry, "shape", where)
             role = _require(entry, "role", where)
             if role not in _ROLES:
@@ -90,14 +97,17 @@ def loads_model(text: str, origin: str = "<string>") -> Graph:
             entry = _object(entry, "op")
             where = f"op {entry.get('name', '?')!r}"
             _reject_unknown(entry, _OP_KEYS, where)
-            name = _require(entry, "name", where)
+            name = _name(entry, where)
             kind_name = _require(entry, "kind", where)
             try:
                 kind = OpKind(kind_name)
             except ValueError:
                 raise ModelFormatError(f"{where}: unknown kind {kind_name!r}")
+            inputs = _require(entry, "inputs", where)
+            if not isinstance(inputs, list):
+                raise ModelFormatError(f"{where}: inputs must be a list of names")
             inputs = [b._names[i] if i in b._names else _bad_ref(where, i)
-                      for i in _require(entry, "inputs", where)]
+                      for i in inputs]
             b.build(kind, inputs, entry.get("attrs"), name)
 
         if not isinstance(outputs, list):

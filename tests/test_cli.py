@@ -186,6 +186,20 @@ def test_analyze_refuses_an_entry_that_is_not_an_object(tmp_path, doc):
     assert "Traceback" not in proc.stderr
 
 
+def test_analyze_refuses_a_tensor_named_by_a_number(tmp_path):
+    # it once loaded and exited 1 with a TypeError from the content hash
+    doc = json.loads(json.dumps(AFFINE_MODEL))
+    doc["tensors"][0]["name"] = 7
+    doc["ops"][1]["inputs"] = ["alpha", 7]
+    model = _write(tmp_path, "named.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", "analyze", "--model", str(model)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "name must be a string" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_past_the_sobol_cap_exits_3(tmp_path):
     # mlp_classifier(128) has 66,304 free scalars; the Sobol' direction-number
     # table covers at most 21,201, and a run past it once ended in a traceback
@@ -446,6 +460,23 @@ def test_run_refuses_data_with_an_extra_leading_axis(tmp_path, rng, declared, st
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_run_refuses_data_for_a_tensor_of_three_axes(tmp_path, rng, capsys):
+    # it once fell through to the scalar case: "declared scalar but CSV is (4, 2)"
+    model = _write(tmp_path, "cube.json", {
+        "tensors": [{"name": "x", "shape": [2, 2, 2], "role": "private_input",
+                     "bounds": [0.0, 1.0]}],
+        "ops": [{"name": "m", "kind": "Mean", "inputs": ["x"], "attrs": {"axis": None}}],
+        "outputs": ["m"],
+    })
+    csv = _write_csv(tmp_path, "x.csv", rng.uniform(0, 1, (4, 2)))
+    code = main(["run", "--model", str(model), "--data", f"x={csv}",
+                 "--epsilon", "1.0", "--delta", "1e-5", "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at most two axes" in err and "(2,2,2)" in err
+    assert "scalar" not in err
 
 
 def test_run_missing_tensor_data(tmp_path):

@@ -175,3 +175,33 @@ def test_layout_enclosure_is_exact(kind, rng):
         point = sample_inputs(g, rng)
         v = ref_eval_all(g, point)[out]
         assert np.all(iv.lo <= v) and np.all(v <= iv.hi)
+
+
+@pytest.mark.parametrize("box", [(-2.0, -0.5), (0.5, 2.0), (-1.0, 1.0)], ids=str)
+@pytest.mark.parametrize("p", [0, 0.5, 1.5, -0.5, -1, -2, 3])
+def test_pow_encloses_its_values_or_refuses(p, box):
+    lo, hi = box
+    build = lambda b, x: b.power(x, p)
+    if p != int(p) and lo < 0:
+        with pytest.raises(DomainError, match="nonnegative base"):
+            _single(build, lo, hi)
+    elif p < 0 and lo <= 0 <= hi:
+        with pytest.raises(DomainError, match="pole"):
+            _single(build, lo, hi)
+    else:
+        _, iv = _single(build, lo, hi)
+        values = np.linspace(lo, hi, 101) ** p
+        assert iv.lo <= values.min() and values.max() <= iv.hi
+        assert iv.lo in values and iv.hi in values  # the endpoints, or 0 for x^0 and x^2
+
+
+def test_ibp_bounds_a_negative_integer_power_over_a_box_without_zero():
+    # d/dx sum(x^-1) runs x^-2, which once refused as a fractional power
+    b = GraphBuilder()
+    x = b.input("x", (3,), bounds=(-2.0, -1.0))
+    b.output(b.reduce_sum(b.power(x, -1)))
+    g = b.graph()
+    ibp = estimate_sensitivity(g, method="ibp")
+    opt = estimate_sensitivity(g, method="global_opt")
+    assert opt.bound == pytest.approx(np.sqrt(3.0), rel=1e-12)
+    assert ibp.certified and ibp.bound >= opt.bound

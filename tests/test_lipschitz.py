@@ -596,6 +596,65 @@ def test_gradient_matches_central_differences(graph):
         _assert_matches_central_differences(obj, v, obj.gradient(v))
 
 
+def _interleaved():
+    """x and z share bounds and y between them does not, so the leaf groups
+    are {x, z} and {y}: a point is x, z, y, not `Graph.leaves` order."""
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=(0.0, 1.0))
+    y = b.input("y", (3, 1), bounds=(-1.0, 2.0))
+    z = b.input("z", (2, 1), bounds=(0.0, 1.0))
+    s = b.add(b.reduce_sum(b.mul(b.sigmoid(x), z)), b.reduce_sum(b.mul(y, b.sigmoid(y))))
+    b.output(s)
+    return b.graph()
+
+
+def test_a_point_lays_out_the_leaf_groups_end_to_end():
+    g = _interleaved()
+    obj = _JacobianObjective(g, [g.find(n) for n in "xyz"])
+    assert [[m[0] for m in members] for _, members in obj.program.leaf_groups] == [
+        ["x", "z"], ["y"]]
+    assert obj.dim == 7
+    columns = obj.unpack(np.arange(7.0))
+    assert [columns[n].ravel().tolist() for n in "xzy"] == [[0, 1], [2, 3], [4, 5, 6]]
+    for bound, want in ((obj.lo, {"x": 0.0, "y": -1.0, "z": 0.0}),
+                        (obj.hi, {"x": 1.0, "y": 2.0, "z": 1.0})):
+        values = obj.unpack(bound)
+        assert set(values) == set(want)
+        for name, value in values.items():
+            assert value.shape == g.nodes[g.find(name)].shape.dims
+            assert np.all(value == want[name])
+    rng = np.random.default_rng(11)
+    stack = rng.uniform(obj.lo, obj.hi, (4, obj.dim))
+    sigmas = obj(stack)
+    for v, sigma in zip(stack, sigmas):
+        (j,) = runtime.execute(obj.program, obj.unpack(v))
+        assert sigma == pytest.approx(np.linalg.norm(j, 2), rel=1e-12)
+        _assert_matches_central_differences(obj, v, obj.gradient(v))
+
+    report = estimate_sensitivity(g, [g.find(n) for n in "xyz"])
+    for name, value in report.argmax.items():
+        lo, hi = (0.0, 1.0) if name in "xz" else (-1.0, 2.0)
+        assert np.all((lo <= value) & (value <= hi))
+
+
+def _layout(groups):
+    """Each group's bounds as bytes (None for none) and its members without
+    their register slots."""
+    return [(b if b is None else (b.lo.tobytes(), b.hi.tobytes()),
+             [member[:4] for member in members]) for b, members in groups]
+
+
+@pytest.mark.parametrize("graph,wrt", [(_interleaved(), "xyz"), (mlp_classifier(2), "x")],
+                         ids=["interleaved", "mlp2"])
+def test_the_gradient_program_groups_are_j_and_the_cotangent(graph, wrt):
+    obj = _JacobianObjective(graph, [graph.find(n) for n in wrt])
+    groups = _layout(obj._grad_program.leaf_groups)
+    assert groups[:-1] == _layout(obj.program.leaf_groups)
+    bounds, members = groups[-1]
+    assert bounds is None and len(members) == 1
+    assert members[0][1] == obj.program.output_dims[0]
+
+
 def _recorded_gradient(f: _Recorder, points: np.ndarray) -> np.ndarray:
     """The gradient of f's objective at points f evaluated, asked for as the
     ascent asks: on a stack that carries the items f kept there."""
@@ -827,12 +886,11 @@ def test_phases_share_one_sobol_draw():
     assert len(phase_b) - len(phase_a) == cfg.n_samples
 
 
-def test_gradient_fallback_is_logged(monkeypatch, caplog):
+def test_a_gradient_that_traps_is_nan_and_logged_per_point(monkeypatch, caplog):
     g = mlp_classifier(2)
     obj = _JacobianObjective(g, [g.find("x")])
-    v = np.full(obj.dim, 0.5)
-    obj(v)
-    want = obj.gradient(v)
+    stack = np.random.default_rng(3).uniform(obj.lo, obj.hi, (3, obj.dim))
+    obj(stack)
     execute = runtime.execute
 
     def failing_vjp(program, inputs, **kwargs):
@@ -842,18 +900,20 @@ def test_gradient_fallback_is_logged(monkeypatch, caplog):
 
     monkeypatch.setattr(runtime, "execute", failing_vjp)
     with caplog.at_level(logging.WARNING, logger="dpgraph"):
-        got = obj.gradient(v)
-    assert "finite differences" in caplog.text
-    assert "overflow in the test" in caplog.text
-    np.testing.assert_allclose(got, want, rtol=1e-5)
+        got = obj.gradient(stack)
+    assert got.shape == stack.shape and np.isnan(got).all()
+    assert len(caplog.records) == 3
+    assert all("ascent stops" in r.getMessage() and "overflow in the test" in r.getMessage()
+               for r in caplog.records)
 
 
-def test_a_point_whose_gradient_traps_falls_back_alone(monkeypatch, caplog):
+def test_a_point_whose_gradient_traps_stops_alone(monkeypatch, caplog):
     g = _x_log_x()
     obj = _JacobianObjective(g, [g.find("x")])
     stack = np.array([[0.5], [1.5], [2.0]])
     obj(stack)
     alone = np.array([obj.gradient(p) for p in stack[[0, 2]]])
+    alone_x, alone_fx = _ascend(_Recorder(obj), obj.gradient, stack[[0, 2]], obj.lo, obj.hi)
     execute = runtime.execute
 
     def vjp_traps_at_one_and_a_half(program, inputs, **kwargs):
@@ -866,19 +926,21 @@ def test_a_point_whose_gradient_traps_falls_back_alone(monkeypatch, caplog):
         return execute(program, inputs, **kwargs)
 
     monkeypatch.setattr(runtime, "execute", vjp_traps_at_one_and_a_half)
-    # the probes of the finite differences are no points of the search, so
-    # they are evaluated without the values that a recorder would keep
-    calls = []
-    objective = _JacobianObjective.__call__
-    monkeypatch.setattr(_JacobianObjective, "__call__",
-                        lambda self, v: calls.append(len(v)) or objective(self, v))
     with caplog.at_level(logging.WARNING, logger="dpgraph"):
         grads = obj.gradient(stack)
-    assert calls == []
     assert grads[[0, 2]].tobytes() == alone.tobytes()
-    assert grads[1, 0] == pytest.approx(1 / 1.5, rel=1e-5)  # |log x + 1|' by differences
+    assert np.isnan(grads[1]).all()
     assert len(caplog.records) == 1
     assert "overflow in the test" in caplog.text
+
+    # in the ascent only that start stops climbing, once asked and logged once
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dpgraph"):
+        x, fx = _ascend(_Recorder(obj), obj.gradient, stack, obj.lo, obj.hi)
+    assert len(caplog.records) == 1
+    assert x[1, 0] == 1.5 and fx[1] == obj(stack[1])
+    assert x[[0, 2]].tobytes() == alone_x.tobytes()
+    assert fx[[0, 2]].tobytes() == alone_fx.tobytes()
 
 
 # -- lockstep ascent ------------------------------------------------------------

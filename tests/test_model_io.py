@@ -242,3 +242,36 @@ def test_an_entry_that_is_not_an_object_is_refused(doc, what):
     # each once ended in an AttributeError from entry.get
     with pytest.raises(ModelFormatError, match=f"each {what} must be an object"):
         loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where,value", [
+    ("tensors", 5), ("tensors", ["x"]), ("ops", 5), ("ops", None),
+], ids=["tensor-number", "tensor-list", "op-number", "op-null"])
+def test_a_name_that_is_not_a_string_is_refused(where, value):
+    # a tensor named 5 once loaded and then failed in the content hash
+    doc = json.loads(json.dumps(AFFINE))
+    doc[where][0]["name"] = value
+    with pytest.raises(ModelFormatError, match="name must be a string"):
+        loads_model(json.dumps(doc))
+
+
+def test_inputs_that_are_not_a_list_are_refused():
+    # "xy" once loaded as the two inputs x and y
+    doc = {
+        "tensors": [{"name": n, "shape": [], "role": "private_input",
+                     "bounds": [0.0, 1.0]} for n in "xy"],
+        "ops": [{"name": "s", "kind": "Add", "inputs": "xy"}],
+        "outputs": ["s"],
+    }
+    with pytest.raises(ModelFormatError, match="inputs must be a list"):
+        loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", [5, 0, b"x", ("x",)], ids=str)
+def test_the_builder_refuses_a_name_that_is_not_a_string(name):
+    b = GraphBuilder()
+    with pytest.raises(ValueError):
+        b.input(name, (), bounds=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        b.constant(1.0, name=name)
+    assert len(b.graph().nodes) == 0
