@@ -29,7 +29,6 @@ from .errors import (
 from .graph import (
     BCE_CLAMP,
     Bounds,
-    BoundsSpec,
     Diagnostic,
     Graph,
     GraphBuilder,
@@ -73,7 +72,7 @@ __version__ = "0.1.0"
 logging.getLogger("dpgraph").addHandler(logging.NullHandler())
 
 __all__ = [
-    "ArityError", "BCE_CLAMP", "BenchRecord", "Bounds", "BoundsSpec",
+    "ArityError", "BCE_CLAMP", "BenchRecord", "Bounds",
     "CompiledProgram", "Diagnostic", "DimensionTooLarge", "DomainError",
     "DpGraphError", "FingerprintMismatch", "Graph", "GraphBuilder",
     "IntervalTensor", "InvalidParams", "JacobianGraph", "MechanismOutput",

@@ -274,11 +274,13 @@ class _ReverseSweep:
             raise UnknownNode(f"wrt entry {err}") from None
         if not self.wrt:
             raise NonDifferentiable("empty differentiation target list")
-        for h in self.wrt:
+        for i, h in enumerate(self.wrt):
             node = graph.node(h)
             if node.kind not in (OpKind.INPUT, OpKind.PARAMETER):
                 raise NonDifferentiable(
                     f"'{node.name}' is not an Input or Parameter node")
+            if h in self.wrt[:i]:
+                raise NonDifferentiable(f"'{node.name}' is listed twice in wrt")
         for node in graph.nodes:
             if node.kind not in VJP_RULES and node.kind not in LEAF_KINDS:
                 raise NonDifferentiable(f"no derivative rule for {node.kind.value}")

@@ -5,6 +5,11 @@ be shared freely between threads. Node handles are plain integers; a node only
 ever references earlier handles, which makes every graph acyclic by
 construction and makes the node table a valid topological order.
 
+A graph is its nodes and its outputs. An Input or Parameter node carries its
+own bounds, and its kind is its role; `Graph.private_inputs`, `parameters`,
+`bounds` and the name table are read-only views read off the nodes. A
+transform that carries a node carries its name, role and bounds with it.
+
 Each op kind has one entry in `OPS`: its arity, its attributes with their
 converters and defaults, its shape rule and its kernel, a binder of the
 attrs that returns the function of the operands. `GraphBuilder.build`,
@@ -30,10 +35,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import compress
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -162,28 +168,6 @@ class Bounds:
         )
 
 
-class BoundsSpec:
-    """Per-node interval bounds for Input and Parameter tensors."""
-
-    def __init__(self, entries: Mapping[int, Bounds] | None = None):
-        self._entries: dict[int, Bounds] = dict(entries or {})
-
-    def set(self, handle: int, lo, hi) -> None:
-        self._entries[handle] = Bounds.make(lo, hi)
-
-    def get(self, handle: int) -> Bounds | None:
-        return self._entries.get(handle)
-
-    def __contains__(self, handle: int) -> bool:
-        return handle in self._entries
-
-    def items(self):
-        return self._entries.items()
-
-    def copy(self) -> "BoundsSpec":
-        return BoundsSpec(self._entries)
-
-
 @dataclass(frozen=True, eq=False)
 class Node:
     id: int
@@ -192,6 +176,7 @@ class Node:
     shape: TensorShape
     attrs: Mapping[str, Any]
     name: str
+    bounds: Bounds | None = None  # the box of an Input or Parameter, if it has one
 
     def __repr__(self) -> str:
         return f"%{self.id}:{self.kind.value}{self.shape}('{self.name}')"
@@ -561,9 +546,14 @@ LEAF_KINDS = frozenset(kind for kind, spec in OPS.items() if spec.kernel is None
 def normalize_attrs(kind: OpKind, attrs: Mapping | None) -> dict[str, Any]:
     """Every attr of the kind's `OPS` entry, converted, or its default when it
     is not given. A missing required attr or an unknown one raises
-    ArityError; a value that the conversion would change raises ValueError."""
+    ArityError; attrs that are not a mapping, or a value that the conversion
+    would change, raise ValueError."""
     spec = OPS[kind].attrs
-    attrs = attrs or {}
+    if attrs is None:
+        attrs = {}
+    elif not isinstance(attrs, (dict, Mapping)):  # dict first: the ABC check is slow
+        raise ValueError(
+            f"{kind.value} attrs must be a mapping, got {type(attrs).__name__}")
     unknown = set(attrs) - set(spec)
     if unknown:
         raise ArityError(f"{kind.value} does not accept attrs {sorted(unknown)}")
@@ -605,14 +595,33 @@ def apply_kind(kind: OpKind, attrs: Mapping, *operands: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable DAG of tensor operations with designated roles and bounds."""
+    """Immutable DAG of tensor operations: its nodes and its outputs. The
+    roles, the bounds and the name table are read off the nodes, once each."""
 
     nodes: tuple[Node, ...]
-    private_inputs: tuple[int, ...]
-    parameters: tuple[int, ...]
     outputs: tuple[int, ...]
-    bounds: BoundsSpec
-    _names: Mapping[str, int] = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def private_inputs(self) -> tuple[int, ...]:
+        """The Input nodes, in declaration order."""
+        kind = OpKind.INPUT  # looked up once: an Enum member lookup is slow
+        return tuple(n.id for n in self.nodes if n.kind is kind)
+
+    @cached_property
+    def parameters(self) -> tuple[int, ...]:
+        """The Parameter nodes, in declaration order."""
+        kind = OpKind.PARAMETER
+        return tuple(n.id for n in self.nodes if n.kind is kind)
+
+    @cached_property
+    def bounds(self) -> Mapping[int, Bounds]:
+        """A read-only {handle: Bounds} of the leaves that carry bounds."""
+        return MappingProxyType(
+            {n.id: n.bounds for n in self.nodes if n.bounds is not None})
+
+    @cached_property
+    def _names(self) -> Mapping[str, int]:
+        return MappingProxyType({n.name: n.id for n in self.nodes})
 
     def node(self, handle: int) -> Node:
         if not isinstance(handle, (int, np.integer)) or not 0 <= handle < len(self.nodes):
@@ -667,25 +676,15 @@ class Graph:
                     diags.append(Diagnostic(
                         "cycle", f"node '{node.name}' references a later node", node.id))
         for h in self.private_inputs:
-            if self.nodes[h].kind is not OpKind.INPUT:
-                diags.append(Diagnostic(
-                    "bad-role", f"private input '{self.nodes[h].name}' is not an Input node", h))
-        for h in self.parameters:
-            if self.nodes[h].kind is not OpKind.PARAMETER:
-                diags.append(Diagnostic(
-                    "bad-role", f"parameter '{self.nodes[h].name}' is not a Parameter node", h))
-        for h in self.private_inputs:
-            b = self.bounds.get(h)
-            if b is None:
+            if self.nodes[h].bounds is None:
                 diags.append(Diagnostic(
                     "missing-bounds",
                     f"missing bounds on input '{self.nodes[h].name}' (#{h})", h))
-        for h, b in self.bounds.items():
-            if not b.matches(self.nodes[h].shape):
+        for node in self.nodes:
+            if node.bounds is not None and not node.bounds.matches(node.shape):
                 diags.append(Diagnostic(
                     "bounds-shape",
-                    f"bounds on '{self.nodes[h].name}' do not match shape "
-                    f"{self.nodes[h].shape}", h))
+                    f"bounds on '{node.name}' do not match shape {node.shape}", node.id))
         return diags
 
     def require_valid(self) -> None:
@@ -700,35 +699,28 @@ class GraphBuilder:
     def __init__(self):
         self._nodes: list[Node] = []
         self._names: dict[str, int] = {}
-        self._private: list[int] = []
-        self._params: list[int] = []
         self._outputs: list[int] = []
-        self._bounds = BoundsSpec()
 
     @classmethod
     def extending(cls, graph: Graph) -> "GraphBuilder":
-        """A builder that starts with `graph`'s nodes, names, roles and bounds,
-        but none of its outputs; the graph's handles stay valid in it."""
+        """A builder that starts with `graph`'s nodes, and so its names, roles
+        and bounds, but none of its outputs; the graph's handles stay valid in
+        it."""
         nb = cls()
         nb._nodes = list(graph.nodes)
         nb._names = dict(graph._names)
-        nb._private = list(graph.private_inputs)
-        nb._params = list(graph.parameters)
-        nb._bounds = graph.bounds.copy()
         return nb
 
     # -- leaves
 
     def input(self, name: str, shape, bounds=None) -> int:
         h = self._leaf(OpKind.INPUT, name, shape)
-        self._private.append(h)
         if bounds is not None:
             self.set_bounds(h, *bounds)
         return h
 
     def parameter(self, name: str, shape, bounds=None) -> int:
         h = self._leaf(OpKind.PARAMETER, name, shape)
-        self._params.append(h)
         if bounds is not None:
             self.set_bounds(h, *bounds)
         return h
@@ -759,29 +751,20 @@ class GraphBuilder:
         for h in handles:
             if not 0 <= h < len(self._nodes):
                 raise UnknownNode(f"no node with handle {h}")
-        norm = normalize_attrs(kind, attrs) if spec.attrs or attrs else {}
+        norm = normalize_attrs(kind, attrs) if spec.attrs or attrs is not None else {}
         try:
             shape = spec.shape([self._nodes[h].shape for h in handles], norm)
         except (ShapeMismatch, ValueError) as err:
             raise type(err)(f"{kind.value}: {err}") from None
         return self._append(kind, handles, shape, norm, name)
 
-    def _carry(self, node: Node, inputs: tuple[int, ...], name: str | None,
-               bounds: Bounds | None = None) -> int:
+    def _carry(self, node: Node, inputs: tuple[int, ...], name: str | None) -> int:
         """Append `node` of another graph on the operands `inputs`, with its
-        shape, attrs and, for an Input or Parameter, its role and `bounds`
-        taken as they are: the caller vouches that the operands have the
-        shapes of the node's own."""
-        h = self._append(node.kind, inputs, node.shape, node.attrs, name)
-        if node.kind is OpKind.INPUT:
-            self._private.append(h)
-        elif node.kind is OpKind.PARAMETER:
-            self._params.append(h)
-        if bounds is not None:
-            self._bounds._entries[h] = bounds
-        return h
+        kind, shape, attrs and bounds taken as they are: the caller vouches
+        that the operands have the shapes of the node's own."""
+        return self._append(node.kind, inputs, node.shape, node.attrs, name, node.bounds)
 
-    def _append(self, kind, inputs, shape, attrs, name) -> int:
+    def _append(self, kind, inputs, shape, attrs, name, bounds=None) -> int:
         nid = len(self._nodes)
         if name is None:
             name = f"n{nid}"
@@ -791,7 +774,7 @@ class GraphBuilder:
             raise ValueError(f"node name must be a string, got {name!r}")
         elif name in self._names:
             raise ValueError(f"node name {name!r} already used")
-        self._nodes.append(Node(nid, kind, inputs, shape, attrs, name))
+        self._nodes.append(Node(nid, kind, inputs, shape, attrs, name, bounds))
         self._names[name] = nid
         return nid
 
@@ -867,7 +850,7 @@ class GraphBuilder:
         if not b.matches(node.shape):
             raise ShapeMismatch(
                 f"bounds shape {b.lo.shape} does not match '{node.name}' {node.shape}")
-        self._bounds._entries[handle] = b
+        self._nodes[handle] = replace(node, bounds=b)
 
     def output(self, handle: int) -> int:
         if not 0 <= handle < len(self._nodes):
@@ -876,14 +859,7 @@ class GraphBuilder:
         return handle
 
     def graph(self) -> Graph:
-        return Graph(
-            nodes=tuple(self._nodes),
-            private_inputs=tuple(self._private),
-            parameters=tuple(self._params),
-            outputs=tuple(self._outputs),
-            bounds=self._bounds.copy(),
-            _names=dict(self._names),
-        )
+        return Graph(nodes=tuple(self._nodes), outputs=tuple(self._outputs))
 
 
 def freeze(graph: Graph, values: Mapping[str, Any]) -> Graph:
@@ -907,11 +883,9 @@ def freeze(graph: Graph, values: Mapping[str, Any]) -> Graph:
             raise InvalidParams(f"'{name}' expects shape {node.shape}, got {value.shape}")
         if not np.isfinite(value).all():
             raise InvalidParams(f"frozen value for '{name}' must be finite")
-        constants[node.id] = replace(node, kind=OpKind.CONSTANT, attrs={"value": value})
-    return replace(graph, nodes=tuple(constants.get(n.id, n) for n in graph.nodes),
-                   parameters=tuple(h for h in graph.parameters if h not in constants),
-                   bounds=BoundsSpec({h: b for h, b in graph.bounds.items()
-                                      if h not in constants}))
+        constants[node.id] = replace(node, kind=OpKind.CONSTANT, attrs={"value": value},
+                                     bounds=None)
+    return replace(graph, nodes=tuple(constants.get(n.id, n) for n in graph.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +961,7 @@ def _rewrite(graph: Graph) -> Graph:
     for node in graph.nodes:
         kind = node.kind
         if kind is OpKind.INPUT or kind is OpKind.PARAMETER:
-            mapping[node.id] = nb._carry(node, (), node.name, graph.bounds.get(node.id))
+            mapping[node.id] = nb._carry(node, (), node.name)
             continue
         if node.id not in reached:
             continue
@@ -1025,7 +999,7 @@ def _rewrite(graph: Graph) -> Graph:
 
 def _drop_unreached(graph: Graph) -> Graph:
     """Keep the nodes an output reaches and every Input and Parameter,
-    renumbered in order, with roles, bounds and outputs remapped."""
+    renumbered in order, with the outputs remapped."""
     keep = graph.reached.union(graph.leaves())
     if len(keep) == len(graph.nodes):
         return graph
@@ -1036,14 +1010,7 @@ def _drop_unreached(graph: Graph) -> Graph:
             new_id[node.id] = len(nodes)
             nodes.append(replace(node, id=len(nodes),
                                  inputs=tuple(new_id[i] for i in node.inputs)))
-    return Graph(
-        nodes=tuple(nodes),
-        private_inputs=tuple(new_id[h] for h in graph.private_inputs),
-        parameters=tuple(new_id[h] for h in graph.parameters),
-        outputs=tuple(new_id[h] for h in graph.outputs),
-        bounds=BoundsSpec({new_id[h]: b for h, b in graph.bounds.items()}),
-        _names={n.name: n.id for n in nodes},
-    )
+    return Graph(nodes=tuple(nodes), outputs=tuple(new_id[h] for h in graph.outputs))
 
 
 def optimize(graph: Graph) -> Graph:

@@ -182,7 +182,7 @@ def propagate(graph: Graph) -> dict[int, IntervalTensor]:
             continue
         k = node.kind
         if k in (OpKind.INPUT, OpKind.PARAMETER):
-            b = graph.bounds.get(node.id)
+            b = node.bounds
             if b is None:
                 missing.append(node)
                 continue

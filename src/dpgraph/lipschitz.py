@@ -69,7 +69,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -819,22 +819,20 @@ def _grid_chunks(lo, hi, resolution, size):
         yield np.array(chunk).reshape(len(chunk), lo.size)
 
 
-def estimate_sensitivity(graph: Graph, wrt=None, bounds=None,
+def estimate_sensitivity(graph: Graph, wrt=None,
                          method: str = "global_opt",
                          config: OptimizerConfig | None = None) -> SensitivityReport:
     """Bound sup of the Jacobian spectral norm over the bounded box.
 
     `wrt` selects the differentiation targets (default: all private inputs);
     every Input and Parameter, unless `graph.freeze` made it a Constant, varies
-    over its box as a free coordinate. `bounds` overrides the graph's bounds.
-    Methods: `global_opt` (sampling plus refined ascent), `grid_oracle`
-    (brute force, small dimensions only), `ibp` (interval baseline).
+    over its box as a free coordinate. Methods: `global_opt` (sampling plus
+    refined ascent), `grid_oracle` (brute force, small dimensions only),
+    `ibp` (interval baseline).
     """
     if method not in METHODS:
         raise InvalidParams(f"unknown method {method!r}; expected one of {METHODS}")
     config = config or OptimizerConfig()
-    if bounds is not None:
-        graph = replace(graph, bounds=bounds)
     if wrt is None:
         wrt = list(graph.private_inputs) or list(graph.leaves())
     else:

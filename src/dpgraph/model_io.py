@@ -108,7 +108,10 @@ def loads_model(text: str, origin: str = "<string>") -> Graph:
                 raise ModelFormatError(f"{where}: inputs must be a list of names")
             inputs = [b._names[i] if i in b._names else _bad_ref(where, i)
                       for i in inputs]
-            b.build(kind, inputs, entry.get("attrs"), name)
+            attrs = entry.get("attrs", {})
+            if not isinstance(attrs, dict):
+                raise ModelFormatError(f"{where}: attrs must be an object, got {attrs!r}")
+            b.build(kind, inputs, attrs, name)
 
         if not isinstance(outputs, list):
             raise ModelFormatError("outputs must be a list of op names")
@@ -153,7 +156,7 @@ def dumps_model(graph: Graph) -> str:
             "shape": list(node.shape.dims),
             "role": "private_input" if node.kind is OpKind.INPUT else "parameter",
         }
-        b = graph.bounds.get(h)
+        b = node.bounds
         if b is not None:
             entry["bounds"] = [b.lo.tolist(), b.hi.tolist()]
         tensors.append(entry)

@@ -81,13 +81,12 @@ def content_hash(graph: Graph) -> str:
     """
     digests: dict[int, str] = {}
     reached = graph.reached
-    bounds = graph.bounds
     sha256 = hashlib.sha256
     for node in graph.nodes:  # inputs precede their users
         kind = node.kind
         if kind is OpKind.INPUT or kind is OpKind.PARAMETER:
             parts = [_KIND_TEXT[kind], node.name, node.shape.text]
-            b = bounds.get(node.id)
+            b = node.bounds
             if b is not None:
                 parts += (b.lo.tobytes().hex(), b.hi.tobytes().hex())
         elif node.id not in reached:
@@ -220,7 +219,7 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         slot = new_slot() if h in reachable else None
         if slot is not None:
             slot_of[h] = slot
-        b = opt.bounds.get(h)
+        b = node.bounds
         if b is None:
             key = None
         elif b.lo.shape == ():
@@ -562,8 +561,7 @@ def benchmark(widths, repetitions: int = 100, seed: int = 0) -> list[BenchRecord
         inputs = {}
         for h in g.leaves():
             node = g.nodes[h]
-            b = g.bounds.get(h)
-            lo, hi = b.broadcast_to(node.shape)
+            lo, hi = node.bounds.broadcast_to(node.shape)
             inputs[node.name] = rng.uniform(lo, hi)
         execute(program, inputs)  # warm-up
         times = []

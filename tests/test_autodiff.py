@@ -4,7 +4,8 @@ import pytest
 from dpgraph import GraphBuilder, NonDifferentiable, OpKind
 from dpgraph.autodiff import VJP_RULES, higher_order, jacobian, vjp
 from dpgraph.graph import LEAF_KINDS, OPS
-from dpgraph.models import mlp_classifier
+from dpgraph.lipschitz import estimate_sensitivity
+from dpgraph.models import mean_query, mlp_classifier
 from dpgraph import runtime
 
 from conftest import (
@@ -353,3 +354,16 @@ def test_derivative_program_fingerprints_are_pinned(make, fingerprints):
     got += tuple(optimized_hash(higher_order(g, wrt, order).graph)
                  for order in range(2, len(fingerprints)))
     assert got == fingerprints
+
+
+def test_a_leaf_listed_twice_in_wrt_is_refused():
+    # once an 8-column J for a 4-element leaf, and a bound sqrt(2) too high
+    g = mean_query(4)
+    x = g.find("x")
+    for transform in (jacobian, vjp):
+        with pytest.raises(NonDifferentiable, match="'x' is listed twice"):
+            transform(g, [x, x])
+    for method in ("ibp", "global_opt"):
+        with pytest.raises(NonDifferentiable, match="'x' is listed twice"):
+            estimate_sensitivity(g, wrt=[x, x], method=method)
+    assert estimate_sensitivity(g, wrt=[x], method="ibp").bound == pytest.approx(0.5)

@@ -232,6 +232,20 @@ def test_analyze_refuses_non_finite_attrs(tmp_path, capsys, op):
     assert f"'{next(iter(op['attrs']))}'" in capsys.readouterr().err
 
 
+def test_analyze_refuses_attrs_that_are_not_an_object(tmp_path):
+    # it once ended in an AttributeError traceback and exit 1
+    doc = json.loads(json.dumps(MEAN_MODEL))
+    doc["ops"][0]["attrs"] = ["axis"]
+    model = _write(tmp_path, "listattrs.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", "analyze", "--model", str(model),
+         "--methods", "ibp"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "op 'm': attrs must be an object" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--seed", "-1"],
     ["analyze", "--samples", "-4"],
@@ -477,6 +491,46 @@ def test_run_refuses_data_for_a_tensor_of_three_axes(tmp_path, rng, capsys):
     err = capsys.readouterr().err
     assert "at most two axes" in err and "(2,2,2)" in err
     assert "scalar" not in err
+
+
+def _run_csv(tmp_path, declared, text):
+    """`dpgraph run` of the mean of x, declared with shape `declared`, on a
+    CSV file holding `text`, or on a missing file when `text` is None."""
+    model = _write(tmp_path, "m.json", {
+        "tensors": [{"name": "x", "shape": declared, "role": "private_input",
+                     "bounds": [0.0, 1.0]}],
+        "ops": [{"name": "m", "kind": "Mean", "inputs": ["x"], "attrs": {"axis": None}}],
+        "outputs": ["m"],
+    })
+    csv = tmp_path / "x.csv"
+    if text is not None:
+        csv.write_text(text)
+    out = tmp_path / "out.json"
+    code = main(["run", "--model", str(model), "--data", str(csv), "--epsilon", "1.0",
+                 "--delta", "1e-5", "--seed", "0", "--out", str(out)])
+    return code, out.read_text() if code == 0 else None
+
+
+def test_run_reads_a_vector_from_a_row_or_a_column_and_a_scalar_from_one_cell(tmp_path):
+    code, row = _run_csv(tmp_path, [3], "0.1,0.2,0.3\n")
+    assert code == 0
+    code, column = _run_csv(tmp_path, [3], "0.1\n0.2\n0.3\n")
+    assert code == 0 and column == row
+    assert json.loads(row)["clipped_fraction"] == 0.0
+    code, _ = _run_csv(tmp_path, [], "0.5\n")
+    assert code == 0
+
+
+@pytest.mark.parametrize("declared,text,message", [
+    ([], "0.1,0.2,0.3\n", "declared scalar but CSV is (1, 3)"),
+    ([3], "0.1,nan,0.3\n", "data contains NaN"),
+    ([3], "0.1,abc,0.3\n", "cannot parse CSV"),
+    ([3], None, "cannot read data file"),
+], ids=["scalar-row", "nan", "text", "missing-file"])
+def test_run_refuses_csv_data_it_cannot_bind(tmp_path, capsys, declared, text, message):
+    code, _ = _run_csv(tmp_path, declared, text)
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_missing_tensor_data(tmp_path):

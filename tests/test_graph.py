@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -16,9 +17,10 @@ from dpgraph import (
     optimize,
     runtime,
 )
-from dpgraph.autodiff import jacobian, vjp
+from dpgraph.autodiff import higher_order, jacobian, vjp
 from dpgraph import graph
-from dpgraph.graph import LEAF_KINDS, Graph, attr_key
+from dpgraph.graph import LEAF_KINDS, Graph, attr_key, freeze
+from dpgraph.model_io import dumps_model, loads_model
 from dpgraph.models import mean_query, mlp_classifier
 
 from conftest import random_graph, ref_eval, sample_inputs
@@ -116,6 +118,16 @@ def test_bounds_require_lo_le_hi():
         b.set_bounds(x, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("attrs", [["axis"], [], "axis", 0], ids=repr)
+def test_build_refuses_attrs_that_are_not_a_mapping(attrs):
+    b = GraphBuilder()
+    x = b.input("x", (3, 1), bounds=(0, 1))
+    with pytest.raises(ValueError, match="Mean attrs must be a mapping"):
+        b.build(OpKind.MEAN, [x], attrs)
+    with pytest.raises(ValueError, match="Neg attrs must be a mapping"):
+        b.build(OpKind.NEG, [x], attrs)
+
+
 def test_validate_missing_bounds_and_no_outputs():
     b = GraphBuilder()
     x = b.input("x", (3, 1))
@@ -138,6 +150,84 @@ def test_validate_reports_all_violations():
 def test_validate_mlp_ok():
     g = mlp_classifier(3)
     assert g.validate() == []
+
+
+def test_a_graph_is_its_nodes_and_its_outputs():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["nodes", "outputs"]
+    assert set(vars(GraphBuilder())) == {"_nodes", "_names", "_outputs"}
+
+
+def test_a_built_graph_cannot_be_changed():
+    g = mean_query(4)
+    x = g.find("x")
+    with pytest.raises(TypeError):
+        g.bounds[x] = g.bounds[x]
+    assert not hasattr(g.bounds, "set")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.nodes[x].bounds = None
+
+
+def test_a_graph_keeps_its_bounds_when_its_builder_moves_on():
+    b = GraphBuilder()
+    x = b.input("x", (3, 1), bounds=(0.0, 1.0))
+    b.output(b.reduce_sum(x))
+    g = b.graph()
+    fingerprint = runtime.graph_fingerprint(g)
+    b.set_bounds(x, 0.0, 5.0)
+    assert float(g.bounds[x].hi) == 1.0 and float(g.nodes[x].bounds.hi) == 1.0
+    assert runtime.graph_fingerprint(g) == fingerprint
+    assert float(b.graph().bounds[x].hi) == 5.0
+
+
+def _leaf_rows(g):
+    """Each leaf's name, role, shape and bounds, in `leaves` order; every
+    view of the graph must agree with its nodes."""
+    rows = []
+    for h in g.leaves():
+        node = g.nodes[h]
+        assert g.find(node.name) == h and g.bounds.get(h) is node.bounds
+        b = node.bounds
+        rows.append((node.name, node.kind, node.shape,
+                     None if b is None else (b.lo.shape, b.lo.tobytes(), b.hi.tobytes())))
+    assert g.private_inputs == tuple(n.id for n in g.nodes if n.kind is OpKind.INPUT)
+    assert g.parameters == tuple(n.id for n in g.nodes if n.kind is OpKind.PARAMETER)
+    assert set(g.bounds) == {h for h in g.leaves() if g.nodes[h].bounds is not None}
+    return rows
+
+
+def _mixed_leaves():
+    """A bounded Input, a Parameter with per-element bounds, an unbounded
+    Parameter that no output reaches and a bounded one that an output does."""
+    b = GraphBuilder()
+    x = b.input("x", (3, 1), bounds=(0.0, 1.0))
+    w = b.parameter("w", (3, 1), bounds=([[-1.0], [0.0], [1.0]], [[1.0], [2.0], [3.0]]))
+    b.parameter("free", (2, 1))
+    s = b.parameter("s", (), bounds=(0.5, 2.0))
+    b.output(b.mul(b.reduce_sum(b.sigmoid(b.mul(x, w))), s))
+    return b.graph()
+
+
+@pytest.mark.parametrize("make", [_mixed_leaves, lambda: mlp_classifier(2)],
+                         ids=["mixed", "mlp2"])
+def test_every_transform_keeps_each_leaf_name_role_and_bounds(make):
+    g = make()
+    rows = _leaf_rows(g)
+    x = [g.find("x")]
+    for transformed in (optimize(g), jacobian(g, x).graph, higher_order(g, x, 2).graph,
+                        loads_model(dumps_model(g))):
+        assert _leaf_rows(transformed) == rows
+
+    grad, name = vjp(g, x)
+    (out,) = g.outputs
+    assert _leaf_rows(grad) == rows + [(name, OpKind.PARAMETER, g.nodes[out].shape, None)]
+    assert grad.parameters[-1] == grad.find(name) == len(g.nodes)
+
+    frozen_name = g.nodes[g.parameters[0]].name
+    h = g.find(frozen_name)
+    frozen = freeze(g, {frozen_name: np.ones(g.nodes[h].shape.dims)})
+    assert frozen.find(frozen_name) == h and frozen.nodes[h].kind is OpKind.CONSTANT
+    assert h not in frozen.parameters and h not in frozen.bounds
+    assert _leaf_rows(frozen) == [r for r in rows if r[0] != frozen_name]
 
 
 def test_constant_folding_collapses_to_single_constant():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpgraph import DomainError, GraphBuilder
+from dpgraph import DomainError, GraphBuilder, ValidationFailed
 from dpgraph.autodiff import jacobian
 from dpgraph.graph import LEAF_KINDS, OpKind, optimize
 from dpgraph.interval import INTERVAL_RULES, IntervalTensor, propagate
@@ -205,3 +205,18 @@ def test_ibp_bounds_a_negative_integer_power_over_a_box_without_zero():
     opt = estimate_sensitivity(g, method="global_opt")
     assert opt.bound == pytest.approx(np.sqrt(3.0), rel=1e-12)
     assert ibp.certified and ibp.bound >= opt.bound
+
+
+@pytest.mark.parametrize("x_bounds", [(0.0, 1.0), None], ids=["x-bounded", "x-unbounded"])
+def test_propagate_names_each_unbounded_leaf_it_reaches(x_bounds):
+    b = GraphBuilder()
+    x = b.input("x", (3, 1), bounds=x_bounds)
+    p = b.parameter("p", (3, 1))
+    b.parameter("unused", (3, 1))
+    b.output(b.reduce_sum(b.mul(x, p)))
+    with pytest.raises(ValidationFailed) as info:
+        propagate(b.graph())
+    diags = info.value.diagnostics
+    assert [d.code for d in diags] == ["missing-bounds"] * len(diags)
+    assert [d.node for d in diags] == ([p] if x_bounds else [x, p])
+    assert "'p'" in diags[-1].message

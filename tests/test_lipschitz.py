@@ -468,14 +468,15 @@ def test_oracle_consistency_on_random_small_graphs(rng):
 
 
 def test_bounds_override_widens_domain():
-    from dpgraph import BoundsSpec
-
-    g = _square()
-    wider = BoundsSpec()
-    wider.set(g.find("x"), 0.0, 2.0)
-    report = estimate_sensitivity(g, bounds=wider, method="global_opt")
+    # _square's x * x with x in [0, 2] instead of [0, 1]: a graph's box is the
+    # bounds its leaves were built with, so a wider box is another graph
+    b = GraphBuilder()
+    x = b.input("x", (), bounds=(0.0, 2.0))
+    b.output(b.mul(x, x))
+    g = b.graph()
+    report = estimate_sensitivity(g, method="global_opt")
     assert report.bound == pytest.approx(4.0, abs=1e-6)
-    ibp = estimate_sensitivity(g, bounds=wider, method="ibp")
+    ibp = estimate_sensitivity(g, method="ibp")
     assert ibp.bound == pytest.approx(4.0, abs=1e-9)
 
 

@@ -218,6 +218,15 @@ def test_attr_values_are_checked_not_coerced(kind, inputs, attrs, match):
         loads_model(json.dumps(_one_op(kind, inputs, attrs)))
 
 
+@pytest.mark.parametrize("attrs", [["axis"], [], None, "axis", 0],
+                         ids=["list", "empty-list", "null", "string", "number"])
+def test_attrs_that_are_not_an_object_are_refused(attrs):
+    # ["axis"] once ended in an AttributeError from attrs.get, and [] loaded
+    doc = _one_op("Mean", ["x"], attrs)
+    with pytest.raises(ModelFormatError, match="op 'op': attrs must be an object"):
+        loads_model(json.dumps(doc))
+
+
 def test_infinite_interval_ends_open_the_interval():
     doc = _one_op("Clip", ["x"], {"lo": -INF, "hi": 0.5})
     g = loads_model(json.dumps(doc))

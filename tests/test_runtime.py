@@ -10,6 +10,7 @@ from dpgraph import (
     MissingInput,
     NumericalError,
     ShapeMismatch,
+    UnknownNode,
     ValidationFailed,
 )
 from dpgraph.autodiff import jacobian
@@ -172,6 +173,12 @@ def test_missing_input():
     program = runtime.compile(_affine())
     with pytest.raises(MissingInput):
         runtime.execute(program, {})
+
+
+def test_an_input_the_program_does_not_declare_is_refused():
+    program = runtime.compile(mean_query(3))
+    with pytest.raises(UnknownNode, match="no declared input named 'y'"):
+        runtime.execute(program, {"x": np.zeros((3, 1)), "y": np.zeros((3, 1))})
 
 
 def test_shape_mismatch():
