@@ -97,8 +97,3 @@ def sobol_integers(d: int, n: int, seed: int) -> np.ndarray:
         size, bit = 2 * size, bit + 1
     return points
 
-
-def sobol(d: int, n: int, seed: int) -> np.ndarray:
-    """The first n points of the shifted Sobol' sequence in [0, 1)^d, as a
-    (n, d) float64 array: `sobol_integers` times 2^-BITS."""
-    return sobol_integers(d, n, seed) * 2.0 ** -BITS

@@ -31,11 +31,6 @@ class IntervalTensor:
     lo: np.ndarray
     hi: np.ndarray
 
-    @property
-    def diverged(self) -> bool:
-        """True when an operation provably escaped to an infinite endpoint."""
-        return not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
-
 
 def _iv(lo, hi) -> IntervalTensor:
     return IntervalTensor(np.asarray(lo, dtype=np.float64),

@@ -12,15 +12,17 @@ shifted Sobol' points from `_sobol`, a NumPy engine that builds them from Joe
 & Kuo's direction-number table: scipy's unscrambled `qmc.Sobol` points, each
 XOR one random word per dimension drawn from the seed.
 
-The sampling set-up serves both phases at once. One stable sort of the
-doubled set's rows by their first coordinate, with the rows that tie there
-(the box's corners) sorted again as byte strings, orders them and drops
-repeats (`_unique_rows`); the first set is a mask over the result. Each
-phase starts from its MAX_STARTS highest stars: feasible samples with at
-least k other samples of the phase strictly closer than their nearest
-strictly higher one, which, unless samples tie at the k-th nearest distance,
-are those no lower than any of their k exact nearest neighbours (Törn &
-Viitanen 1992). `_stars` tests the samples from the highest value down and
+The sampling set-up serves both phases at once. The samples stay in the
+order they are drawn, the first set's Sobol' rows, the box's midpoint and
+its corners, then the doubled set's other Sobol' rows, so the first set is
+a prefix of the second. A corner is drawn once, and a Sobol' row repeats no
+other row on a coordinate of nonzero width, so only a box with no width has
+equal samples; the point memo (`_Recorder`) is the one dedupe. Each phase
+starts from its MAX_STARTS highest stars: feasible samples with at least k
+other samples of the phase strictly closer than their nearest strictly
+higher one, which, unless samples tie at the k-th nearest distance, are
+those no lower than any of their k exact nearest neighbours (Törn & Viitanen
+1992). `_stars` tests the samples from the highest value down and
 stops once both phases have their starts, so only the samples it tests get
 distance rows (`_distance_rows`), a block at a time; each block serves both
 phases.
@@ -393,79 +395,41 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
 
 
-def _sample_points(lo, hi, config: OptimizerConfig
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phase B's points, each once and in lexicographic row order, the mask
-    of phase A's points among them, and a spare (m, d) buffer, m at least
-    the number of points, that nothing else holds. Both phases come from one
-    shifted Sobol' draw of 2n points, n = config.n_samples: A takes the
-    first n, B all 2n, and both the midpoint and the corners, which are
-    drawn once.
+def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, int]:
+    """Both phases' points in the order they are drawn, and n_a: phase A is
+    the first n_a rows, phase B all of them. One shifted Sobol' draw of 2n
+    points, n = config.n_samples, serves both: the rows are A's n Sobol'
+    rows, the midpoint, the corners, then B's other n Sobol' rows. A Sobol'
+    row is its integer point times 2^-BITS, times hi - lo, plus lo: the bits
+    of lo + unit * (hi - lo).
 
-    Every row is written into the one buffer that the gather of the
-    distinct rows leaves spare: A's Sobol' rows, the midpoint and the
-    corners first, so that the first copy of a point is A's whenever A has
-    one, then B's other Sobol' rows. A Sobol' row is its integer point times
-    2^-BITS, times hi - lo, plus lo: the bits of lo + unit * (hi - lo)."""
+    Each corner is drawn once: every corner when the box has at most
+    MAX_CORNER_SAMPLES, with one value for a coordinate whose ends are equal,
+    else the first copy of each of MAX_CORNER_SAMPLES random bit patterns,
+    read with zero-width coordinates at lo. Each one-dimensional projection
+    of a Sobol' sequence is a (0,1)-sequence in base 2, and a digital shift
+    is a bijection, so Sobol' rows differ on a coordinate of nonzero width:
+    rows repeat only on a box with no width, and `_Recorder` evaluates a
+    repeated row once."""
     d, n = lo.size, config.n_samples
-    few = 2 ** d <= MAX_CORNER_SAMPLES
-    n_corners = 2 ** d if few else MAX_CORNER_SAMPLES
-    end_a = n + 1 + n_corners
-    rows = np.empty((end_a + n, d))
+    if 2 ** d <= MAX_CORNER_SAMPLES:
+        corners = list(itertools.product(*[(a,) if a == b else (a, b)
+                                           for a, b in zip(lo, hi)]))
+    else:
+        rng = np.random.default_rng(config.seed + 1)
+        bits = (rng.integers(0, 2, size=(MAX_CORNER_SAMPLES, d)) == 1) & (lo != hi)
+        corners = np.where(list({row.tobytes(): row for row in bits}.values()), hi, lo)
+    n_a = n + 1 + len(corners)
+    points = np.empty((n_a + n, d))
     integers = _sobol.sobol_integers(d, 2 * n, config.seed)
-    for part, points in ((rows[:n], integers[:n]), (rows[end_a:], integers[n:])):
-        np.multiply(points, 2.0 ** -_sobol.BITS, out=part)
+    for part, rows in ((points[:n], integers[:n]), (points[n_a:], integers[n:])):
+        np.multiply(rows, 2.0 ** -_sobol.BITS, out=part)
         part *= hi - lo
         part += lo
     del integers
-    rows[n] = (lo + hi) / 2.0
-    corners = rows[n + 1:end_a]
-    if few:
-        corners[:] = list(itertools.product(*zip(lo, hi)))
-    else:
-        rng = np.random.default_rng(config.seed + 1)
-        np.copyto(corners, hi)
-        np.copyto(corners, lo, where=rng.integers(0, 2, size=corners.shape) == 0)
-    first = _unique_rows(rows)
-    return rows[first], first < end_a, rows
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The index of the first copy of each distinct row of a (m, d) array of
-    floats without NaN, d >= 1, the rows in lexicographic order. A row's -0.0
-    equals its 0.0, so rows[_unique_rows(rows)] are the rows NumPy's `unique`
-    gives along axis 0; of rows equal but for the sign of a zero, the first
-    stays.
-
-    A float compares as an order-preserving map of it to uint64. One stable
-    sort of the first coordinate's keys orders the rows; only runs of rows
-    that tie there, such as the box's corners, are sorted again, stably, by
-    the big-endian bytes of all their keys, and compared row by row."""
-    first = _order_keys(rows[:, 0])
-    order = np.argsort(first, kind="stable")
-    same = first[order[1:]] == first[order[:-1]]
-    tied = np.zeros(len(order), dtype=bool)
-    tied[1:] |= same
-    tied[:-1] |= same
-    distinct = ~tied
-    at = np.flatnonzero(tied)
-    if at.size:
-        keys = _order_keys(rows[order[at]]).astype(">u8")
-        strings = keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel()
-        resort = np.argsort(strings, kind="stable")
-        order[at], strings = order[at][resort], strings[resort]
-        distinct[at[0]] = True
-        distinct[at[1:]] = strings[1:] != strings[:-1]
-    return order[distinct]
-
-
-def _order_keys(values: np.ndarray) -> np.ndarray:
-    """uint64 keys of floats without NaN that order as the floats do, with
-    -0.0 folded into 0.0."""
-    keys = (values + 0.0).view(np.int64)
-    # flips every bit of a negative float and the sign bit of the others
-    keys ^= (keys >> 63) | np.int64(-2 ** 63)
-    return keys.view(np.uint64)
+    points[n] = (lo + hi) / 2.0
+    points[n + 1:n_a] = corners
+    return points, n_a
 
 
 # OpenBLAS runs a matrix product of m x k by k x n on one thread when
@@ -582,8 +546,8 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     Each distinct point is evaluated once, remembered by its bytes; values
     that carry `kept` (`_Kept`) have each row's item remembered with it, and
     a gradient is asked for on a stack that carries its points' items. The
-    second sampling phase contains the first, so both are evaluated, first
-    phase first, and then the distinct union of their starts ascends once,
+    first sampling phase is a prefix of the second, so both are evaluated,
+    first phase first, and then the distinct union of their starts ascends once,
     in lockstep (see `_ascend`); each phase reads its stationary values at
     its own starts.
 
@@ -616,27 +580,21 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     if gradient is None:
         gradient = lambda xs: _fd_gradient(f, xs, lo, hi)
 
-    pts_b, in_a, spare = _sample_points(lo, hi, config)
+    points, n_a = _sample_points(lo, hi, config)
     # phase A's rows are evaluated first: the best value keeps the first of
-    # equal values, and on a mean query every value is equal. Both phases'
-    # rows are gathered into the sampler's spare buffer, A's first (mode
-    # "clip" writes there directly; the indices are in range)
-    order = np.argsort(~in_a, kind="stable")
-    stack = np.take(pts_b, order, axis=0, out=spare[:len(pts_b)], mode="clip")
-    n_a = int(np.count_nonzero(in_a))
-    vals_b = np.empty(len(pts_b))
-    vals_b[order[:n_a]] = f(stack[:n_a])
-    vals_b[order[n_a:]] = f(stack[n_a:])
+    # equal values, and on a mean query every value is equal
+    vals = np.empty(len(points))
+    vals[:n_a] = f(points[:n_a])
+    vals[n_a:] = f(points[n_a:])
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
-    # neighbours are nearest in the box scaled to the unit cube, written over
-    # the evaluated stack
-    unit = np.subtract(pts_b, lo, out=stack)
+    # neighbours are nearest in the box scaled to the unit cube
+    unit = points - lo
     unit /= np.maximum(hi - lo, 1e-30)
-    starts_b, starts_a = _stars(unit, vals_b, in_a)
+    starts_b, starts_a = _stars(unit, vals, np.arange(len(points)) < n_a)
     union = np.concatenate([starts_a, starts_b[~np.isin(starts_b, starts_a)]])
-    refined = np.full(len(pts_b), -np.inf)
-    refined[union] = _ascend(f, gradient, pts_b[union], lo, hi)[1]
+    refined = np.full(len(points), -np.inf)
+    refined[union] = _ascend(f, gradient, points[union], lo, hi)[1]
 
     def stationary(vals: np.ndarray, phase_starts: np.ndarray):
         """A phase's best stationary value and its number of distinct ones."""
@@ -648,8 +606,8 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
             return float(feasible.max()), 1
         return max(found), _value_groups(found, CERTIFICATE_RTOL)
 
-    best_a, groups_a = stationary(vals_b[in_a], starts_a)
-    best_b, groups_b = stationary(vals_b, starts_b)
+    best_a, groups_a = stationary(vals[:n_a], starts_a)
+    best_b, groups_b = stationary(vals, starts_b)
 
     stable = bool(
         groups_a == groups_b

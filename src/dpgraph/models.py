@@ -5,26 +5,25 @@ from __future__ import annotations
 from .graph import Graph, GraphBuilder
 
 
-def mlp_classifier(width: int, in_features: int | None = None,
-                   layers: int = 4, unit_interval=(0.0, 1.0)) -> Graph:
+def mlp_classifier(width: int, in_features: int | None = None) -> Graph:
     """Sigmoid MLP with a cross-entropy objective over bounded data.
 
-    `layers` linear layers of the given width feed a fused binary
-    cross-entropy against a target tensor `t`. Features `x` and targets `t`
-    are private inputs; weights and biases are parameters. Every tensor is
-    bounded to `unit_interval` elementwise.
+    Four linear layers of the given width feed a fused binary cross-entropy
+    against a target tensor `t`. Features `x` and targets `t` are private
+    inputs; weights and biases are parameters. Every tensor is bounded to
+    [0, 1] elementwise.
     """
-    if width < 1 or layers < 1:
-        raise ValueError("width and layers must be positive")
+    if width < 1:
+        raise ValueError("width must be positive")
     in_features = width if in_features is None else in_features
     b = GraphBuilder()
-    x = b.input("x", (in_features, 1), bounds=unit_interval)
-    t = b.input("t", (width, 1), bounds=unit_interval)
+    x = b.input("x", (in_features, 1), bounds=(0.0, 1.0))
+    t = b.input("t", (width, 1), bounds=(0.0, 1.0))
     h = x
     fan_in = in_features
-    for i in range(1, layers + 1):
-        w = b.parameter(f"w{i}", (width, fan_in), bounds=unit_interval)
-        bias = b.parameter(f"b{i}", (width, 1), bounds=unit_interval)
+    for i in range(1, 5):
+        w = b.parameter(f"w{i}", (width, fan_in), bounds=(0.0, 1.0))
+        bias = b.parameter(f"b{i}", (width, 1), bounds=(0.0, 1.0))
         h = b.sigmoid(b.add(b.matmul(w, h), bias))
         fan_in = width
     loss = b.binary_cross_entropy(h, t)

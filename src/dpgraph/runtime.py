@@ -13,7 +13,8 @@ where the derivative graphs of `autodiff`, which come unoptimized, are
 optimized, so a compiled program's `optimized_graph` is the one to
 differentiate or inspect further. Each program is cached under one key, the
 content hash of the graph as given, which is also the program's fingerprint,
-so recompiling an identical graph is one hash and a lookup.
+so recompiling an identical graph is one hash and a lookup, and recompiling
+the same graph object, whose hash is kept, is two lookups.
 
 Finiteness invariant: execution raises `NumericalError` whenever a value the
 outputs depend on is NaN or Inf, without scanning intermediate results. The
@@ -50,6 +51,7 @@ import math
 import statistics
 import threading
 import time
+import weakref
 from collections import OrderedDict, abc
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -157,8 +159,11 @@ class CompiledProgram:
 
 # Each program is filed under its fingerprint, the content hash of the graph
 # as given; past CACHE_SIZE programs the least recently used one is dropped.
+# A graph is immutable, so each graph object's hash is computed once and kept
+# while the object lives.
 CACHE_SIZE = 256
 _CACHE: OrderedDict[str, CompiledProgram] = OrderedDict()
+_HASHES: weakref.WeakKeyDictionary[Graph, str] = weakref.WeakKeyDictionary()
 _CACHE_LOCK = threading.Lock()
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
@@ -176,9 +181,22 @@ def cache_info() -> CacheInfo:
 
 
 def clear_cache() -> None:
+    """Drops every program and every graph's kept content hash."""
     with _CACHE_LOCK:
         _CACHE.clear()
+        _HASHES.clear()
         _CACHE_STATS.update(hits=0, misses=0)
+
+
+def _fingerprint(graph: Graph) -> str:
+    """`content_hash(graph)`, computed once per graph object."""
+    with _CACHE_LOCK:
+        fingerprint = _HASHES.get(graph)
+    if fingerprint is None:
+        fingerprint = content_hash(graph)
+        with _CACHE_LOCK:
+            _HASHES[graph] = fingerprint
+    return fingerprint
 
 
 def _cache_get(key: str) -> CompiledProgram | None:
@@ -296,7 +314,7 @@ def compile(graph: Graph) -> CompiledProgram:
     of the graph as given, and it is the program's one cache key; on a miss
     the graph is validated, optimized and linearized.
     """
-    fingerprint = content_hash(graph)
+    fingerprint = _fingerprint(graph)
     program = _cache_get(fingerprint)
     if program is None:
         graph.require_valid()
@@ -309,7 +327,7 @@ def graph_fingerprint(graph: Graph) -> str:
     """The fingerprint `compile(graph)` gives its program: the content hash of
     the valid graph as given; nothing is compiled."""
     graph.require_valid()
-    return content_hash(graph)
+    return _fingerprint(graph)
 
 
 # Values one chunk of a batched execute may compute, summed over the plan.

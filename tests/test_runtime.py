@@ -761,6 +761,23 @@ def test_cache_info_counts_hits_misses_and_size(monkeypatch):
     assert runtime.cache_info() == (0, 0, 0)
 
 
+def test_a_second_compile_of_the_same_graph_object_does_not_walk_its_nodes(monkeypatch):
+    walked = []
+    content_hash = runtime.content_hash
+    monkeypatch.setattr(runtime, "content_hash",
+                        lambda graph: walked.append(graph) or content_hash(graph))
+    runtime.clear_cache()
+    g = _scaled(2.0)
+    program = runtime.compile(g)
+    assert runtime.compile(g) is program and runtime.graph_fingerprint(g) == program.fingerprint
+    assert walked == [g] and runtime.cache_info() == (1, 1, 1)
+    # an equal graph of its own is hashed, and hits the same program
+    assert runtime.compile(_scaled(2.0)) is program and len(walked) == 2
+    # a cleared cache forgets the hash too, so a cold compile starts from nothing
+    runtime.clear_cache()
+    assert runtime.compile(g) is not program and walked[-1] is g and len(walked) == 3
+
+
 # -- binding by group vectors ---------------------------------------------------
 
 def _vectors(program, inputs, batch):

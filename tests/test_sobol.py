@@ -20,12 +20,6 @@ def _qmc_points(engine: qmc.Sobol, n: int) -> np.ndarray:
         return engine.random(n)
 
 
-def _assert_same_bits(got: np.ndarray, want: np.ndarray):
-    assert got.dtype == want.dtype == np.float64
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 def _shift(d: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 1 << _sobol.BITS, size=d,
                                                 dtype=np.uint32)
@@ -46,7 +40,6 @@ def _assert_shifted_qmc_points(d: int, seed: int, ns):
         want = unscrambled.astype(np.uint32) ^ shift
         got = _sobol.sobol_integers(d, n, seed)
         assert got.dtype == np.uint32 and np.array_equal(got, want)
-        _assert_same_bits(_sobol.sobol(d, n, seed), want * 2.0 ** -_sobol.BITS)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
@@ -62,11 +55,11 @@ def test_engine_matches_qmc_sobol_at_the_last_dimension():
 
 def test_a_smaller_dimension_takes_a_prefix_of_the_cached_table(monkeypatch):
     monkeypatch.setattr(_sobol, "_table", np.zeros((0, _sobol.BITS), dtype=np.uint32))
-    fresh = _sobol.sobol(5, 9, 3)
+    fresh = _sobol.sobol_integers(5, 9, 3)
     assert len(_sobol._table) == 5
-    _sobol.sobol(100, 1, 0)
+    _sobol.sobol_integers(100, 1, 0)
     assert len(_sobol._table) == 100
-    _assert_same_bits(_sobol.sobol(5, 9, 3), fresh)
+    assert np.array_equal(_sobol.sobol_integers(5, 9, 3), fresh)
     _assert_shifted_qmc_points(5, 3, [9])
 
 
@@ -75,7 +68,7 @@ def test_max_dimension_is_qmc_sobols():
 
 
 def test_two_seeds_give_different_points():
-    a, b = _sobol.sobol(28, 64, 0), _sobol.sobol(28, 64, 1)
+    a, b = (_sobol.sobol_integers(28, 64, seed) * 2.0 ** -_sobol.BITS for seed in (0, 1))
     assert not np.array_equal(a, b)
     for points in (a, b):
         assert np.all((0.0 <= points) & (points < 1.0))
