@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -60,6 +61,31 @@ def _exit_code(err: DpGraphError) -> int:
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _writable(path: Path) -> Path:
+    """`path`, when a file can be written there; else a refusal that names
+    it. Each command asks before its analysis, so that a run draws no noise
+    that it cannot save."""
+    parent = path.parent
+    if path.is_dir():
+        raise DpGraphError(f"cannot write {path}: it is a directory")
+    if not parent.is_dir():
+        raise DpGraphError(f"cannot write {path}: no directory {parent}")
+    if not os.access(path if path.exists() else parent, os.W_OK):
+        raise DpGraphError(f"cannot write {path}: permission denied")
+    return path
+
+
+def _save(path: Path, write) -> None:
+    """`write(path)`; when that fails, a refusal, and no file that it made."""
+    existed = path.exists()
+    try:
+        write(path)
+    except OSError as err:
+        if not existed:
+            path.unlink(missing_ok=True)
+        raise DpGraphError(f"cannot write {path}: {err}") from err
 
 
 def _load_data_tensor(path: Path, shape) -> np.ndarray:
@@ -137,6 +163,8 @@ def cmd_analyze(args) -> int:
     try:
         graph = load_model(args.model)
         graph.require_valid()
+        out = _writable(Path(args.out) if args.out
+                        else Path(args.model).with_suffix(".analysis.json"))
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         bad = [m for m in methods if m not in METHODS]
         if bad or not methods:
@@ -145,12 +173,12 @@ def cmd_analyze(args) -> int:
         fingerprint = runtime.graph_fingerprint(graph)
         reports = [estimate_sensitivity(graph, method=method, config=config)
                    for method in methods]
+        text = json.dumps(_analysis_dict(args.model, fingerprint, reports),
+                          indent=2, sort_keys=True) + "\n"
+        _save(out, lambda path: path.write_text(text))
     except DpGraphError as err:
         return _fail(_exit_code(err), str(err))
     _print_report_table(reports)
-    out = Path(args.out) if args.out else Path(args.model).with_suffix(".analysis.json")
-    out.write_text(json.dumps(_analysis_dict(args.model, fingerprint, reports),
-                              indent=2, sort_keys=True) + "\n")
     print(f"report written to {out}")
     return 0
 
@@ -174,6 +202,8 @@ def cmd_run(args) -> int:
     try:
         graph = load_model(args.model)
         graph.require_valid()
+        out = _writable(Path(args.out) if args.out
+                        else Path(args.model).with_suffix(".private.json"))
         program = runtime.compile(graph)
         data = _collect_data(graph, args.data or [])
         params = PrivacyParams(epsilon=args.epsilon, delta=args.delta,
@@ -185,13 +215,12 @@ def cmd_run(args) -> int:
             report = estimate_sensitivity(graph, method="global_opt",
                                           config=config)
         output = privatize(program, data, params, report, seed=args.seed)
+        doc = output.to_json_dict()
+        doc["fingerprint"] = program.fingerprint
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        _save(out, lambda path: path.write_text(text))
     except DpGraphError as err:
         return _fail(_exit_code(err), str(err))
-
-    doc = output.to_json_dict()
-    doc["fingerprint"] = program.fingerprint
-    out = Path(args.out) if args.out else Path(args.model).with_suffix(".private.json")
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"sigma={output.sigma:.6g} clipped_fraction={output.clipped_fraction:.4f} "
           f"output_l2_norm={output.output_l2_norm:.6g} seed={output.seed}")
     print(f"privatized output written to {out}")
@@ -205,13 +234,16 @@ def cmd_bench(args) -> int:
             raise ValueError("widths must be positive integers")
         if args.reps < 1:
             raise ValueError("reps must be >= 1")
-    except ValueError as err:
+        out = _writable(Path(args.out) if args.out else Path("bench.csv"))
+    except (ValueError, DpGraphError) as err:
         return _fail(2, str(err))
     if args.reps == 1:
         print("warning: a single repetition gives noisy medians", file=sys.stderr)
     records = runtime.benchmark(widths, repetitions=args.reps)
-    out = Path(args.out) if args.out else Path("bench.csv")
-    runtime.write_bench_csv(records, out)
+    try:
+        _save(out, lambda path: runtime.write_bench_csv(records, path))
+    except DpGraphError as err:
+        return _fail(2, str(err))
     print(f"{'width':>6} {'params':>10} {'compile_s':>10} {'cached_s':>10} "
           f"{'exec_us':>10}")
     for r in records:

@@ -13,7 +13,8 @@ transform that carries a node carries its name, role and bounds with it.
 Each op kind has one entry in `OPS`: its arity, its attributes with their
 converters and defaults, its shape rule and its kernel, a binder of the
 attrs that returns the function of the operands. `GraphBuilder.build`,
-`normalize_attrs`, `apply_kind` and the compiled plan read that entry alone,
+`normalize_attrs`, `apply_kind`, the compiled plan and the interval rules of
+the kinds that do not decrease in any operand read that entry alone,
 so an attribute is checked where it is defined. A new kind needs an `OpKind`
 member and one entry here, plus its derivative rule in `autodiff.VJP_RULES`
 and its interval rule in `interval.INTERVAL_RULES`.
@@ -367,13 +368,15 @@ def _slice_shape(shapes, attrs) -> TensorShape:
 # Kernels are binders: `kernel(attrs)` takes the node's attrs, with
 # `attrs["ranks"]` holding the declared rank of each operand, and returns the
 # function that maps the operand values to the result value. The compiled plan
-# binds each instruction once, and `apply_kind` binds for one call, reading
-# the ranks off its operands; whatever the attrs and ranks decide (a lift, a
-# reduction's axes, a transpose) is settled at binding. Every bound kernel is
-# batch-polymorphic. An operand holds either its declared shape or a batch
-# shape followed by it, so a kernel counts its axes from the end and leaves
-# the leading batch axes alone. Operands that carry batch axes all carry the
-# same ones. The unbatched call is the batch-shape () case.
+# binds each instruction once, `apply_kind` binds for one call, reading the
+# ranks off its operands, and interval propagation binds once per node, with
+# the two ends of an enclosure as a batch of two; whatever the attrs and
+# ranks decide (a lift, a reduction's axes, a transpose) is settled at
+# binding. Every bound kernel is batch-polymorphic. An operand holds either
+# its declared shape or a batch shape followed by it, so a kernel counts its
+# axes from the end and leaves the leading batch axes alone. Operands that
+# carry batch axes all carry the same ones. The unbatched call is the
+# batch-shape () case.
 
 
 def _elementwise(fn, attrs):

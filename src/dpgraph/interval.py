@@ -1,12 +1,21 @@
 """Interval arithmetic over graphs and the interval-propagation sensitivity bound.
 
-Propagation applies the textbook interval rules node by node, one entry of
-`INTERVAL_RULES` per kind. A kind that does not decrease in any operand (the
-layout kinds, Add, Exp, Sigmoid, Sum, Mean and Clip) shares one rule: its
-kernel from `graph.OPS` applied to the lower endpoints and to the upper
-endpoints. Occurrences of the same variable are treated independently on
-purpose (x - x over [-1, 1] yields [-2, 2]); this dependency looseness is the
-known weakness of the baseline and it is preserved, not patched.
+An enclosure is one float64 array of shape (2,) + the tensor's dims: row 0
+holds the lower ends and row 1 the upper ends. Propagation applies the
+textbook interval rules node by node, one entry of `INTERVAL_RULES` per kind;
+each rule takes its operands' stacked ends and returns the node's, so it runs
+each NumPy operation once for both ends. A kind that does not decrease in any
+operand (the layout kinds, Add, Exp, Sigmoid, Sum, Mean and Clip) shares one
+rule: its kernel from `graph.OPS`, bound to the operands' declared ranks, run
+once with the end axis as a leading batch axis. Sub and Neg are one operation
+against the reversed ends, and Mul, Div and MatMul take the hull of the four
+end products from one broadcast multiply, with an end product 0 * ±inf taken
+as 0, the usual convention for infinite ends. The whole pass runs under one
+`np.errstate` that ignores every floating-point flag.
+
+Occurrences of the same variable are treated independently on purpose
+(x - x over [-1, 1] yields [-2, 2]); this dependency looseness is the known
+weakness of the baseline and it is preserved, not patched.
 
 `ibp_bound` propagates the boxes through the Jacobian graph as `jacobian`
 returns it, unoptimized; `lipschitz.estimate_sensitivity` wraps it in the
@@ -15,148 +24,192 @@ returns it, unoptimized; `lipschitz.estimate_sensitivity` wraps it in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .autodiff import jacobian
 from .errors import DomainError, ValidationFailed
-from .graph import BCE_CLAMP, Diagnostic, Graph, OpKind, apply_kind
+from .graph import BCE_CLAMP, OPS, Diagnostic, Graph, OpKind
 
 
-@dataclass(frozen=True)
 class IntervalTensor:
-    """Elementwise enclosure [lo, hi] for one tensor."""
+    """Elementwise enclosure [lo, hi] of one tensor, kept as its stacked ends:
+    `ends[0]` is `lo` and `ends[1]` is `hi`."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    __slots__ = ("ends",)
 
+    def __init__(self, ends: np.ndarray):
+        self.ends = ends
 
-def _iv(lo, hi) -> IntervalTensor:
-    return IntervalTensor(np.asarray(lo, dtype=np.float64),
-                          np.asarray(hi, dtype=np.float64))
+    @property
+    def lo(self) -> np.ndarray:
+        return self.ends[0]
 
-
-def _mul(a: IntervalTensor, b: IntervalTensor) -> IntervalTensor:
-    cands = np.stack(np.broadcast_arrays(
-        a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi))
-    return _iv(cands.min(axis=0), cands.max(axis=0))
-
-
-def _add(a, b):
-    return _iv(a.lo + b.lo, a.hi + b.hi)
+    @property
+    def hi(self) -> np.ndarray:
+        return self.ends[1]
 
 
-def _sub(a, b):
-    return _iv(a.lo - b.hi, a.hi - b.lo)
+def _box(lo, hi, dims: tuple[int, ...]) -> np.ndarray:
+    ends = np.empty((2,) + dims)
+    ends[0] = lo
+    ends[1] = hi
+    return ends
 
 
-def _neg(a):
-    return _iv(-a.hi, -a.lo)
+def _constant(node, ins) -> np.ndarray:
+    value = node.attrs["value"]
+    return _box(value, value, value.shape)
 
 
-def _scalar(value) -> IntervalTensor:
-    v = np.asarray(value, dtype=np.float64)
-    return _iv(v, v)
+def _bound_kernel(kind: OpKind, attrs, ins):
+    """The kind's `graph.OPS` kernel bound to the declared ranks of stacked
+    operands: each carries the end axis in front of its declared axes."""
+    return OPS[kind].kernel({**attrs, "ranks": tuple(a.ndim - 1 for a in ins)})
 
 
-def _matmul(a: IntervalTensor, b: IntervalTensor, attrs) -> IntervalTensor:
-    al, ah = a.lo, a.hi
-    bl, bh = b.lo, b.hi
-    if attrs["transpose_a"]:
-        al, ah = al.T, ah.T
-    if attrs["transpose_b"]:
-        bl, bh = bl.T, bh.T
-    # exact interval product: extreme of the four endpoint products per term
-    p = np.stack([
-        al[:, :, None] * bl[None, :, :],
-        al[:, :, None] * bh[None, :, :],
-        ah[:, :, None] * bl[None, :, :],
-        ah[:, :, None] * bh[None, :, :],
-    ])
-    return _iv(p.min(axis=0).sum(axis=1), p.max(axis=0).sum(axis=1))
+def _aligned(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked operands of a pair kind, a declared scalar given the other
+    operand's rank so that the end axes broadcast against each other."""
+    if a.ndim < b.ndim:
+        a = a.reshape(a.shape + (1,) * (b.ndim - a.ndim))
+    elif b.ndim < a.ndim:
+        b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
+    return a, b
 
 
-def _pow(a: IntervalTensor, exponent: float, node_name: str) -> IntervalTensor:
-    p = exponent
+def _end_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The four end products a[i] * b[j] of stacked operands that broadcast,
+    from one multiply, stacked in the order lo*lo, lo*hi, hi*lo, hi*hi. An end
+    product 0 * ±inf is 0."""
+    p = a[:, None] * b[None]
+    # NaN anywhere makes the sum NaN; only then look for 0 * ±inf
+    if math.isnan(np.add.reduce(p, None)):
+        zero_times_inf = (((a == 0)[:, None] & np.isinf(b)[None])
+                          | (np.isinf(a)[:, None] & (b == 0)[None]))
+        np.copyto(p, 0.0, where=zero_times_inf)
+    return p.reshape((4,) + p.shape[2:])
+
+
+def _hull(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least (row 0) and greatest (row 1) of the four end products."""
+    p = _end_products(a, b)
+    out = np.empty_like(p[:2])  # the memory order of the products
+    np.minimum.reduce(p, axis=0, out=out[0, ...])
+    np.maximum.reduce(p, axis=0, out=out[1, ...])
+    return out
+
+
+def _monotone(node, ins) -> np.ndarray:
+    """A kind that does not decrease in any operand takes its least value at
+    the lower ends and its greatest at the upper ones; for the layout kinds,
+    which move elements without computing, the enclosure is exact."""
+    return _bound_kernel(node.kind, node.attrs, ins)(*ins)
+
+
+def _sub(node, ins) -> np.ndarray:
+    a, b = _aligned(*ins)
+    return a - b[::-1]
+
+
+def _mul(node, ins) -> np.ndarray:
+    return _hull(*_aligned(*ins))
+
+
+def _div(node, ins) -> np.ndarray:
+    a, b = _aligned(*ins)
+    if np.any((b[0] <= 0) & (b[1] >= 0)):
+        raise DomainError(f"Div by an interval containing 0 at node '{node.name}'")
+    return _hull(a, 1.0 / b[::-1])
+
+
+def _matmul(node, ins) -> np.ndarray:
+    a, b = ins
+    if node.attrs["transpose_a"]:
+        a = a.swapaxes(-1, -2)
+    if node.attrs["transpose_b"]:
+        b = b.swapaxes(-1, -2)
+    # exact interval product: the hull of the four end products of each term
+    # a_ik * b_kj, then each end summed over k on its own. NumPy orders a sum
+    # by the memory order of its operand and of its result, and that order
+    # follows the transposed operands, so the hull, the sum and the stacked
+    # result all keep it, as each end's operations did on their own
+    p = _end_products(a[:, :, :, None], b[:, None, :, :])
+    lo = np.add.reduce(np.minimum.reduce(p, axis=0), axis=1)
+    hi = np.add.reduce(np.maximum.reduce(p, axis=0), axis=1)
+    return np.concatenate((lo[None], hi[None]))
+
+
+def _pow(node, ins) -> np.ndarray:
+    (a,) = ins
+    p = node.attrs["exponent"]
     if p == 0.0:
-        return _iv(np.ones_like(a.lo), np.ones_like(a.hi))
+        return np.ones_like(a)
+    lo, hi = a
     fractional = p != int(p)
-    if fractional and np.any(a.lo < 0):
+    if fractional and np.any(lo < 0):
         raise DomainError(
-            f"Pow exponent {p} needs a nonnegative base at node '{node_name}'")
-    if p < 0 and np.any((a.lo <= 0) & (a.hi >= 0)):
+            f"Pow exponent {p} needs a nonnegative base at node '{node.name}'")
+    if p < 0 and np.any((lo <= 0) & (hi >= 0)):
         raise DomainError(
-            f"Pow exponent {p} has a pole at 0 inside node '{node_name}'")
+            f"Pow exponent {p} has a pole at 0 inside node '{node.name}'")
     # x^p is monotone on each side of 0, and an odd power across it too, so
     # only an even power over a box that straddles 0 has its minimum, 0, inside
-    ends = a.lo ** p, a.hi ** p
-    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    ends = a ** p
+    out = np.empty_like(ends)
+    np.minimum(ends[0], ends[1], out=out[0, ...])
+    np.maximum(ends[0], ends[1], out=out[1, ...])
     if not fractional and int(p) % 2 == 0:
-        lo = np.where((a.lo < 0) & (a.hi > 0), 0.0, lo)
-    return _iv(lo, hi)
+        np.copyto(out[0, ...], 0.0, where=(lo < 0) & (hi > 0))
+    return out
 
 
-def _log(a: IntervalTensor, node_name: str) -> IntervalTensor:
-    if np.any(a.lo < 0):
+def _log(node, ins) -> np.ndarray:
+    (a,) = ins
+    if np.any(a[0] < 0):
         raise DomainError(f"Log of an interval with negative values at node "
-                          f"'{node_name}'")
-    with np.errstate(divide="ignore"):
-        return _iv(np.log(a.lo), np.log(a.hi))
+                          f"'{node.name}'")
+    return np.log(a)
 
 
-def _div(a: IntervalTensor, b: IntervalTensor, node_name: str) -> IntervalTensor:
-    blo, bhi = np.broadcast_arrays(b.lo, b.hi)
-    if np.any((blo <= 0) & (bhi >= 0)):
-        raise DomainError(f"Div by an interval containing 0 at node '{node_name}'")
-    recip = _iv(1.0 / bhi, 1.0 / blo)
-    return _mul(a, recip)
+def _in_interval(node, ins) -> np.ndarray:
+    (a,) = ins
+    lo, hi = node.attrs["lo"], node.attrs["hi"]
+    out = np.empty_like(a)
+    out[0] = (a[0] >= lo) & (a[1] <= hi)  # inside
+    out[1] = ~((a[1] < lo) | (a[0] > hi))  # not outside
+    return out
 
 
-def _in_interval(a: IntervalTensor, lo: float, hi: float) -> IntervalTensor:
-    inside = (a.lo >= lo) & (a.hi <= hi)
-    outside = (a.hi < lo) | (a.lo > hi)
-    return _iv(np.where(inside, 1.0, 0.0), np.where(outside, 0.0, 1.0))
-
-
-def _bce(p: IntervalTensor, t: IntervalTensor) -> IntervalTensor:
-    pc = _iv(np.clip(p.lo, BCE_CLAMP, 1.0 - BCE_CLAMP),
-             np.clip(p.hi, BCE_CLAMP, 1.0 - BCE_CLAMP))
-    log_p = _iv(np.log(pc.lo), np.log(pc.hi))
-    one_minus = _sub(_scalar(1.0), pc)
-    log_q = _iv(np.log(one_minus.lo), np.log(one_minus.hi))
-    term = _neg(_add(_mul(t, log_p), _mul(_sub(_scalar(1.0), t), log_q)))
-    return _iv(np.mean(term.lo), np.mean(term.hi))
-
-
-def _monotone(node, ins) -> IntervalTensor:
-    """A kind that does not decrease in any operand takes its least value at
-    the lower endpoints and its greatest at the upper ones; for the layout
-    kinds, which move elements without computing, the enclosure is exact."""
-    return _iv(apply_kind(node.kind, node.attrs, *(a.lo for a in ins)),
-               apply_kind(node.kind, node.attrs, *(a.hi for a in ins)))
+def _bce(node, ins) -> np.ndarray:
+    p, t = _aligned(*ins)
+    pc = p.clip(BCE_CLAMP, 1.0 - BCE_CLAMP)
+    log_p = np.log(pc)
+    log_q = np.log(1.0 - pc[::-1])
+    term = -(_hull(t, log_p) + _hull(1.0 - t[::-1], log_q))[::-1]
+    return _bound_kernel(OpKind.MEAN, {"axis": None}, (term,))(term)
 
 
 # One rule per non-leaf kind plus Constant; each receives the node and the
-# enclosures of its inputs and returns the node's enclosure.
+# stacked ends of its inputs and returns the node's stacked ends.
 INTERVAL_RULES = {
-    OpKind.CONSTANT: lambda node, ins: _scalar(node.attrs["value"]),
+    OpKind.CONSTANT: _constant,
     OpKind.ADD: _monotone,
-    OpKind.SUB: lambda node, ins: _sub(*ins),
-    OpKind.MUL: lambda node, ins: _mul(*ins),
-    OpKind.DIV: lambda node, ins: _div(ins[0], ins[1], node.name),
-    OpKind.NEG: lambda node, ins: _neg(ins[0]),
-    OpKind.MATMUL: lambda node, ins: _matmul(ins[0], ins[1], node.attrs),
-    OpKind.POW: lambda node, ins: _pow(ins[0], node.attrs["exponent"], node.name),
+    OpKind.SUB: _sub,
+    OpKind.MUL: _mul,
+    OpKind.DIV: _div,
+    OpKind.NEG: lambda node, ins: -ins[0][::-1],
+    OpKind.MATMUL: _matmul,
+    OpKind.POW: _pow,
     OpKind.EXP: _monotone,
-    OpKind.LOG: lambda node, ins: _log(ins[0], node.name),
+    OpKind.LOG: _log,
     OpKind.SIGMOID: _monotone,
     OpKind.SUM: _monotone,
     OpKind.MEAN: _monotone,
     OpKind.CLIP: _monotone,
-    OpKind.IN_INTERVAL: lambda node, ins: _in_interval(
-        ins[0], node.attrs["lo"], node.attrs["hi"]),
-    OpKind.BCE: lambda node, ins: _bce(ins[0], ins[1]),
+    OpKind.IN_INTERVAL: _in_interval,
+    OpKind.BCE: _bce,
     OpKind.RESHAPE: _monotone,
     OpKind.CONCAT: _monotone,
     OpKind.SLICE: _monotone,
@@ -170,30 +223,29 @@ def propagate(graph: Graph) -> dict[int, IntervalTensor]:
     Log raise DomainError when their operand interval reaches a pole.
     """
     reachable = graph.reached
-    result: dict[int, IntervalTensor] = {}
+    ends: dict[int, np.ndarray] = {}
     missing = []
-    for node in graph.nodes:
-        if node.id not in reachable:
-            continue
-        k = node.kind
-        if k in (OpKind.INPUT, OpKind.PARAMETER):
-            b = node.bounds
-            if b is None:
-                missing.append(node)
+    with np.errstate(all="ignore"):
+        for node in graph.nodes:
+            if node.id not in reachable:
                 continue
-            lo, hi = b.broadcast_to(node.shape)
-            result[node.id] = _iv(lo, hi)
-            continue
-        if missing:
-            continue
-        ins = [result[i] for i in node.inputs]
-        result[node.id] = INTERVAL_RULES[k](node, ins)
+            k = node.kind
+            if k in (OpKind.INPUT, OpKind.PARAMETER):
+                b = node.bounds
+                if b is None:
+                    missing.append(node)
+                else:
+                    ends[node.id] = _box(b.lo, b.hi, node.shape.dims)
+                continue
+            if missing:
+                continue
+            ends[node.id] = INTERVAL_RULES[k](node, [ends[i] for i in node.inputs])
     if missing:
         raise ValidationFailed([
             Diagnostic("missing-bounds",
                        f"missing bounds on '{n.name}' (#{n.id})", n.id)
             for n in missing])
-    return result
+    return {h: IntervalTensor(e) for h, e in ends.items()}
 
 
 def ibp_bound(graph: Graph, wrt) -> float:
@@ -202,9 +254,16 @@ def ibp_bound(graph: Graph, wrt) -> float:
     U = sqrt(sum of max(|lo|, |hi|)^2) over the enclosures of the Jacobian
     entries with respect to the `wrt` handles is a sound upper bound of the
     supremum of the Jacobian's spectral norm over the box, and usually a
-    loose one.
+    loose one. An enclosure of the Jacobian that holds NaN bounds nothing,
+    and raises DomainError naming the first node whose enclosure does.
     """
-    jg = jacobian(graph, wrt)
-    out = propagate(jg.graph)[jg.graph.outputs[0]]
-    magnitude = np.maximum(np.abs(out.lo), np.abs(out.hi))
+    jg = jacobian(graph, wrt).graph
+    enclosures = propagate(jg)
+    out = enclosures[jg.outputs[0]].ends
+    if np.isnan(out).any():
+        first = jg.nodes[next(h for h, iv in enclosures.items()
+                              if np.isnan(iv.ends).any())]
+        raise DomainError(f"interval propagation reaches NaN at node "
+                          f"'{first.name}' ({first.kind.value})")
+    magnitude = np.maximum(*np.abs(out))
     return float(np.sqrt(np.sum(magnitude ** 2)))

@@ -392,7 +392,8 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row of a (k, d) stack, with the bits that
     `np.linalg.norm` gives the row alone: both take the row's dot product
     with itself, where norm(axis=1) may sum in another order."""
-    return np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
 
 
 def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, int]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dpgraph.graph import Graph, GraphBuilder, OpKind
+from dpgraph.errors import DomainError, ValidationFailed
+from dpgraph.graph import Diagnostic, Graph, GraphBuilder, OpKind, apply_kind
 
 CLAMP = 1e-7  # probability clamp of the fused cross-entropy
 
@@ -104,6 +105,143 @@ def sample_inputs(graph: Graph, rng: np.random.Generator) -> dict[str, np.ndarra
             lo, hi = b.broadcast_to(node.shape)
             out[node.name] = rng.uniform(lo, hi)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference interval propagation: the textbook rules applied to each end on
+# its own, as `dpgraph.interval` applied them before it stacked the ends
+
+
+def _ref_mul(a, b):
+    cands = np.stack(np.broadcast_arrays(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]))
+    return cands.min(axis=0), cands.max(axis=0)
+
+
+def _ref_sub(a, b):
+    return a[0] - b[1], a[1] - b[0]
+
+
+def _ref_neg(a):
+    return -a[1], -a[0]
+
+
+def _ref_scalar(value):
+    v = np.asarray(value, dtype=np.float64)
+    return v, v
+
+
+def _ref_matmul(a, b, attrs):
+    (al, ah), (bl, bh) = a, b
+    if attrs["transpose_a"]:
+        al, ah = al.T, ah.T
+    if attrs["transpose_b"]:
+        bl, bh = bl.T, bh.T
+    p = np.stack([
+        al[:, :, None] * bl[None, :, :],
+        al[:, :, None] * bh[None, :, :],
+        ah[:, :, None] * bl[None, :, :],
+        ah[:, :, None] * bh[None, :, :],
+    ])
+    return p.min(axis=0).sum(axis=1), p.max(axis=0).sum(axis=1)
+
+
+def _ref_pow(a, p, name):
+    lo_in, hi_in = a
+    if p == 0.0:
+        return np.ones_like(lo_in), np.ones_like(hi_in)
+    fractional = p != int(p)
+    if fractional and np.any(lo_in < 0):
+        raise DomainError(f"Pow exponent {p} needs a nonnegative base at node '{name}'")
+    if p < 0 and np.any((lo_in <= 0) & (hi_in >= 0)):
+        raise DomainError(f"Pow exponent {p} has a pole at 0 inside node '{name}'")
+    ends = lo_in ** p, hi_in ** p
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    if not fractional and int(p) % 2 == 0:
+        lo = np.where((lo_in < 0) & (hi_in > 0), 0.0, lo)
+    return lo, hi
+
+
+def _ref_log(a, name):
+    if np.any(a[0] < 0):
+        raise DomainError(f"Log of an interval with negative values at node '{name}'")
+    return np.log(a[0]), np.log(a[1])
+
+
+def _ref_div(a, b, name):
+    blo, bhi = np.broadcast_arrays(*b)
+    if np.any((blo <= 0) & (bhi >= 0)):
+        raise DomainError(f"Div by an interval containing 0 at node '{name}'")
+    return _ref_mul(a, (1.0 / bhi, 1.0 / blo))
+
+
+def _ref_in_interval(a, lo, hi):
+    inside = (a[0] >= lo) & (a[1] <= hi)
+    outside = (a[1] < lo) | (a[0] > hi)
+    return np.where(inside, 1.0, 0.0), np.where(outside, 0.0, 1.0)
+
+
+def _ref_bce(p, t):
+    pc = np.clip(p[0], CLAMP, 1.0 - CLAMP), np.clip(p[1], CLAMP, 1.0 - CLAMP)
+    log_p = np.log(pc[0]), np.log(pc[1])
+    one_minus = _ref_sub(_ref_scalar(1.0), pc)
+    log_q = np.log(one_minus[0]), np.log(one_minus[1])
+    mt, mq = _ref_mul(t, log_p), _ref_mul(_ref_sub(_ref_scalar(1.0), t), log_q)
+    term = _ref_neg((mt[0] + mq[0], mt[1] + mq[1]))
+    return np.mean(term[0]), np.mean(term[1])
+
+
+def _ref_interval_rule(node, ins):
+    k, attrs = node.kind, node.attrs
+    if k is OpKind.CONSTANT:
+        return _ref_scalar(attrs["value"])
+    if k is OpKind.SUB:
+        return _ref_sub(*ins)
+    if k is OpKind.MUL:
+        return _ref_mul(*ins)
+    if k is OpKind.DIV:
+        return _ref_div(*ins, node.name)
+    if k is OpKind.NEG:
+        return _ref_neg(ins[0])
+    if k is OpKind.MATMUL:
+        return _ref_matmul(*ins, attrs)
+    if k is OpKind.POW:
+        return _ref_pow(ins[0], attrs["exponent"], node.name)
+    if k is OpKind.LOG:
+        return _ref_log(ins[0], node.name)
+    if k is OpKind.IN_INTERVAL:
+        return _ref_in_interval(ins[0], attrs["lo"], attrs["hi"])
+    if k is OpKind.BCE:
+        return _ref_bce(*ins)
+    # a kind that does not decrease in any operand: its kernel on each end
+    return (apply_kind(k, attrs, *(a[0] for a in ins)),
+            apply_kind(k, attrs, *(a[1] for a in ins)))
+
+
+def ref_propagate(graph: Graph) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """handle -> (lo, hi) for every node the outputs reach, each end computed
+    on its own with floating-point flags ignored."""
+    result = {}
+    missing = []
+    with np.errstate(all="ignore"):
+        for node in graph.nodes:
+            if node.id not in graph.reached:
+                continue
+            if node.kind in (OpKind.INPUT, OpKind.PARAMETER):
+                if node.bounds is None:
+                    missing.append(node)
+                else:
+                    lo, hi = node.bounds.broadcast_to(node.shape)
+                    result[node.id] = lo, hi
+                continue
+            if missing:
+                continue
+            ends = _ref_interval_rule(node, [result[i] for i in node.inputs])
+            result[node.id] = tuple(np.asarray(e, dtype=np.float64) for e in ends)
+    if missing:
+        raise ValidationFailed([
+            Diagnostic("missing-bounds", f"missing bounds on '{n.name}' (#{n.id})", n.id)
+            for n in missing])
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -580,6 +580,27 @@ def test_bench_bad_widths():
     assert main(["bench", "--widths", "0,-4"]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "run", "bench"])
+def test_an_out_path_that_cannot_be_written_is_refused_before_any_work(tmp_path, command):
+    # the refusal names the path, exits 2 and leaves no file: a run has drawn
+    # no noise, and a benchmark has timed nothing
+    model = _write(tmp_path, "mean.json", MEAN_MODEL)
+    csv = _write_csv(tmp_path, "x.csv", np.full((10, 1), 0.5))
+    out = tmp_path / "missing" / "out.json"
+    argv = {"analyze": ["--model", str(model)],
+            "run": ["--model", str(model), "--data", str(csv), "--epsilon", "1",
+                    "--delta", "1e-5", "--seed", "0"],
+            "bench": ["--widths", "2", "--reps", "1"]}[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgraph.cli", command, *argv, "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write ") and str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mean.json", "x.csv"]
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "dpgraph.cli", "--version"],

@@ -6,9 +6,9 @@ from dpgraph.autodiff import jacobian
 from dpgraph.graph import LEAF_KINDS, OpKind, optimize
 from dpgraph.interval import INTERVAL_RULES, propagate
 from dpgraph.lipschitz import estimate_sensitivity
-from dpgraph.models import mlp_classifier
+from dpgraph.models import mean_query, mlp_classifier
 
-from conftest import random_graph, ref_eval_all, sample_inputs
+from conftest import random_graph, ref_eval_all, ref_propagate, sample_inputs
 
 
 def _single(fn, lo, hi):
@@ -218,3 +218,129 @@ def test_propagate_names_each_unbounded_leaf_it_reaches(x_bounds):
     assert [d.code for d in diags] == ["missing-bounds"] * len(diags)
     assert [d.node for d in diags] == ([p] if x_bounds else [x, p])
     assert "'p'" in diags[-1].message
+
+
+def _outcome(propagation, graph):
+    """handle -> (shape, lo bytes, hi bytes) of every enclosure, or the
+    DomainError's message."""
+    try:
+        enclosures = propagation(graph)
+    except DomainError as err:
+        return str(err)
+    return {h: (np.shape(lo), np.asarray(lo).tobytes(), np.asarray(hi).tobytes())
+            for h, (lo, hi) in enclosures.items()}
+
+
+# At n >= 8 the order of a sum shows in its bits. NumPy orders a sum by the
+# memory order of its operands, and a product of two transposes lays each end
+# out column by column: the graphs reduce over slices and reshapes, take
+# products with each transpose, and feed such a product to each kind.
+WIDE = [
+    lambda b, n, x, v, w, tt: b.reduce_sum(b.slice(x, 1, 1, n)),
+    lambda b, n, x, v, w, tt: b.reduce_mean(b.slice(x, 0, 2, n), axis=1),
+    lambda b, n, x, v, w, tt: b.reduce_sum(b.sigmoid(b.matmul(x, w, transpose_a=True)), axis=0),
+    lambda b, n, x, v, w, tt: b.reduce_mean(b.mul(b.matmul(w, x, transpose_b=True), x)),
+    lambda b, n, x, v, w, tt: b.reduce_sum(b.matmul(x, v, transpose_a=True)),
+    lambda b, n, x, v, w, tt: tt(v, x),
+    lambda b, n, x, v, w, tt: b.reduce_sum(b.matmul(w, tt(x, w))),
+    lambda b, n, x, v, w, tt: b.reduce_sum(b.in_interval(tt(x, w), -1.0, 1.0), axis=0),
+    lambda b, n, x, v, w, tt: b.reduce_sum(b.mul(b.in_interval(tt(x, w), -1.0, 1.0), tt(x, w)), axis=0),
+    lambda b, n, x, v, w, tt: b.power(tt(x, x), 2.0),
+    lambda b, n, x, v, w, tt: b.sub(b.clip(tt(w, x), -2.0, 2.0), x),
+    lambda b, n, x, v, w, tt: b.reshape(b.exp(tt(x, w)), (n * n, 1)),
+    lambda b, n, x, v, w, tt: b.concat([b.neg(tt(x, w)), x], 1),
+]
+
+
+def _wide_graph(n, shape, rng):
+    b = GraphBuilder()
+    x = b.input("x", (n, n), bounds=(rng.uniform(-2, 0, (n, n)), rng.uniform(0, 2, (n, n))))
+    v = b.input("v", (n, 3), bounds=(-1.0, 1.0))
+    w = b.constant(rng.uniform(-1, 1, (n, n)))
+    tt = lambda p, q: b.matmul(p, q, transpose_a=True, transpose_b=True)
+    out = WIDE[shape](b, n, x, v, w, tt)
+    if b._nodes[out].shape.rank:
+        out = b.reduce_sum(b.mul(out, out))
+    b.output(out)
+    return b.graph()
+
+
+def test_stacked_enclosures_have_the_bits_of_the_per_end_rules():
+    # the stacked rules give the shapes and bits of the textbook rules applied
+    # to each end on its own, or the same refusal, wherever those hold no NaN
+    rng = np.random.default_rng(35)
+    kinds = [k for k in OpKind if k not in LEAF_KINDS]
+    graphs = [jacobian(g, wrt).graph
+              for g in map(mlp_classifier, (2, 3, 4, 8, 9))
+              for wrt in ([g.find("x")], list(g.leaves()))]
+    for n in (9, 17):
+        for shape in range(len(WIDE)):
+            g = _wide_graph(n, shape, rng)
+            graphs += [g, jacobian(g, list(g.leaves())).graph]
+    for i in range(240):
+        g = random_graph(rng, wild=i % 2 == 1, force_kinds=(kinds[i % len(kinds)],))
+        graphs += [g, jacobian(g, list(g.leaves())).graph]
+    stacked = lambda g: {h: (iv.lo, iv.hi) for h, iv in propagate(g).items()}
+    compared = 0
+    for g in graphs:
+        want = _outcome(ref_propagate, g)
+        if not isinstance(want, str) and any(
+                np.isnan(np.frombuffer(lo + hi)).any() for _, lo, hi in want.values()):
+            continue
+        assert _outcome(stacked, g) == want
+        compared += 1
+    assert compared >= 400
+
+
+def _mean_graph(n, lo, hi, inner):
+    b = GraphBuilder()
+    x = b.input("x", (n, 1), bounds=(lo, hi))
+    b.output(inner(b, x))
+    return b.graph()
+
+
+IBP_PINS = {
+    "mlp2": (lambda: mlp_classifier(2), "0x1.4bf6e3f8a8725p+4"),
+    "mlp3": (lambda: mlp_classifier(3), "0x1.177b854783963p+8"),
+    "mlp4": (lambda: mlp_classifier(4), "0x1.18f634485b1eap+11"),
+    "mlp8": (lambda: mlp_classifier(8), "0x1.65942816fa395p+20"),
+    "mean100": (lambda: mean_query(100), "0x1.999999999999ap-4"),
+    "mean1000": (lambda: mean_query(1000), "0x1.030dc4ea03a73p-5"),
+    **{f"clipmean{n}": (
+        lambda n=n: _mean_graph(n, -2.0, 2.0,
+                                lambda b, x: b.reduce_mean(b.clip(x, -1.0, 1.0), axis=None)),
+        pin) for n, pin in ((100, "0x1.999999999999ap-4"), (450, "0x1.822cb17ff2eb9p-5"))},
+    **{f"sumsig{n}": (
+        lambda n=n: _mean_graph(n, -1.0, 1.0,
+                                lambda b, x: b.reduce_sum(b.sigmoid(x), axis=None)),
+        pin) for n, pin in ((64, "0x1.11a2fd9ecd1d8p+2"), (450, "0x1.6acb5eaab53fap+3"))},
+}
+
+
+@pytest.mark.parametrize("name", IBP_PINS)
+def test_ibp_bounds_are_pinned(name):
+    # mlp_classifier with wrt=x, the means over their one input
+    build, pin = IBP_PINS[name]
+    g = build()
+    wrt = [g.find("x")] if name.startswith("mlp") else None
+    assert estimate_sensitivity(g, wrt=wrt, method="ibp").bound.hex() == pin
+
+
+def test_an_end_product_zero_times_inf_is_zero():
+    # d/dx sum(0 * exp(x)) over x in [0, 800]^3 is 0 * exp(x), and exp(800)
+    # overflows to inf: the end product 0 * inf is 0, not NaN
+    b = GraphBuilder()
+    x = b.input("x", (3,), bounds=(0.0, 800.0))
+    b.output(b.reduce_sum(b.mul(b.constant(0.0), b.exp(x))))
+    report = estimate_sensitivity(b.graph(), method="ibp")
+    assert report.bound == 0.0 and report.certified
+
+
+def test_ibp_refuses_an_enclosure_that_holds_nan():
+    # the Jacobian of sum(exp(x) - exp(x)) over x in [800, 900] adds exp(x),
+    # whose ends are inf, to -exp(x), whose ends are -inf
+    b = GraphBuilder()
+    x = b.input("x", (3,), bounds=(800.0, 900.0))
+    b.output(b.reduce_sum(b.sub(b.exp(x), b.exp(x))))
+    with pytest.raises(DomainError, match=r"NaN at node '\w+' \(Add\)"):
+        estimate_sensitivity(b.graph(), method="ibp")

@@ -115,6 +115,16 @@ def test_a_norm_past_the_float_range_is_inf():
     np.testing.assert_array_equal(ws[0], 0.5)
 
 
+def test_global_opt_over_a_gradient_past_the_float_range_warns_of_nothing():
+    # exp(x) over [0, 800] overflows: the ascent's gradient norms reach inf,
+    # which stops those starts, without an overflow warning
+    b = GraphBuilder()
+    x = b.input("x", (3,), bounds=(0.0, 800.0))
+    b.output(b.reduce_sum(b.exp(x)))
+    report = estimate_sensitivity(b.graph(), method="global_opt")
+    assert not report.certified
+
+
 @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (1, 1)],
                          ids=["row", "column", "scalar"])
 def test_zero_and_nonfinite_vectors(shape):
