@@ -9,9 +9,12 @@ operand (the layout kinds, Add, Exp, Sigmoid, Sum, Mean and Clip) shares one
 rule: its kernel from `graph.OPS`, bound to the operands' declared ranks, run
 once with the end axis as a leading batch axis. Sub and Neg are one operation
 against the reversed ends, and Mul, Div and MatMul take the hull of the four
-end products from one broadcast multiply, with an end product 0 * ±inf taken
-as 0, the usual convention for infinite ends. The whole pass runs under one
+end products from one broadcast multiply. The whole pass runs under one
 `np.errstate` that ignores every floating-point flag.
+
+An end product 0 * ±inf is NaN, and stays NaN: without outward rounding a 0
+end may be a positive value that underflowed and an inf end a finite one that
+overflowed, so no convention for it is sound.
 
 Occurrences of the same variable are treated independently on purpose
 (x - x over [-1, 1] yields [-2, 2]); this dependency looseness is the known
@@ -24,13 +27,11 @@ returns it, unoptimized; `lipschitz.estimate_sensitivity` wraps it in the
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .autodiff import jacobian
 from .errors import DomainError, ValidationFailed
-from .graph import BCE_CLAMP, OPS, Diagnostic, Graph, OpKind
+from .graph import BCE_CLAMP, OPS, Diagnostic, Graph, OpKind, _lifted
 
 
 class IntervalTensor:
@@ -69,26 +70,10 @@ def _bound_kernel(kind: OpKind, attrs, ins):
     return OPS[kind].kernel({**attrs, "ranks": tuple(a.ndim - 1 for a in ins)})
 
 
-def _aligned(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked operands of a pair kind, a declared scalar given the other
-    operand's rank so that the end axes broadcast against each other."""
-    if a.ndim < b.ndim:
-        a = a.reshape(a.shape + (1,) * (b.ndim - a.ndim))
-    elif b.ndim < a.ndim:
-        b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
-    return a, b
-
-
 def _end_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The four end products a[i] * b[j] of stacked operands that broadcast,
-    from one multiply, stacked in the order lo*lo, lo*hi, hi*lo, hi*hi. An end
-    product 0 * ±inf is 0."""
+    from one multiply, stacked in the order lo*lo, lo*hi, hi*lo, hi*hi."""
     p = a[:, None] * b[None]
-    # NaN anywhere makes the sum NaN; only then look for 0 * ±inf
-    if math.isnan(np.add.reduce(p, None)):
-        zero_times_inf = (((a == 0)[:, None] & np.isinf(b)[None])
-                          | (np.isinf(a)[:, None] & (b == 0)[None]))
-        np.copyto(p, 0.0, where=zero_times_inf)
     return p.reshape((4,) + p.shape[2:])
 
 
@@ -101,6 +86,12 @@ def _hull(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_hull(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_hull` of the stacked operands of a pair kind, a declared scalar
+    lifted to the other operand's rank behind its end axis."""
+    return _lifted(_hull, a.ndim - 1, b.ndim - 1)(a, b)
+
+
 def _monotone(node, ins) -> np.ndarray:
     """A kind that does not decrease in any operand takes its least value at
     the lower ends and its greatest at the upper ones; for the layout kinds,
@@ -109,19 +100,19 @@ def _monotone(node, ins) -> np.ndarray:
 
 
 def _sub(node, ins) -> np.ndarray:
-    a, b = _aligned(*ins)
-    return a - b[::-1]
+    a, b = ins
+    return _bound_kernel(node.kind, node.attrs, ins)(a, b[::-1])
 
 
 def _mul(node, ins) -> np.ndarray:
-    return _hull(*_aligned(*ins))
+    return _pair_hull(*ins)
 
 
 def _div(node, ins) -> np.ndarray:
-    a, b = _aligned(*ins)
+    a, b = ins
     if np.any((b[0] <= 0) & (b[1] >= 0)):
         raise DomainError(f"Div by an interval containing 0 at node '{node.name}'")
-    return _hull(a, 1.0 / b[::-1])
+    return _pair_hull(a, 1.0 / b[::-1])
 
 
 def _matmul(node, ins) -> np.ndarray:
@@ -183,11 +174,11 @@ def _in_interval(node, ins) -> np.ndarray:
 
 
 def _bce(node, ins) -> np.ndarray:
-    p, t = _aligned(*ins)
+    p, t = ins
     pc = p.clip(BCE_CLAMP, 1.0 - BCE_CLAMP)
     log_p = np.log(pc)
     log_q = np.log(1.0 - pc[::-1])
-    term = -(_hull(t, log_p) + _hull(1.0 - t[::-1], log_q))[::-1]
+    term = -(_pair_hull(t, log_p) + _pair_hull(1.0 - t[::-1], log_q))[::-1]
     return _bound_kernel(OpKind.MEAN, {"axis": None}, (term,))(term)
 
 

@@ -601,6 +601,32 @@ def test_an_out_path_that_cannot_be_written_is_refused_before_any_work(tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mean.json", "x.csv"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "run", "bench"])
+def test_a_write_that_fails_is_refused_and_leaves_no_file(
+        tmp_path, monkeypatch, capsys, command):
+    # the path passes the check before the work, and the write itself then
+    # fails part way, after it has made the file
+    def fail_part_way(path):
+        path.write_bytes(b"partial")
+        raise OSError(28, "No space left on device")
+
+    model = _write(tmp_path, "mean.json", MEAN_MODEL)
+    csv = _write_csv(tmp_path, "x.csv", np.full((10, 1), 0.5))
+    monkeypatch.setattr("pathlib.Path.write_text",
+                        lambda self, text, *a, **k: fail_part_way(self))
+    monkeypatch.setattr(runtime, "write_bench_csv",
+                        lambda records, path: fail_part_way(path))
+    out = tmp_path / "out.json"
+    argv = {"analyze": ["--model", str(model), "--methods", "ibp"],
+            "run": ["--model", str(model), "--data", str(csv), "--epsilon", "1",
+                    "--delta", "1e-5", "--seed", "0"],
+            "bench": ["--widths", "2", "--reps", "1"]}[command]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: " in err and "No space left" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mean.json", "x.csv"]
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "dpgraph.cli", "--version"],

@@ -326,14 +326,30 @@ def test_ibp_bounds_are_pinned(name):
     assert estimate_sensitivity(g, wrt=wrt, method="ibp").bound.hex() == pin
 
 
-def test_an_end_product_zero_times_inf_is_zero():
+def test_an_end_product_zero_times_inf_is_refused():
     # d/dx sum(0 * exp(x)) over x in [0, 800]^3 is 0 * exp(x), and exp(800)
-    # overflows to inf: the end product 0 * inf is 0, not NaN
+    # overflows to inf: the end product 0 * inf is NaN, which bounds nothing
     b = GraphBuilder()
     x = b.input("x", (3,), bounds=(0.0, 800.0))
     b.output(b.reduce_sum(b.mul(b.constant(0.0), b.exp(x))))
-    report = estimate_sensitivity(b.graph(), method="ibp")
-    assert report.bound == 0.0 and report.certified
+    with pytest.raises(DomainError, match=r"NaN at node '\w+' \(Mul\)"):
+        estimate_sensitivity(b.graph(), method="ibp")
+
+
+@pytest.mark.parametrize("slope", [0.0, 1e-3])
+def test_an_underflowed_zero_times_an_overflowed_inf_is_refused(slope):
+    # exp(-x) * exp(x) * x + slope * x is (1 + slope) x, whose Lipschitz
+    # constant is 1 + slope; over x in [800, 801] exp(-x) underflows to
+    # [0, 0] and exp(x) overflows to [inf, inf]. Taking their end products
+    # as 0 would certify slope, far below the true constant
+    b = GraphBuilder()
+    x = b.input("x", (3,), bounds=(800.0, 801.0))
+    y = b.mul(b.mul(b.exp(b.neg(x)), b.exp(x)), x)
+    if slope:
+        y = b.add(y, b.mul(b.constant(slope), x))
+    b.output(b.reduce_sum(y))
+    with pytest.raises(DomainError, match=r"NaN at node '\w+' \(Mul\)"):
+        estimate_sensitivity(b.graph(), method="ibp")
 
 
 def test_ibp_refuses_an_enclosure_that_holds_nan():
