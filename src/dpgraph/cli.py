@@ -221,8 +221,10 @@ def cmd_run(args) -> int:
         _save(out, lambda path: path.write_text(text))
     except DpGraphError as err:
         return _fail(_exit_code(err), str(err))
+    seeded = "" if output.seed is None else (
+        f" seed={output.seed} (a published seed removes the noise)")
     print(f"sigma={output.sigma:.6g} clipped_fraction={output.clipped_fraction:.4f} "
-          f"output_l2_norm={output.output_l2_norm:.6g} seed={output.seed}")
+          f"output_l2_norm={output.output_l2_norm:.6g}{seeded}")
     print(f"privatized output written to {out}")
     return 0
 
@@ -277,7 +279,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=CSV", help="repeatable; bare path if one tensor")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=None, help="noise seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
+                   help="noise seed, written into the output: anyone who holds it "
+                        "can regenerate the noise and remove it, so give one only "
+                        "for tests and replays (default: OS entropy, recorded as null)")
     p.add_argument("--cap", type=float, default=None,
                    help="refuse when the sensitivity bound exceeds this cap")
     p.add_argument("--analysis", default=None,

@@ -27,11 +27,13 @@ stops once both phases have their starts, so only the samples it tests get
 distance rows (`_distance_rows`), a block at a time; each block serves both
 phases.
 
-A point of the Jacobian objective is the J program's leaf-group vectors
-(`runtime.LeafGroup`) laid end to end, so both of its programs, J and the
-vector-Jacobian product that gives the sigma_max gradient, bind each group
-from a view of one column block of a stack of points. A gradient that traps
-at a point is NaN there, which stops that start of the ascent.
+A point of the Jacobian objective is the J program's bounded leaf-group
+vectors (`runtime.LeafGroup`) laid end to end, so both of its programs, J
+and the vector-Jacobian product that gives the sigma_max gradient, bind each
+group from a view of one column block of a stack of points. The unbounded
+group is bound to zeros when J reads none of its leaves, and refused when J
+reads one. A gradient that traps at a point is NaN there, which stops that
+start of the ascent.
 
 The objective and its gradient are evaluated on stacks of points: each
 sampling phase, and each chunk of the grid oracle, is one batched
@@ -54,15 +56,17 @@ lands on its own point leaves the line search at once and stops climbing:
 every shorter step lands there too, so the remaining halvings of its 30
 would evaluate nothing.
 
-A point's bytes are its only key, and `_Recorder` is the one memo: it keys
-each distinct point once and keeps under that key the point's value and
-what the objective's values carried for it (`_Kept`), which for the
-Jacobian objective is the top singular vectors of J there. The ascent hands
-each gradient call the vectors of its points, so a gradient runs only the
-vector-Jacobian product and never J. The grid oracle, which takes no
-gradients, bypasses the memo. When the optimized Jacobian graph's output is
-a Constant, as on every mean or sum query, J is decomposed once and its
-triple serves every point, with no execute.
+`global_maximize` hands its objective and gradient plain (k, d) arrays
+and takes back plain arrays. A point's bytes are its only key, and
+`_Recorder` is the maximizer's one memo: it keys each distinct point once
+and keeps the point's value under that key. The Jacobian objective keeps
+what it needs itself: the top singular vectors of J at each point where it
+evaluates J, under the point's bytes, which its gradient reads back, so a
+gradient at an evaluated point runs only the vector-Jacobian product and
+never J. The grid oracle, which takes no gradients, bypasses the memo. When
+the optimized Jacobian graph's output is a Constant, as on every mean or sum
+query, J is decomposed once and its triple serves every point, with no
+execute and no key.
 """
 
 from __future__ import annotations
@@ -206,33 +210,15 @@ class MaximizeResult(NamedTuple):
 # global maximization
 
 
-class _Kept(np.ndarray):
-    """An array that carries `kept`, a list of one item per row: on the
-    values an objective returns, what to keep beside each point's value; on
-    the stack a gradient is asked for, what was kept at each of its points.
-    Any other array has no `kept`."""
-
-    kept: list | None = None
-
-
-def _keeping(array: np.ndarray, kept: list) -> np.ndarray:
-    """A view of `array` that carries `kept`."""
-    view = array.view(_Kept)
-    view.kept = kept
-    return view
-
-
 class _Recorder:
     """Wraps a stacked objective as the one memo of a maximization: each
     distinct point is evaluated once and keyed once, by its own bytes, and
-    the key holds the point's value and the item that the objective's values
-    carried for it as `kept` (None when they carried none). Tracks the best
-    feasible value in the order the points were first evaluated."""
+    the key holds the point's value. Tracks the best feasible value in the
+    order the points were first evaluated."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
-        self.memo: dict[bytes, tuple[float, object]] = {}
-        self.keeps = False  # whether fn's values have carried `kept`
+        self.memo: dict[bytes, float] = {}
         self.best_value = -np.inf
         self.best_point: np.ndarray | None = None
 
@@ -241,48 +227,34 @@ class _Recorder:
         return len(self.memo)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Values at the rows of a (k, d) stack."""
+        """Values at the rows of a (k, d) stack, after the first copy of each
+        unseen row has been evaluated; a stack whose rows are all unseen and
+        distinct reaches fn as it is."""
         memo = self.memo
-        return np.array([memo[key][0] for key in self._record(points)])
-
-    def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, list]:
-        """Values at the rows of a (k, d) stack, and the item kept at each."""
-        found = [self.memo[key] for key in self._record(points)]
-        return np.array([value for value, _ in found]), [item for _, item in found]
-
-    def _record(self, points: np.ndarray) -> list[bytes]:
-        """The keys of a stack's rows, after the first copy of each unseen row
-        has been evaluated; a stack whose rows are all unseen and distinct
-        reaches fn as it is."""
         keys = [p.tobytes() for p in points]
         fresh: dict[bytes, int] = {}
         for i, key in enumerate(keys):
-            if key not in self.memo:
+            if key not in memo:
                 fresh.setdefault(key, i)
         if fresh:
             rows = list(fresh.values())
-            values, kept = self._evaluate(points if len(rows) == len(points)
-                                          else points[rows])
-            for key, i, value, item in zip(fresh, rows, values, kept):
-                self.memo[key] = value, item
+            values = self._evaluate(points if len(rows) == len(points) else points[rows])
+            for key, i, value in zip(fresh, rows, values):
+                memo[key] = value
                 if value > self.best_value:
                     self.best_value = value
                     self.best_point = np.array(points[i])
-        return keys
+        return np.array([memo[key] for key in keys])
 
-    def _evaluate(self, points: np.ndarray) -> tuple[np.ndarray, list]:
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
         values = np.full(len(points), -np.inf)  # a point that traps stays -inf
-        kept: list = [None] * len(points)
 
         def run(start, stop):
             out = self.fn(points[start:stop])
             values[start:stop] = np.asarray(out, dtype=np.float64).reshape(stop - start)
-            if getattr(out, "kept", None) is not None:
-                self.keeps = True
-                kept[start:stop] = out.kept
 
         _halving(run, 0, len(points))
-        return np.where(np.isnan(values), -np.inf, values), kept
+        return np.where(np.isnan(values), -np.inf, values)
 
 
 def _halving(run, start: int, stop: int) -> dict[int, Exception]:
@@ -338,11 +310,9 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
     at once and, having found no better point, stops climbing: a halved step
     rounds and projects back onto the point again (halving is exact and
     rounding monotone), so the 30 halvings would evaluate nothing more.
-    When the objective keeps items (`_Kept`), each start carries its point's
-    item, and the stack a gradient is asked for carries them.
     Returns the final points and their values."""
     x = np.clip(starts, lo, hi)
-    fx, kept = f.evaluate(x)
+    fx = f(x)
     width = float(np.max(hi - lo))
     step = np.full(len(x), 0.25 * width or 1.0)
     flat_streak = np.zeros(len(x), dtype=int)
@@ -350,10 +320,7 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
     for _ in range(MAX_REFINE_ITERS):
         if climbing.size == 0:
             break
-        at_points = x[climbing]
-        if f.keeps:
-            at_points = _keeping(at_points, [kept[i] for i in climbing])
-        g = np.asarray(gradient(at_points), dtype=np.float64)
+        g = np.asarray(gradient(x[climbing]), dtype=np.float64)
         norm_g = _row_norms(g)
         moves = (norm_g != 0.0) & np.isfinite(norm_g)
         climbing = climbing[moves]
@@ -370,14 +337,11 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
             moved = np.any(cand != x[at], axis=1)
             fc = np.full(len(rows), -np.inf)  # a candidate that did not move
             if moved.any():
-                fc[moved], found = f.evaluate(cand[moved])
+                fc[moved] = f(cand[moved])
             better = fc > fx[at]
             won = at[better]
             gain = fc[better] - fx[won]
             x[won], fx[won] = cand[better], fc[better]
-            # a winner moved, so its item is at its rank among the moved
-            for i, j in zip(won, np.cumsum(moved)[better] - 1):
-                kept[i] = found[j]
             step[won] = np.minimum(s[rows[better]] * 2.0, width)
             flat = gain <= VALUE_TOL * (1.0 + np.abs(fx[won]))
             flat_streak[won] = np.where(flat, flat_streak[won] + 1, 0)
@@ -543,14 +507,14 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     `gradient`, if given, maps a (k, d) stack of points to their (k, d)
     gradients; otherwise central differences are taken, with the rows of
     one gradient call in one objective call (one per `runtime.BATCH_BYTES`
-    of rows at high dimension). A single point arrives as a stack of one.
-    Each distinct point is evaluated once, remembered by its bytes; values
-    that carry `kept` (`_Kept`) have each row's item remembered with it, and
-    a gradient is asked for on a stack that carries its points' items. The
+    of rows at high dimension). A single point arrives as a stack of one,
+    and every stack is a plain `np.ndarray`. Each distinct point is
+    evaluated once, its value remembered by its bytes, and a gradient is
+    asked for only at points already evaluated to a value above -inf. The
     first sampling phase is a prefix of the second, so both are evaluated,
-    first phase first, and then the distinct union of their starts ascends once,
-    in lockstep (see `_ascend`); each phase reads its stationary values at
-    its own starts.
+    first phase first, and then the distinct union of their starts ascends
+    once, in lockstep (see `_ascend`); each phase reads its stationary
+    values at its own starts.
 
     Returns the best point evaluated anywhere in the procedure, a heuristic
     stability certificate, and the number of distinct points evaluated.
@@ -629,44 +593,53 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
 class _JacobianObjective:
     """Spectral norm of the Jacobian as a function of the boxed free tensors.
 
-    A point is the vectors of the J program's leaf groups
+    A point is the vectors of the J program's bounded leaf groups
     (`runtime.LeafGroup`) laid end to end, so its programs bind each group
     from a view of one column block of a stack of points. The gradient
     program, the vector-Jacobian product of the optimized J graph, has the
-    same groups followed by its cotangent's, and is built with J. The
-    objective remembers no point: its values carry the top singular vectors
-    of J at each point as `kept`, which a `_Recorder` keeps under the
-    point's key and `gradient` reads from the stack it is given. When the
-    optimized Jacobian graph's output is a Constant, its triple is decomposed
-    once and serves every point. A point where the gradient program traps
-    gets a NaN gradient, which stops its start of the ascent."""
+    same groups, its cotangent the last member of the unbounded group, and
+    is built with J. An unbounded leaf that J does not read is no coordinate
+    of the box, and both programs bind it to zeros; one that J reads is
+    refused. The objective keeps the top singular vectors of J at each point
+    where it evaluates J (`_vectors`, keyed by the point's bytes), and
+    `gradient` reads them there. When the optimized Jacobian graph's output
+    is a Constant, its triple is decomposed once and serves every point, and
+    no point is keyed. A point where the gradient program traps gets a NaN
+    gradient, which stops its start of the ascent."""
 
     def __init__(self, graph: Graph, wrt):
         self.program = runtime.compile(jacobian(graph, wrt).graph)
         g = self.program.optimized_graph
-        # each group's columns of a point, and each leaf's name, dims and
-        # columns, in the point's order
+        # each bounded group's columns of a point, and each of its leaves'
+        # name, dims and columns, in the point's order
         self._groups: list[slice] = []
         self._slices: list[tuple[str, tuple[int, ...], int, int]] = []
+        # the index and size of the unbounded group, which J does not read
+        self._unread: tuple[int, int] | None = None
         lo_parts, hi_parts = [], []
         offset = 0
-        for b, members in self.program.leaf_groups:
-            if b is None:
-                raise ValidationFailed([Diagnostic(
-                    "missing-bounds",
-                    f"'{members[0][0]}' has no bounds; bound it or freeze it",
-                    g.find(members[0][0]))])
+        for i, (b, members) in enumerate(self.program.leaf_groups):
             size = members[-1][3]
+            if b is None:
+                read = [name for name, *_, slot in members if slot is not None]
+                if read:
+                    raise ValidationFailed([Diagnostic(
+                        "missing-bounds", f"'{read[0]}' has no bounds; bound it or freeze it",
+                        g.find(read[0]))])
+                self._unread = i, size
+                continue
             self._groups.append(slice(offset, offset + size))
             self._slices += [(name, dims, offset + start, offset + stop)
                              for name, dims, start, stop, _ in members]
             lo_parts.append(np.broadcast_to(b.lo.ravel(), (size,)))
             hi_parts.append(np.broadcast_to(b.hi.ravel(), (size,)))
             offset += size
-        self.lo = np.concatenate(lo_parts)
-        self.hi = np.concatenate(hi_parts)
-        grad_graph, _ = vjp(g, [g.find(name) for name, *_ in self._slices])
-        self._grad_program = runtime.compile(grad_graph)
+        self.lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0)
+        self.hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0)
+        # a box with no coordinates takes no gradient
+        self._grad_program = runtime.compile(vjp(
+            g, [g.find(name) for name, *_ in self._slices])[0]) if self._slices else None
+        self._vectors: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         # (sigma, u, w) of J when it is the same Constant at every point
         self._constant = None
         out = g.nodes[g.outputs[0]]
@@ -684,19 +657,38 @@ class _JacobianObjective:
         return {name: v[start:stop].reshape(dims)
                 for name, dims, start, stop in self._slices}
 
+    def _bind(self, points: np.ndarray, cotangents: np.ndarray | None = None) -> list:
+        """The group vectors of the J program at a stack of points, or, given
+        their cotangents, of the gradient program."""
+        vectors = [points[:, c] for c in self._groups]
+        if self._unread is None:
+            return vectors if cotangents is None else vectors + [cotangents]
+        at, size = self._unread
+        if cotangents is None:
+            unbounded = np.zeros(size)
+        else:
+            unbounded = np.zeros((len(points), size + cotangents.shape[1]))
+            unbounded[:, size:] = cotangents
+        vectors.insert(at, unbounded)
+        return vectors
+
     def __call__(self, v: np.ndarray):
         """sigma_max(J) at each row of a (k, d) stack; -inf where J cannot be
         evaluated. A point of shape (d,) is a stack of one and gets a float.
 
         The stack is evaluated by one batched execute and one stacked
-        spectral norm. The values carry the top singular vectors (u, w) of J
-        at each point as `kept`, for `gradient`.
+        spectral norm. Unless J is a Constant, the top singular vectors
+        (u, w) of J at each point where J is evaluated are kept for
+        `gradient`.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
             return float(self(v[None, :])[0])
         sigmas, us, ws = self._triples(v)
-        return _keeping(sigmas, list(zip(us, ws)))
+        if self._constant is None:
+            for i in np.flatnonzero(sigmas != -np.inf):
+                self._vectors[v[i].tobytes()] = us[i], ws[i]
+        return sigmas
 
     def _triples(self, stack: np.ndarray):
         """(sigma, u, w) of J at each point of a stack. A point that traps is
@@ -712,8 +704,7 @@ class _JacobianObjective:
         sigmas, us, ws = np.full(k, -np.inf), np.zeros((k, rows)), np.zeros((k, cols))
 
         def run(start, stop):
-            points = stack[start:stop]
-            (js,) = runtime.execute(self.program, [points[:, c] for c in self._groups],
+            (js,) = runtime.execute(self.program, self._bind(stack[start:stop]),
                                     batch_shape=(stop - start,))
             sigmas[start:stop], us[start:stop], ws[start:stop] = (
                 spectral_norms_with_vectors(js))
@@ -733,32 +724,36 @@ class _JacobianObjective:
         simple; where it is repeated, the result is the derivative along
         the singular pair that the decomposition returned.
 
-        The singular vectors seed the cotangent. `_ascend` asks only at
-        points whose recorded value is finite, on a stack that carries the
-        vectors `__call__` gave there as `kept`, so only the vector-Jacobian
-        product program runs, in one batched execute that binds the point's
-        group slices and the cotangents; a stack without them has its
-        triples found first. Nothing is remembered: a gradient asked for
-        twice is computed twice. A point where the gradient program traps
-        gets a row of NaN, logged once, and `_ascend` stops that start.
+        The singular vectors seed the cotangent. `global_maximize` asks only
+        at points where the objective evaluated J, whose vectors `__call__`
+        kept, so only the vector-Jacobian product program runs, in one
+        batched execute that binds the point's group slices and the
+        cotangents. A constant J's vectors are broadcast, and a stack that
+        holds a point with no kept vectors has its triples found first.
+        Nothing else is remembered: a gradient asked for twice is computed
+        twice. A point where the gradient program traps gets a row of NaN,
+        logged once, and `_ascend` stops that start.
         """
         if np.ndim(v) == 1:
             return self.gradient(np.asarray(v, dtype=np.float64)[None, :])[0]
-        kept = getattr(v, "kept", None)
         v = np.asarray(v, dtype=np.float64)
         k = len(v)
-        if kept is None:
-            u, w = self._triples(v)[1:]
+        if self._constant is not None:
+            _, u, w = self._constant
+            u, w = np.broadcast_to(u, (k, u.size)), np.broadcast_to(w, (k, w.size))
         else:
-            u, w = map(np.array, zip(*kept))
+            kept = [self._vectors.get(p.tobytes()) for p in v]
+            if kept and all(item is not None for item in kept):
+                u, w = map(np.array, zip(*kept))
+            else:
+                u, w = self._triples(v)[1:]
         # the cotangent u w^T of each point, as its (k, R*C) vector
         cotangents = (u[:, :, None] * w[:, None, :]).reshape(k, -1)
         grads = np.empty((k, self.dim))
 
         def run(start, stop):
-            points = v[start:stop]
-            vectors = [points[:, c] for c in self._groups] + [cotangents[start:stop]]
-            outs = runtime.execute(self._grad_program, vectors,
+            outs = runtime.execute(self._grad_program,
+                                   self._bind(v[start:stop], cotangents[start:stop]),
                                    batch_shape=(stop - start,))
             for (_, _, a, b), out in zip(self._slices, outs):
                 grads[start:stop, a:b] = out.reshape(stop - start, b - a)
@@ -785,7 +780,9 @@ def estimate_sensitivity(graph: Graph, wrt=None,
 
     `wrt` selects the differentiation targets (default: all private inputs);
     every Input and Parameter, unless `graph.freeze` made it a Constant, varies
-    over its box as a free coordinate. Methods: `global_opt` (sampling plus
+    over its box as a free coordinate; an unbounded one that the Jacobian
+    does not read is none, and one that it reads is refused with
+    `ValidationFailed`. Methods: `global_opt` (sampling plus
     refined ascent), `grid_oracle` (brute force, small dimensions only),
     `ibp` (interval baseline).
     """

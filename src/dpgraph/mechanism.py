@@ -91,7 +91,7 @@ class MechanismOutput:
     sigma: float
     clipped_fraction: float
     output_l2_norm: float
-    seed: int
+    seed: int | None  # None when the noise came from OS entropy
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,10 +217,13 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
     data for names the program does not declare are ignored. A missing leaf raises `MissingInput`, a leaf of the wrong shape
     `ShapeMismatch`, and a value that is not real numbers, or a NaN or Inf
     that reaches `execute`, `NumericalError`; an Inf in a bounded leaf is
-    clipped and counted. The seed must be a non-negative integer, of any
-    integer type but bool; the output records it as an `int`. The output
-    L2-norm is summed with scaling, so it overflows only if the norm itself
-    exceeds float64.
+    clipped and counted. Without a seed the noise is drawn from OS entropy
+    and the output records no seed. A given seed must be a non-negative
+    integer, of any integer type but bool, and the output records it as an
+    `int`; anyone who holds it can regenerate the noise and subtract it, so
+    a seed is for tests and replays, never for a published release. The
+    output L2-norm is summed with scaling, so it overflows only if the norm
+    itself exceeds float64.
 
     The report must carry the fingerprint of the program's graph; refusing a
     stale report prevents calibrating with a bound computed for different
@@ -238,9 +241,7 @@ def privatize(program: CompiledProgram, data: Mapping[str, Any],
         raise InvalidParams(
             f"sensitivity exceeds cap: {report.bound} > {params.sensitivity_cap}")
 
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy) % (2 ** 63)
-    else:
+    if seed is not None:
         try:
             seed = _index(seed)
         except ValueError:

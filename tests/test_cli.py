@@ -302,6 +302,46 @@ def test_run_mean_reproducible(tmp_path, rng):
     assert doc["sigma"] > 0
 
 
+def _integers(doc):
+    """Every integer field of a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        return [i for v in doc.values() for i in _integers(v)]
+    if isinstance(doc, list):
+        return [i for v in doc for i in _integers(v)]
+    return [doc] if isinstance(doc, int) and not isinstance(doc, bool) else []
+
+
+def _regenerates_the_raw_mean(doc, true_mean):
+    """Whether subtracting default_rng(s).normal(0, sigma), for some integer
+    field s of a `run` document, gives back the raw mean."""
+    return any(doc["value"]["m"] - np.random.default_rng(s).normal(0.0, doc["sigma"])
+               == pytest.approx(true_mean, rel=1e-12, abs=0)
+               for s in _integers(doc) if s >= 0)
+
+
+def test_run_without_a_seed_publishes_none(tmp_path, rng, capsys):
+    data = rng.uniform(0, 1, (10, 1))
+    model = _write(tmp_path, "mean.json", MEAN_MODEL)
+    csv = _write_csv(tmp_path, "x.csv", data)
+    out = tmp_path / "out.json"
+    code = main(["run", "--model", str(model), "--data", f"x={csv}", "--epsilon", "1.0",
+                 "--delta", "1e-5", "--out", str(out)])
+    assert code == 0
+    assert "seed=" not in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"value", "sigma", "clipped_fraction", "output_l2_norm",
+                        "seed", "fingerprint"}
+    assert doc["seed"] is None
+    true_mean = float(np.mean(data))
+    assert not _regenerates_the_raw_mean(doc, true_mean)
+
+    # a given seed is published, and gives the raw mean back
+    code, out = _run_mean(tmp_path, data)
+    assert code == 0
+    assert "a published seed removes the noise" in capsys.readouterr().out
+    assert _regenerates_the_raw_mean(json.loads(out.read_text()), true_mean)
+
+
 def test_run_reports_clipping(tmp_path):
     data = np.concatenate([np.full((4, 1), 2.0), np.full((6, 1), 0.5)])
     code, out = _run_mean(tmp_path, data)

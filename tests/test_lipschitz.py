@@ -21,6 +21,7 @@ from dpgraph import (
     NumericalError,
     OptimizerFailure,
     UnknownNode,
+    ValidationFailed,
 )
 from dpgraph.lipschitz import (
     OptimizerConfig,
@@ -668,34 +669,31 @@ def test_the_gradient_program_groups_are_j_and_the_cotangent(graph, wrt):
     assert members[0][1] == obj.program.output_dims[0]
 
 
-def _recorded_gradient(f: _Recorder, points: np.ndarray) -> np.ndarray:
-    """The gradient of f's objective at points f evaluated, asked for as the
-    ascent asks: on a stack that carries the items f kept there."""
-    return f.fn.gradient(lipschitz._keeping(points, f.evaluate(points)[1]))
-
-
 def test_gradient_reuses_the_evaluated_jacobian(monkeypatch):
     g = mlp_classifier(2)
     obj = _JacobianObjective(g, [g.find("x")])
-    obj.gradient(np.zeros(obj.dim))  # builds the vjp program
     programs = []
     execute = runtime.execute
     monkeypatch.setattr(runtime, "execute", lambda p, inputs, **kwargs:
                         programs.append(p) or execute(p, inputs, **kwargs))
     rng = np.random.default_rng(8)
     stack = rng.uniform(obj.lo, obj.hi, (5, obj.dim))
-    f = _Recorder(obj)
-    f(stack)
+    obj(stack)
     assert programs == [obj.program]
-    at_stack = _recorded_gradient(f, stack[[3, 1]])
+    at_stack = obj.gradient(stack[[3, 1]])
     assert programs == [obj.program, obj._grad_program]
 
     # the singular vectors of a point have the same bits in any stack
-    fresh = _Recorder(_JacobianObjective(g, [g.find("x")]))
+    fresh = _JacobianObjective(g, [g.find("x")])
     fresh(stack[[3, 1]])
-    np.testing.assert_array_equal(at_stack, _recorded_gradient(fresh, stack[[3, 1]]))
-    # and a stack that carries none has them found first, to the same bits
-    np.testing.assert_array_equal(at_stack, fresh.fn.gradient(stack[[3, 1]]))
+    np.testing.assert_array_equal(at_stack, fresh.gradient(stack[[3, 1]]))
+    # and a stack that holds a point never evaluated has its triples found
+    # first, to the same bits
+    anew = _JacobianObjective(g, [g.find("x")])
+    anew(stack[[3]])
+    np.testing.assert_array_equal(at_stack, anew.gradient(stack[[3, 1]]))
+    np.testing.assert_array_equal(
+        at_stack, _JacobianObjective(g, [g.find("x")]).gradient(stack[[3, 1]]))
     for v, grad in zip(stack[[3, 1]], at_stack):
         _assert_matches_central_differences(obj, v, grad)
 
@@ -1471,9 +1469,9 @@ def test_global_opt_asks_gradients_only_at_evaluated_points(graph, monkeypatch):
     def checked(self, v):
         stack = np.atleast_2d(v)
         (f,) = recorders
-        assert all(np.isfinite(f.memo[p.tobytes()][0]) for p in stack)
-        # the stack carries the singular vectors kept at its points
-        assert [id(item) for item in v.kept] == [id(f.memo[p.tobytes()][1]) for p in stack]
+        assert all(np.isfinite(f.memo[p.tobytes()]) for p in stack)
+        # the objective kept the singular vectors of J at each of them
+        assert all(p.tobytes() in self._vectors for p in stack)
         asked.append(len(stack))
         return gradient(self, v)
 
@@ -1481,6 +1479,86 @@ def test_global_opt_asks_gradients_only_at_evaluated_points(graph, monkeypatch):
     monkeypatch.setattr(_JacobianObjective, "gradient", checked)
     estimate_sensitivity(graph, wrt=[graph.find("x")], method="global_opt")
     assert asked
+
+
+def test_global_maximize_hands_plain_arrays_to_the_objective_and_gradient(monkeypatch):
+    kinds = {"objective": set(), "gradient": set()}
+    objective, gradient = _JacobianObjective.__call__, _JacobianObjective.gradient
+    monkeypatch.setattr(_JacobianObjective, "__call__", lambda self, v: kinds[
+        "objective"].add(type(v)) or objective(self, v))
+    monkeypatch.setattr(_JacobianObjective, "gradient", lambda self, v: kinds[
+        "gradient"].add(type(v)) or gradient(self, v))
+    g = mlp_classifier(2)
+    estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert kinds == {"objective": {np.ndarray}, "gradient": {np.ndarray}}
+
+
+def test_global_opt_keys_no_point_when_the_jacobian_is_a_constant():
+    g = mean_query(1000)
+    obj = _JacobianObjective(g, [g.find("x")])
+    result = global_maximize(obj, (obj.lo, obj.hi), gradient=obj.gradient)
+    assert obj._constant is not None and obj._vectors == {}
+    report = estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert result.value == report.bound and result.n_evaluations == report.n_evaluations
+
+
+def _plus_unbounded(read: bool, j_constant: bool = True):
+    """sum(x) + sum(p), or sum(x * p) when J reads p, with x in [0, 1]^(3x1)
+    and p unbounded; sum(sigmoid(x * x)) in place of sum(x) makes J vary."""
+    b = GraphBuilder()
+    x = b.input("x", (3, 1), bounds=(0.0, 1.0))
+    p = b.parameter("p", ())
+    if read:
+        b.output(b.reduce_sum(b.mul(x, p), axis=None))
+    else:
+        s = b.reduce_sum(x if j_constant else b.sigmoid(b.mul(x, x)), axis=None)
+        b.output(b.add(s, p))
+    return b.graph()
+
+
+def test_an_unbounded_leaf_that_j_does_not_read_is_no_coordinate():
+    g = _plus_unbounded(read=False)
+    bounds = {m: estimate_sensitivity(g, wrt=[g.find("x")], method=m).bound
+              for m in lipschitz.METHODS}
+    assert bounds["ibp"] == 1.7320508075688772
+    for bound in bounds.values():
+        assert bound == pytest.approx(math.sqrt(3.0), rel=1e-12, abs=0)
+    report = estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert set(report.argmax) == {"x"}
+
+
+def test_an_unread_unbounded_leaf_is_bound_to_zeros_in_both_programs():
+    g = _plus_unbounded(read=False, j_constant=False)
+    obj = _JacobianObjective(g, [g.find("x")])
+    assert obj.dim == 3 and obj._constant is None
+    # the gradient program's unbounded group is p, then its cotangent
+    (members,) = [m for b, m in obj._grad_program.leaf_groups if b is None]
+    assert [name for name, *_ in members][0] == "p" and len(members) == 2
+    assert members[1][1] == obj.program.output_dims[0]
+    rng = np.random.default_rng(3)
+    for v in rng.uniform(obj.lo, obj.hi, (3, obj.dim)):
+        obj(v)
+        _assert_matches_central_differences(obj, v, obj.gradient(v))
+    report = estimate_sensitivity(g, wrt=[g.find("x")], method="global_opt")
+    assert 0 < report.bound <= estimate_sensitivity(g, wrt=[g.find("x")], method="ibp").bound
+
+
+@pytest.mark.parametrize("method", lipschitz.METHODS)
+def test_an_unbounded_leaf_that_j_reads_is_refused_by_name(method):
+    g = _plus_unbounded(read=True)
+    with pytest.raises(ValidationFailed, match="'p'"):
+        estimate_sensitivity(g, wrt=[g.find("x")], method=method)
+
+
+def test_the_refusal_names_the_unbounded_leaf_that_j_reads():
+    b = GraphBuilder()
+    x = b.input("x", (3, 1), bounds=(0.0, 1.0))
+    p, q = b.parameter("p", ()), b.parameter("q", ())
+    b.output(b.add(b.reduce_sum(b.mul(x, q), axis=None), p))
+    g = b.graph()
+    for method in ("global_opt", "grid_oracle"):
+        with pytest.raises(ValidationFailed, match="'q' has no bounds"):
+            estimate_sensitivity(g, wrt=[g.find("x")], method=method)
 
 
 def _clipped_mean(n):

@@ -273,6 +273,18 @@ def test_privatize_reproducible(mean_setup, rng):
     assert out1.seed == 42
 
 
+def test_privatize_without_a_seed_records_none(mean_setup, rng):
+    _, program, report = mean_setup
+    params = PrivacyParams(epsilon=1.0, delta=1e-5)
+    data = {"x": rng.uniform(0, 1, (10, 1))}
+    out1 = privatize(program, data, params, report)
+    out2 = privatize(program, data, params, report, seed=None)
+    assert out1.seed is None and out2.seed is None
+    assert out1.to_json_dict()["seed"] is None
+    # the noise comes from OS entropy, so two releases differ
+    assert out1.value["n1"] != out2.value["n1"]
+
+
 def test_privatize_noise_matches_seeded_draw(mean_setup, rng):
     _, program, report = mean_setup
     params = PrivacyParams(epsilon=1.0, delta=1e-5)
