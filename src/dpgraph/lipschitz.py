@@ -22,10 +22,13 @@ starts from its MAX_STARTS highest stars: feasible samples with at least k
 other samples of the phase strictly closer than their nearest strictly
 higher one, which, unless samples tie at the k-th nearest distance, are
 those no lower than any of their k exact nearest neighbours (Törn & Viitanen
-1992). `_stars` tests the samples from the highest value down and
-stops once both phases have their starts, so only the samples it tests get
-distance rows (`_distance_rows`), a block at a time; each block serves both
-phases.
+1992). A sample that no other sample of its phase beats is a star with no
+distance row. `_stars` tests the other samples from the highest value down
+and stops once both phases have their starts, so only the samples it tests
+get distance rows (`_distance_rows`), a block at a time; each block serves
+both phases. When every value ties, as on a mean, sum or linear query, no
+sample is tested, and the unit-cube copy of the samples that distances are
+taken in is never built.
 
 A point of the Jacobian objective is the J program's bounded leaf-group
 vectors (`runtime.LeafGroup`) laid end to end, so both of its programs, J
@@ -353,11 +356,18 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a (k, d) stack, with the bits that
-    `np.linalg.norm` gives the row alone: both take the row's dot product
-    with itself, where norm(axis=1) may sum in another order."""
+    """The Euclidean norm of each row of a (k, d) stack. Up to
+    _ONE_THREAD_DOT columns it has the bits that `np.linalg.norm` gives the
+    row alone: both take the row's dot product with itself, where
+    norm(axis=1) may sum in another order. A longer row is the sum of the dot
+    products of its column chunks of _ONE_THREAD_DOT, each on one thread."""
+    d = g.shape[1]
     with np.errstate(over="ignore"):  # a norm past the float range is inf
-        return np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+        if d <= _ONE_THREAD_DOT:
+            return np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+        return np.sqrt(sum(np.matmul(g[:, None, j:j + _ONE_THREAD_DOT],
+                                     g[:, j:j + _ONE_THREAD_DOT, None])[:, 0, 0]
+                           for j in range(0, d, _ONE_THREAD_DOT)))
 
 
 def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, int]:
@@ -401,6 +411,9 @@ def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, int]:
 # m * n * k is at most this; above it, the idle worker threads spin after
 # the product and `time.process_time` counts their spin
 _ONE_THREAD_PRODUCT = 1 << 18
+# and a dot product of at most this many terms: on a 2-vCPU VM, 16 dot
+# products of 10,000 terms took 0.3 ms of CPU and 16 of 10,001 took 122 ms
+_ONE_THREAD_DOT = 10_000
 
 
 def _distance_rows(z: np.ndarray, norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -441,48 +454,63 @@ def _is_star(block: np.ndarray, ahead: np.ndarray, higher: np.ndarray,
     return np.count_nonzero(closer, axis=1) >= k
 
 
-def _stars(z: np.ndarray, vals: np.ndarray,
+def _stars(unit: Callable[[], np.ndarray], vals: np.ndarray,
            subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The starts of both sampling phases, as indices into the rows of a
-    (m, d) array z: of all its rows, and of the rows that the mask subset
-    holds, the MAX_STARTS highest stars, highest first and ties in index
-    order. A star is a feasible row with at least k other rows of its phase
-    strictly closer than its nearest row of the phase with a strictly higher
-    value, or with no higher row; k is 2d + 2, at most 16 and below the
-    phase's number of rows. When no other row lies at the k-th nearest
-    distance, a star is a row no lower than any of its k nearest other rows;
-    when some do, a higher one among them makes it no star.
+    """The starts of both sampling phases, as indices into the m rows of
+    vals: of all the rows, and of the rows that the mask subset holds, the
+    MAX_STARTS highest stars, highest first and ties in index order. A star
+    is a feasible row with at least k other rows of its phase strictly closer
+    than its nearest row of the phase with a strictly higher value, or with
+    no higher row; k is 2d + 2, at most 16 and below the phase's number of
+    rows. `unit()` gives the rows' (m, d) positions. When no other row lies at
+    the k-th nearest distance, a star is a row no lower than any of its k
+    nearest other rows; when some do, a higher one among them makes it no
+    star.
 
-    The rows are tested in that order, a block of distance rows at a time
-    (MAX_STARTS rows, then at most `runtime.BATCH_BYTES` of distances), until
-    both phases have their starts; the subset's order is the whole set's
-    restricted to it, so each block serves both phases."""
-    m, d = z.shape
-    k, k_subset = (min(2 * d + 2, 16, n - 1) for n in (m, int(subset.sum())))
-    norms = np.einsum("ij,ij->i", z, z)
+    A row that no row of its phase beats is a star by the rule's last
+    clause, and takes no distance row; those rows lead the phase's order.
+    The others are tested in that order, a block of distance rows at a time
+    (`_distance_rows`; MAX_STARTS rows, then at most `runtime.BATCH_BYTES` of
+    distances), until both phases have their starts; the subset's order is
+    the whole set's restricted to it, so each block serves both phases.
+    `unit` is called, and the rows' squared norms taken, only for the first
+    block: when every value ties, as on a mean, sum or linear query, there is
+    none."""
+    m = len(vals)
     feasible = np.flatnonzero(np.isfinite(vals))
     walk = feasible[np.argsort(-vals[feasible], kind="stable")]
     # each phase's feasible rows in walk order, and for each of them how many
-    # of those have a strictly higher value
-    phases = []
-    for ahead, columns, k_phase in ((walk, None, k), (walk[subset[walk]], subset, k_subset)):
+    # of those have a strictly higher value; those that none beats lead the
+    # phase's order and are its first stars
+    phases, found = [], ([], [])
+    for stars, ahead, columns in zip(found, (walk, walk[subset[walk]]), (None, subset)):
         keys = -vals[ahead]  # ascending
         higher = np.zeros(m, dtype=np.intp)
         higher[ahead] = np.searchsorted(keys, keys, side="left")
-        phases.append((ahead, higher, columns, k_phase))
-    found: tuple[list, list] = ([], [])
+        stars.extend(ahead[higher[ahead] == 0][:MAX_STARTS])
+        phases.append((ahead, higher, columns))
+    (_, higher_all, _), (_, higher_subset, _) = phases
+    # the rows left to test are those that some row of their phase beats
+    walk = walk[higher_all[walk] > 0]
+    z = norms = ks = None
     rows_per_block = max(1, runtime.BATCH_BYTES // (8 * m))
     size = min(MAX_STARTS, rows_per_block)
-    while walk.size and min(map(len, found)) < MAX_STARTS:
-        if len(found[0]) == MAX_STARTS:
-            walk = walk[subset[walk]]
+    while min(map(len, found)) < MAX_STARTS:
+        if len(found[0]) == MAX_STARTS:  # only the subset is still searching
+            walk = walk[higher_subset[walk] > 0]
+        if not walk.size:
+            break
+        if z is None:
+            z = unit()
+            norms = np.einsum("ij,ij->i", z, z)
+            ks = [min(2 * z.shape[1] + 2, 16, n - 1) for n in (m, int(subset.sum()))]
         rows, walk = walk[:size], walk[size:]
         block = _distance_rows(z, norms, rows)
-        for stars, in_phase, (ahead, higher, columns, k_phase) in zip(
-                found, (slice(None), subset[rows]), phases):
+        for stars, in_phase, (ahead, higher, columns), k in zip(
+                found, (slice(None), higher_subset[rows] > 0), phases, ks):
             if len(stars) < MAX_STARTS:
                 tested = rows[in_phase]
-                star = _is_star(block[in_phase], ahead, higher[tested], columns, k_phase)
+                star = _is_star(block[in_phase], ahead, higher[tested], columns, k)
                 stars.extend(tested[star][:MAX_STARTS - len(stars)])
         size = rows_per_block
     return tuple(np.array(stars, dtype=np.intp) for stars in found)
@@ -553,9 +581,14 @@ def global_maximize(objective, box, config: OptimizerConfig | None = None,
     vals[n_a:] = f(points[n_a:])
     if f.best_point is None:
         raise OptimizerFailure("no feasible objective evaluation in the box")
-    # neighbours are nearest in the box scaled to the unit cube
-    unit = points - lo
-    unit /= np.maximum(hi - lo, 1e-30)
+
+    def unit():
+        """The samples in the box scaled to the unit cube, where neighbours
+        are nearest."""
+        z = points - lo
+        z /= np.maximum(hi - lo, 1e-30)
+        return z
+
     starts_b, starts_a = _stars(unit, vals, np.arange(len(points)) < n_a)
     union = np.concatenate([starts_a, starts_b[~np.isin(starts_b, starts_a)]])
     refined = np.full(len(points), -np.inf)
