@@ -356,18 +356,16 @@ def _ascend(f: _Recorder, gradient, starts: np.ndarray, lo, hi):
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a (k, d) stack. Up to
-    _ONE_THREAD_DOT columns it has the bits that `np.linalg.norm` gives the
-    row alone: both take the row's dot product with itself, where
-    norm(axis=1) may sum in another order. A longer row is the sum of the dot
-    products of its column chunks of _ONE_THREAD_DOT, each on one thread."""
-    d = g.shape[1]
+    """The Euclidean norm of each row of a (k, d) stack: the square root of
+    the sum of the dot products of its column chunks of _ONE_THREAD_DOT,
+    each on one thread. Up to _ONE_THREAD_DOT columns there is one chunk,
+    and the norm has the bits that `np.linalg.norm` gives the row alone:
+    both take the row's dot product with itself, where norm(axis=1) may sum
+    in another order."""
     with np.errstate(over="ignore"):  # a norm past the float range is inf
-        if d <= _ONE_THREAD_DOT:
-            return np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
         return np.sqrt(sum(np.matmul(g[:, None, j:j + _ONE_THREAD_DOT],
                                      g[:, j:j + _ONE_THREAD_DOT, None])[:, 0, 0]
-                           for j in range(0, d, _ONE_THREAD_DOT)))
+                           for j in range(0, g.shape[1], _ONE_THREAD_DOT)))
 
 
 def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, int]:
@@ -412,7 +410,8 @@ def _sample_points(lo, hi, config: OptimizerConfig) -> tuple[np.ndarray, int]:
 # the product and `time.process_time` counts their spin
 _ONE_THREAD_PRODUCT = 1 << 18
 # and a dot product of at most this many terms: on a 2-vCPU VM, 16 dot
-# products of 10,000 terms took 0.3 ms of CPU and 16 of 10,001 took 122 ms
+# products of 10,000 terms took 0.03-0.3 ms, while 16 of 10,001 took 0.05 ms
+# in some runs and 120-130 ms of wall and CPU time in others
 _ONE_THREAD_DOT = 10_000
 
 

@@ -785,7 +785,8 @@ def test_row_norms_of_long_rows_sum_one_thread_chunks(rng):
             start = time.process_time()
             _row_norms(g)
             cpu.append(time.process_time() - start)
-        assert min(cpu) < 0.002  # a threaded dot product spun for 120 ms
+        # a threaded dot product took 0.05 ms in some runs, 80-144 ms in others
+        assert min(cpu) < 0.002
 
 
 def _x_log_x():
