@@ -78,56 +78,69 @@ def _shape(nb: GraphBuilder, h: int) -> TensorShape:
 
 
 # Each rule receives the builder that extends the source graph, the source
-# node, its input handles, and the adjoint handle (same shape as the node).
-# It returns one cotangent handle per input; None means identically zero.
+# node, its input handles, the adjoint handle (same shape as the node) and
+# `wanted`, one flag per input: whether the sweep needs that input's
+# cotangent, which it does only for an input that some `wrt` leaf reaches.
+# It returns one cotangent handle per input, and builds none for an input
+# that is not wanted: None stands for it, as for a cotangent that is
+# identically zero. An active node has a wanted input, so the rule of a
+# one-input kind can build its one cotangent without looking.
 
 
-def _vjp_add(nb, node, ins, adj):
+def _vjp_add(nb, node, ins, adj, wanted):
     a, b = ins
-    return [_reduce_like(nb, adj, _shape(nb, a)),
-            _reduce_like(nb, adj, _shape(nb, b))]
+    wa, wb = wanted
+    return [_reduce_like(nb, adj, _shape(nb, a)) if wa else None,
+            _reduce_like(nb, adj, _shape(nb, b)) if wb else None]
 
 
-def _vjp_sub(nb, node, ins, adj):
+def _vjp_sub(nb, node, ins, adj, wanted):
     a, b = ins
-    return [_reduce_like(nb, adj, _shape(nb, a)),
-            _reduce_like(nb, nb.neg(adj), _shape(nb, b))]
+    wa, wb = wanted
+    return [_reduce_like(nb, adj, _shape(nb, a)) if wa else None,
+            _reduce_like(nb, nb.neg(adj), _shape(nb, b)) if wb else None]
 
 
-def _vjp_mul(nb, node, ins, adj):
+def _vjp_mul(nb, node, ins, adj, wanted):
     a, b = ins
-    return [_reduce_like(nb, nb.mul(adj, b), _shape(nb, a)),
-            _reduce_like(nb, nb.mul(adj, a), _shape(nb, b))]
+    wa, wb = wanted
+    return [_reduce_like(nb, nb.mul(adj, b), _shape(nb, a)) if wa else None,
+            _reduce_like(nb, nb.mul(adj, a), _shape(nb, b)) if wb else None]
 
 
-def _vjp_div(nb, node, ins, adj):
+def _vjp_div(nb, node, ins, adj, wanted):
     a, b = ins
-    da = nb.div(adj, b)
-    db = nb.neg(nb.div(nb.mul(adj, a), nb.mul(b, b)))
-    return [_reduce_like(nb, da, _shape(nb, a)),
-            _reduce_like(nb, db, _shape(nb, b))]
+    wa, wb = wanted
+    da = nb.div(adj, b) if wa else None
+    db = nb.neg(nb.div(nb.mul(adj, a), nb.mul(b, b))) if wb else None
+    return [_reduce_like(nb, da, _shape(nb, a)) if wa else None,
+            _reduce_like(nb, db, _shape(nb, b)) if wb else None]
 
 
-def _vjp_neg(nb, node, ins, adj):
+def _vjp_neg(nb, node, ins, adj, wanted):
     return [nb.neg(adj)]
 
 
-def _vjp_matmul(nb, node, ins, adj):
+def _vjp_matmul(nb, node, ins, adj, wanted):
     a, b = ins
+    wa, wb = wanted
     ta = node.attrs["transpose_a"]
     tb = node.attrs["transpose_b"]
-    if not ta:
-        da = nb.matmul(adj, b, transpose_b=not tb)
-    else:
-        da = nb.matmul(b, adj, transpose_a=tb, transpose_b=True)
-    if not tb:
-        db = nb.matmul(a, adj, transpose_a=not ta)
-    else:
-        db = nb.matmul(adj, a, transpose_a=True, transpose_b=ta)
+    da = db = None
+    if wa:
+        if not ta:
+            da = nb.matmul(adj, b, transpose_b=not tb)
+        else:
+            da = nb.matmul(b, adj, transpose_a=tb, transpose_b=True)
+    if wb:
+        if not tb:
+            db = nb.matmul(a, adj, transpose_a=not ta)
+        else:
+            db = nb.matmul(adj, a, transpose_a=True, transpose_b=ta)
     return [da, db]
 
 
-def _vjp_pow(nb, node, ins, adj):
+def _vjp_pow(nb, node, ins, adj, wanted):
     (x,) = ins
     p = node.attrs["exponent"]
     if p == 0.0:
@@ -135,23 +148,23 @@ def _vjp_pow(nb, node, ins, adj):
     return [nb.mul(adj, nb.mul(nb.constant(p), nb.power(x, p - 1.0)))]
 
 
-def _vjp_exp(nb, node, ins, adj):
+def _vjp_exp(nb, node, ins, adj, wanted):
     (x,) = ins
     return [nb.mul(adj, nb.exp(x))]
 
 
-def _vjp_log(nb, node, ins, adj):
+def _vjp_log(nb, node, ins, adj, wanted):
     (x,) = ins
     return [nb.div(adj, x)]
 
 
-def _vjp_sigmoid(nb, node, ins, adj):
+def _vjp_sigmoid(nb, node, ins, adj, wanted):
     (x,) = ins
     s = nb.sigmoid(x)
     return [nb.mul(adj, nb.mul(s, nb.sub(nb.constant(1.0), s)))]
 
 
-def _vjp_reduce(nb, node, ins, adj):
+def _vjp_reduce(nb, node, ins, adj, wanted):
     (x,) = ins
     x_shape = _shape(nb, x)
     axis = node.attrs["axis"]
@@ -170,48 +183,53 @@ def _vjp_reduce(nb, node, ins, adj):
     return [spread]
 
 
-def _vjp_clip(nb, node, ins, adj):
+def _vjp_clip(nb, node, ins, adj, wanted):
     (x,) = ins
     mask = nb.in_interval(x, node.attrs["lo"], node.attrs["hi"])
     return [nb.mul(adj, mask)]
 
 
-def _vjp_in_interval(nb, node, ins, adj):
+def _vjp_in_interval(nb, node, ins, adj, wanted):
     return [None]  # piecewise constant
 
 
-def _vjp_bce(nb, node, ins, adj):
+def _vjp_bce(nb, node, ins, adj, wanted):
     p, t = ins
+    wp, wt = wanted
     p_shape, t_shape = _shape(nb, p), _shape(nb, t)
     term_shape = t_shape if p_shape.rank == 0 else p_shape
     count = term_shape.num_elements
     pc = nb.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
     one = nb.constant(1.0)
-    # fused stable form (pc - t) / (pc (1 - pc)), zero outside the clamp band
-    ratio = nb.div(nb.sub(pc, t), nb.mul(pc, nb.sub(one, pc)))
-    band = nb.in_interval(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    dp = nb.mul(adj, nb.mul(nb.constant(1.0 / count), nb.mul(ratio, band)))
-    dt = nb.mul(adj, nb.mul(nb.constant(1.0 / count),
-                            nb.sub(nb.log(nb.sub(one, pc)), nb.log(pc))))
-    return [_reduce_like(nb, dp, p_shape), _reduce_like(nb, dt, t_shape)]
+    dp = dt = None
+    if wp:
+        # fused stable form (pc - t) / (pc (1 - pc)), zero outside the clamp band
+        ratio = nb.div(nb.sub(pc, t), nb.mul(pc, nb.sub(one, pc)))
+        band = nb.in_interval(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        dp = nb.mul(adj, nb.mul(nb.constant(1.0 / count), nb.mul(ratio, band)))
+    if wt:
+        dt = nb.mul(adj, nb.mul(nb.constant(1.0 / count),
+                                nb.sub(nb.log(nb.sub(one, pc)), nb.log(pc))))
+    return [_reduce_like(nb, dp, p_shape) if wp else None,
+            _reduce_like(nb, dt, t_shape) if wt else None]
 
 
-def _vjp_reshape(nb, node, ins, adj):
+def _vjp_reshape(nb, node, ins, adj, wanted):
     (x,) = ins
     return [nb.reshape(adj, _shape(nb, x).dims)]
 
 
-def _vjp_concat(nb, node, ins, adj):
+def _vjp_concat(nb, node, ins, adj, wanted):
     axis = node.attrs["axis"]
     cots, start = [], 0
-    for x in ins:
+    for x, w in zip(ins, wanted):
         stop = start + _shape(nb, x).dims[axis]
-        cots.append(nb.slice(adj, axis, start, stop))
+        cots.append(nb.slice(adj, axis, start, stop) if w else None)
         start = stop
     return cots
 
 
-def _vjp_slice(nb, node, ins, adj):
+def _vjp_slice(nb, node, ins, adj, wanted):
     (x,) = ins
     axis, start, stop = (node.attrs[k] for k in ("axis", "start", "stop"))
     dims = _shape(nb, x).dims
@@ -249,21 +267,16 @@ VJP_RULES = {
 }
 
 
-def _descendants(graph: Graph, roots: set[int]) -> set[int]:
-    out = set(roots)
-    for node in graph.nodes:
-        if any(i in out for i in node.inputs):
-            out.add(node.id)
-    return out
-
-
 class _ReverseSweep:
     """Reverse passes appended to the source graph.
 
     `nb` starts with every node, name, role and bound of `graph` but none of
-    its outputs, so a source handle is also a handle of the result. Each
-    `backward` call appends one reverse pass to `nb`; optimizing the result
-    drops the source nodes that no output of it reaches.
+    its outputs, so a source handle is also a handle of the result. The
+    active nodes are those a `wrt` leaf reaches; `steps` holds each active
+    node of a kind with a derivative rule, last node first, with its rule
+    and which of its inputs are active, worked out once for every pass. Each
+    `backward` call appends one reverse pass to `nb`, and builds cotangents
+    for active inputs only, so every node it appends leads to a `wrt` leaf.
     """
 
     def __init__(self, graph: Graph, wrt):
@@ -281,33 +294,39 @@ class _ReverseSweep:
                     f"'{node.name}' is not an Input or Parameter node")
             if h in self.wrt[:i]:
                 raise NonDifferentiable(f"'{node.name}' is listed twice in wrt")
-        for node in graph.nodes:
-            if node.kind not in VJP_RULES and node.kind not in LEAF_KINDS:
-                raise NonDifferentiable(f"no derivative rule for {node.kind.value}")
 
+        active = set(self.wrt)
+        steps = []
+        rules, leaf_kinds = VJP_RULES, LEAF_KINDS
+        for node in graph.nodes:
+            rule = rules.get(node.kind)
+            if rule is None and node.kind not in leaf_kinds:
+                raise NonDifferentiable(f"no derivative rule for {node.kind.value}")
+            if active.isdisjoint(node.inputs):
+                continue
+            active.add(node.id)
+            steps.append((node, rule, tuple([i in active for i in node.inputs])))
+        steps.reverse()
         self.graph = graph
         self.nb = GraphBuilder.extending(graph)
-        self.active = _descendants(graph, set(self.wrt))
+        self.steps = steps
 
     def backward(self, out_h: int, seed: int) -> dict[int, int]:
         """Seed output `out_h` with cotangent handle `seed` (same shape) and
-        return the adjoint handle of every source node the pass reached."""
+        return the adjoint handle of every active source node the pass
+        reached, and of `out_h`."""
         nb = self.nb
         adjoint: dict[int, int] = {out_h: seed}
-        for node in reversed(self.graph.nodes):
-            if not (node.id in self.active or node.id == out_h):
-                continue
+        for node, rule, wanted in self.steps:
             adj = adjoint.get(node.id)
-            if adj is None or node.kind in LEAF_KINDS:
+            if adj is None:
                 continue
-            cots = VJP_RULES[node.kind](nb, node, node.inputs, adj)
+            cots = rule(nb, node, node.inputs, adj, wanted)
             for src, cot in zip(node.inputs, cots):
-                if cot is None or src not in self.active:
+                if cot is None:
                     continue
-                if src in adjoint:
-                    adjoint[src] = nb.add(adjoint[src], cot)
-                else:
-                    adjoint[src] = cot
+                prior = adjoint.get(src)
+                adjoint[src] = cot if prior is None else nb.add(prior, cot)
         return adjoint
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import compress
@@ -100,6 +100,14 @@ class TensorShape:
                 raise ShapeMismatch(f"invalid extent {d!r} in shape {self.dims}")
 
     @classmethod
+    def _of(cls, dims: tuple[int, ...]) -> "TensorShape":
+        """The shape of `dims` without the extent check, for dims that a shape
+        rule derives from shapes that passed it."""
+        shape = _new(cls)
+        object.__setattr__(shape, "dims", dims)
+        return shape
+
+    @classmethod
     def coerce(cls, value) -> "TensorShape":
         if isinstance(value, TensorShape):
             return value
@@ -127,6 +135,11 @@ class TensorShape:
     def __str__(self) -> str:
         return self.text
 
+
+# the private constructors below make a frozen instance by object.__new__
+# and set its fields themselves, at a fraction of the cost of the
+# dataclass's __init__
+_new = object.__new__
 
 SCALAR = TensorShape(())
 
@@ -169,7 +182,7 @@ class Bounds:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Node:
     id: int
     kind: OpKind
@@ -181,6 +194,26 @@ class Node:
 
     def __repr__(self) -> str:
         return f"%{self.id}:{self.kind.value}{self.shape}('{self.name}')"
+
+
+# each field's slot setter, which the frozen __setattr__ does not guard
+_set_id, _set_kind, _set_inputs, _set_shape, _set_attrs, _set_name, _set_bounds = (
+    vars(Node)[f.name].__set__ for f in fields(Node))
+
+
+def _node(id: int, kind: OpKind, inputs: tuple[int, ...], shape: TensorShape,
+          attrs: Mapping[str, Any], name: str, bounds: Bounds | None = None) -> Node:
+    """The Node that `Node(...)` makes of these fields, at a fraction of its
+    cost: every node a builder appends or a pass renumbers is made here."""
+    node = _new(Node)
+    _set_id(node, id)
+    _set_kind(node, kind)
+    _set_inputs(node, inputs)
+    _set_shape(node, shape)
+    _set_attrs(node, attrs)
+    _set_name(node, name)
+    _set_bounds(node, bounds)
+    return node
 
 
 @dataclass(frozen=True)
@@ -263,6 +296,8 @@ def _array(v) -> np.ndarray:
 
 # Shape rules map the operand shapes and the normalized attrs to the result
 # shape; `GraphBuilder.build` puts the kind's name in front of their errors.
+# Dims derived from valid operand shapes make their shape by
+# `TensorShape._of`, which checks no extent again.
 
 
 def _first(shapes, attrs) -> TensorShape:
@@ -305,7 +340,7 @@ def _matmul_shape(shapes, attrs) -> TensorShape:
         bk, bn = bn, bk
     if ak != bk:
         raise ShapeMismatch(f"inner dimensions differ: {ak} vs {bk}")
-    return TensorShape((am, bn))
+    return TensorShape._of((am, bn))
 
 
 def _check_axis(a: TensorShape, axis: int) -> None:
@@ -323,12 +358,12 @@ def _reduce_shape(shapes, attrs) -> TensorShape:
     _check_axis(a, axis)
     dims = list(a.dims)
     dims[axis] = 1
-    return TensorShape(tuple(dims))
+    return TensorShape._of(tuple(dims))
 
 
 def _reshape_shape(shapes, attrs) -> TensorShape:
     (a,) = shapes
-    out = TensorShape(attrs["shape"])
+    out = TensorShape._of(attrs["shape"])  # the attr's converter checked the extents
     if out.num_elements != a.num_elements:
         raise ShapeMismatch(f"cannot turn {a} into {out}")
     return out
@@ -350,7 +385,7 @@ def _concat_shape(shapes, attrs) -> TensorShape:
         total += s.dims[axis]
     dims = list(first.dims)
     dims[axis] = total
-    return TensorShape(tuple(dims))
+    return TensorShape._of(tuple(dims))
 
 
 def _slice_shape(shapes, attrs) -> TensorShape:
@@ -362,7 +397,7 @@ def _slice_shape(shapes, attrs) -> TensorShape:
             f"[{start}:{stop}] out of range for extent {a.dims[axis]} of {a}")
     dims = list(a.dims)
     dims[axis] = stop - start
-    return TensorShape(tuple(dims))
+    return TensorShape._of(tuple(dims))
 
 
 # Kernels are binders: `kernel(attrs)` takes the node's attrs, with
@@ -557,8 +592,8 @@ def normalize_attrs(kind: OpKind, attrs: Mapping | None) -> dict[str, Any]:
     elif not isinstance(attrs, (dict, Mapping)):  # dict first: the ABC check is slow
         raise ValueError(
             f"{kind.value} attrs must be a mapping, got {type(attrs).__name__}")
-    unknown = set(attrs) - set(spec)
-    if unknown:
+    elif not attrs.keys() <= spec.keys():
+        unknown = set(attrs) - set(spec)
         raise ArityError(f"{kind.value} does not accept attrs {sorted(unknown)}")
     out = {}
     for key, (convert, default) in spec.items():
@@ -695,6 +730,21 @@ class Graph:
         if diags:
             raise ValidationFailed(diags)
 
+    def _require_ordered(self) -> None:
+        """Raise ValidationFailed, with every violation `validate` finds, when
+        an output is no node or a node reads itself or a later one: what a
+        pass that reads the node table in order needs, and no more, since
+        `optimize` and `interval.propagate` take graphs that compile would
+        refuse for their missing bounds."""
+        n = len(self.nodes)
+        for h in self.outputs:
+            if not 0 <= h < n:
+                raise ValidationFailed(self.validate())
+        for node in self.nodes:
+            ins = node.inputs
+            if ins and max(ins) >= node.id:
+                raise ValidationFailed(self.validate())
+
 
 class GraphBuilder:
     """Single-threaded, append-only constructor for Graph values."""
@@ -745,21 +795,36 @@ class GraphBuilder:
         spec = OPS[kind]
         if spec.shape is None:
             raise ArityError(f"{kind.value} nodes are created via input()/parameter()")
-        handles = tuple(int(h) for h in inputs)
-        if spec.arity is None and not handles:
-            raise ArityError(f"{kind.value} expects at least one input")
-        if spec.arity is not None and len(handles) != spec.arity:
+        handles = tuple(inputs)
+        if spec.arity is None:
+            if not handles:
+                raise ArityError(f"{kind.value} expects at least one input")
+        elif len(handles) != spec.arity:
             raise ArityError(
                 f"{kind.value} expects {spec.arity} inputs, got {len(handles)}")
+        nodes = self._nodes
         for h in handles:
-            if not 0 <= h < len(self._nodes):
-                raise UnknownNode(f"no node with handle {h}")
+            if type(h) is not int or not 0 <= h < len(nodes):
+                handles = tuple(map(self._handle, handles))
+                break
         norm = normalize_attrs(kind, attrs) if spec.attrs or attrs is not None else {}
         try:
-            shape = spec.shape([self._nodes[h].shape for h in handles], norm)
+            shape = spec.shape([nodes[h].shape for h in handles], norm)
         except (ShapeMismatch, ValueError) as err:
             raise type(err)(f"{kind.value}: {err}") from None
         return self._append(kind, handles, shape, norm, name)
+
+    def _handle(self, h) -> int:
+        """`h` as the handle of a node of this builder: an integer, as
+        `_index` takes one (a bool, a float or a string is refused, a NumPy
+        integer kept), and in range; anything else raises UnknownNode."""
+        try:
+            h = _index(h)
+        except ValueError:
+            raise UnknownNode(f"no node with handle {h!r}") from None
+        if not 0 <= h < len(self._nodes):
+            raise UnknownNode(f"no node with handle {h}")
+        return h
 
     def _carry(self, node: Node, inputs: tuple[int, ...], name: str | None) -> int:
         """Append `node` of another graph on the operands `inputs`, with its
@@ -768,24 +833,27 @@ class GraphBuilder:
         return self._append(node.kind, inputs, node.shape, node.attrs, name, node.bounds)
 
     def _append(self, kind, inputs, shape, attrs, name, bounds=None) -> int:
-        nid = len(self._nodes)
+        nodes, names = self._nodes, self._names
+        nid = len(nodes)
         if name is None:
             name = f"n{nid}"
-            while name in self._names:
+            while name in names:
                 name += "_"
         elif not isinstance(name, str):
             raise ValueError(f"node name must be a string, got {name!r}")
-        elif name in self._names:
+        elif name in names:
             raise ValueError(f"node name {name!r} already used")
-        self._nodes.append(Node(nid, kind, inputs, shape, attrs, name, bounds))
-        self._names[name] = nid
+        nodes.append(_node(nid, kind, inputs, shape, attrs, name, bounds))
+        names[name] = nid
         return nid
 
     # -- sugar; numeric arguments are wrapped as constants
 
-    def _coerce(self, h) -> int:
-        if isinstance(h, (int, np.integer)):
-            return int(h)
+    def _coerce(self, h):
+        """An integer is a handle, which `build` checks; anything else, a bool
+        among them, is a value for a new constant, which refuses a bool."""
+        if isinstance(h, (int, np.integer)) and not isinstance(h, bool):
+            return h
         return self.constant(h)
 
     def add(self, a, b) -> int:
@@ -846,6 +914,7 @@ class GraphBuilder:
     # -- finishing
 
     def set_bounds(self, handle: int, lo, hi) -> None:
+        handle = self._handle(handle)
         node = self._nodes[handle]
         if node.kind not in (OpKind.INPUT, OpKind.PARAMETER):
             raise ValueError("bounds attach only to Input or Parameter nodes")
@@ -856,8 +925,7 @@ class GraphBuilder:
         self._nodes[handle] = replace(node, bounds=b)
 
     def output(self, handle: int) -> int:
-        if not 0 <= handle < len(self._nodes):
-            raise UnknownNode(f"no node with handle {handle}")
+        handle = self._handle(handle)
         self._outputs.append(handle)
         return handle
 
@@ -895,44 +963,47 @@ def freeze(graph: Graph, values: Mapping[str, Any]) -> Graph:
 # optimization passes
 
 
-def _is_const(nodes: list[Node], h: int, value=None) -> bool:
+# The members the per-node loops compare against, bound once: looking an
+# Enum member up (OpKind.MUL) costs several times as much as a global.
+_INPUT, _PARAMETER, _CONSTANT = OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT
+_ADD, _SUB, _MUL, _DIV, _NEG = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.NEG
+_LAYOUT_KINDS = frozenset({OpKind.RESHAPE, OpKind.CONCAT, OpKind.SLICE})
+# the kinds `_identity_rewrite` can rewrite; no other kind is offered to it
+_IDENTITY_KINDS = frozenset({_ADD, _SUB, _MUL, _DIV, _NEG}) | _LAYOUT_KINDS
+
+
+def _is_const(nodes: list[Node], h: int, value: float) -> bool:
     n = nodes[h]
-    if n.kind is not OpKind.CONSTANT:
-        return False
-    if value is None:
-        return True
-    return bool(np.all(n.attrs["value"] == value))
+    return n.kind is _CONSTANT and bool(np.all(n.attrs["value"] == value))
 
 
 def _identity_rewrite(nodes: list[Node], kind: OpKind, inputs: tuple[int, ...],
-                      shape: TensorShape) -> int | None:
+                      dims: tuple[int, ...]) -> int | None:
     """x+0, 0+x, x-0, x*1, 1*x, x/1, -(-x), and a Reshape, Concat or Slice
-    that returns its only operand unchanged; only when the result shape is
+    that returns its only operand unchanged; only when the result dims are
     kept."""
     a = inputs[0]
-    b = inputs[1] if len(inputs) > 1 else None
-    if kind is OpKind.ADD:
-        if _is_const(nodes, b, 0.0) and nodes[a].shape == shape:
-            return a
-        if _is_const(nodes, a, 0.0) and nodes[b].shape == shape:
-            return b
-    elif kind is OpKind.SUB:
-        if _is_const(nodes, b, 0.0) and nodes[a].shape == shape:
-            return a
-    elif kind is OpKind.MUL:
-        if _is_const(nodes, b, 1.0) and nodes[a].shape == shape:
-            return a
-        if _is_const(nodes, a, 1.0) and nodes[b].shape == shape:
-            return b
-    elif kind is OpKind.DIV:
-        if _is_const(nodes, b, 1.0) and nodes[a].shape == shape:
-            return a
-    elif kind is OpKind.NEG:
+    if kind is _NEG:
         inner = nodes[a]
-        if inner.kind is OpKind.NEG:
-            return inner.inputs[0]
-    elif kind in (OpKind.RESHAPE, OpKind.CONCAT, OpKind.SLICE):
-        if len(inputs) == 1 and nodes[a].shape == shape:
+        return inner.inputs[0] if inner.kind is _NEG else None
+    if kind in _LAYOUT_KINDS:
+        return a if len(inputs) == 1 and nodes[a].shape.dims == dims else None
+    b = inputs[1]
+    if kind is _ADD:
+        if _is_const(nodes, b, 0.0) and nodes[a].shape.dims == dims:
+            return a
+        if _is_const(nodes, a, 0.0) and nodes[b].shape.dims == dims:
+            return b
+    elif kind is _SUB:
+        if _is_const(nodes, b, 0.0) and nodes[a].shape.dims == dims:
+            return a
+    elif kind is _MUL:
+        if _is_const(nodes, b, 1.0) and nodes[a].shape.dims == dims:
+            return a
+        if _is_const(nodes, a, 1.0) and nodes[b].shape.dims == dims:
+            return b
+    elif kind is _DIV:
+        if _is_const(nodes, b, 1.0) and nodes[a].shape.dims == dims:
             return a
     return None
 
@@ -943,56 +1014,61 @@ def _rewrite(graph: Graph) -> Graph:
     shape, attrs and bounds; only a folded constant is built anew."""
     reached = graph.reached
     nb = GraphBuilder()
-    mapping: dict[int, int] = {}
-    memo: dict[tuple, int] = {}
+    nodes, names, append = nb._nodes, nb._names, nb._append
+    mapping = [-1] * len(graph.nodes)  # source handle -> handle in nb
+    memo: dict[tuple, int] = {}  # (kind, inputs, attr_key) -> handle in nb
+    interned: dict[tuple, int] = {}  # a constant's (dims, bytes) -> handle in nb
     constants: set[int] = set()  # handles of nb's constants
 
     def intern_constant(value: np.ndarray, node: Node | None = None) -> int:
         """The one constant of `value`: `node` carried when it is given, else
         a new constant built."""
-        key = (OpKind.CONSTANT, (), attr_key({"value": value}))
-        if key in memo:
-            return memo[key]
-        if node is None:
-            h = nb.constant(value)
-        else:
-            h = nb._carry(node, (), node.name if node.name not in nb._names else None)
-        memo[key] = h
-        constants.add(h)
+        key = (value.shape, value.tobytes())
+        h = interned.get(key)
+        if h is None:
+            if node is None:
+                h = nb.constant(value)
+            else:
+                h = append(_CONSTANT, (), node.shape, node.attrs,
+                           None if node.name in names else node.name)
+            interned[key] = h
+            constants.add(h)
         return h
 
     for node in graph.nodes:
         kind = node.kind
-        if kind is OpKind.INPUT or kind is OpKind.PARAMETER:
-            mapping[node.id] = nb._carry(node, (), node.name)
+        if kind is _INPUT or kind is _PARAMETER:
+            mapping[node.id] = append(kind, (), node.shape, node.attrs, node.name,
+                                      node.bounds)
             continue
         if node.id not in reached:
             continue
-        if kind is OpKind.CONSTANT:
+        if kind is _CONSTANT:
             mapping[node.id] = intern_constant(node.attrs["value"], node)
             continue
 
-        new_inputs = tuple(mapping[i] for i in node.inputs)
+        new_inputs = tuple([mapping[i] for i in node.inputs])
+        attrs = node.attrs
 
-        if all(h in constants for h in new_inputs):
-            values = [nb._nodes[h].attrs["value"] for h in new_inputs]
-            folded = apply_kind(kind, node.attrs, *values)
+        if constants.issuperset(new_inputs):
+            values = [nodes[h].attrs["value"] for h in new_inputs]
+            folded = apply_kind(kind, attrs, *values)
             if np.all(np.isfinite(folded)):
                 mapping[node.id] = intern_constant(folded)
                 continue
 
-        rewritten = _identity_rewrite(nb._nodes, kind, new_inputs, node.shape)
-        if rewritten is not None:
-            mapping[node.id] = rewritten
-            continue
+        if kind in _IDENTITY_KINDS:
+            rewritten = _identity_rewrite(nodes, kind, new_inputs, node.shape.dims)
+            if rewritten is not None:
+                mapping[node.id] = rewritten
+                continue
 
-        key = (kind, new_inputs, attr_key(node.attrs))
-        if key in memo:
-            mapping[node.id] = memo[key]
-            continue
-        name = node.name if node.name not in nb._names else None
-        h = nb._carry(node, new_inputs, name)
-        memo[key] = h
+        key = (kind, new_inputs, attr_key(attrs) if attrs else ())
+        h = memo.get(key)
+        if h is None:
+            name = node.name
+            h = memo[key] = append(kind, new_inputs, node.shape, attrs,
+                                   None if name in names else name)
         mapping[node.id] = h
 
     for out in graph.outputs:
@@ -1006,13 +1082,13 @@ def _drop_unreached(graph: Graph) -> Graph:
     keep = graph.reached.union(graph.leaves())
     if len(keep) == len(graph.nodes):
         return graph
-    new_id: dict[int, int] = {}
+    new_id = [-1] * len(graph.nodes)
     nodes: list[Node] = []
     for node in graph.nodes:
         if node.id in keep:
-            new_id[node.id] = len(nodes)
-            nodes.append(replace(node, id=len(nodes),
-                                 inputs=tuple(new_id[i] for i in node.inputs)))
+            h = new_id[node.id] = len(nodes)
+            nodes.append(_node(h, node.kind, tuple([new_id[i] for i in node.inputs]),
+                               node.shape, node.attrs, node.name, node.bounds))
     return Graph(nodes=tuple(nodes), outputs=tuple(new_id[h] for h in graph.outputs))
 
 
@@ -1022,6 +1098,9 @@ def optimize(graph: Graph) -> Graph:
     One rewrite pass, then the nodes that no output reaches are dropped; the
     rewrites read the rewritten operands, so the result is a fixed point.
     Returns a semantics-equivalent graph; Input and Parameter nodes are always
-    retained so the optimized graph binds the same runtime inputs.
+    retained so the optimized graph binds the same runtime inputs. A graph
+    whose node reads a later node, or whose output is no node, is refused
+    with ValidationFailed; bounds are not checked.
     """
+    graph._require_ordered()
     return _drop_unreached(_rewrite(graph))

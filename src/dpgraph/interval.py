@@ -211,8 +211,11 @@ def propagate(graph: Graph) -> dict[int, IntervalTensor]:
     """Sound enclosures for every node reachable from the outputs.
 
     Every Input/Parameter feeding an output must carry bounds. Division and
-    Log raise DomainError when their operand interval reaches a pole.
+    Log raise DomainError when their operand interval reaches a pole. A graph
+    whose node reads a later node, or whose output is no node, raises
+    ValidationFailed.
     """
+    graph._require_ordered()
     reachable = graph.reached
     ends: dict[int, np.ndarray] = {}
     missing = []

@@ -53,7 +53,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict, abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -73,6 +73,7 @@ from .graph import (
 
 # each kind's name; a dict lookup costs less than Enum's `value` descriptor
 _KIND_TEXT = {kind: kind.value for kind in OpKind}
+_INPUT, _PARAMETER, _CONSTANT = OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT
 
 
 def content_hash(graph: Graph) -> str:
@@ -83,23 +84,30 @@ def content_hash(graph: Graph) -> str:
     """
     digests: dict[int, str] = {}
     reached = graph.reached
-    sha256 = hashlib.sha256
+    sha256, kind_text = hashlib.sha256, _KIND_TEXT
     for node in graph.nodes:  # inputs precede their users
         kind = node.kind
-        if kind is OpKind.INPUT or kind is OpKind.PARAMETER:
-            parts = [_KIND_TEXT[kind], node.name, node.shape.text]
+        if kind is _INPUT or kind is _PARAMETER:
+            text = f"{kind_text[kind]}|{node.name}|{node.shape.text}"
             b = node.bounds
             if b is not None:
-                parts += (b.lo.tobytes().hex(), b.hi.tobytes().hex())
+                text = f"{text}|{b.lo.tobytes().hex()}|{b.hi.tobytes().hex()}"
         elif node.id not in reached:
             continue
-        elif kind is OpKind.CONSTANT:
-            parts = [_KIND_TEXT[kind], node.shape.text,
-                     node.attrs["value"].tobytes().hex()]
+        elif kind is _CONSTANT:
+            text = (f"{kind_text[kind]}|{node.shape.text}|"
+                    f"{node.attrs['value'].tobytes().hex()}")
         else:  # repr(attr_key({})) is "()"
-            parts = [_KIND_TEXT[kind], repr(attr_key(node.attrs)) if node.attrs else "()"]
-            parts += [digests[i] for i in node.inputs]
-        digests[node.id] = sha256("|".join(parts).encode()).hexdigest()
+            attrs = node.attrs
+            ins = node.inputs
+            text = f"{kind_text[kind]}|{repr(attr_key(attrs)) if attrs else '()'}"
+            if len(ins) == 1:
+                text = f"{text}|{digests[ins[0]]}"
+            elif len(ins) == 2:
+                text = f"{text}|{digests[ins[0]]}|{digests[ins[1]]}"
+            else:
+                text = "|".join([text, *[digests[i] for i in ins]])
+        digests[node.id] = sha256(text.encode()).hexdigest()
 
     out_digests = [digests[h] for h in graph.outputs]
     leaf_digests = sorted(digests[h] for h in graph.leaves())
@@ -107,13 +115,32 @@ def content_hash(graph: Graph) -> str:
     return hashlib.sha256(top.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     kind: OpKind
     in_slots: tuple[int, ...]
     out_slot: int
     label: str
     kernel: Callable[..., np.ndarray]  # the kind's kernel bound to the node's attrs
+
+
+# each field's slot setter, which the frozen __setattr__ does not guard
+_set_kind, _set_in_slots, _set_out_slot, _set_label, _set_kernel = (
+    vars(Instruction)[f.name].__set__ for f in fields(Instruction))
+
+
+def _instruction(kind: OpKind, in_slots: tuple[int, ...], out_slot: int, label: str,
+                 kernel: Callable[..., np.ndarray]) -> Instruction:
+    """The Instruction that `Instruction(...)` makes of these fields, without
+    the frozen dataclass's __init__, which sets each through
+    object.__setattr__ at several times the cost."""
+    instr = object.__new__(Instruction)
+    _set_kind(instr, kind)
+    _set_in_slots(instr, in_slots)
+    _set_out_slot(instr, out_slot)
+    _set_label(instr, label)
+    _set_kernel(instr, kernel)
+    return instr
 
 
 class LeafGroup(NamedTuple):
@@ -189,10 +216,13 @@ def clear_cache() -> None:
 
 
 def _fingerprint(graph: Graph) -> str:
-    """`content_hash(graph)`, computed once per graph object."""
+    """`content_hash(graph)` of the valid graph, computed once per graph
+    object. The graph is validated before it is hashed, so no pass reads the
+    node table of an invalid graph, and a graph whose hash is kept is valid."""
     with _CACHE_LOCK:
         fingerprint = _HASHES.get(graph)
     if fingerprint is None:
+        graph.require_valid()
         fingerprint = content_hash(graph)
         with _CACHE_LOCK:
             _HASHES[graph] = fingerprint
@@ -217,26 +247,20 @@ def _cache_put(program: CompiledProgram) -> None:
 
 
 def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
+    nodes = opt.nodes
     reachable = opt.reached
-    outputs = set(opt.outputs)
-
-    n_slots = 0
-
-    def new_slot() -> int:
-        nonlocal n_slots
-        n_slots += 1
-        return n_slots - 1
+    leaves = opt.leaves()
 
     slot_of: dict[int, int] = {}
     const_loads: list[tuple[int, np.ndarray]] = []
     nonfinite_constant: str | None = None
     groups: dict[Any, tuple[Bounds | None, list]] = {}
 
-    for h in opt.leaves():
-        node = opt.nodes[h]
-        slot = new_slot() if h in reachable else None
-        if slot is not None:
-            slot_of[h] = slot
+    for h in leaves:
+        node = nodes[h]
+        slot = None
+        if h in reachable:
+            slot = slot_of[h] = len(slot_of)
         b = node.bounds
         if b is None:
             key = None
@@ -248,16 +272,24 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         start = members[-1][3] if members else 0
         members.append((node.name, node.shape.dims, start,
                         start + node.shape.num_elements, slot))
-    for node in opt.nodes:
-        if node.kind is OpKind.CONSTANT and node.id in reachable:
-            slot = new_slot()
-            slot_of[node.id] = slot
+    constant = _CONSTANT
+    interior = []
+    for node in nodes:
+        if node.id not in reachable:
+            continue
+        kind = node.kind
+        if kind is constant:
+            slot = slot_of[node.id] = len(slot_of)
             value = node.attrs["value"]
             const_loads.append((slot, value))
             if nonfinite_constant is None and not np.isfinite(value).all():
                 nonfinite_constant = node.name
+        elif kind is not _INPUT and kind is not _PARAMETER:
+            interior.append(node)
+    n_slots = len(slot_of)
+    # the nodes whose slots are never reused: leaves, constants and outputs
+    pinned = set(slot_of).union(opt.outputs)
 
-    interior = [n for n in opt.nodes if n.kind not in LEAF_KINDS and n.id in reachable]
     last_use: dict[int, int] = {}
     for pos, node in enumerate(interior):
         for i in node.inputs:
@@ -265,38 +297,40 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
 
     free: list[int] = []
     plan: list[Instruction] = []
-    point_elements = sum(opt.nodes[h].shape.num_elements
-                         for h in opt.leaves() if h in reachable)
+    point_elements = sum(math.prod(nodes[h].shape.dims) for h in leaves if h in reachable)
     for pos, node in enumerate(interior):
-        point_elements += node.shape.num_elements
-        in_slots = tuple(slot_of[i] for i in node.inputs)
-        for i in set(node.inputs):
-            n_i = opt.nodes[i]
-            reusable = (n_i.kind not in LEAF_KINDS
-                        and i not in outputs and last_use.get(i) == pos)
-            if reusable:
+        ins = node.inputs
+        dims = node.shape.dims
+        point_elements += math.prod(dims)
+        in_slots = tuple([slot_of[i] for i in ins])
+        for i in ins if len(ins) == 1 else set(ins):
+            if i not in pinned and last_use[i] == pos:
                 free.append(slot_of[i])
-        out_slot = free.pop() if free else new_slot()
+        if free:
+            out_slot = free.pop()
+        else:
+            out_slot = n_slots
+            n_slots += 1
         slot_of[node.id] = out_slot
-        ranks = tuple(opt.nodes[i].shape.rank for i in node.inputs)
+        ranks = tuple([len(nodes[i].shape.dims) for i in ins])
         kernel = OPS[node.kind].kernel({**node.attrs, "ranks": ranks})
-        plan.append(Instruction(node.kind, in_slots, out_slot, node.name, kernel))
+        plan.append(_instruction(node.kind, in_slots, out_slot, node.name, kernel))
 
     output_slots = tuple(slot_of[h] for h in opt.outputs)
-    shared = {slot_of[h] for h in slot_of if opt.nodes[h].kind in LEAF_KINDS}
+    shared = {slot_of[h] for h in slot_of if nodes[h].kind in LEAF_KINDS}
     output_shared = []
     for s in output_slots:
         output_shared.append(s in shared)
         shared.add(s)
-    output_names = tuple(opt.nodes[h].name for h in opt.outputs)
-    output_dims = tuple(opt.nodes[h].shape.dims for h in opt.outputs)
+    output_names = tuple(nodes[h].name for h in opt.outputs)
+    output_dims = tuple(nodes[h].shape.dims for h in opt.outputs)
     return CompiledProgram(
         plan=tuple(plan),
         fingerprint=fingerprint,
         optimized_graph=opt,
         n_slots=n_slots,
         const_loads=tuple(const_loads),
-        leaf_names=frozenset(opt.nodes[h].name for h in opt.leaves()),
+        leaf_names=frozenset(nodes[h].name for h in leaves),
         output_slots=output_slots,
         output_names=output_names,
         output_dims=output_dims,
@@ -311,13 +345,13 @@ def compile(graph: Graph) -> CompiledProgram:
     """Compile a graph to an executable program; identical graphs hit the cache.
 
     The program's fingerprint is `graph_fingerprint(graph)`, the content hash
-    of the graph as given, and it is the program's one cache key; on a miss
-    the graph is validated, optimized and linearized.
+    of the graph as given, and it is the program's one cache key. The graph
+    is validated when its hash is first worked out, and on a cache miss it is
+    optimized and linearized.
     """
     fingerprint = _fingerprint(graph)
     program = _cache_get(fingerprint)
     if program is None:
-        graph.require_valid()
         program = _linearize(optimize(graph), fingerprint)
         _cache_put(program)
     return program
@@ -326,7 +360,6 @@ def compile(graph: Graph) -> CompiledProgram:
 def graph_fingerprint(graph: Graph) -> str:
     """The fingerprint `compile(graph)` gives its program: the content hash of
     the valid graph as given; nothing is compiled."""
-    graph.require_valid()
     return _fingerprint(graph)
 
 
