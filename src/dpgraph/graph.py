@@ -300,15 +300,20 @@ def _array(v) -> np.ndarray:
 # `TensorShape._of`, which checks no extent again.
 
 
+def _constant_shape(shapes, attrs) -> TensorShape:
+    dims = attrs["value"].shape
+    return TensorShape(dims) if dims else SCALAR
+
+
 def _first(shapes, attrs) -> TensorShape:
     return shapes[0]
 
 
 def _pair(shapes, attrs) -> TensorShape:
     a, b = shapes
-    if a == b or b.rank == 0:
+    if a.dims == b.dims or not b.dims:
         return a
-    if a.rank == 0:
+    if not a.dims:
         return b
     raise ShapeMismatch(
         f"operands must have equal shapes or a scalar operand, got {a} and {b}")
@@ -552,8 +557,7 @@ _FLAG = (_flag, False)
 OPS: dict[OpKind, OpSpec] = {
     OpKind.INPUT: _LEAF,
     OpKind.PARAMETER: _LEAF,
-    OpKind.CONSTANT: OpSpec(0, {"value": (_array, REQUIRED)},
-                            lambda _, attrs: TensorShape(attrs["value"].shape), None),
+    OpKind.CONSTANT: OpSpec(0, {"value": (_array, REQUIRED)}, _constant_shape, None),
     OpKind.ADD: OpSpec(2, {}, _pair, _k_pair(np.add)),
     OpKind.SUB: OpSpec(2, {}, _pair, _k_pair(np.subtract)),
     OpKind.MUL: OpSpec(2, {}, _pair, _k_pair(np.multiply)),
@@ -609,14 +613,8 @@ def normalize_attrs(kind: OpKind, attrs: Mapping | None) -> dict[str, Any]:
 
 def attr_key(attrs: Mapping[str, Any]) -> tuple:
     """Hashable canonical encoding of a normalized attr dict."""
-    parts = []
-    for k in sorted(attrs):
-        v = attrs[k]
-        if isinstance(v, np.ndarray):
-            parts.append((k, v.shape, v.tobytes()))
-        else:
-            parts.append((k, v))
-    return tuple(parts)
+    return tuple([(k, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (k, v)
+                  for k, v in sorted(attrs.items())])
 
 
 def apply_kind(kind: OpKind, attrs: Mapping, *operands: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from dpgraph import GraphBuilder, NonDifferentiable, OpKind
 from dpgraph.autodiff import VJP_RULES, higher_order, jacobian, vjp
 from dpgraph.graph import LEAF_KINDS, OPS
-from dpgraph.lipschitz import estimate_sensitivity
+from dpgraph.lipschitz import _JacobianObjective, estimate_sensitivity
 from dpgraph.models import mean_query, mlp_classifier
 from dpgraph import runtime
 
@@ -316,6 +318,23 @@ def test_derivative_graphs_drop_unreached_source_nodes():
         assert result.find("x") == x
 
 
+def test_a_jacobian_wrt_one_leaf_is_its_columns_of_the_full_one(rng):
+    # the sweep builds cotangents only toward the wrt leaves; each rule must
+    # still build every one that they need
+    kinds = [k for k in OpKind if k not in LEAF_KINDS]
+    for i in range(2 * len(kinds)):
+        g = random_graph(rng, force_kinds=(kinds[i % len(kinds)],), n_leaves=3)
+        leaves = list(g.leaves())
+        point = kink_free_point(g, rng)
+        full = _eval_jacobian(jacobian(g, leaves), point)
+        start = 0
+        for h in leaves:
+            stop = start + g.nodes[h].shape.num_elements
+            part = _eval_jacobian(jacobian(g, [h]), point)
+            np.testing.assert_allclose(part, full[:, start:stop], rtol=1e-12, atol=1e-12)
+            start = stop
+
+
 def _sum_sigmoid(n):
     b = GraphBuilder()
     x = b.input("x", (n, 1), bounds=(-1.0, 1.0))
@@ -354,6 +373,56 @@ def test_derivative_program_fingerprints_are_pinned(make, fingerprints):
     got += tuple(optimized_hash(higher_order(g, wrt, order).graph)
                  for order in range(2, len(fingerprints)))
     assert got == fingerprints
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Each program of global_opt's Jacobian objective, its J program and its
+# sigma_max gradient program (the vjp of the optimized J graph), pins the
+# digest of its plan's (kind, in_slots, out_slot) rows, then that of its
+# instruction labels and that of its optimized graph's node names. A label or
+# a default node name numbers the node in the graph the sweep built, so the
+# last two digests pin the order in which the sweep builds its nodes.
+@pytest.mark.parametrize("make,program,instructions,digests", [
+    (lambda: mlp_classifier(2), "program", 37,
+     ("59211edd40fe49afad9d95a08eb8dc3885389e745e581eedea061363f915a807",
+      "0e1e2dc2e139bd635777b0c61f99796b349993cd25715c66ffaf6e5e4d692361",
+      "60b300a198e563ef8e54e04cab9f552af7b6c6cb71a9a12cc16125dee4d74a11")),
+    (lambda: mlp_classifier(2), "_grad_program", 102,
+     ("094acc27b9d5371db61d22daba93ee7cc472b68ee7a893245c1f3713c3d880bb",
+      "a5b7f4a9de6a90068b2947b981a7b488e3a59b936405a3371e8232c4f513771a",
+      "ea45d8653599eccba60da9cdf5c22f1a9bc33bd9836505279c08236466ba59cc")),
+    (lambda: _sum_sigmoid(64), "program", 4,
+     ("d42f45953b57e348eb9f322d59506f85ff6d5b90c200f94ea209914c291cc423",
+      "0890057604f6f4a8c7b09e20e7eba0869024b33cdec77f27fa937f8b25777ba7",
+      "25e48687fc6bc9ab08c5f080f239734ff2fab6deac9b50b19552340b0c183bc5")),
+    (lambda: _sum_sigmoid(64), "_grad_program", 9,
+     ("54cdbdfd54a88dd8cfc9b15c6eae0b12294f8e189f2e2d704bcfbb7f45568b3c",
+      "f3cec400945ae5884767766f91decc0a2d4997c018969aa809a6f67d1ea601b7",
+      "2776b49453b1202368e5c10b0870b38c9efea0225d16de6937ff2575f2b10aeb")),
+], ids=["mlp2-jacobian", "mlp2-sigma-gradient", "sum_sigmoid64-jacobian",
+        "sum_sigmoid64-sigma-gradient"])
+def test_derivative_plans_and_names_are_pinned(make, program, instructions, digests):
+    # the fingerprints above see neither the plan that _linearize lays out
+    # nor the interior names
+    g = make()
+    runtime.clear_cache()
+    compiled = getattr(_JacobianObjective(g, [g.find("x")]), program)
+    plan = compiled.plan
+    assert len(plan) == instructions
+    assert (_digest([(i.kind.value, i.in_slots, i.out_slot) for i in plan]),
+            _digest([i.label for i in plan]),
+            _digest([n.name for n in compiled.optimized_graph.nodes])) == digests
+
+
+def test_every_node_the_sweep_appends_reaches_an_output():
+    # a cotangent of t or of a weight, which no wrt=[x] row reads, is not built
+    g = mlp_classifier(2)
+    for graph in (jacobian(g, [g.find("x")]).graph, vjp(g, [g.find("x")])[0]):
+        appended = set(range(len(g.nodes), len(graph.nodes)))
+        assert appended and appended <= graph.reached
 
 
 def test_a_leaf_listed_twice_in_wrt_is_refused():

@@ -13,6 +13,7 @@ from dpgraph import (
     ShapeMismatch,
     TensorShape,
     UnknownNode,
+    ValidationFailed,
     interval,
     optimize,
     runtime,
@@ -102,6 +103,84 @@ def test_unknown_handle():
     b = GraphBuilder()
     with pytest.raises(UnknownNode):
         b.build(OpKind.NEG, [7])
+
+
+@pytest.mark.parametrize("build", [
+    lambda b, x: b.exp(1.7),
+    lambda b, x: b.exp(True),
+    lambda b, x: b.exp(np.bool_(True)),
+    lambda b, x: b.build("Exp", ["1"]),
+    lambda b, x: b.build(OpKind.ADD, [x, 1.0]),
+    lambda b, x: b.output(True),
+    lambda b, x: b.output(1.0),
+    lambda b, x: b.set_bounds(True, 0.0, 1.0),
+], ids=["float", "bool", "numpy-bool", "string", "float-operand", "output-bool",
+        "output-float", "bounds-bool"])
+def test_a_handle_is_an_integer(build):
+    # int() would read node 1 in each of these
+    b = GraphBuilder()
+    x = b.input("x", (), bounds=(0, 1))
+    b.input("y", (), bounds=(0, 1))
+    with pytest.raises(UnknownNode, match="no node with handle"):
+        build(b, x)
+    assert len(b._nodes) == 2 and b._outputs == []
+
+
+def test_a_bool_operand_is_a_value_that_constant_refuses():
+    b = GraphBuilder()
+    x = b.input("x", (), bounds=(0, 1))
+    b.input("y", (), bounds=(0, 1))
+    for operand in (True, np.bool_(False)):
+        with pytest.raises(ValueError, match="Constant attr 'value' must hold numbers"):
+            b.mul(x, operand)
+    assert len(b._nodes) == 2
+
+
+def test_a_numpy_integer_handle_is_kept():
+    b = GraphBuilder()
+    x = b.input("x", (2, 1), bounds=(0, 1))
+    h = b.exp(np.int64(x))
+    assert b.add(np.int32(h), np.int64(x)) == h + 1
+    assert b._nodes[h + 1].inputs == (h, x) and type(b._nodes[h + 1].inputs[0]) is int
+    assert b.output(np.int64(h + 1)) == h + 1 and b._outputs == [h + 1]
+
+
+def _reads_a_later_node():
+    """mean(x) whose Mean node reads the node after it: a Graph made by hand,
+    since a builder only lets a node read earlier ones."""
+    g = mean_query(4)
+    mean = g.nodes[g.outputs[0]]
+    (x,) = mean.inputs
+    later = dataclasses.replace(mean, id=mean.id + 1, name="later")
+    nodes = g.nodes[:mean.id] + (dataclasses.replace(mean, inputs=(later.id,)), later)
+    return Graph(nodes=nodes, outputs=(mean.id,))
+
+
+@pytest.mark.parametrize("run", [runtime.compile, optimize, interval.propagate,
+                                 runtime.graph_fingerprint],
+                         ids=["compile", "optimize", "propagate", "fingerprint"])
+def test_a_node_that_reads_a_later_node_is_refused(run):
+    g = _reads_a_later_node()
+    runtime.clear_cache()
+    with pytest.raises(ValidationFailed) as info:
+        run(g)
+    assert [d.code for d in info.value.diagnostics] == ["cycle"]
+
+
+def test_a_cached_compile_does_not_validate_again(monkeypatch):
+    validated = []
+    require_valid = Graph.require_valid
+
+    def counted(self):
+        validated.append(self)
+        return require_valid(self)
+
+    monkeypatch.setattr(Graph, "require_valid", counted)
+    g = mean_query(4)
+    runtime.clear_cache()
+    program = runtime.compile(g)
+    assert validated == [g]
+    assert runtime.compile(g) is program and validated == [g]
 
 
 def test_duplicate_names_rejected():
