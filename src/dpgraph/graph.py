@@ -584,6 +584,11 @@ OPS: dict[OpKind, OpSpec] = {
 
 LEAF_KINDS = frozenset(kind for kind, spec in OPS.items() if spec.kernel is None)
 
+# The members that the builder's sugar and the per-node loops use, bound
+# once: looking an Enum member up (OpKind.MUL) costs several globals.
+_INPUT, _PARAMETER, _CONSTANT = OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT
+_ADD, _SUB, _MUL, _DIV, _NEG = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.NEG
+
 
 def normalize_attrs(kind: OpKind, attrs: Mapping | None) -> dict[str, Any]:
     """Every attr of the kind's `OPS` entry, converted, or its default when it
@@ -790,24 +795,24 @@ class GraphBuilder:
               name: str | None = None) -> int:
         if type(kind) is not OpKind:
             kind = OpKind(kind)
-        spec = OPS[kind]
-        if spec.shape is None:
+        arity, spec_attrs, shape_rule, _ = OPS[kind]
+        if shape_rule is None:
             raise ArityError(f"{kind.value} nodes are created via input()/parameter()")
         handles = tuple(inputs)
-        if spec.arity is None:
+        if arity is None:
             if not handles:
                 raise ArityError(f"{kind.value} expects at least one input")
-        elif len(handles) != spec.arity:
-            raise ArityError(
-                f"{kind.value} expects {spec.arity} inputs, got {len(handles)}")
+        elif len(handles) != arity:
+            raise ArityError(f"{kind.value} expects {arity} inputs, got {len(handles)}")
         nodes = self._nodes
+        n = len(nodes)
         for h in handles:
-            if type(h) is not int or not 0 <= h < len(nodes):
+            if type(h) is not int or not 0 <= h < n:
                 handles = tuple(map(self._handle, handles))
                 break
-        norm = normalize_attrs(kind, attrs) if spec.attrs or attrs is not None else {}
+        norm = normalize_attrs(kind, attrs) if spec_attrs or attrs is not None else {}
         try:
-            shape = spec.shape([nodes[h].shape for h in handles], norm)
+            shape = shape_rule([nodes[h].shape for h in handles], norm)
         except (ShapeMismatch, ValueError) as err:
             raise type(err)(f"{kind.value}: {err}") from None
         return self._append(kind, handles, shape, norm, name)
@@ -850,24 +855,24 @@ class GraphBuilder:
     def _coerce(self, h):
         """An integer is a handle, which `build` checks; anything else, a bool
         among them, is a value for a new constant, which refuses a bool."""
-        if isinstance(h, (int, np.integer)) and not isinstance(h, bool):
+        if type(h) is int or (isinstance(h, (int, np.integer)) and not isinstance(h, bool)):
             return h
         return self.constant(h)
 
     def add(self, a, b) -> int:
-        return self.build(OpKind.ADD, [self._coerce(a), self._coerce(b)])
+        return self.build(_ADD, [self._coerce(a), self._coerce(b)])
 
     def sub(self, a, b) -> int:
-        return self.build(OpKind.SUB, [self._coerce(a), self._coerce(b)])
+        return self.build(_SUB, [self._coerce(a), self._coerce(b)])
 
     def mul(self, a, b) -> int:
-        return self.build(OpKind.MUL, [self._coerce(a), self._coerce(b)])
+        return self.build(_MUL, [self._coerce(a), self._coerce(b)])
 
     def div(self, a, b) -> int:
-        return self.build(OpKind.DIV, [self._coerce(a), self._coerce(b)])
+        return self.build(_DIV, [self._coerce(a), self._coerce(b)])
 
     def neg(self, a) -> int:
-        return self.build(OpKind.NEG, [a])
+        return self.build(_NEG, [a])
 
     def matmul(self, a, b, transpose_a=False, transpose_b=False) -> int:
         return self.build(OpKind.MATMUL, [a, b],
@@ -961,10 +966,6 @@ def freeze(graph: Graph, values: Mapping[str, Any]) -> Graph:
 # optimization passes
 
 
-# The members the per-node loops compare against, bound once: looking an
-# Enum member up (OpKind.MUL) costs several times as much as a global.
-_INPUT, _PARAMETER, _CONSTANT = OpKind.INPUT, OpKind.PARAMETER, OpKind.CONSTANT
-_ADD, _SUB, _MUL, _DIV, _NEG = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.NEG
 _LAYOUT_KINDS = frozenset({OpKind.RESHAPE, OpKind.CONCAT, OpKind.SLICE})
 # the kinds `_identity_rewrite` can rewrite; no other kind is offered to it
 _IDENTITY_KINDS = frozenset({_ADD, _SUB, _MUL, _DIV, _NEG}) | _LAYOUT_KINDS
