@@ -4,7 +4,12 @@ Both transforms share one reverse sweep (`_ReverseSweep`), which extends the
 source graph: its builder starts with the source's nodes, roles and bounds,
 and each backward pass appended to it is seeded with a cotangent handle for
 one output. Derivative rules are registered per node kind in `VJP_RULES`, so
-a new operation only needs a table entry.
+a new operation only needs a table entry. The sweep works out once which
+source nodes are active (a `wrt` leaf reaches them), and a pass visits the
+active nodes alone, telling each rule which of its inputs are active: a
+rule builds no cotangent for any other, so every node a pass appends leads
+to a `wrt` leaf, and no cotangent of a `t` or a weight is built for a
+Jacobian with respect to `x`.
 
 * `jacobian` runs one pass per scalar output element, seeded with a one-hot
   constant; each pass yields one row of the Jacobian of the flattened
@@ -22,7 +27,8 @@ a new operation only needs a table entry.
   alone.
 
 The results are graphs themselves, returned as the sweep built them: the
-source nodes no output reaches are still there, and nothing is folded.
+source nodes no output reaches are still there, every node the passes
+appended reaches an output, and nothing is folded.
 `runtime.compile` optimizes them, so each derivative graph is optimized once;
 `higher_order` optimizes each order before it differentiates it again. A
 Jacobian graph keeps the source's bounds, so it can be interval-propagated
@@ -307,7 +313,6 @@ class _ReverseSweep:
             active.add(node.id)
             steps.append((node, rule, tuple([i in active for i in node.inputs])))
         steps.reverse()
-        self.graph = graph
         self.nb = GraphBuilder.extending(graph)
         self.steps = steps
 

@@ -3,7 +3,13 @@
 Graphs are append-only while being built and immutable afterwards, so they can
 be shared freely between threads. Node handles are plain integers; a node only
 ever references earlier handles, which makes every graph acyclic by
-construction and makes the node table a valid topological order.
+construction and makes the node table a valid topological order. The builder
+takes a handle as `_index` takes an integer: a bool, a float or a string is
+no handle and raises UnknownNode, and an operand of its arithmetic sugar
+that is not an integer, a bool included, becomes a constant. A `Graph` made
+by hand can break the order; `optimize` and `interval.propagate` refuse such
+a graph with ValidationFailed before they read its node table, and
+`runtime.compile` validates a graph before it hashes it.
 
 A graph is its nodes and its outputs. An Input or Parameter node carries its
 own bounds, and its kind is its role; `Graph.private_inputs`, `parameters`,
@@ -24,6 +30,15 @@ rewritten operands), then a drop of the nodes that no output reaches. The
 pass carries each node it keeps into the new graph as it is, with its shape,
 attrs and bounds; only a folded constant is built anew, so a cold compile
 builds each node once.
+
+Each pass of a cold compile costs one cheap step per node. Every node a
+builder appends or a pass renumbers is made by `_node`, which sets the
+frozen node's slots itself instead of calling the dataclass's `__init__`; a
+shape rule makes the dims it derives from valid shapes into a shape by
+`TensorShape._of`, which checks no extent again; `build` unpacks the kind's
+`OPS` entry once; the loops bind the `OpKind` members they compare against
+to globals; and `_identity_rewrite` is offered only the kinds that have an
+identity.
 
 Reachability is one sweep per graph: `Graph.reached`, the nodes the outputs
 reach, is one reverse pass over the node table, kept on the graph, and the
@@ -828,12 +843,6 @@ class GraphBuilder:
         if not 0 <= h < len(self._nodes):
             raise UnknownNode(f"no node with handle {h}")
         return h
-
-    def _carry(self, node: Node, inputs: tuple[int, ...], name: str | None) -> int:
-        """Append `node` of another graph on the operands `inputs`, with its
-        kind, shape, attrs and bounds taken as they are: the caller vouches
-        that the operands have the shapes of the node's own."""
-        return self._append(node.kind, inputs, node.shape, node.attrs, name, node.bounds)
 
     def _append(self, kind, inputs, shape, attrs, name, bounds=None) -> int:
         nodes, names = self._nodes, self._names

@@ -14,7 +14,16 @@ optimized, so a compiled program's `optimized_graph` is the one to
 differentiate or inspect further. Each program is cached under one key, the
 content hash of the graph as given, which is also the program's fingerprint,
 so recompiling an identical graph is one hash and a lookup, and recompiling
-the same graph object, whose hash is kept, is two lookups.
+the same graph object, whose hash is kept, is two lookups. A graph is
+validated when its hash is first worked out, before any pass reads its node
+table, and not again while its hash is kept.
+
+A cold compile costs one cheap step per node in each pass: the content hash
+formats each node's text directly and hashes it, and the linearizer walks
+the reached nodes once to lay out the constants and collect the interior
+ones, then lays out the plan, each `Instruction` made by `_instruction`,
+which sets the frozen instruction's slots itself instead of calling the
+dataclass's `__init__`.
 
 Finiteness invariant: execution raises `NumericalError` whenever a value the
 outputs depend on is NaN or Inf, without scanning intermediate results. The
@@ -272,13 +281,12 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         start = members[-1][3] if members else 0
         members.append((node.name, node.shape.dims, start,
                         start + node.shape.num_elements, slot))
-    constant = _CONSTANT
     interior = []
     for node in nodes:
         if node.id not in reachable:
             continue
         kind = node.kind
-        if kind is constant:
+        if kind is _CONSTANT:
             slot = slot_of[node.id] = len(slot_of)
             value = node.attrs["value"]
             const_loads.append((slot, value))
@@ -300,8 +308,7 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
     point_elements = sum(math.prod(nodes[h].shape.dims) for h in leaves if h in reachable)
     for pos, node in enumerate(interior):
         ins = node.inputs
-        dims = node.shape.dims
-        point_elements += math.prod(dims)
+        point_elements += math.prod(node.shape.dims)
         in_slots = tuple([slot_of[i] for i in ins])
         for i in ins if len(ins) == 1 else set(ins):
             if i not in pinned and last_use[i] == pos:
