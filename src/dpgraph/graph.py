@@ -723,14 +723,7 @@ class Graph:
         diags: list[Diagnostic] = []
         if not self.outputs:
             diags.append(Diagnostic("no-outputs", "graph declares no outputs"))
-        for h in self.outputs:
-            if not 0 <= h < len(self.nodes):
-                diags.append(Diagnostic("bad-output", f"output handle {h} does not exist"))
-        for node in self.nodes:
-            for i in node.inputs:
-                if i >= node.id:
-                    diags.append(Diagnostic(
-                        "cycle", f"node '{node.name}' references a later node", node.id))
+        diags += self._order_diagnostics()
         for h in self.private_inputs:
             if self.nodes[h].bounds is None:
                 diags.append(Diagnostic(
@@ -743,25 +736,34 @@ class Graph:
                     f"bounds on '{node.name}' do not match shape {node.shape}", node.id))
         return diags
 
+    def _order_diagnostics(self) -> list[Diagnostic]:
+        """The outputs that are no node and the nodes that read themselves or
+        a later node."""
+        diags = []
+        for h in self.outputs:
+            if not 0 <= h < len(self.nodes):
+                diags.append(Diagnostic("bad-output", f"output handle {h} does not exist"))
+        for node in self.nodes:
+            for i in node.inputs:
+                if i >= node.id:
+                    diags.append(Diagnostic(
+                        "cycle", f"node '{node.name}' references a later node", node.id))
+        return diags
+
     def require_valid(self) -> None:
         diags = self.validate()
         if diags:
             raise ValidationFailed(diags)
 
     def _require_ordered(self) -> None:
-        """Raise ValidationFailed, with every violation `validate` finds, when
-        an output is no node or a node reads itself or a later one: what a
-        pass that reads the node table in order needs, and no more, since
-        `optimize` and `interval.propagate` take graphs that compile would
-        refuse for their missing bounds."""
-        n = len(self.nodes)
-        for h in self.outputs:
-            if not 0 <= h < n:
-                raise ValidationFailed(self.validate())
-        for node in self.nodes:
-            ins = node.inputs
-            if ins and max(ins) >= node.id:
-                raise ValidationFailed(self.validate())
+        """Raise ValidationFailed with `validate`'s 'bad-output' and 'cycle'
+        diagnostics, if there are any: what a pass that reads the node table
+        in order needs, and no more, since `optimize` and
+        `interval.propagate` take graphs that compile would refuse for their
+        missing bounds."""
+        diags = self._order_diagnostics()
+        if diags:
+            raise ValidationFailed(diags)
 
 
 class GraphBuilder:
@@ -813,18 +815,13 @@ class GraphBuilder:
         arity, spec_attrs, shape_rule, _ = OPS[kind]
         if shape_rule is None:
             raise ArityError(f"{kind.value} nodes are created via input()/parameter()")
-        handles = tuple(inputs)
+        handles = tuple(map(self._handle, inputs))
         if arity is None:
             if not handles:
                 raise ArityError(f"{kind.value} expects at least one input")
         elif len(handles) != arity:
             raise ArityError(f"{kind.value} expects {arity} inputs, got {len(handles)}")
         nodes = self._nodes
-        n = len(nodes)
-        for h in handles:
-            if type(h) is not int or not 0 <= h < n:
-                handles = tuple(map(self._handle, handles))
-                break
         norm = normalize_attrs(kind, attrs) if spec_attrs or attrs is not None else {}
         try:
             shape = shape_rule([nodes[h].shape for h in handles], norm)

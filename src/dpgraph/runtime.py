@@ -108,14 +108,8 @@ def content_hash(graph: Graph) -> str:
                     f"{node.attrs['value'].tobytes().hex()}")
         else:  # repr(attr_key({})) is "()"
             attrs = node.attrs
-            ins = node.inputs
-            text = f"{kind_text[kind]}|{repr(attr_key(attrs)) if attrs else '()'}"
-            if len(ins) == 1:
-                text = f"{text}|{digests[ins[0]]}"
-            elif len(ins) == 2:
-                text = f"{text}|{digests[ins[0]]}|{digests[ins[1]]}"
-            else:
-                text = "|".join([text, *[digests[i] for i in ins]])
+            text = "|".join([kind_text[kind], repr(attr_key(attrs)) if attrs else "()",
+                             *[digests[i] for i in node.inputs]])
         digests[node.id] = sha256(text.encode()).hexdigest()
 
     out_digests = [digests[h] for h in graph.outputs]
@@ -310,7 +304,7 @@ def _linearize(opt: Graph, fingerprint: str) -> CompiledProgram:
         ins = node.inputs
         point_elements += math.prod(node.shape.dims)
         in_slots = tuple([slot_of[i] for i in ins])
-        for i in ins if len(ins) == 1 else set(ins):
+        for i in set(ins):
             if i not in pinned and last_use[i] == pos:
                 free.append(slot_of[i])
         if free:

@@ -384,7 +384,11 @@ def _digest(rows) -> str:
 # digest of its plan's (kind, in_slots, out_slot) rows, then that of its
 # instruction labels and that of its optimized graph's node names. A label or
 # a default node name numbers the node in the graph the sweep built, so the
-# last two digests pin the order in which the sweep builds its nodes.
+# last two digests pin the order in which the sweep builds its nodes. The
+# (kind, in_slots, out_slot) digests are those of the sweep that also built
+# the cotangents of t and of the weights; the label and name digests are not,
+# except sum_sigmoid64-jacobian's: without those dead nodes every later
+# default name counts from a lower number (n44 becomes n37).
 @pytest.mark.parametrize("make,program,instructions,digests", [
     (lambda: mlp_classifier(2), "program", 37,
      ("59211edd40fe49afad9d95a08eb8dc3885389e745e581eedea061363f915a807",
