@@ -861,7 +861,7 @@ class GraphBuilder:
     def _coerce(self, h):
         """An integer is a handle, which `build` checks; anything else, a bool
         among them, is a value for a new constant, which refuses a bool."""
-        if type(h) is int or (isinstance(h, (int, np.integer)) and not isinstance(h, bool)):
+        if isinstance(h, (int, np.integer)) and not isinstance(h, bool):
             return h
         return self.constant(h)
 
