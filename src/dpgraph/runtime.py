@@ -19,11 +19,11 @@ validated when its hash is first worked out, before any pass reads its node
 table, and not again while its hash is kept.
 
 A cold compile costs one cheap step per node in each pass: the content hash
-joins each node's text in one expression and hashes it, and the linearizer walks
-the reached nodes once to lay out the constants and collect the interior
-ones, then lays out the plan, each `Instruction` made by `_instruction`,
-which sets the frozen instruction's slots itself instead of calling the
-dataclass's `__init__`.
+joins each node's text in one expression and hashes it, and the linearizer
+walks the reached nodes once to lay out the constants and collect the
+interior ones, then lays out the plan, each `Instruction` made by
+`_instruction`, which sets the frozen instruction's slots itself instead of
+calling the dataclass's `__init__`.
 
 Finiteness invariant: execution raises `NumericalError` whenever a value the
 outputs depend on is NaN or Inf, without scanning intermediate results. The
